@@ -2,9 +2,9 @@
 
 Commands: validate a scenario config, run a scenario, sweep a parameter
 grid, and inspect run output. Exit codes are stable: 0 success, 2
-validation failure, 3 runtime invariant breach (logs preserved), 4 I/O
-or corruption. The DFMM_OUTPUT_ROOT environment variable sets the
-default output root (default ./runs).
+validation failure, 3 run halted fail-stop on an engine error (logs
+preserved), 4 I/O or corruption. The DFMM_OUTPUT_ROOT environment
+variable sets the default output root (default ./runs).
 """
 
 from __future__ import annotations
@@ -62,15 +62,15 @@ def cmd_run(args) -> int:
     outdir = args.out or _default_out(args.config, cfg.seed)
     started = time.monotonic()
     artifacts = Engine(cfg).run()
-    artifacts.summary["duration_seconds"] = round(time.monotonic() - started, 6)
+    duration = round(time.monotonic() - started, 6)
     try:
-        write_logs(artifacts, outdir)
+        write_logs(artifacts, outdir, duration_seconds=duration)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote {outdir}")
     if artifacts.summary["halted"]:
-        print(f"invariant breach: {artifacts.summary['diagnostic']}", file=sys.stderr)
+        print(f"run halted: {artifacts.summary['diagnostic']}", file=sys.stderr)
         return EXIT_BREACH
     return EXIT_OK
 

@@ -14,6 +14,7 @@ may opt into.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -115,6 +116,30 @@ def _antideriv(c2, c1, c0, v):
     return ((c2 / 3.0 * v + c1 / 2.0) * v + c0) * v
 
 
+@functools.lru_cache(maxsize=64)
+def _design(vol_bytes: bytes) -> tuple:
+    """Column-scaled normal-equation design for one snapshot volume grid.
+
+    Returns (a_s, ata, scale), all read-only: the Vandermonde matrix with
+    columns rescaled to unit max-norm (so the 3x3 system stays well
+    conditioned even for large volume ranges), its Gram matrix and the
+    column scales. Keyed on the exact float64 bytes of the volumes, so a
+    cache hit hands back the arrays a fresh build would compute. Raises
+    NonMonotoneVolumes, and caches nothing, unless volumes strictly
+    increase.
+    """
+    vols = np.frombuffer(vol_bytes, dtype=float)
+    if not np.all(np.diff(vols) > 0):
+        raise NonMonotoneVolumes("snapshot volumes must be strictly increasing")
+    a = np.column_stack([np.ones_like(vols), vols, vols * vols])
+    scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
+    a_s = a / scale
+    ata = a_s.T @ a_s
+    for arr in (a_s, ata, scale):
+        arr.flags.writeable = False
+    return a_s, ata, scale
+
+
 def fit_eldf(
     points: Sequence[CurvePoint],
     degree: int = 2,
@@ -129,6 +154,13 @@ def fit_eldf(
     accepted. Volumes must be strictly increasing. Exact degree-<=2 data
     is reproduced to fitting tolerance. Raises NonPositiveDensity when
     the fitted curve dips to zero or below anywhere inside the domain.
+
+    The design matrix, its Gram matrix and the column scales depend only
+    on the volumes, so they come from a small cache (``_design``) keyed on
+    the volumes' exact float64 bytes; simulated venues resample one fixed
+    grid every slot. Each fit computes only the price-dependent part with
+    the same numpy operations on the same operands as an uncached fit, so
+    the coefficients are bit-identical either way.
     """
     if degree != 2:
         raise ValueError(f"only degree-2 fits are supported, got {degree}")
@@ -136,22 +168,13 @@ def fit_eldf(
         raise TooFewPoints(f"need at least {degree + 1} points, got {len(points)}")
     vols = np.array([p.volume for p in points], dtype=float)
     prices = np.array([p.price for p in points], dtype=float)
-    if not np.all(np.diff(vols) > 0):
-        raise NonMonotoneVolumes("snapshot volumes must be strictly increasing")
-
-    # Normal equations with column scaling: columns of the Vandermonde
-    # matrix are rescaled to unit max-norm so the 3x3 system stays well
-    # conditioned even for large volume ranges.
-    a = np.column_stack([np.ones_like(vols), vols, vols * vols])
-    scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
-    a_s = a / scale
-    ata = a_s.T @ a_s
+    a_s, ata, scale = _design(vols.tobytes())
     atb = a_s.T @ prices
     try:
         coef = np.linalg.solve(ata, atb) / scale
     except np.linalg.LinAlgError as exc:
         raise SolverDivergence(f"normal equations singular: {exc}") from None
-    c0, c1, c2 = (float(c) for c in coef)
+    c0, c1, c2 = coef.tolist()
     return Eldf(
         c2=c2,
         c1=c1,
@@ -376,11 +399,6 @@ def parse_snapshot_lines(lines: Iterable[str]) -> dict:
             raise ParseError(f"line {n}: {exc}") from None
         out.setdefault((slot, venue), []).append(CurvePoint(vol, price))
     return out
-
-
-def load_snapshot_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_snapshot_lines(fh)
 
 
 @dataclass

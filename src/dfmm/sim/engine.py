@@ -10,9 +10,10 @@ identical outputs byte for byte.
 
 The engine keeps a full set of exact-unit accumulators and audits them
 after every epoch: trade balances, premium-reserve telescoping, treasury
-identity, and the hedged solvency margin. An audit failure is fail-stop:
-the run halts with a diagnostic and the logs collected so far are
-preserved.
+identity, and the hedged solvency margin. An audit failure, like any
+other engine error raised mid-run, is fail-stop: the run halts with a
+diagnostic naming the error class and timestep, and the logs collected
+so far are preserved.
 """
 
 from __future__ import annotations
@@ -30,14 +31,8 @@ from ..auction import (
     auction_step,
 )
 from ..eldf import AssetCurves, Eldf, integrate_eldf, solve_volume_for_value
-from ..errors import (
-    ConfigInvalid,
-    EngineError,
-    InvariantBreach,
-    NegativeReserveInvariantBreach,
-    ZeroCapacity,
-)
-from ..ledger import BalanceSheet, solvency_check
+from ..errors import ConfigInvalid, EngineError, InvariantBreach, ZeroCapacity
+from ..ledger import BalanceSheet, SolvencyReport, solvency_check
 from ..metrics import impermanent_loss, slippage
 from ..money import from_units, to_units
 from ..pricing import FeeSchedule, RebalanceParams, execute_swap, quote_swap
@@ -505,9 +500,14 @@ class Engine:
     # ------------------------------------------------------------------
     # metrics, audit, run loop
 
-    def solvency_margin_units(self) -> int:
-        """Hedged protocol margin: inventory surplus plus protocol cash."""
-        report = solvency_check(self.sheet, {a: c.bid for a, c in self.curves.items()})
+    def solvency_margin_units(self, report: SolvencyReport | None = None) -> int:
+        """Hedged protocol margin: inventory surplus plus protocol cash.
+
+        ``report`` is the current solvency_check result when the caller
+        already holds it; otherwise it is computed here.
+        """
+        if report is None:
+            report = solvency_check(self.sheet, {a: c.bid for a, c in self.curves.items()})
         cash = (
             sum(s.t_units for s in self.sheet.spools.values())
             + sum(self.sheet.rr_units.values())
@@ -530,10 +530,10 @@ class Engine:
         return total
 
     def _emit_metrics(self) -> None:
-        margin_units = self.solvency_margin_units()
+        report = solvency_check(self.sheet, {a: c.bid for a, c in self.curves.items()})
+        margin_units = self.solvency_margin_units(report)
         if self.min_margin_units is None or margin_units < self.min_margin_units:
             self.min_margin_units = margin_units
-        report = solvency_check(self.sheet, {a: c.bid for a, c in self.curves.items()})
         rows = self.logs["metrics"]
         for aid in self.sheet.asset_ids():
             market = self.market[aid]
@@ -580,12 +580,13 @@ class Engine:
             raise InvariantBreach(self.diagnostic)
 
     def run(self) -> RunArtifacts:
+        """Step to the horizon; any engine error halts the run fail-stop."""
         try:
             while self.t < self.cfg.horizon and not self.halted:
                 self.step_timestep()
-        except (InvariantBreach, NegativeReserveInvariantBreach) as exc:
+        except EngineError as exc:
             self.halted = True
-            self.diagnostic = str(exc)
+            self.diagnostic = f"{type(exc).__name__} at t={self.t}: {exc}"
         for row in self.rewards.claims():
             self.logs["rewards"].append(row)
         return RunArtifacts(logs=self.logs, summary=self._summary(), config=self.cfg)

@@ -4,11 +4,20 @@ Each asset's external mid follows a lognormal step process with optional
 drift, plus a linear price impact from net arbitrage hedging flow. Venue
 snapshots are sampled from per-side quadratic depth profiles around the
 mid, so the fitted curves reproduce the generating profile exactly.
+
+A market's config is frozen, so its snapshot volume grid and the
+normalised depths x = vols / depth are built once, when the market is
+created; every snapshot then only evaluates the price expressions at
+the current mid. Because every slot hands ``fit_eldf`` the same volumes,
+its design-matrix cache (keyed on the volumes' exact bytes) serves every
+refit after the first, and both caches hold exactly the arrays a fresh
+build would compute, so fitted curves are bit-identical to rebuilding
+them each slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import math
 
@@ -25,6 +34,13 @@ class AssetMarket:
     mid: float
     rng: np.random.Generator
     pending_flow: float = 0.0
+    _vols: list = field(init=False, repr=False, compare=False)
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        vols = np.linspace(0.0, self.cfg.depth, self.cfg.n_points)
+        self._vols = vols.tolist()
+        self._x = vols / self.cfg.depth
 
     def step(self) -> None:
         """One lognormal return step, after applying any queued impact."""
@@ -45,16 +61,15 @@ class AssetMarket:
     def snapshot(self, slot_id: int):
         """Per-side snapshot points sampled from the depth profile."""
         cfg = self.cfg
-        vols = np.linspace(0.0, cfg.depth, cfg.n_points)
-        x = vols / cfg.depth
+        x = self._x
         bid_prices = self.mid * (
             1.0 - cfg.spread / 2.0 - cfg.bid_slope * x - cfg.bid_curv * x * x
         )
         ask_prices = self.mid * (
             1.0 + cfg.spread / 2.0 + cfg.ask_slope * x + cfg.ask_curv * x * x
         )
-        bid_pts = [CurvePoint(float(v), float(p)) for v, p in zip(vols, bid_prices)]
-        ask_pts = [CurvePoint(float(v), float(p)) for v, p in zip(vols, ask_prices)]
+        bid_pts = [CurvePoint(v, p) for v, p in zip(self._vols, bid_prices.tolist())]
+        ask_pts = [CurvePoint(v, p) for v, p in zip(self._vols, ask_prices.tolist())]
         return bid_pts, ask_pts
 
     def fit_curves(self, slot_id: int, *, extrapolation: str) -> tuple[Eldf, Eldf]:

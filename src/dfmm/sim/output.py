@@ -51,8 +51,12 @@ def config_hash(cfg) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def write_logs(artifacts, outdir) -> dict:
-    """Write all log files and the manifest; returns the manifest dict."""
+def write_logs(artifacts, outdir, duration_seconds: float = 0.0) -> dict:
+    """Write all log files and the manifest; returns the manifest dict.
+
+    ``duration_seconds`` is the run's wall-clock time. It goes only into
+    the manifest, so the logs and summary.json stay byte-deterministic.
+    """
     os.makedirs(outdir, exist_ok=True)
     files = []
     for kind, header in SCHEMAS.items():
@@ -76,7 +80,7 @@ def write_logs(artifacts, outdir) -> dict:
         "config_hash": config_hash(artifacts.config),
         "seed": artifacts.config.seed,
         "files": files,
-        "duration_seconds": artifacts.summary.get("duration_seconds", 0.0),
+        "duration_seconds": duration_seconds,
     }
     with open(os.path.join(outdir, MANIFEST_NAME), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

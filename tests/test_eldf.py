@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfmm import eldf
 from dfmm.eldf import (
     ASK,
     BID,
@@ -99,6 +101,80 @@ class TestFit:
         pts = quad_points(0.0, 0.0, 1.0, (0.0, 1.0, 2.0, 3.0))
         with pytest.raises(ValueError):
             fit_eldf(pts, degree=3)
+
+
+def uncached_coefficients(points):
+    """Column-scaled normal-equation fit rebuilt from scratch: (c2, c1, c0)."""
+    vols = np.array([p.volume for p in points], dtype=float)
+    prices = np.array([p.price for p in points], dtype=float)
+    a = np.column_stack([np.ones_like(vols), vols, vols * vols])
+    scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
+    a_s = a / scale
+    c0, c1, c2 = (float(c) for c in np.linalg.solve(a_s.T @ a_s, a_s.T @ prices) / scale)
+    return c2, c1, c0
+
+
+class TestDesignCache:
+    def random_grid(self, rng):
+        """Uneven strictly increasing volumes; odd sizes start at zero."""
+        n = int(rng.integers(3, 10))
+        steps = rng.uniform(0.05, 1.0, n) * float(rng.uniform(1.0, 1000.0))
+        vols = np.cumsum(steps) - steps[0] * (n % 2)
+        return [float(v) for v in vols]
+
+    def random_prices(self, rng, vols):
+        c2, c1, c0, span = random_positive_quadratic(rng)
+        x = [v / vols[-1] * span for v in vols]
+        noise = rng.uniform(0.99, 1.01, len(vols))
+        return [((c2 * xi + c1) * xi + c0) * float(e) for xi, e in zip(x, noise)]
+
+    def test_bit_equal_to_uncached_fit_on_random_grids(self):
+        rng = np.random.default_rng(11)
+        grids = [self.random_grid(rng) for _ in range(20)]
+        for _ in range(3):  # later passes hit the cache for every grid
+            for vols in grids:
+                pts = [CurvePoint(v, p) for v, p in zip(vols, self.random_prices(rng, vols))]
+                curve = fit_eldf(pts)
+                assert (curve.c2, curve.c1, curve.c0) == uncached_coefficients(pts)
+                assert curve.fit_domain == (vols[0], vols[-1])
+
+    def test_repeated_grid_hits_cache_and_stays_bit_equal(self):
+        vols = [0.0, 1.5, 3.0, 4.5, 6.0]
+        fit_eldf(quad_points(0.1, -0.2, 3.0, vols))
+        hits = eldf._design.cache_info().hits
+        for c0 in (2.0, 5.0, 11.0):
+            pts = quad_points(0.05, 0.3, c0, vols)
+            curve = fit_eldf(pts)
+            assert (curve.c2, curve.c1, curve.c0) == uncached_coefficients(pts)
+        assert eldf._design.cache_info().hits == hits + 3
+
+    def test_cached_design_is_read_only(self):
+        vols = [0.0, 1.0, 2.0, 4.0]
+        fit_eldf(quad_points(0.0, 0.5, 1.0, vols))
+        for arr in eldf._design(np.array(vols).tobytes()):
+            assert not arr.flags.writeable
+
+    def test_non_monotone_grid_after_cached_grid_raises(self):
+        vols = [0.0, 1.0, 2.0, 3.0]
+        fit_eldf(quad_points(0.0, 1.0, 1.0, vols))
+        with pytest.raises(NonMonotoneVolumes):
+            fit_eldf(quad_points(0.0, 1.0, 1.0, [0.0, 2.0, 1.0, 3.0]))
+        with pytest.raises(NonMonotoneVolumes):
+            fit_eldf(quad_points(0.0, 1.0, 1.0, [0.0, 1.0, 1.0, 3.0]))
+        # a failed grid is not cached: it raises again
+        with pytest.raises(NonMonotoneVolumes):
+            fit_eldf(quad_points(0.0, 1.0, 1.0, [0.0, 2.0, 1.0, 3.0]))
+
+    def test_non_positive_price_on_cached_grid_raises(self):
+        vols = [0.0, 1.0, 2.0, 3.0]
+        fit_eldf(quad_points(0.0, 1.0, 1.0, vols))
+        with pytest.raises(NonPositiveDensity):
+            CurvePoint(3.0, 0.0)
+        # points that skip CurvePoint's own check: the fitted line is
+        # negative at v_hi, which the fitted curve's density check rejects
+        raw = [SimpleNamespace(volume=v, price=1.0 - 2.0 * v / 3.0) for v in vols]
+        with pytest.raises(NonPositiveDensity):
+            fit_eldf(raw)
 
 
 class TestEval:

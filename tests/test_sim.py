@@ -1,7 +1,11 @@
+import configparser
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
+from dfmm import cli, eldf
 from dfmm.errors import ConfigInvalid, InvariantBreach
 from dfmm.money import from_units, to_units
 from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_config
@@ -9,6 +13,8 @@ from dfmm.sim.engine import Engine, run_scenario
 from dfmm.sim.market import ExternalMarket
 
 import numpy as np
+
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.ini"
 
 
 def asset(asset_id, **kw):
@@ -284,3 +290,104 @@ class TestArbitrageLoop:
         after_shock = worst[2:]
         for a, b in zip(after_shock, after_shock[1:]):
             assert b <= a + 1e-9
+
+
+def demo_ini(tmp_path, overrides: dict) -> Path:
+    """demo.ini with ``overrides`` ({section: {key: value}}) written to tmp_path."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(DEMO, encoding="utf-8")
+    for section, values in overrides.items():
+        for key, value in values.items():
+            parser.set(section, key, str(value))
+    path = tmp_path / "scenario.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
+class TestFailStop:
+    def test_out_of_domain_halts_with_exit_3_and_logs(self, tmp_path, capsys):
+        ini = demo_ini(
+            tmp_path,
+            {
+                "engine": {"clamp_extrapolation": "false"},
+                "traders": {"rate": 8},
+                "run": {"horizon": 400},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ini), "--out", str(out)]) == cli.EXIT_BREACH
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["halted"]
+        t = summary["timesteps"]
+        assert 0 < t < 400
+        assert summary["diagnostic"].startswith(f"OutOfDomain at t={t}: v=")
+        assert "OutOfDomain" in capsys.readouterr().err.strip().splitlines()[-1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = {f["name"]: f["rows"] for f in manifest["files"]}
+        assert rows["trades.csv"] == summary["fills"] > 0
+        assert rows["metrics.csv"] > 0
+
+    def test_oversized_queued_withdrawal_halts(self):
+        cfg = scenario(
+            scripted_trades=((1, "X", "Y", 25.0),),
+            assets=(asset("X"), asset("Y", c_short=1500.0)),
+        )
+        eng = Engine(cfg)
+        eng.queue_vault_flow("Y", "short", -2000.0)
+        art = eng.run()
+        assert art.summary["halted"]
+        assert art.summary["timesteps"] == cfg.epoch_len
+        assert art.summary["diagnostic"].startswith(
+            f"BadParams at t={cfg.epoch_len}: vault withdrawal"
+        )
+        assert len(art.logs["trades"]) == 1
+        assert art.logs["metrics"]
+
+
+class TestDeterministicOutput:
+    def test_two_demo_runs_write_identical_files(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_OK
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert "summary.json" in names and "trades.csv" in names
+        assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        assert "duration_seconds" not in summary
+        manifest = json.loads((outs[0] / "manifest.json").read_text())
+        assert manifest["duration_seconds"] >= 0.0
+
+    def test_uncached_refits_give_identical_run(self, monkeypatch):
+        cfg = load_config(DEMO)
+        cached = Engine(cfg).run()
+        fit = eldf.fit_eldf
+
+        def fit_uncached(*args, **kwargs):
+            eldf._design.cache_clear()
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr("dfmm.sim.market.fit_eldf", fit_uncached)
+        uncached = Engine(cfg).run()
+        assert eldf._design.cache_info().hits == 0
+        assert uncached.logs == cached.logs
+        assert uncached.summary == cached.summary
+
+    def test_solvency_checked_once_per_timestep(self, monkeypatch):
+        from dfmm.sim import engine as engine_mod
+
+        calls = []
+        check = engine_mod.solvency_check
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "solvency_check", counting)
+        cfg = scenario(trader_rate=1.5, arb_enabled=True, horizon=40)
+        art = Engine(cfg).run()
+        assert not art.summary["halted"]
+        # one per timestep's metrics, one for the summary's final margin
+        assert len(calls) == art.summary["timesteps"] + 1 == 41
