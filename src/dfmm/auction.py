@@ -146,8 +146,11 @@ def update_aggressiveness(
     too_fast steps down by the increment (floored at the minimum);
     too_slow steps up, but when the implied premium increase at the open
     flow would exceed the treasury reserve, the step is capped so the
-    increase exactly exhausts it. The returned discrepancy is the exact
-    ledger-unit premium change at the open flow.
+    increase about exhausts it. The returned discrepancy is the exact
+    ledger-unit premium change at the open flow, and a too_slow step
+    never prices above ``tr_units``: when rounding would take it over,
+    the step is bisected back toward ``a_prev`` (``premium_units`` is
+    nondecreasing in a) and marked capped.
     """
     if t_open_units == 0:
         raise InactiveSide("no open flow on this side")
@@ -173,13 +176,27 @@ def update_aggressiveness(
     else:
         raise BadParams(f"unknown comparison {comparison!r}")
 
-    if side == RHS:
-        params_after = replace(params, a_rhs=a_new)
-    else:
-        params_after = replace(params, a_lhs=a_new)
-    upsilon = premium_units(t_open_units, params_after) - premium_units(
-        t_open_units, params
-    )
+    r_before = premium_units(t_open_units, params)
+
+    def priced(a: float) -> tuple[RebalanceParams, int]:
+        after = replace(params, a_rhs=a) if side == RHS else replace(params, a_lhs=a)
+        return after, premium_units(t_open_units, after) - r_before
+
+    params_after, upsilon = priced(a_new)
+    if comparison == TOO_SLOW and upsilon > tr_units:
+        # keep the largest a in [a_prev, a_new) whose increase fits
+        lo, hi = a_prev, a_new
+        params_after, upsilon = priced(lo)
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            p_mid, u_mid = priced(mid)
+            if u_mid <= tr_units:
+                lo, params_after, upsilon = mid, p_mid, u_mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        a_new = lo
+        capped = True
     return AggressivenessUpdate(
         a_before=a_prev,
         a_after=a_new,

@@ -294,7 +294,8 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
 
     # Roots of F(v2) - (F(v1) + M) where F is the antiderivative; the part
     # of [v1, v1_eff] below the domain was already valued at clamp density.
-    head = integrate_eldf(curve, v1, v1_eff)
+    # Inside the domain that interval is empty and its value exactly 0.0.
+    head = 0.0 if v1 == v1_eff else integrate_eldf(curve, v1, v1_eff)
     konst = _antideriv(c2, c1, c0, v1_eff) + (target_value - head)
     roots = _cubic_real_roots(c2 / 3.0, c1 / 2.0, c0, -konst)
     span = hi - lo

@@ -21,6 +21,18 @@ functions of the committed integer T states (so premium flows telescope
 exactly to zero over any path that returns T to zero), the trade balance
 v_s = V' + rp_in + rp_out + fee holds exactly in integer units, and the
 sub-unit rounding residue is absorbed into the fee.
+
+Commit rule: with p0 the real solution rounded to units and
+target = round(theta * v_s), the committed notional is the first
+minimiser of |fee(p) - target| + 10**9 * [fee(p) < 0] over
+p0-6 .. p0+6 (clamped at 0), stepped down while its fee is negative.
+The rounding of each premium makes fee(p) non-monotone in p, but R is
+convex, so over the window fee(q) - fee(p) <= -m*(q - p) + 2*(n_in + n_out)
+for q > p, where m = 1 - R_in'(x_in_max) + R_out'(x_out_min) and
+n = 1/2 + 2**-49 * max S*R is each leg's rounding noise. The search
+starts at p0 and stops on each side once this bound proves that no
+unpriced candidate can win, so it commits what a scan of all 13 would
+(``_commit_notional``).
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from .errors import (
     StaleQuote,
 )
 from .ledger import BalanceSheet
-from .money import from_units, to_units
+from .money import SCALE, from_units, to_units
 
 if TYPE_CHECKING:
     from .vaults import VaultLimits
@@ -94,9 +106,11 @@ def premium_units(t_units: int, params: RebalanceParams) -> int:
     """Premium at an integer-unit flow state, rounded to ledger units.
 
     Deterministic function of the committed state so premium deltas
-    telescope exactly over any trade path.
+    telescope exactly over any trade path. Equal to
+    ``to_units(premium_fn(from_units(t_units), params))``, written out
+    because the commit search calls it on every candidate.
     """
-    return to_units(premium_fn(from_units(t_units), params))
+    return round(premium_fn(t_units / SCALE, params) * SCALE)
 
 
 def _branch(t_sign_positive: bool, params: RebalanceParams):
@@ -212,6 +226,95 @@ def solve_adjusted_notional(
     )
 
 
+_WINDOW = 6
+_NEGATIVE_FEE_PENALTY = 10**9
+
+
+def _commit_notional(
+    p0: int,
+    v_s_units: int,
+    t_in0_u: int,
+    t_out0_u: int,
+    params_in: RebalanceParams,
+    params_out: RebalanceParams,
+    theta: float,
+) -> tuple[int, int, int, int, int, int]:
+    """Integer adjusted notional committed near ``p0`` and its premia.
+
+    Returns ``(p, rp_in, rp_out, fee, r_in, r_out)``: the notional, the
+    two legs' premium deltas, the fee ``v_s - p - rp_in - rp_out`` and
+    the legs' premia ``premium_units`` at the committed flows, by the
+    commit rule in the module docstring.
+
+    The search widens the priced span [l, r] around ``p0`` one candidate
+    at a time and stops on a side once the bound proves that no candidate
+    beyond it can win (strictly to the right, ties going left). The
+    slopes in m are taken at the window end p = lo, where R_in' is
+    largest and R_out' smallest. Each ``premium_units`` value carries at
+    most 7 float64 roundings, none cancelling, plus the rounding to
+    units, which ``n`` covers. When ``m <= 0`` the bound says nothing and
+    the loop walks the window.
+    """
+    r_in0 = premium_units(t_in0_u, params_in)
+    r_out0 = premium_units(t_out0_u, params_out)
+    target = round(theta * v_s_units)
+    lo, hi = max(0, p0 - _WINDOW), p0 + _WINDOW
+
+    x_in_max, x_in_min = (t_in0_u - lo) / SCALE, (t_in0_u - hi) / SCALE
+    x_out_min, x_out_max = (t_out0_u + lo) / SCALE, (t_out0_u + hi) / SCALE
+    # dR/dt = d*(2x + s*a), the right derivative at the kink x = 0
+    d, a, s = _branch(x_in_max >= 0, params_in)
+    g_in = d * (2.0 * x_in_max + s * a)
+    d, a, s = _branch(x_out_min >= 0, params_out)
+    g_out = d * (2.0 * x_out_min + s * a)
+    m = 1.0 - g_in + g_out
+    # A convex R is largest at a window end.
+    r_max = max(premium_fn(x_in_max, params_in), premium_fn(x_in_min, params_in))
+    r_max += max(premium_fn(x_out_min, params_out), premium_fn(x_out_max, params_out))
+    noise = 2.0 + 2.0**-48 * SCALE * r_max
+    # pad covers the float rounding of m and noise themselves
+    pad = 2.0**-40 * (1.0 + abs(g_in) + abs(g_out) + noise)
+    # A candidate beyond the evaluated span [l, r] can still win only if
+    # (target - fee(r)) - best < slack on the right or
+    # (fee(l) - target) - best <= slack on the left.
+    slack = noise - m + pad if m > pad else math.inf
+
+    def implied(p: int) -> tuple[int, int, int]:
+        r_in = premium_units(t_in0_u - p, params_in)
+        r_out = premium_units(t_out0_u + p, params_out)
+        return v_s_units - p - (r_in - r_in0) - (r_out - r_out0), r_in, r_out
+
+    best = implied(p0)
+    fee_l = fee_r = best[0]
+    best_err = abs(fee_r - target) + (_NEGATIVE_FEE_PENALTY if fee_r < 0 else 0)
+    p = l = r = p0
+    while True:
+        right = r < hi and (target - fee_r) - best_err < slack
+        left = l > lo and (fee_l - target) - best_err <= slack
+        if right and (not left or best[0] > target):
+            r += 1
+            cand = implied(r)
+            fee_r = cand[0]
+            err = abs(fee_r - target) + (_NEGATIVE_FEE_PENALTY if fee_r < 0 else 0)
+            if err < best_err:
+                p, best, best_err = r, cand, err
+        elif left:
+            l -= 1
+            cand = implied(l)
+            fee_l = cand[0]
+            err = abs(fee_l - target) + (_NEGATIVE_FEE_PENALTY if fee_l < 0 else 0)
+            if err <= best_err:
+                p, best, best_err = l, cand, err
+        else:
+            break
+
+    fee, r_in, r_out = best
+    while fee < 0 and p > 0:
+        p -= 1
+        fee, r_in, r_out = implied(p)
+    return p, r_in - r_in0, r_out - r_out0, fee, r_in, r_out
+
+
 @dataclass(frozen=True)
 class OpenInventoryLimits:
     """Caps on post-trade open inventory, from vault collateral sizing."""
@@ -219,11 +322,19 @@ class OpenInventoryLimits:
     max_surplus: float
     max_deficit: float
 
-    def at(self, t_after_units: int, params: RebalanceParams) -> OpenInventoryLimits:
-        """Caps for a trade that leaves the flow at ``t_after_units``:
-        fixed caps are the same for every trade (``vaults.VaultLimits``
-        makes them depend on it)."""
-        return self
+    def surplus_cap(
+        self, t_after_units: int, premium_after_units: int, params: RebalanceParams
+    ) -> float:
+        """Cap on the surplus a trade may leave at flow ``t_after_units``
+        with premium ``premium_after_units``: fixed here, the same for
+        every trade (``vaults.VaultLimits`` makes it depend on them)."""
+        return self.max_surplus
+
+    def deficit_cap(
+        self, t_after_units: int, premium_after_units: int, params: RebalanceParams
+    ) -> float:
+        """Cap on the deficit, fixed like ``surplus_cap``."""
+        return self.max_deficit
 
 
 @dataclass(frozen=True)
@@ -295,9 +406,10 @@ def quote_swap(
     mark; the adjusted notional is converted to asset_out on its ask
     curve. The quote pins the sheet version and fails stale at execution
     if anything moved. With ``limits_by_asset`` the quote is gated: the
-    in-asset's post-trade surplus and the out-asset's post-trade deficit
-    must stay within the caps each limit gives at that leg's post-trade
-    flow T and these params, else ``ExceedsCapacity``.
+    in-asset's post-trade surplus must stay within its ``surplus_cap``
+    and the out-asset's post-trade deficit within its ``deficit_cap``,
+    each given the leg's post-trade flow T, the premium committed there
+    and these params, else ``ExceedsCapacity``.
     """
     if not v_in > 0:
         raise NoFeasibleSolution(f"v_in must be positive, got {v_in}")
@@ -325,32 +437,15 @@ def quote_swap(
         fees.theta,
     )
 
-    # Commit to integer units: premium deltas are functions of the
-    # committed T endpoints and the fee absorbs the rounding residue,
-    # keeping the balance identity exact. The committed notional is the
-    # integer near the real solution whose implied fee best matches
-    # theta * v_s without going negative.
-    r_in0_u = premium_units(t_in0_u, params_in)
-    r_out0_u = premium_units(t_out0_u, params_out)
-    target_fee = round(fees.theta * v_s_units)
-
-    def implied(p: int) -> tuple[int, int, int]:
-        rp_in = premium_units(t_in0_u - p, params_in) - r_in0_u
-        rp_out = premium_units(t_out0_u + p, params_out) - r_out0_u
-        return rp_in, rp_out, v_s_units - p - rp_in - rp_out
-
-    p0 = max(0, to_units(v_prime))
-    best_p, best_err = None, None
-    for p in range(max(0, p0 - 6), p0 + 7):
-        _, _, fee = implied(p)
-        err = abs(fee - target_fee) + (10**9 if fee < 0 else 0)
-        if best_err is None or err < best_err:
-            best_p, best_err = p, err
-    p = best_p
-    rp_in_u, rp_out_u, fee_u = implied(p)
-    while fee_u < 0 and p > 0:
-        p -= 1
-        rp_in_u, rp_out_u, fee_u = implied(p)
+    p, rp_in_u, rp_out_u, fee_u, r_in_u, r_out_u = _commit_notional(
+        max(0, to_units(v_prime)),
+        v_s_units,
+        t_in0_u,
+        t_out0_u,
+        params_in,
+        params_out,
+        fees.theta,
+    )
 
     v_out = solve_volume_for_value(cout.ask, cout.ask_mark, from_units(p)) - cout.ask_mark
 
@@ -361,14 +456,14 @@ def quote_swap(
         )
     if limits_by_asset is not None:
         pool_in = sheet.pools[asset_in]
-        max_surplus = limits_by_asset[asset_in].at(t_in0_u - p, params_in).max_surplus
+        max_surplus = limits_by_asset[asset_in].surplus_cap(t_in0_u - p, r_in_u, params_in)
         surplus_after = (pool_in.inventory + v_in) - pool_in.lp_inventory
         if surplus_after > max_surplus + _CAP_TOL * max(1.0, max_surplus):
             raise ExceedsCapacity(
                 f"{asset_in} surplus {surplus_after:.6g} would exceed "
                 f"long-vault capacity {max_surplus:.6g}"
             )
-        max_deficit = limits_by_asset[asset_out].at(t_out0_u + p, params_out).max_deficit
+        max_deficit = limits_by_asset[asset_out].deficit_cap(t_out0_u + p, r_out_u, params_out)
         deficit_after = pool_out.lp_inventory - (pool_out.inventory - v_out)
         if deficit_after > max_deficit + _CAP_TOL * max(1.0, max_deficit):
             raise ExceedsCapacity(

@@ -3,10 +3,10 @@
 Phase order within a timestep is fixed: external market step, slot
 refits, exogenous trader flow, arbitrageur, auction progress, metrics.
 Epoch boundaries additionally settle swaptions, pass premium flows to
-the vaults, apply queued vault deposits/withdrawals, distribute rewards,
-and re-strike hedge positions. One run is strictly single-threaded; all
-randomness derives from the scenario seed, so identical configs produce
-identical outputs byte for byte.
+the vaults, apply queued vault deposits and the covered part of queued
+withdrawals, distribute rewards, and re-strike hedge positions. One run
+is strictly single-threaded; all randomness derives from the scenario
+seed, so identical configs produce identical outputs byte for byte.
 
 Every quote, whether from a trader, the script or the arbitrageur, is
 gated on vault capacity net of a reserve: the premium debit the next
@@ -59,6 +59,7 @@ from ..vaults import (
     slp_premium_flow,
     strike_swaption,
     utilisation,
+    withdrawable_units,
 )
 from .agents import ArbitrageurAgent, TraderFlow
 from .config import ScenarioConfig
@@ -313,7 +314,11 @@ class Engine:
 
     def queue_vault_flow(self, asset_id: str, side: str, amount: float) -> None:
         """Queue an sLP deposit (positive) or withdrawal; applied at the
-        next epoch boundary so collateral cannot dodge a settlement."""
+        next epoch boundary so collateral cannot dodge a settlement.
+
+        A boundary applies only the part of a withdrawal that leaves the
+        vault covering its side's open inventory (``withdrawable_units``);
+        the rest stays queued for the next boundary."""
         self.queued_vault_flows.append((asset_id, side, to_units(amount)))
 
     # ------------------------------------------------------------------
@@ -454,19 +459,28 @@ class Engine:
                 if result.liquidated:
                     self._liquidate(aid, vault)
 
-            for asset_q, side_q, amount_q in [
-                q for q in self.queued_vault_flows if q[0] == aid
-            ]:
+            still_queued = []
+            for asset_q, side_q, amount_q in self.queued_vault_flows:
+                if asset_q != aid:
+                    still_queued.append((asset_q, side_q, amount_q))
+                    continue
                 vault = vp.by_side(side_q)
                 if amount_q >= 0:
                     vault.deposit(amount_q)
                 else:
-                    vault.withdraw(-amount_q)
+                    # a withdrawal above the collateral is a BadParams halt
+                    take = -amount_q
+                    if take <= vault.collateral_units:
+                        take = min(take, withdrawable_units(pool, vault))
+                    if take < -amount_q:
+                        still_queued.append((asset_q, side_q, amount_q + take))
+                    if take == 0:
+                        continue
+                    vault.withdraw(take)
+                    amount_q = -take
                 self.vault_external_units += amount_q
                 margin_check(vault)
-            self.queued_vault_flows = [
-                q for q in self.queued_vault_flows if q[0] != aid
-            ]
+            self.queued_vault_flows = still_queued
 
             pending = self.rewards.pending_units(aid)
             if pending > 0:

@@ -1,11 +1,11 @@
 """Run output: delimiter-separated log files plus a JSON manifest.
 
 Every log file starts with a schema-version comment line and a header
-row; rows are comma-separated with floats rendered by repr (shortest
-round-trip form), so identical runs produce identical bytes. The
-manifest names the config hash, seed, engine version, every file with
-its row count, and the wall-clock duration (the one intentionally
-non-deterministic field).
+row; rows are comma-separated with every value rendered by str(), which
+gives floats their shortest round-trip form (numpy scalars included), so
+identical runs produce identical bytes. The manifest names the config
+hash, seed, engine version, every file with its row count, and the
+wall-clock duration (the one intentionally non-deterministic field).
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ SCHEMAS = {
 }
 
 
-def _render(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def config_hash(cfg) -> str:
     payload = json.dumps(asdict(cfg), sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -63,11 +57,15 @@ def write_logs(artifacts, outdir, duration_seconds: float = 0.0) -> dict:
         rows = artifacts.logs.get(kind, [])
         name = f"{kind}.csv"
         path = os.path.join(outdir, name)
+        # one "%s" per column: str() of a float is its shortest
+        # round-trip repr, and rows are streamed rather than joined
+        template = ",".join(["%s"] * len(header)) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# schema=dfmm.{kind}.v1\n")
             fh.write(",".join(header) + "\n")
+            write = fh.write
             for row in rows:
-                fh.write(",".join(_render(v) for v in row) + "\n")
+                write(template % row)
         files.append({"name": name, "rows": len(rows)})
     summary_path = os.path.join(outdir, "summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:

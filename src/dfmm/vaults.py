@@ -6,7 +6,7 @@ vault covers surpluses. A vault's capacity is collateral divided by its
 collateralisation rate and drops to zero on liquidation. Each epoch
 boundary passes the premium move to the covering vault; the trade gate
 holds that debit back from the vault's capacity at quote time
-(``open_inventory_limits``, ``VaultLimits``). A swaption per
+(``side_cap``, ``VaultLimits``). A swaption per
 asset and epoch settles the change in external-curve valuation of the
 open-inventory notional; settlement is non-recourse, capped at the
 paying vault's collateral.
@@ -26,7 +26,7 @@ from .errors import (
     ZeroPrevValue,
 )
 from .ledger import AssetPool
-from .money import from_units, to_units
+from .money import SCALE, from_units, to_units
 from .pricing import OpenInventoryLimits, RebalanceParams, premium_units
 
 LONG = "long"
@@ -62,7 +62,7 @@ class Vault:
         from what it covers: the trade gate passes the premium debit the
         next epoch boundary will take from it, and covers nothing once
         that debit would leave the vault at or below its margin floor
-        (``open_inventory_limits``).
+        (``side_cap``).
         """
         if self.liquidated:
             return 0.0
@@ -271,6 +271,45 @@ def max_tradeable(pool: AssetPool, vaults: VaultPair) -> MaxTradeable:
     )
 
 
+def side_cap(pool: AssetPool, vault: Vault, reserve_units: int = 0) -> float:
+    """Cap on the open inventory one vault covers, net of a reserve.
+
+    The long vault caps the surplus; the short vault and the LP claim
+    together cap the deficit. Reserve rule: ``reserve_units``, the
+    premium debit the next epoch boundary will take from this vault, is
+    held back from its collateral, and a vault whose collateral net of
+    the reserve is at or below the margin floor caps open inventory at
+    zero, since that boundary's margin check would liquidate it.
+    """
+    if vault.collateral_units - reserve_units <= vault.margin_floor_units:
+        return 0.0
+    cap = vault.capacity(reserve_units)
+    return cap if vault.side == LONG else min(pool.lp_inventory, cap)
+
+
+def withdrawable_units(pool: AssetPool, vault: Vault) -> int:
+    """Largest part of a queued withdrawal a boundary may apply.
+
+    While the vault's side has open inventory (a surplus for the long
+    vault, a deficit for the short one), the collateral left must still
+    cover it, capacity >= open inventory, and stay above the margin
+    floor; a liquidated vault then releases nothing. With no open
+    inventory on its side all of the collateral may go.
+    """
+    gap = pool.inventory - pool.lp_inventory
+    open_inventory = gap if vault.side == LONG else -gap
+    if open_inventory <= 0.0:
+        return vault.collateral_units
+    if vault.liquidated:
+        return 0
+    # the 2**-50 pad keeps the float capacity of what stays >= open inventory
+    keep = max(
+        math.ceil(open_inventory * vault.coll_rate * SCALE * (1.0 + 2.0**-50)),
+        vault.margin_floor_units + 1,
+    )
+    return max(vault.collateral_units - keep, 0)
+
+
 def open_inventory_limits(
     pool: AssetPool,
     vaults: VaultPair,
@@ -278,26 +317,11 @@ def open_inventory_limits(
     reserve_side: str | None = None,
     reserve_units: int = 0,
 ) -> OpenInventoryLimits:
-    """Caps on post-trade open inventory for the pricing module.
-
-    The long vault caps the surplus; the short vault and the LP claim
-    together cap the deficit. Reserve rule: ``reserve_units``, the
-    premium debit the next epoch boundary will take from the
-    ``reserve_side`` vault, is held back from that vault's collateral,
-    and a side whose collateral net of its reserve is at or below the
-    margin floor caps open inventory at zero, since that boundary's
-    margin check would liquidate it.
-    """
-
-    def cap(vault: Vault) -> float:
-        held = reserve_units if vault.side == reserve_side else 0
-        if vault.collateral_units - held <= vault.margin_floor_units:
-            return 0.0
-        return vault.capacity(held)
-
+    """Both caps on post-trade open inventory (``side_cap``), with
+    ``reserve_units`` held back from the ``reserve_side`` vault."""
     return OpenInventoryLimits(
-        max_surplus=cap(vaults.long),
-        max_deficit=min(pool.lp_inventory, cap(vaults.short)),
+        max_surplus=side_cap(pool, vaults.long, reserve_units if reserve_side == LONG else 0),
+        max_deficit=side_cap(pool, vaults.short, reserve_units if reserve_side == SHORT else 0),
     )
 
 
@@ -306,21 +330,35 @@ class VaultLimits:
     """One asset's trade-gate caps as its vault pair sets them.
 
     ``t_open_units`` is the asset's flow T when the epoch opened, from
-    which the next boundary's premium flow is measured.
+    which the next boundary's premium flow is measured. A leg reads one
+    cap: the in-leg the long cap, the out-leg the short (deficit) cap.
+    Each holds back the debit the next boundary would take from that
+    vault, valued from the premium the quote committed at the leg's
+    post-trade flow: ``premium_after_units - premium_units(t_open)``,
+    the value ``boundary_premium_flow`` gives while the params stay put.
     """
 
     pool: AssetPool
     vaults: VaultPair
     t_open_units: int
 
-    def at(self, t_after_units: int, params: RebalanceParams) -> OpenInventoryLimits:
-        """Caps for a trade that leaves the flow at ``t_after_units``,
-        holding back the premium debit the next boundary would take at
-        that flow under ``params``."""
-        side, flow_units = boundary_premium_flow(self.t_open_units, t_after_units, params)
-        return open_inventory_limits(
-            self.pool, self.vaults, reserve_side=side, reserve_units=max(-flow_units, 0)
-        )
+    def surplus_cap(
+        self, t_after_units: int, premium_after_units: int, params: RebalanceParams
+    ) -> float:
+        return self._cap(LONG, t_after_units, premium_after_units, params)
+
+    def deficit_cap(
+        self, t_after_units: int, premium_after_units: int, params: RebalanceParams
+    ) -> float:
+        return self._cap(SHORT, t_after_units, premium_after_units, params)
+
+    def _cap(
+        self, side: str, t_after_units: int, premium_after_units: int, params: RebalanceParams
+    ) -> float:
+        reserve = 0
+        if covering_side(self.t_open_units, t_after_units) == side:
+            reserve = max(premium_after_units - premium_units(self.t_open_units, params), 0)
+        return side_cap(self.pool, self.vaults.by_side(side), reserve)
 
 
 def capital_efficiency_gap(pool: AssetPool, vault_short: Vault) -> float:
@@ -349,10 +387,11 @@ def boundary_premium_flow(
 
     Returns the covering side and the signed flow in ledger units: the
     fall of the outstanding premium from the epoch's open to now, a
-    credit when positive and a debit when negative. The trade gate
-    (``VaultLimits.at``) and the boundary (``slp_premium_flow``) both
-    value the flow here, so the reserve held back at quote time is what
-    the boundary takes while the params stay put.
+    credit when positive and a debit when negative. The boundary
+    (``slp_premium_flow``) values the flow here; the trade gate
+    (``VaultLimits``) takes the same difference of ``premium_units``
+    values, so the reserve held back at quote time is what the boundary
+    takes while the params stay put.
     """
     flow = premium_units(t_open_units, params) - premium_units(t_now_units, params)
     return covering_side(t_open_units, t_now_units), flow

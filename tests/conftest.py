@@ -4,8 +4,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
+from hypothesis import settings
 
 from dfmm.eldf import Eldf
+
+# Property tests draw the same examples on every run, and a slow or busy
+# machine cannot fail them on a deadline.
+settings.register_profile("dfmm", derandomize=True, deadline=None)
+settings.load_profile("dfmm")
 
 
 @pytest.fixture

@@ -143,6 +143,39 @@ class TestUpdateAggressiveness:
         assert upd.a_after == pytest.approx(6.0)
         assert abs(from_units(upd.upsilon_units) - 1.0) <= 1e-9
 
+    def test_too_slow_never_prices_above_the_treasury(self):
+        # the linear cap a_prev + tr / (|T| d) rounds to 69231 units here
+        params = RebalanceParams(a_rhs=1.0, a_lhs=1.0, d_rhs=0.0005, d_lhs=0.0005)
+        upd = update_aggressiveness(
+            1.0, RHS, 3000000000000600, TOO_SLOW, params, lam=1.0, a_min=1.0,
+            tr_units=69230,
+        )
+        assert upd.capped
+        assert 0 < upd.upsilon_units <= 69230
+        assert 1.0 < upd.a_after < 2.0
+        assert upd.upsilon_units == premium_units(
+            3000000000000600, upd.params_after
+        ) - premium_units(3000000000000600, params)
+
+    def test_too_slow_upsilon_fits_the_treasury(self):
+        rng = np.random.default_rng(83)
+        for _ in range(5000):
+            side = RHS if rng.integers(2) else LHS
+            t_units = round(10.0 ** rng.uniform(0.0, 18.0))
+            a_prev = float(rng.uniform(0.0, 50.0))
+            d = 10.0 ** rng.uniform(-7.0, 0.0)
+            lam = float(rng.uniform(1e-3, 10.0))
+            tr_units = round(10.0 ** rng.uniform(0.0, 16.0))
+            params = RebalanceParams(a_rhs=a_prev, a_lhs=a_prev, d_rhs=d, d_lhs=d)
+            upd = update_aggressiveness(
+                a_prev, side, t_units if side == RHS else -t_units, TOO_SLOW, params,
+                lam=lam, a_min=0.0, tr_units=tr_units,
+            )
+            assert 0 <= upd.upsilon_units <= tr_units
+            assert a_prev <= upd.a_after <= a_prev + lam
+            if not upd.capped:
+                assert upd.a_after == a_prev + lam
+
     def test_inactive_side(self):
         with pytest.raises(InactiveSide):
             update_aggressiveness(

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dfmm.eldf import AssetCurves, Eldf
 from dfmm.errors import (
     ExceedsCapacity,
     InsufficientInventory,
+    NoFeasibleSolution,
     StaleQuote,
 )
 from dfmm.ledger import BalanceSheet
 from dfmm.money import from_units, to_units
 from dfmm.pricing import (
     FeeSchedule,
+    _commit_notional,
     OpenInventoryLimits,
     RebalanceParams,
     execute_swap,
@@ -22,7 +26,7 @@ from dfmm.pricing import (
     rp_delta,
     solve_adjusted_notional,
 )
-from oracles import balance_residual, bisect_adjusted_notional
+from oracles import balance_residual, bisect_adjusted_notional, scan_commit
 
 P_STD = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=0.1, d_lhs=0.1)
 P_ZERO = RebalanceParams(a_rhs=0.0, a_lhs=0.0, d_rhs=0.0, d_lhs=0.0)
@@ -309,3 +313,98 @@ class TestConservation:
         for prev, nxt in zip(path, path[1:]):
             total += premium_units(nxt, P_STD) - premium_units(prev, P_STD)
         assert total == 0
+
+
+# signed ledger units of magnitude 10**0.5 .. 10**18 (a few units to 1e6 $)
+_FLOW_UNITS = st.builds(
+    lambda e, sign: sign * round(10.0**e), st.floats(0.5, 18.0), st.sampled_from([-1, 1])
+)
+_OFFSET = st.integers(-8, 8)
+_A = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 50.0))
+_D = st.one_of(st.just(0.0), st.floats(-7.0, 0.0).map(lambda e: 10.0**e))
+_PARAMS = st.builds(RebalanceParams, a_rhs=_A, a_lhs=_A, d_rhs=_D, d_lhs=_D)
+_THETA = st.one_of(st.just(0.0), st.just(0.003), st.floats(0.0, 0.99))
+
+
+@st.composite
+def commit_states(draw):
+    """(p0, v_s, t_in0, t_out0, params_in, params_out, theta) in units.
+
+    The notional p is drawn first and v_s is the gross notional that p
+    balances; a leg's flow may sit within 8 units of p so that its T
+    crosses zero inside the commit window. p0 is within 8 units of the
+    solver's root, as quote_swap passes it.
+    """
+    p = abs(draw(_FLOW_UNITS))
+    t_in0 = draw(_FLOW_UNITS) if draw(st.booleans()) else p + draw(_OFFSET)
+    t_out0 = draw(_FLOW_UNITS) if draw(st.booleans()) else -p + draw(_OFFSET)
+    params_in, params_out = draw(_PARAMS), draw(_PARAMS)
+    theta = draw(_THETA)
+    balance = (
+        from_units(p)
+        + premium_fn(from_units(t_in0 - p), params_in)
+        - premium_fn(from_units(t_in0), params_in)
+        + premium_fn(from_units(t_out0 + p), params_out)
+        - premium_fn(from_units(t_out0), params_out)
+    )
+    v_s_units = to_units(balance / (1.0 - theta))
+    if v_s_units <= 0:
+        v_s_units = abs(draw(_FLOW_UNITS))
+    try:
+        root = solve_adjusted_notional(
+            from_units(v_s_units),
+            from_units(t_in0),
+            from_units(t_out0),
+            params_in,
+            params_out,
+            theta,
+        )
+    except NoFeasibleSolution:
+        assume(False)
+    p0 = max(0, to_units(root) + draw(_OFFSET))
+    return p0, v_s_units, t_in0, t_out0, params_in, params_out, theta
+
+
+class TestCommit:
+    # Two states where a bound with too little noise stops the search
+    # early: one leg-rounding unit short (n = 1/4 per value), and no
+    # relative term (premium near 4e19 units, float spacing 4096 units).
+    @example(
+        (
+            6312165065410,
+            89798880677111,
+            77839937617748,
+            -227232379154,
+            RebalanceParams(
+                39.532223085705226, 8.69991650763215, 0.0017876355450997222, 0.15009457031774698
+            ),
+            RebalanceParams(0.0, 20.462117193372293, 0.04426018579204115, 0.2708004013389143),
+            0.949372077407556,
+        )
+    )
+    @example(
+        (
+            383,
+            255023,
+            -111885972038274416,
+            0,
+            RebalanceParams(27.639310723091455, 43.004353539953286, 0.0, 0.002954570791002799),
+            RebalanceParams(0.0, 38.00580468143938, 0.013251718331441835, 0.5459831057777595),
+            0.003,
+        )
+    )
+    @given(commit_states())
+    @settings(max_examples=600)
+    def test_search_commits_what_the_full_scan_commits(self, state):
+        p0, v_s, t_in0, t_out0, params_in, params_out, theta = state
+        p, rp_in, rp_out, fee, r_in, r_out = _commit_notional(*state)
+        assert (p, rp_in, rp_out, fee) == scan_commit(*state)
+        assert r_in == premium_units(t_in0 - p, params_in)
+        assert r_out == premium_units(t_out0 + p, params_out)
+        assert p + rp_in + rp_out + fee == v_s
+
+    def test_premium_units_is_the_unit_rounding_of_premium_fn(self):
+        rng = np.random.default_rng(71)
+        for _ in range(2000):
+            t = int(rng.integers(-10**18, 10**18)) // 10 ** int(rng.integers(0, 18))
+            assert premium_units(t, P_STD) == to_units(premium_fn(from_units(t), P_STD))

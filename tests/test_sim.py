@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach
 from dfmm.money import from_units, to_units
 from dfmm.pricing import quote_swap
 from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_config
-from dfmm.sim.engine import Engine, run_scenario
+from dfmm.sim.engine import Engine, RunArtifacts, run_scenario
 from dfmm.sim.market import ExternalMarket
+from dfmm.sim.output import write_logs
 from dfmm.vaults import SHORT, boundary_premium_flow, open_inventory_limits
 
 import numpy as np
@@ -193,6 +195,37 @@ class TestEngine:
         assert eng.params["Y"].d_rhs < d_before
         # the rise comes from the deposit, not from reviving a liquidated vault
         assert eng.liquidations == 0
+
+    def test_queued_withdrawal_keeps_open_deficit_covered(self):
+        # the deposit scenario above with a withdrawal instead: taking all
+        # 450 would leave short capacity 65.15 under a 191.28 deficit
+        cfg = scenario(
+            scripted_trades=((1, "X", "Y", 2.0),),
+            assets=(asset("X"), asset("Y", mid_price=1.0, c_short=500.0)),
+            horizon=12,
+            epoch_len=5,
+            d_min=0.0001,
+            d_max=0.01,
+        )
+        eng = Engine(cfg)
+        eng.queue_vault_flow("Y", "short", -450.0)
+        eng.queue_vault_flow("Y", "long", -100.0)  # Y has no surplus: all of it goes
+        vault = eng.vaults["Y"].short
+        pool = eng.sheet.pools["Y"]
+        for t in range(1, 13):
+            eng.step_timestep()
+            deficit = pool.lp_inventory - pool.inventory
+            assert deficit > 190.0
+            assert vault.capacity() >= deficit
+            assert vault.collateral_units > vault.margin_floor_units
+            if t < 5:
+                assert eng.vault_external_units == 0
+        assert not vault.liquidated and eng.liquidations == 0
+        ((aid, side, rest),) = eng.queued_vault_flows
+        assert (aid, side) == ("Y", SHORT) and -to_units(450.0) < rest < 0
+        taken = -to_units(450.0) - rest
+        assert eng.vault_external_units == taken - to_units(100.0)
+        assert vault.capacity() == pytest.approx(deficit, rel=1e-9)
 
     def test_audit_failure_halts_and_preserves_logs(self):
         cfg = scenario(trader_rate=1.0, horizon=30)
@@ -489,3 +522,33 @@ class TestDeterministicOutput:
         assert not art.summary["halted"]
         # one per timestep's metrics, one for the summary's final margin
         assert len(calls) == art.summary["timesteps"] + 1 == 41
+
+
+class TestLogWriter:
+    @staticmethod
+    def reference_row(row):
+        """A row as the writer rendered it before: repr for a float, str
+        for anything else."""
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+    def write(self, tmp_path, rows):
+        logs = {"metrics": rows}
+        art = RunArtifacts(logs=logs, summary={}, config=scenario())
+        write_logs(art, tmp_path)
+        return (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines(True)[2:]
+
+    def test_rows_render_as_before(self, tmp_path):
+        floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, 1e22, 0.1, -2.5e-7, 3.0]
+        rows = [
+            (t, kind, flag, value)
+            for t, (kind, flag, value) in enumerate(
+                zip(["mid", "il", "x,y"] * 4, [True, False, 7, "s"] * 3, floats)
+            )
+        ]
+        rows.append((-(10**30), "", None, 12345678901234567890))
+        lines = self.write(tmp_path, rows)
+        assert lines == [self.reference_row(row) for row in rows]
+
+    def test_numpy_scalars_render_as_digits(self, tmp_path):
+        (line,) = self.write(tmp_path, [(np.int64(3), "mid", "X", np.float64(0.1))])
+        assert line == "3,mid,X,0.1\n"

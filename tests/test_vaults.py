@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfmm.eldf import Eldf
 from dfmm.errors import BadParams, NoCounterpartyCollateral, ZeroCapacity, ZeroPrevValue
@@ -26,6 +28,7 @@ from dfmm.vaults import (
     slp_premium_flow,
     strike_swaption,
     utilisation,
+    withdrawable_units,
 )
 
 
@@ -294,12 +297,89 @@ class TestPremiumReserve:
         t_open = to_units(2.0)
         limits = VaultLimits(pool, vaults, t_open)
         t_after = to_units(8.0)
-        debit = premium_units(t_after, self.PARAMS) - premium_units(t_open, self.PARAMS)
-        caps = limits.at(t_after, self.PARAMS)
-        assert caps.max_deficit == pytest.approx((20.0 - from_units(debit)) / 0.5)
-        assert caps.max_surplus == pytest.approx(60.0)
+        r_after = premium_units(t_after, self.PARAMS)
+        debit = r_after - premium_units(t_open, self.PARAMS)
+        max_deficit = limits.deficit_cap(t_after, r_after, self.PARAMS)
+        assert max_deficit == pytest.approx((20.0 - from_units(debit)) / 0.5)
+        assert limits.surplus_cap(t_after, r_after, self.PARAMS) == pytest.approx(60.0)
         # a trade back toward the open flow owes nothing: full capacity
-        assert limits.at(to_units(1.0), self.PARAMS).max_deficit == pytest.approx(40.0)
+        t_back = to_units(1.0)
+        r_back = premium_units(t_back, self.PARAMS)
+        assert limits.deficit_cap(t_back, r_back, self.PARAMS) == pytest.approx(40.0)
+
+
+# ledger units from 1 to 1e18 (1e-12 $ to 1e6 $), spread evenly in log scale
+_UNITS = st.integers(0, 180).map(lambda k: round(10.0 ** (k / 10)))
+_FLOW = st.one_of(st.just(0), _UNITS, _UNITS.map(lambda u: -u))
+
+
+@st.composite
+def gate_states(draw):
+    """A pool, a vault pair (possibly liquidated), params and two flows."""
+    pool = AssetPool(
+        "X", inventory=from_units(draw(_UNITS)), lp_inventory=from_units(draw(_UNITS))
+    )
+
+    def one(side):
+        v = Vault(
+            "X",
+            side,
+            draw(_UNITS),
+            draw(st.integers(10**4, 10**6)) / 10**6,
+            draw(st.one_of(st.just(0), _UNITS)),
+        )
+        v.liquidated = draw(st.booleans())
+        return v
+
+    vaults = VaultPair(long=one(LONG), short=one(SHORT))
+    params = RebalanceParams(
+        a_rhs=draw(st.floats(0.0, 50.0)),
+        a_lhs=draw(st.floats(0.0, 50.0)),
+        d_rhs=draw(st.floats(0.0, 1.0)),
+        d_lhs=draw(st.floats(0.0, 1.0)),
+    )
+    return pool, vaults, params, draw(_FLOW), draw(_FLOW)
+
+
+class TestGateCaps:
+    @given(gate_states())
+    def test_one_sided_caps_equal_open_inventory_limits(self, state):
+        pool, vaults, params, t_open, t_after = state
+        side, flow = boundary_premium_flow(t_open, t_after, params)
+        both = open_inventory_limits(
+            pool, vaults, reserve_side=side, reserve_units=max(-flow, 0)
+        )
+        limits = VaultLimits(pool, vaults, t_open)
+        r_after = premium_units(t_after, params)
+        assert limits.surplus_cap(t_after, r_after, params) == both.max_surplus
+        assert limits.deficit_cap(t_after, r_after, params) == both.max_deficit
+
+    @given(gate_states())
+    @settings(max_examples=500)
+    def test_withdrawal_leaves_open_inventory_covered(self, state):
+        pool, vaults, _, _, _ = state
+        gap = pool.inventory - pool.lp_inventory
+        for vault, open_inventory in ((vaults.long, gap), (vaults.short, -gap)):
+            take = withdrawable_units(pool, vault)
+            assert 0 <= take <= vault.collateral_units
+            if open_inventory <= 0.0:
+                assert take == vault.collateral_units
+                continue
+            if take > 0:
+                vault.withdraw(take)
+                assert vault.capacity() >= open_inventory
+                assert vault.collateral_units > vault.margin_floor_units
+
+
+    def test_withdrawal_keeps_capacity_despite_float_rounding(self):
+        # ceil(deficit * rho) in units alone would leave capacity one
+        # float rounding short of this deficit
+        pool = AssetPool(
+            "X", inventory=from_units(50594774317388), lp_inventory=from_units(75356383085125)
+        )
+        v = Vault("X", SHORT, to_units(100.0), 0.861786, to_units(1.0))
+        v.withdraw(withdrawable_units(pool, v))
+        assert v.capacity() >= pool.lp_inventory - pool.inventory
 
 
 class TestPremiumFlow:
