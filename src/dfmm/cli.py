@@ -15,9 +15,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .errors import CorruptManifest, EngineError, ParseError, UnknownLogKind
-from .sim.config import SWEEPABLE, ScenarioConfig, apply_overrides, load_config
+from .sim.config import SWEEPABLE, ScenarioConfig, _convert, apply_overrides, load_config
 from .sim.engine import Engine
 from .sim.output import read_log, read_manifest, write_logs
 
@@ -89,15 +90,8 @@ def _grid_points(spec: str) -> list[dict]:
         key = key.strip()
         if key not in SWEEPABLE:
             raise ParseError(f"unknown sweep parameter {key!r}")
-        caster = type(getattr(defaults, key))
-        parsed = []
-        for raw in values.split(","):
-            raw = raw.strip()
-            if caster is bool:
-                parsed.append(raw.lower() in ("true", "1", "yes", "on"))
-            else:
-                parsed.append(caster(raw))
-        axes.append((key, parsed))
+        kind = type(getattr(defaults, key))
+        axes.append((key, [_convert(raw, kind, f"--grid {key}") for raw in values.split(",")]))
     points: list[dict] = [{}]
     for key, values in axes:
         points = [dict(p, **{key: v}) for p in points for v in values]
@@ -134,11 +128,7 @@ def cmd_sweep(args) -> int:
 
     jobs = []
     for index, overrides in enumerate(points):
-        cfg = apply_overrides(base, overrides)
-        cfg = apply_overrides(cfg, {})  # no-op keeps type symmetric
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=_sweep_seed(base.seed, index))
+        cfg = replace(apply_overrides(base, overrides), seed=_sweep_seed(base.seed, index))
         bad = cfg.validate()
         if bad:
             jobs.append((index, None, overrides, "; ".join(bad)))

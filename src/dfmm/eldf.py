@@ -142,7 +142,6 @@ def _design(vol_bytes: bytes) -> tuple:
 
 def fit_eldf(
     points: Sequence[CurvePoint],
-    degree: int = 2,
     *,
     side: str = COMBINED,
     slot_id: int = 0,
@@ -150,10 +149,9 @@ def fit_eldf(
 ) -> Eldf:
     """Least-squares degree-2 fit of density over volume.
 
-    The degree argument exists for forward compatibility; only 2 is
-    accepted. Volumes must be strictly increasing. Exact degree-<=2 data
-    is reproduced to fitting tolerance. Raises NonPositiveDensity when
-    the fitted curve dips to zero or below anywhere inside the domain.
+    Volumes must be strictly increasing. Exact degree-<=2 data is
+    reproduced to fitting tolerance. Raises NonPositiveDensity when the
+    fitted curve dips to zero or below anywhere inside the domain.
 
     The design matrix, its Gram matrix and the column scales depend only
     on the volumes, so they come from a small cache (``_design``) keyed on
@@ -162,10 +160,8 @@ def fit_eldf(
     the same numpy operations on the same operands as an uncached fit, so
     the coefficients are bit-identical either way.
     """
-    if degree != 2:
-        raise ValueError(f"only degree-2 fits are supported, got {degree}")
-    if len(points) < degree + 1:
-        raise TooFewPoints(f"need at least {degree + 1} points, got {len(points)}")
+    if len(points) < 3:
+        raise TooFewPoints(f"need at least 3 points, got {len(points)}")
     vols = np.array([p.volume for p in points], dtype=float)
     prices = np.array([p.price for p in points], dtype=float)
     a_s, ata, scale = _design(vols.tobytes())

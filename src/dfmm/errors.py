@@ -83,10 +83,6 @@ class InsufficientInventory(EngineError):
 
 # --- vaults ---
 
-class ZeroCapacity(EngineError):
-    pass
-
-
 class BadParams(EngineError):
     pass
 
@@ -111,10 +107,6 @@ class InactiveSide(EngineError):
 
 # --- treasury ---
 
-class BadRate(EngineError):
-    pass
-
-
 class BadRates(EngineError):
     pass
 
@@ -126,14 +118,6 @@ class NegativeReserveInvariantBreach(EngineError):
 # --- metrics ---
 
 class NonPositivePrice(EngineError):
-    pass
-
-
-class ReversedBounds(EngineError):
-    pass
-
-
-class DegenerateAllAtMarket(EngineError):
     pass
 
 

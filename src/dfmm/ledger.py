@@ -257,20 +257,6 @@ class BalanceSheet:
             "rr": dict(self.rr_units),
         }
 
-    def export_trades(self):
-        """Append-only trade rows: (timestep, asset_in, asset_out, v_in,
-        v_prime_s, rp_x, rp_y, fee) in $S floats."""
-        rows = []
-        for entry in self.log:
-            if entry.kind != "trade":
-                continue
-            t, a_in, a_out, v_in, _v_out, _vs, vp, rp_in, rp_out, fee = entry.data
-            rows.append(
-                (t, a_in, a_out, v_in, from_units(vp), from_units(rp_in),
-                 from_units(rp_out), from_units(fee))
-            )
-        return rows
-
 
 def solvency_check(sheet: BalanceSheet, bid_curves: Mapping[str, Eldf]) -> SolvencyReport:
     """Bid-curve value of inventories versus the LP claims, across assets.

@@ -3,18 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from .errors import DegenerateAllAtMarket, NonPositivePrice, ReversedBounds
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    timestep: int
-    metric_id: str
-    context: str
-    value: float
+from .errors import NonPositivePrice
 
 
 def impermanent_loss(p0: float, p1: float) -> float:
@@ -27,46 +17,6 @@ def impermanent_loss(p0: float, p1: float) -> float:
         raise NonPositivePrice(f"prices must be positive, got p0={p0}, p1={p1}")
     r = p1 / p0
     return math.sqrt(r) - (r + 1.0) / 2.0
-
-
-def liquidity_between(book, p_lo: float, p_hi: float) -> float:
-    """Cumulative volume available between two price bounds.
-
-    Accepts either discrete levels [(price, volume), ...] (inclusive
-    bounds) or a callable volume-density-over-price, integrated
-    numerically.
-    """
-    if p_hi < p_lo:
-        raise ReversedBounds(f"p_hi={p_hi} < p_lo={p_lo}")
-    if p_lo == p_hi:
-        return 0.0
-    if callable(book):
-        return _quad(book, p_lo, p_hi)
-    return sum(vol for price, vol in book if p_lo <= price <= p_hi)
-
-
-def _quad(density: Callable[[float], float], lo: float, hi: float, n: int = 512) -> float:
-    # composite Simpson; n kept even
-    h = (hi - lo) / n
-    total = density(lo) + density(hi)
-    for i in range(1, n):
-        total += density(lo + i * h) * (4 if i % 2 else 2)
-    return total * h / 3.0
-
-
-def concentration_rate(levels: Sequence[tuple[float, float]], p_market: float) -> float:
-    """Proximity of liquidity to the market price.
-
-    levels are (liquidity, price) pairs; returns total liquidity divided
-    by distance-weighted liquidity. All levels sitting exactly at the
-    market price would divide by zero and is rejected (kept an error so
-    metric streams stay finite).
-    """
-    total = sum(liq for liq, _ in levels)
-    weighted = sum(liq * abs(price - p_market) for liq, price in levels)
-    if weighted == 0:
-        raise DegenerateAllAtMarket("all liquidity sits at the market price")
-    return total / weighted
 
 
 def slippage(expected: float, executed: float) -> float:

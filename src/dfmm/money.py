@@ -19,12 +19,3 @@ def to_units(amount: float) -> int:
 def from_units(units: int) -> float:
     return units / SCALE
 
-
-def fmt_units(units: int) -> str:
-    """Render ledger units as a decimal $S string (exact)."""
-    sign = "-" if units < 0 else ""
-    units = abs(units)
-    whole, frac = divmod(units, SCALE)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:012d}".rstrip("0")

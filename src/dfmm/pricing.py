@@ -157,19 +157,18 @@ def solve_adjusted_notional(
         raise NoFeasibleSolution(f"gross notional must be nonnegative, got {v_s}")
     if v_s == 0.0:
         return 0.0
-    r_in0 = premium_fn(t_in0, params_in)
-    r_out0 = premium_fn(t_out0, params_out)
     rhs = (1.0 - theta) * v_s
 
+    def move(t0: float, h: float, params: RebalanceParams) -> float:
+        # R(t0 + h) - R(t0), in h while t0 + h stays on t0's branch so
+        # that large flows do not cancel away a small move
+        if (t0 + h >= 0) != (t0 >= 0):
+            return premium_fn(t0 + h, params) - premium_fn(t0, params)
+        d, a, s = _branch(t0 >= 0, params)
+        return d * h * (h + 2.0 * t0 + s * a)
+
     def residual(v: float) -> float:
-        return (
-            v
-            + premium_fn(t_in0 - v, params_in)
-            - r_in0
-            + premium_fn(t_out0 + v, params_out)
-            - r_out0
-            - rhs
-        )
+        return v + move(t_in0, -v, params_in) + move(t_out0, v, params_out) - rhs
 
     breaks = sorted(
         b for b in (t_in0 if t_in0 > 0 else None, -t_out0 if t_out0 < 0 else None)
@@ -187,13 +186,13 @@ def solve_adjusted_notional(
         d_o, a_o, s_o = _branch(t_out0 + mid >= 0, params_out)
         qa = d_i + d_o
         qb = 1.0 - d_i * (2.0 * t_in0 + s_i * a_i) + d_o * (2.0 * t_out0 + s_o * a_o)
-        qc = (
-            d_i * (t_in0 * t_in0 + s_i * a_i * t_in0)
-            - r_in0
-            + d_o * (t_out0 * t_out0 + s_o * a_o * t_out0)
-            - r_out0
-            - rhs
-        )
+        # each leg's move is d*h*(h + 2*t0 + s*a) on this piece's branch,
+        # plus a constant only when the piece lies across zero from t0
+        qc = -rhs
+        if (t_in0 - mid >= 0) != (t_in0 >= 0):
+            qc += d_i * (t_in0 * t_in0 + s_i * a_i * t_in0) - premium_fn(t_in0, params_in)
+        if (t_out0 + mid >= 0) != (t_out0 >= 0):
+            qc += d_o * (t_out0 * t_out0 + s_o * a_o * t_out0) - premium_fn(t_out0, params_out)
         candidates = sorted(
             min(max(r, lo), hi if math.isfinite(hi) else r)
             for r in _quad_roots(qa, qb, qc)
@@ -316,28 +315,6 @@ def _commit_notional(
 
 
 @dataclass(frozen=True)
-class OpenInventoryLimits:
-    """Caps on post-trade open inventory, from vault collateral sizing."""
-
-    max_surplus: float
-    max_deficit: float
-
-    def surplus_cap(
-        self, t_after_units: int, premium_after_units: int, params: RebalanceParams
-    ) -> float:
-        """Cap on the surplus a trade may leave at flow ``t_after_units``
-        with premium ``premium_after_units``: fixed here, the same for
-        every trade (``vaults.VaultLimits`` makes it depend on them)."""
-        return self.max_surplus
-
-    def deficit_cap(
-        self, t_after_units: int, premium_after_units: int, params: RebalanceParams
-    ) -> float:
-        """Cap on the deficit, fixed like ``surplus_cap``."""
-        return self.max_deficit
-
-
-@dataclass(frozen=True)
 class SwapQuote:
     asset_in: str
     asset_out: str
@@ -398,7 +375,7 @@ def quote_swap(
     params_by_asset: Mapping[str, RebalanceParams],
     fees: FeeSchedule,
     *,
-    limits_by_asset: Mapping[str, OpenInventoryLimits | VaultLimits] | None = None,
+    limits_by_asset: Mapping[str, VaultLimits] | None = None,
 ) -> SwapQuote:
     """Price v_in of asset_in against asset_out at the current state.
 
@@ -409,7 +386,7 @@ def quote_swap(
     in-asset's post-trade surplus must stay within its ``surplus_cap``
     and the out-asset's post-trade deficit within its ``deficit_cap``,
     each given the leg's post-trade flow T, the premium committed there
-    and these params, else ``ExceedsCapacity``.
+    and these params, else ``ExceedsCapacity``. ``None`` quotes ungated.
     """
     if not v_in > 0:
         raise NoFeasibleSolution(f"v_in must be positive, got {v_in}")

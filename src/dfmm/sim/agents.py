@@ -46,24 +46,18 @@ class TraderFlow:
 
 @dataclass(frozen=True)
 class ArbitrageurAgent:
-    """Closes internal/external price gaps by harvesting premium rebates.
+    """Harvests premium rebates by walking the synthetic flows toward zero.
 
-    Acts only when the expected net payoff is strictly positive: price
-    gap after the haircut, plus the rebate claimable for moving both
-    legs' flow toward zero, minus fees and the fixed round-trip cost.
+    Acts only when the expected net payoff is strictly positive: the
+    rebate claimable for moving both legs' flow toward zero, minus fees
+    and the fixed round-trip cost. It does not trade on gaps between
+    internal and external prices.
     """
 
     fixed_cost: float
-    haircut: float
     max_exposure: float
 
-    def decide(
-        self,
-        t_units_by_asset: dict,
-        params_by_asset: dict,
-        internal_price_gap: float,
-        theta: float,
-    ):
+    def decide(self, t_units_by_asset: dict, params_by_asset: dict, theta: float):
         """Pick the flow-reducing pair and size; None when unprofitable.
 
         The in-leg is the asset with the most positive flow (selling it
@@ -97,12 +91,7 @@ class ArbitrageurAgent:
             + premium_fn(t_out + target, params_by_asset[asset_out])
             - premium_fn(t_out, params_by_asset[asset_out])
         )
-        payoff = (
-            internal_price_gap * (1.0 - self.haircut) * target
-            + rebate
-            - theta * target
-            - self.fixed_cost
-        )
+        payoff = rebate - theta * target - self.fixed_cost
         if payoff <= 0.0:
             return None
         return asset_in, asset_out, target

@@ -78,7 +78,6 @@ class ScenarioConfig:
     # arbitrageur
     arb_enabled: bool = False
     arb_fixed_cost: float = 0.0
-    arb_haircut: float = 0.1
     arb_max_exposure: float = 5000.0
     # members
     assets: tuple = ()
@@ -147,8 +146,6 @@ class ScenarioConfig:
             v.append(f"rewards.gamma must be in [0, 1), got {self.reward_gamma}")
         if self.trader_rate < 0:
             v.append(f"traders.rate must be >= 0, got {self.trader_rate}")
-        if not (0.0 <= self.arb_haircut < 1.0):
-            v.append(f"arbitrageur.haircut must be in [0, 1), got {self.arb_haircut}")
         if self.arb_fixed_cost < 0:
             v.append(f"arbitrageur.fixed_cost must be >= 0, got {self.arb_fixed_cost}")
         if self.arb_max_exposure <= 0:
@@ -177,9 +174,18 @@ class ScenarioConfig:
                 v.append(f"{tag}.c_long and c_short must be >= 0")
             if a.spread < 0:
                 v.append(f"{tag}.spread must be >= 0, got {a.spread}")
-            # density must stay positive over the sampled depth
-            if 1.0 - a.spread / 2.0 - a.bid_slope - a.bid_curv <= 0:
-                v.append(f"{tag}: bid density hits zero inside the depth range")
+            # each side's profile 1 -+ (spread/2 + slope*x + curv*x^2) must
+            # stay positive on x in [0, 1]: both ends and an interior vertex
+            for side, sign, slope, curv in (
+                ("bid", -1.0, a.bid_slope, a.bid_curv),
+                ("ask", 1.0, a.ask_slope, a.ask_curv),
+            ):
+                xs = [0.0, 1.0]
+                if curv != 0.0 and 0.0 < -slope / (2.0 * curv) < 1.0:
+                    xs.append(-slope / (2.0 * curv))
+                profile = (1.0 + sign * (a.spread / 2.0 + slope * x + curv * x * x) for x in xs)
+                if min(profile) <= 0:
+                    v.append(f"{tag}: {side} density hits zero inside the depth range")
         asset_ids = {a.asset_id for a in self.assets}
         for t, a_in, a_out, size in self.scripted_trades:
             if t < 1 or t > max(self.horizon, 1):
@@ -230,7 +236,6 @@ _SECTION_FIELDS = {
     "arbitrageur": {
         "enabled": bool,
         "fixed_cost": float,
-        "haircut": float,
         "max_exposure": float,
     },
 }
@@ -246,7 +251,6 @@ _KEY_RENAMES = {
     ("traders", "size_sigma"): "trader_size_sigma",
     ("arbitrageur", "enabled"): "arb_enabled",
     ("arbitrageur", "fixed_cost"): "arb_fixed_cost",
-    ("arbitrageur", "haircut"): "arb_haircut",
     ("arbitrageur", "max_exposure"): "arb_max_exposure",
 }
 

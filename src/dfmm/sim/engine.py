@@ -39,7 +39,7 @@ from ..auction import (
     auction_step,
 )
 from ..eldf import AssetCurves, Eldf, integrate_eldf, solve_volume_for_value
-from ..errors import ConfigInvalid, EngineError, InvariantBreach, ZeroCapacity
+from ..errors import EngineError, InvariantBreach
 from ..ledger import BalanceSheet, SolvencyReport, solvency_check
 from ..metrics import impermanent_loss, slippage
 from ..money import from_units, to_units
@@ -48,7 +48,6 @@ from ..treasury import RewardLedger, TreasuryReserve, treasury_update
 from ..vaults import (
     LONG,
     SHORT,
-    Utilisation,
     Vault,
     VaultPair,
     VaultLimits,
@@ -106,7 +105,6 @@ class Engine:
         self.arb = (
             ArbitrageurAgent(
                 fixed_cost=cfg.arb_fixed_cost,
-                haircut=cfg.arb_haircut,
                 max_exposure=cfg.arb_max_exposure,
             )
             if cfg.arb_enabled
@@ -204,26 +202,11 @@ class Engine:
                 self.sheet.pools[aid], self.vaults[aid], self.sheet.spools[aid].t_units
             )
 
-    def _utilisation(self, aid: str):
-        try:
-            return utilisation(
-                self.sheet.pools[aid],
-                self.vaults[aid],
-                u_max_report=self.cfg.u_max_report,
-            )
-        except ZeroCapacity:
-            # a liquidated side with residual imbalance reports at the cap
-            pool = self.sheet.pools[aid]
-            deficit = pool.lp_inventory - pool.inventory
-            cap = self.cfg.u_max_report
-            return Utilisation(
-                u_rhs=cap if deficit > 0 else 0.0,
-                u_lhs=cap if deficit < 0 else 0.0,
-            )
-
     def _recompute_cover(self) -> None:
         for aid in self.sheet.asset_ids():
-            util = self._utilisation(aid)
+            util = utilisation(
+                self.sheet.pools[aid], self.vaults[aid], u_max_report=self.cfg.u_max_report
+            )
             d_rhs = cover_coefficient(
                 util.u_rhs, self.cfg.d_min, self.cfg.d_max, self.cfg.u_max, self.cfg.k
             )
@@ -350,7 +333,7 @@ class Engine:
 
     def _run_arbitrageur(self) -> None:
         t_units = {aid: self.sheet.spools[aid].t_units for aid in self.sheet.asset_ids()}
-        decision = self.arb.decide(t_units, self.params, 0.0, self.fees.theta)
+        decision = self.arb.decide(t_units, self.params, self.fees.theta)
         if decision is None:
             return
         asset_in, asset_out, notional = decision
@@ -379,7 +362,12 @@ class Engine:
     def _run_auction(self, at_epoch_boundary: bool) -> None:
         if not self.cfg.auction_enabled:
             return
-        utils = {aid: self._utilisation(aid) for aid in self.sheet.asset_ids()}
+        utils = {
+            aid: utilisation(
+                self.sheet.pools[aid], self.vaults[aid], u_max_report=self.cfg.u_max_report
+            )
+            for aid in self.sheet.asset_ids()
+        }
         t_units = {aid: self.sheet.spools[aid].t_units for aid in self.sheet.asset_ids()}
         new_params, events = auction_step(
             self.auction_state,
@@ -556,7 +544,9 @@ class Engine:
         rows = self.logs["metrics"]
         for aid in self.sheet.asset_ids():
             market = self.market[aid]
-            util = self._utilisation(aid)
+            util = utilisation(
+                self.sheet.pools[aid], self.vaults[aid], u_max_report=self.cfg.u_max_report
+            )
             self.max_utilisation = max(self.max_utilisation, util.u_rhs, util.u_lhs)
             rows.append((self.t, "mid", aid, market.mid))
             rows.append(
@@ -643,8 +633,6 @@ class Engine:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
-    """Validate, build, and run a scenario to completion."""
-    violations = cfg.validate()
-    if violations:
-        raise ConfigInvalid(violations)
+    """Build and run a scenario to completion; ``ConfigInvalid`` when it
+    does not validate."""
     return Engine(cfg).run()

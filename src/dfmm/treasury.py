@@ -1,10 +1,11 @@
-"""Treasury reserve, auction discrepancies, and reward distribution.
+"""Treasury reserve and reward distribution.
 
 The reserve accumulates the rebalancing fee slice of every trade and
 funds the discrepancies created when the auction moves aggressiveness
-with flow open. Its balance always equals cumulative fees minus
-cumulative discrepancies, exactly, and the auction cap keeps it
-nonnegative; a negative balance is a fatal engine bug, not a market
+with flow open (``auction.update_aggressiveness`` prices each one in
+ledger units; the engine splits each fill's fee). Its balance always
+equals cumulative fees minus cumulative discrepancies, exactly, and the
+auction cap keeps it nonnegative; a negative balance is a fatal engine bug, not a market
 condition. Trade rewards (fee minus the treasury slice) are split
 between the pLP class and the two sLP vault classes, starting from equal
 thirds and corrected toward balanced capacity shares.
@@ -12,44 +13,17 @@ thirds and corrected toward balanced capacity shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import BadRate, BadRates, NegativeReserveInvariantBreach
+from .errors import BadRates, NegativeReserveInvariantBreach
 from .ledger import AssetPool
-from .money import from_units, to_units
-from .pricing import FeeSchedule, RebalanceParams, premium_fn
+from .money import from_units
 from .vaults import VaultPair
 
 PLP = "plp"
 SLP_LONG = "slp_long"
 SLP_SHORT = "slp_short"
 CLASSES = (PLP, SLP_LONG, SLP_SHORT)
-
-
-def discrepancy(t_open: float, a_prev: float, a_next: float, d: float) -> float:
-    """Premium change at the open flow when aggressiveness moves.
-
-    Positive when aggressiveness rose (a protocol cost: traders were
-    charged at the old scale but rebates accrue at the new one), negative
-    when it fell.
-    """
-    params_prev = RebalanceParams(a_rhs=a_prev, a_lhs=a_prev, d_rhs=d, d_lhs=d)
-    params_next = RebalanceParams(a_rhs=a_next, a_lhs=a_next, d_rhs=d, d_lhs=d)
-    return premium_fn(t_open, params_next) - premium_fn(t_open, params_prev)
-
-
-def rebalancing_fee(v: float, xi: float) -> float:
-    """Treasury slice of a trade's gross notional."""
-    if not (0.0 <= xi < 1.0):
-        raise BadRate(f"xi must be in [0, 1), got {xi}")
-    return v * xi
-
-
-def reward_accrue(v: float, fees: FeeSchedule) -> float:
-    """Reward pool contribution of a trade: notional times (theta - xi)."""
-    if fees.xi > fees.theta:
-        raise BadRates(f"xi {fees.xi} exceeds theta {fees.theta}")
-    return v * (fees.theta - fees.xi)
 
 
 @dataclass
@@ -107,7 +81,6 @@ def reward_distribute(
     *,
     gamma: float = 0.01,
     alpha: float = 1.0,
-    k_gov: float | None = None,
 ) -> RewardShares:
     """Split accrued rewards across the pLP and sLP classes.
 
@@ -116,10 +89,8 @@ def reward_distribute(
     target pays a corrective transfer of gamma (a fraction of the
     accrued amount) to the underweighted classes; transfers clamp at
     zero so no share goes negative, and the integer residue lands on
-    the pLP share. k_gov is reserved for governance semantics and is
-    currently unused.
+    the pLP share.
     """
-    del k_gov
     if accrued_units < 0:
         raise BadRates(f"accrued rewards cannot be negative, got {accrued_units}")
     if accrued_units == 0:

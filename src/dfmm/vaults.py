@@ -19,15 +19,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .eldf import Eldf, integrate_eldf
-from .errors import (
-    BadParams,
-    NoCounterpartyCollateral,
-    ZeroCapacity,
-    ZeroPrevValue,
-)
+from .errors import BadParams, NoCounterpartyCollateral, ZeroPrevValue
 from .ledger import AssetPool
 from .money import SCALE, from_units, to_units
-from .pricing import OpenInventoryLimits, RebalanceParams, premium_units
+from .pricing import RebalanceParams, premium_units
 
 LONG = "long"
 SHORT = "short"
@@ -107,27 +102,20 @@ def utilisation(
     deficit can never exceed what LPs deposited), so the deficit is
     divided by min(LP claim, short capacity): more short collateral
     lowers u_rhs, and with it the cover coefficient, only while the
-    vault and not the LP claim is the binding term. Zero deficit with
-    zero capacity reports zero rather than erroring so empty scenarios
-    stay well defined.
+    vault and not the LP claim is the binding term. Each side is
+    reported capped at ``u_max_report``, which is also what a side with
+    open inventory and no capacity (a liquidated vault) reports; zero
+    open inventory reports zero whatever the capacity.
     """
     deficit = pool.lp_inventory - pool.inventory
     u_rhs = 0.0
     u_lhs = 0.0
     if deficit > 0:
         denom = min(pool.lp_inventory, vaults.short.capacity())
-        if denom <= 0:
-            raise ZeroCapacity(
-                f"{pool.asset_id} deficit {deficit} with no short-side capacity"
-            )
-        u_rhs = deficit / denom
+        u_rhs = deficit / denom if denom > 0 else u_max_report
     elif deficit < 0:
         denom = vaults.long.capacity()
-        if denom <= 0:
-            raise ZeroCapacity(
-                f"{pool.asset_id} surplus {-deficit} with no long-side capacity"
-            )
-        u_lhs = -deficit / denom
+        u_lhs = -deficit / denom if denom > 0 else u_max_report
     return Utilisation(
         u_rhs=min(max(u_rhs, 0.0), u_max_report),
         u_lhs=min(max(u_lhs, 0.0), u_max_report),
@@ -252,25 +240,6 @@ def margin_check(vault: Vault) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class MaxTradeable:
-    v_max_bid: float
-    v_max_ask: float
-
-
-def max_tradeable(pool: AssetPool, vaults: VaultPair) -> MaxTradeable:
-    """Largest supportable volume per direction at current collateral.
-
-    Bid side (pool buying, surplus growing) is bounded by long-vault
-    capacity; ask side (pool selling) by inventory and short-vault
-    capacity together.
-    """
-    return MaxTradeable(
-        v_max_bid=vaults.long.capacity(),
-        v_max_ask=min(pool.inventory, vaults.short.capacity()),
-    )
-
-
 def side_cap(pool: AssetPool, vault: Vault, reserve_units: int = 0) -> float:
     """Cap on the open inventory one vault covers, net of a reserve.
 
@@ -310,21 +279,6 @@ def withdrawable_units(pool: AssetPool, vault: Vault) -> int:
     return max(vault.collateral_units - keep, 0)
 
 
-def open_inventory_limits(
-    pool: AssetPool,
-    vaults: VaultPair,
-    *,
-    reserve_side: str | None = None,
-    reserve_units: int = 0,
-) -> OpenInventoryLimits:
-    """Both caps on post-trade open inventory (``side_cap``), with
-    ``reserve_units`` held back from the ``reserve_side`` vault."""
-    return OpenInventoryLimits(
-        max_surplus=side_cap(pool, vaults.long, reserve_units if reserve_side == LONG else 0),
-        max_deficit=side_cap(pool, vaults.short, reserve_units if reserve_side == SHORT else 0),
-    )
-
-
 @dataclass(frozen=True)
 class VaultLimits:
     """One asset's trade-gate caps as its vault pair sets them.
@@ -359,12 +313,6 @@ class VaultLimits:
         if covering_side(self.t_open_units, t_after_units) == side:
             reserve = max(premium_after_units - premium_units(self.t_open_units, params), 0)
         return side_cap(self.pool, self.vaults.by_side(side), reserve)
-
-
-def capital_efficiency_gap(pool: AssetPool, vault_short: Vault) -> float:
-    """Distance from the ask-side optimum where short capacity equals
-    inventory; executable ask volume is maximised exactly at zero gap."""
-    return abs(vault_short.capacity() - pool.inventory)
 
 
 def covering_side(t_open_units: int, t_now_units: int) -> str | None:

@@ -4,10 +4,13 @@ Each oracle deliberately avoids the code path it checks: interpolation
 by divided differences instead of least squares, trapezoid grid scans
 instead of closed-form cubics, pool simulation instead of the analytic
 impermanent-loss formula, and bisection on the raw balance residual
-instead of the piecewise quadratic solver.
+instead of the piecewise quadratic solver (and, for flows large enough
+to cancel a float residual, bisection in exact rational arithmetic).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -179,3 +182,40 @@ def scan_commit(
         p -= 1
         rp_in_u, rp_out_u, fee_u = implied(p)
     return p, rp_in_u, rp_out_u, fee_u
+
+
+def exact_adjusted_notional(
+    v_s: float,
+    t_in0: float,
+    t_out0: float,
+    params_in: RebalanceParams,
+    params_out: RebalanceParams,
+    theta: float,
+) -> float:
+    """Root of the balance residual bracketed from zero and bisected in
+    exact rational arithmetic (every float is a rational), so large flows
+    cannot cancel it away. Assumes one root in the first bracket."""
+
+    def premium(t: Fraction, p: RebalanceParams) -> Fraction:
+        if t >= 0:
+            return t * (t + Fraction(p.a_rhs)) * Fraction(p.d_rhs)
+        return -t * (-t + Fraction(p.a_lhs)) * Fraction(p.d_lhs)
+
+    t_in, t_out = Fraction(t_in0), Fraction(t_out0)
+    rhs = (1 - Fraction(theta)) * Fraction(v_s)
+
+    def residual(v: Fraction) -> Fraction:
+        return (
+            v
+            + premium(t_in - v, params_in) - premium(t_in, params_in)
+            + premium(t_out + v, params_out) - premium(t_out, params_out)
+            - rhs
+        )
+
+    lo, hi = Fraction(0), Fraction(v_s)
+    while residual(hi) < 0:
+        lo, hi = hi, 2 * hi
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if residual(mid) < 0 else (lo, mid)
+    return float((lo + hi) / 2)

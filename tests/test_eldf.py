@@ -97,11 +97,6 @@ class TestFit:
         with pytest.raises(NonPositiveDensity):
             fit_eldf(pts)
 
-    def test_degree_fixed_at_two(self):
-        pts = quad_points(0.0, 0.0, 1.0, (0.0, 1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
-            fit_eldf(pts, degree=3)
-
 
 def uncached_coefficients(points):
     """Column-scaled normal-equation fit rebuilt from scratch: (c2, c1, c0)."""

@@ -15,7 +15,6 @@ from dfmm.ledger import (
     open_inventory,
     solvency_check,
 )
-from dfmm.money import to_units
 
 
 def make_sheet(**pools) -> BalanceSheet:
@@ -192,10 +191,3 @@ class TestReplay:
                     )
         replayed = BalanceSheet.replay(sheet.log)
         assert replayed.balances() == sheet.balances()
-
-    def test_trade_export_schema(self):
-        sheet = BalanceSheet(["X", "Y"])
-        sheet.record_trade((7, "X", "Y", 10.0, 9.5, to_units(10.0), to_units(9.0),
-                            to_units(0.3), to_units(0.2), to_units(0.5)))
-        rows = sheet.export_trades()
-        assert rows == [(7, "X", "Y", 10.0, 9.0, 0.3, 0.2, 0.5)]

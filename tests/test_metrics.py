@@ -1,16 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from dfmm.errors import DegenerateAllAtMarket, NonPositivePrice, ReversedBounds
-from dfmm.metrics import (
-    concentration_rate,
-    impermanent_loss,
-    liquidity_between,
-    market_impact,
-    slippage,
-)
+from dfmm.errors import NonPositivePrice
+from dfmm.metrics import impermanent_loss, market_impact, slippage
 from oracles import cpmm_impermanent_loss
 
 
@@ -48,51 +40,6 @@ class TestImpermanentLoss:
             impermanent_loss(0.0, 1.0)
         with pytest.raises(NonPositivePrice):
             impermanent_loss(1.0, -1.0)
-
-
-class TestLiquidityBetween:
-    def test_empty_band(self):
-        assert liquidity_between([(10.0, 3.0)], 10.0, 10.0) == 0.0
-
-    def test_uniform_density(self):
-        assert liquidity_between(lambda p: 2.0, 10.0, 15.0) == pytest.approx(10.0)
-
-    def test_discrete_levels_inclusive(self):
-        book = [(10.0, 3.0), (12.0, 4.0)]
-        assert liquidity_between(book, 9.0, 13.0) == 7.0
-        assert liquidity_between(book, 11.0, 13.0) == 4.0
-
-    def test_reversed_bounds(self):
-        with pytest.raises(ReversedBounds):
-            liquidity_between([(10.0, 3.0)], 12.0, 9.0)
-
-    def test_additive_over_bands(self):
-        density = lambda p: 1.0 + 0.1 * p
-        whole = liquidity_between(density, 5.0, 15.0)
-        split = liquidity_between(density, 5.0, 9.0) + liquidity_between(density, 9.0, 15.0)
-        assert whole == pytest.approx(split, rel=1e-9)
-
-
-class TestConcentrationRate:
-    def test_basic(self):
-        levels = [(10.0, 101.0), (10.0, 102.0)]
-        assert concentration_rate(levels, 100.0) == pytest.approx(20.0 / 30.0)
-
-    def test_all_at_market_rejected(self):
-        with pytest.raises(DegenerateAllAtMarket):
-            concentration_rate([(10.0, 100.0)], 100.0)
-
-    def test_distance_homogeneity(self):
-        levels = [(10.0, 101.0), (5.0, 103.0)]
-        base = concentration_rate(levels, 100.0)
-        stretched = [(liq, 100.0 + 2 * (p - 100.0)) for liq, p in levels]
-        assert concentration_rate(stretched, 100.0) == pytest.approx(base / 2.0)
-
-    def test_liquidity_scale_invariance(self):
-        levels = [(10.0, 101.0), (5.0, 103.0)]
-        base = concentration_rate(levels, 100.0)
-        scaled = [(3.0 * liq, p) for liq, p in levels]
-        assert concentration_rate(scaled, 100.0) == pytest.approx(base)
 
 
 class TestSlippageImpact:

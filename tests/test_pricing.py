@@ -17,7 +17,6 @@ from dfmm.money import from_units, to_units
 from dfmm.pricing import (
     FeeSchedule,
     _commit_notional,
-    OpenInventoryLimits,
     RebalanceParams,
     execute_swap,
     premium_fn,
@@ -26,7 +25,13 @@ from dfmm.pricing import (
     rp_delta,
     solve_adjusted_notional,
 )
-from oracles import balance_residual, bisect_adjusted_notional, scan_commit
+from dfmm.vaults import LONG, SHORT, Vault, VaultLimits, VaultPair
+from oracles import (
+    balance_residual,
+    bisect_adjusted_notional,
+    exact_adjusted_notional,
+    scan_commit,
+)
 
 P_STD = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=0.1, d_lhs=0.1)
 P_ZERO = RebalanceParams(a_rhs=0.0, a_lhs=0.0, d_rhs=0.0, d_lhs=0.0)
@@ -168,6 +173,15 @@ class TestNotionalSolver:
                 balance_residual(fast, v_s, t_in, t_out, params_in, params_out, theta)
             ) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("t0,v_s", [(1e6, 1e-12), (1e6, 1e-9), (1e6, 1e-6), (1e5, 1e-12)])
+    def test_small_trade_at_large_flows(self, t0, v_s):
+        # each leg's premium moves by ~2*t0*v; the two moves cancel to
+        # about the root itself, which a float R(t0 + h) - R(t0) loses
+        p_out = RebalanceParams(a_rhs=1.151, a_lhs=1.151, d_rhs=1.0, d_lhs=1.0)
+        v = solve_adjusted_notional(v_s, t0, t0, P_UNIT_D, p_out, 0.0)
+        exact = exact_adjusted_notional(v_s, t0, t0, P_UNIT_D, p_out, 0.0)
+        assert v == pytest.approx(exact, rel=1e-9, abs=0.0)
+
 
 class TestQuoteExecute:
     def test_identity_swap(self):
@@ -228,19 +242,29 @@ class TestQuoteExecute:
             quote_swap("X", "Y", 50.0, sheet, curves, params, fees)
 
     def test_capacity_limits(self):
+        # small vaults cap X's surplus or Y's deficit at 5; the rest cover 1e6
         sheet, curves, params, fees = make_env()
-        limits = {
-            "X": OpenInventoryLimits(max_surplus=5.0, max_deficit=1e9),
-            "Y": OpenInventoryLimits(max_surplus=1e9, max_deficit=1e9),
-        }
-        with pytest.raises(ExceedsCapacity):
-            quote_swap("X", "Y", 50.0, sheet, curves, params, fees, limits_by_asset=limits)
-        limits = {
-            "X": OpenInventoryLimits(max_surplus=1e9, max_deficit=1e9),
-            "Y": OpenInventoryLimits(max_surplus=1e9, max_deficit=5.0),
-        }
-        with pytest.raises(ExceedsCapacity):
-            quote_swap("X", "Y", 50.0, sheet, curves, params, fees, limits_by_asset=limits)
+
+        def limits(c_long_x, c_short_y):
+            return {
+                aid: VaultLimits(
+                    sheet.pools[aid],
+                    VaultPair(
+                        long=Vault(aid, LONG, to_units(c_long), 0.5, 0),
+                        short=Vault(aid, SHORT, to_units(c_short), 0.5, 0),
+                    ),
+                    0,
+                )
+                for aid, c_long, c_short in (("X", c_long_x, 5e5), ("Y", 5e5, c_short_y))
+            }
+
+        for gated in (limits(2.5, 5e5), limits(5e5, 2.5)):
+            with pytest.raises(ExceedsCapacity):
+                quote_swap("X", "Y", 50.0, sheet, curves, params, fees, limits_by_asset=gated)
+        quote = quote_swap(
+            "X", "Y", 4.0, sheet, curves, params, fees, limits_by_asset=limits(2.5, 2.5)
+        )
+        assert quote.v_out == pytest.approx(4.0)
 
     def test_imbalance_monotonicity(self):
         # both legs' |T| strictly grow: total premium positive

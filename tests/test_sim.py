@@ -14,7 +14,7 @@ from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_c
 from dfmm.sim.engine import Engine, RunArtifacts, run_scenario
 from dfmm.sim.market import ExternalMarket
 from dfmm.sim.output import write_logs
-from dfmm.vaults import SHORT, boundary_premium_flow, open_inventory_limits
+from dfmm.vaults import SHORT, boundary_premium_flow
 
 import numpy as np
 
@@ -328,12 +328,6 @@ class TestPremiumReserve:
             auction_enabled=False,
         )
 
-    def no_reserve(self, eng):
-        return {
-            aid: open_inventory_limits(eng.sheet.pools[aid], eng.vaults[aid])
-            for aid in ("X", "Y")
-        }
-
     def quote(self, eng, limits):
         return quote_swap(
             "X", "Y", 2.0, eng.sheet, eng.curves, eng.params, eng.fees,
@@ -346,8 +340,8 @@ class TestPremiumReserve:
     @pytest.mark.parametrize("c_short", [80.0, 60.0])
     def test_debit_leaving_too_little_collateral_rejects(self, c_short):
         eng = Engine(self.cfg(c_short))
-        # without the reserve the deficit fits in the capacity c / 0.5
-        quote = self.quote(eng, self.no_reserve(eng))
+        # ungated, the deficit fits in the capacity c / 0.5
+        quote = self.quote(eng, None)
         pool = eng.sheet.pools["Y"]
         deficit_after = pool.lp_inventory - (pool.inventory - quote.v_out)
         assert deficit_after < c_short / 0.5
@@ -393,7 +387,6 @@ class TestArbitrageLoop:
             auction_enabled=False,
             arb_enabled=True,
             arb_fixed_cost=0.0,
-            arb_haircut=0.0,
             arb_max_exposure=100000.0,
             scripted_trades=((2, "X", "Y", 300.0),),
             assets=(asset("X"), asset("Y")),

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from dfmm.errors import BadRate, BadRates, NegativeReserveInvariantBreach
+from dfmm.auction import LHS, ON_TARGET, RHS, TOO_FAST, TOO_SLOW, update_aggressiveness
+from dfmm.errors import BadRates, ConfigInvalid, NegativeReserveInvariantBreach
 from dfmm.ledger import AssetPool
-from dfmm.money import to_units
-from dfmm.pricing import FeeSchedule
+from dfmm.money import from_units, to_units
+from dfmm.pricing import FeeSchedule, RebalanceParams
+from dfmm.sim.config import AssetConfig, ScenarioConfig
+from dfmm.sim.engine import Engine
 from dfmm.treasury import (
     PLP,
     SLP_LONG,
     SLP_SHORT,
     RewardLedger,
     TreasuryReserve,
-    discrepancy,
-    rebalancing_fee,
-    reward_accrue,
     reward_distribute,
     treasury_update,
 )
@@ -28,52 +28,99 @@ def pair(c_long, c_short, rate=0.5):
     )
 
 
+def discrepancy(t_open, a_prev, comparison, lam, d):
+    """The auction's discrepancy, in ledger units, when one comparison
+    moves the aggressiveness at open flow ``t_open`` (funded treasury)."""
+    params = RebalanceParams(a_rhs=a_prev, a_lhs=a_prev, d_rhs=d, d_lhs=d)
+    side = RHS if t_open > 0 else LHS
+    upd = update_aggressiveness(
+        a_prev, side, to_units(t_open), comparison, params, lam=lam, a_min=0.0,
+        tr_units=to_units(1e9),
+    )
+    return upd.a_after, upd.upsilon_units
+
+
+def fee_split(theta, xi):
+    """One scripted fill: (fill, treasury xi slice, accrued reward), units."""
+    assets = tuple(
+        AssetConfig(asset_id=aid, depth=5000.0, deposit=2000.0) for aid in ("X", "Y")
+    )
+    eng = Engine(
+        ScenarioConfig(
+            horizon=1, theta=theta, xi=xi, assets=assets,
+            scripted_trades=((1, "X", "Y", 25.0),),
+        )
+    )
+    eng.step_timestep()
+    (fill,) = eng.fills
+    return fill, eng.reserve.balance_units, eng.rewards.pending_units("Y")
+
+
 class TestDiscrepancy:
     def test_frozen_params_zero(self):
-        assert discrepancy(10.0, 5.0, 5.0, 0.1) == 0.0
+        assert discrepancy(10.0, 5.0, ON_TARGET, 2.0, 0.1) == (5.0, 0)
 
     def test_reverse_dutch_costs(self):
-        assert discrepancy(10.0, 5.0, 7.0, 0.1) == pytest.approx(2.0)
+        a_after, ups = discrepancy(10.0, 5.0, TOO_SLOW, 2.0, 0.1)
+        assert a_after == 7.0
+        assert from_units(ups) == pytest.approx(2.0)
 
     def test_dutch_earns(self):
-        assert discrepancy(10.0, 7.0, 5.0, 0.1) == pytest.approx(-2.0)
+        a_after, ups = discrepancy(10.0, 7.0, TOO_FAST, 2.0, 0.1)
+        assert a_after == 5.0
+        assert from_units(ups) == pytest.approx(-2.0)
 
     def test_sign_law(self):
         rng = np.random.default_rng(43)
+        comparisons = (TOO_SLOW, TOO_FAST, ON_TARGET)
         for _ in range(300):
             t = float(rng.uniform(-50, 50))
-            if t == 0:
+            if abs(t) < 1e-3:
                 continue
             a_prev = float(rng.uniform(0, 20))
-            a_next = float(rng.uniform(0, 20))
+            lam = float(rng.uniform(0.01, 5.0))
             d = float(rng.uniform(1e-6, 1.0))
-            ups = discrepancy(t, a_prev, a_next, d)
-            if a_next > a_prev:
+            comparison = comparisons[int(rng.integers(3))]
+            a_after, ups = discrepancy(t, a_prev, comparison, lam, d)
+            if a_after > a_prev:
                 assert ups > 0
-            elif a_next < a_prev:
+            elif a_after < a_prev:
                 assert ups < 0
             else:
                 assert ups == 0
 
 
 class TestFeesAndRewards:
+    """The engine's split of each fill's fee: the treasury takes
+    round(xi * v_s), capped at the fee, and the rest accrues as reward."""
+
     def test_zero_rate(self):
-        assert rebalancing_fee(1000.0, 0.0) == 0.0
+        fill, xi_units, reward_units = fee_split(0.003, 0.0)
+        assert xi_units == 0
+        assert reward_units == fill.fee_units > 0
 
     def test_fee_value(self):
-        assert rebalancing_fee(1000.0, 0.001) == pytest.approx(1.0)
+        fill, xi_units, _ = fee_split(0.003, 0.001)
+        assert xi_units == round(0.001 * fill.v_s_units)
+        assert from_units(xi_units) == pytest.approx(0.001 * from_units(fill.v_s_units))
 
     def test_unit_rate_rejected(self):
-        with pytest.raises(BadRate):
-            rebalancing_fee(1000.0, 1.0)
+        with pytest.raises(ConfigInvalid, match="xi"):
+            fee_split(0.003, 1.0)
 
     def test_reward_all_to_treasury(self):
-        fees = FeeSchedule(theta=0.003, xi=0.003)
-        assert reward_accrue(100.0, fees) == pytest.approx(0.0)
+        # xi == theta: the reward is only the commit's rounding residue
+        fill, xi_units, reward_units = fee_split(0.003, 0.003)
+        assert xi_units + reward_units == fill.fee_units
+        assert reward_units == max(fill.fee_units - round(0.003 * fill.v_s_units), 0)
+        assert reward_units <= 4
 
     def test_reward_value(self):
-        fees = FeeSchedule(theta=0.003, xi=0.001)
-        assert reward_accrue(100.0, fees) == pytest.approx(0.2)
+        fill, xi_units, reward_units = fee_split(0.003, 0.001)
+        assert xi_units + reward_units == fill.fee_units
+        assert from_units(reward_units) == pytest.approx(
+            0.002 * from_units(fill.v_s_units), abs=1e-11
+        )
 
     def test_xi_above_theta_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfmm.eldf import Eldf
-from dfmm.errors import BadParams, NoCounterpartyCollateral, ZeroCapacity, ZeroPrevValue
+from dfmm.errors import BadParams, NoCounterpartyCollateral, ZeroPrevValue
 from dfmm.ledger import AssetPool
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, premium_units
@@ -18,13 +18,11 @@ from dfmm.vaults import (
     VaultLimits,
     VaultPair,
     boundary_premium_flow,
-    capital_efficiency_gap,
     cover_coefficient,
     covering_side,
     margin_check,
-    max_tradeable,
-    open_inventory_limits,
     settle_swaption,
+    side_cap,
     slp_premium_flow,
     strike_swaption,
     utilisation,
@@ -67,9 +65,14 @@ class TestUtilisation:
         assert u.u_rhs == pytest.approx(20.0 / 100.0)
 
     def test_zero_capacity_with_deficit(self):
-        vaults = pair(c_short=0.0)
-        with pytest.raises(ZeroCapacity):
-            utilisation(AssetPool("X", 80.0, 100.0), vaults)
+        # open inventory with no capacity reports the cap
+        pool = AssetPool("X", 80.0, 100.0)
+        u = utilisation(pool, pair(c_short=0.0), u_max_report=10.0)
+        assert (u.u_rhs, u.u_lhs) == (10.0, 0.0)
+        vaults = pair(c_long=0.0)
+        vaults.long.liquidated = True
+        u = utilisation(AssetPool("X", 130.0, 100.0), vaults, u_max_report=10.0)
+        assert (u.u_rhs, u.u_lhs) == (0.0, 10.0)
 
     def test_zero_capacity_without_deficit_is_fine(self):
         u = utilisation(AssetPool("X", 100.0, 100.0), pair(c_long=0.0, c_short=0.0))
@@ -199,44 +202,50 @@ class TestMargin:
 
 
 class TestCapacity:
+    """``side_cap``: the long vault caps the surplus, the short vault and
+    the LP claim together cap the deficit (the pool's ask side)."""
+
     def test_max_ask(self):
         pool = AssetPool("X", 100.0, 100.0)
-        vaults = pair(c_short=40.0, rate_short=0.5)
-        assert max_tradeable(pool, vaults).v_max_ask == pytest.approx(80.0)
+        assert side_cap(pool, vault(SHORT, 40.0)) == pytest.approx(80.0)
 
     def test_max_bid(self):
-        vaults = pair(c_long=60.0, rate_long=0.5)
-        assert max_tradeable(AssetPool("X", 0.0, 0.0), vaults).v_max_bid == pytest.approx(120.0)
+        assert side_cap(AssetPool("X", 0.0, 0.0), vault(LONG, 60.0)) == pytest.approx(120.0)
 
     def test_theorem_equality_point(self):
+        # short capacity equal to the LP claim: neither term binds alone
         pool = AssetPool("X", 100.0, 100.0)
-        vaults = pair(c_short=50.0, rate_short=0.5)
-        assert max_tradeable(pool, vaults).v_max_ask == pytest.approx(100.0)
-        assert capital_efficiency_gap(pool, vaults.short) == pytest.approx(0.0)
+        v = vault(SHORT, 50.0)
+        assert side_cap(pool, v) == pytest.approx(100.0)
+        assert v.capacity() == pytest.approx(pool.lp_inventory)
 
     @pytest.mark.parametrize("c,expected", [(40.0, 20.0), (60.0, 20.0)])
     def test_gap(self, c, expected):
+        # the distance between short capacity and the LP claim is the
+        # claim side_cap leaves uncovered, or the capacity it leaves idle
         pool = AssetPool("X", 100.0, 100.0)
-        assert capital_efficiency_gap(pool, vault(SHORT, c)) == pytest.approx(expected)
+        v = vault(SHORT, c)
+        cap = side_cap(pool, v)
+        assert (pool.lp_inventory - cap) + (v.capacity() - cap) == pytest.approx(expected)
 
     def test_ask_capacity_argmax_at_zero_gap(self):
-        # sweeping short collateral: executable ask volume peaks exactly
-        # where the efficiency gap vanishes; undersized collateral is
-        # strictly worse, oversized collateral adds nothing (the volume
-        # plateaus at the pool inventory) so volume per unit of capital
-        # is strictly maximised at the zero-gap point in both directions
+        # sweeping short collateral: the ask-side cap peaks exactly where
+        # short capacity meets the LP claim; undersized collateral is
+        # strictly worse, oversized collateral adds nothing (the cap
+        # plateaus at the claim) so cap per unit of capital is strictly
+        # maximised at the zero-gap point in both directions
         pool = AssetPool("X", 100.0, 100.0)
         grid = [10.0 * i for i in range(1, 16)]
-        vol_max = max(min(pool.inventory, vault(SHORT, c).capacity()) for c in grid)
+        vol_max = max(side_cap(pool, vault(SHORT, c)) for c in grid)
         best_eff = None
         for c in grid:
             v = vault(SHORT, c)
-            vol = min(pool.inventory, v.capacity())
-            gap = capital_efficiency_gap(pool, v)
+            vol = side_cap(pool, v)
+            gap = abs(v.capacity() - pool.lp_inventory)
             eff = vol / (pool.inventory + c)
             if gap == 0.0:
                 assert vol == vol_max
-            elif v.capacity() < pool.inventory:
+            elif v.capacity() < pool.lp_inventory:
                 assert vol < vol_max
             else:
                 assert vol == vol_max  # plateau: extra collateral is idle
@@ -247,9 +256,8 @@ class TestCapacity:
     def test_open_inventory_limits(self):
         pool = AssetPool("X", 100.0, 80.0)
         vaults = pair(c_long=30.0, c_short=20.0)
-        lim = open_inventory_limits(pool, vaults)
-        assert lim.max_surplus == pytest.approx(60.0)
-        assert lim.max_deficit == pytest.approx(40.0)
+        assert side_cap(pool, vaults.long) == pytest.approx(60.0)
+        assert side_cap(pool, vaults.short) == pytest.approx(40.0)
 
 
 class TestPremiumReserve:
@@ -271,25 +279,22 @@ class TestPremiumReserve:
         assert boundary_premium_flow(0, 0, self.PARAMS) == (None, 0)
 
     def test_reserve_held_back_on_its_side_only(self):
+        # a flow below zero at the boundary: the long vault owes the debit
         pool = AssetPool("X", 100.0, 80.0)
-        lim = open_inventory_limits(
-            pool, pair(c_long=30.0, c_short=20.0), reserve_side=LONG, reserve_units=to_units(10.0)
-        )
-        assert lim.max_surplus == pytest.approx((30.0 - 10.0) / 0.5)
-        assert lim.max_deficit == pytest.approx(40.0)
+        limits = VaultLimits(pool, pair(c_long=30.0, c_short=20.0), to_units(-2.0))
+        t_after = to_units(-8.0)
+        r_after = premium_units(t_after, self.PARAMS)
+        _, flow = boundary_premium_flow(limits.t_open_units, t_after, self.PARAMS)
+        surplus_cap = limits.surplus_cap(t_after, r_after, self.PARAMS)
+        assert surplus_cap == pytest.approx((30.0 + from_units(flow)) / 0.5)
+        assert limits.deficit_cap(t_after, r_after, self.PARAMS) == pytest.approx(40.0)
 
     def test_reserve_down_to_the_floor_covers_nothing(self):
         pool = AssetPool("X", 100.0, 80.0)
         vaults = pair(c_long=30.0, c_short=20.0)  # floor 1.0
-        lim = open_inventory_limits(
-            pool, vaults, reserve_side=SHORT, reserve_units=to_units(19.0)
-        )
-        assert lim.max_deficit == 0.0
-        assert lim.max_surplus == pytest.approx(60.0)
-        lim = open_inventory_limits(
-            pool, vaults, reserve_side=SHORT, reserve_units=to_units(18.5)
-        )
-        assert lim.max_deficit == pytest.approx(1.5 / 0.5)
+        assert side_cap(pool, vaults.short, to_units(19.0)) == 0.0
+        assert side_cap(pool, vaults.long) == pytest.approx(60.0)
+        assert side_cap(pool, vaults.short, to_units(18.5)) == pytest.approx(1.5 / 0.5)
 
     def test_vault_limits_reserve_the_boundary_debit(self):
         pool = AssetPool("X", 60.0, 80.0)
@@ -344,15 +349,19 @@ def gate_states(draw):
 class TestGateCaps:
     @given(gate_states())
     def test_one_sided_caps_equal_open_inventory_limits(self, state):
+        # each VaultLimits cap is side_cap with the boundary debit held
+        # back from the covering vault only
         pool, vaults, params, t_open, t_after = state
         side, flow = boundary_premium_flow(t_open, t_after, params)
-        both = open_inventory_limits(
-            pool, vaults, reserve_side=side, reserve_units=max(-flow, 0)
-        )
+        reserve = max(-flow, 0)
         limits = VaultLimits(pool, vaults, t_open)
         r_after = premium_units(t_after, params)
-        assert limits.surplus_cap(t_after, r_after, params) == both.max_surplus
-        assert limits.deficit_cap(t_after, r_after, params) == both.max_deficit
+        assert limits.surplus_cap(t_after, r_after, params) == side_cap(
+            pool, vaults.long, reserve if side == LONG else 0
+        )
+        assert limits.deficit_cap(t_after, r_after, params) == side_cap(
+            pool, vaults.short, reserve if side == SHORT else 0
+        )
 
     @given(gate_states())
     @settings(max_examples=500)
