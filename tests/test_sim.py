@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -483,6 +484,30 @@ class TestDeterministicOutput:
         assert "duration_seconds" not in summary
         manifest = json.loads((outs[0] / "manifest.json").read_text())
         assert manifest["duration_seconds"] >= 0.0
+
+    # SHA-256 over every CSV and summary.json, in name order, each as
+    # name, NUL, bytes, NUL. A refactor that keeps the outputs keeps these.
+    GOLDEN = {
+        "demo": "9a2c01bb64a958c714b786bf89611558681363eddb7393f5989c6b5d594ff511",
+        "busy": "027d908bf0ec0adcc285d06bf94bb619520577dd61c379281a30edf8cedf20ec",
+    }
+
+    @pytest.mark.parametrize(
+        "name,overrides",
+        [
+            ("demo", {}),
+            ("busy", {"traders": {"rate": 8.0}, "run": {"horizon": 300}}),
+        ],
+    )
+    def test_golden_digest(self, tmp_path, name, overrides):
+        ini = demo_ini(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ini), "--out", str(out)]) == cli.EXIT_OK
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".csv" or path.name == "summary.json":
+                digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        assert digest.hexdigest() == self.GOLDEN[name]
 
     def test_uncached_refits_give_identical_run(self, monkeypatch):
         cfg = load_config(DEMO)
