@@ -16,7 +16,7 @@ from .eldf import (
     snapshot_to_curves,
     solve_volume_for_value,
 )
-from .ledger import AssetPool, BalanceSheet, SyntheticPool, open_inventory, solvency_check
+from .ledger import AssetPool, BalanceSheet, SyntheticPool, solvency_check
 from .pricing import (
     FeeSchedule,
     RebalanceParams,

@@ -41,28 +41,12 @@ class RegimeThresholds:
     theta_star: float
     theta_dagger: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.theta0 <= self.theta_star <= self.theta_dagger <= 1.0):
-            raise BadParams(
-                "thresholds must satisfy 0 <= theta0 <= theta_star <= "
-                f"theta_dagger <= 1, got ({self.theta0}, {self.theta_star}, "
-                f"{self.theta_dagger})"
-            )
-
 
 @dataclass(frozen=True)
 class RebalanceTargets:
     j_star: int
     j_prime: int
     j_dagger: int
-
-    def __post_init__(self):
-        if not (self.j_star >= self.j_prime >= 1):
-            raise BadParams(
-                f"need j_star >= j_prime >= 1, got ({self.j_star}, {self.j_prime})"
-            )
-        if self.j_dagger < 1:
-            raise BadParams(f"j_dagger must be >= 1, got {self.j_dagger}")
 
 
 def classify_regime(u: float, thresholds: RegimeThresholds) -> str:

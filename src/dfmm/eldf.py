@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,26 +75,28 @@ class Eldf:
             raise ValueError(f"unknown extrapolation mode {self.extrapolation!r}")
         _check_positive_density(self.c2, self.c1, self.c0, self.v_lo, self.v_hi)
 
-    @property
-    def fit_domain(self) -> tuple[float, float]:
-        return (self.v_lo, self.v_hi)
-
     def to_record(self) -> tuple:
         """(slot_id, side, c2, c1, c0, v_lo, v_hi) export row."""
         return (self.slot_id, self.side, self.c2, self.c1, self.c0, self.v_lo, self.v_hi)
 
 
 def _check_positive_density(c2, c1, c0, v_lo, v_hi):
-    """Density must be positive inside the fit domain.
+    """Density must be finite and positive inside the fit domain.
 
     For a quadratic it suffices to check both endpoints plus the vertex
     when the vertex lies strictly inside. A zero exactly at a boundary is
     tolerated (the cumulative value stays strictly increasing inside),
     but a dip to zero or below in the interior, or a curve vanishing at
-    both ends, is rejected.
+    both ends, is rejected. Every comparison with NaN is false, so
+    non-finite coefficients or endpoint densities are rejected first.
     """
     q_lo = _poly(c2, c1, c0, v_lo)
     q_hi = _poly(c2, c1, c0, v_hi)
+    if not all(map(math.isfinite, (c2, c1, c0, q_lo, q_hi))):
+        raise NonPositiveDensity(
+            f"density {c2:.6g}*v^2 + {c1:.6g}*v + {c0:.6g} is not finite "
+            f"on [{v_lo:.6g}, {v_hi:.6g}]"
+        )
     if q_lo < 0.0 or q_hi < 0.0 or (q_lo == 0.0 and q_hi == 0.0):
         bad = v_lo if q_lo <= q_hi else v_hi
         raise NonPositiveDensity(
@@ -131,10 +133,13 @@ def _design(vol_bytes: bytes) -> tuple:
     vols = np.frombuffer(vol_bytes, dtype=float)
     if not np.all(np.diff(vols) > 0):
         raise NonMonotoneVolumes("snapshot volumes must be strictly increasing")
-    a = np.column_stack([np.ones_like(vols), vols, vols * vols])
-    scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
-    a_s = a / scale
-    ata = a_s.T @ a_s
+    # volumes whose squares overflow give NaN coefficients, which Eldf
+    # rejects, so numpy need not warn about them as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.column_stack([np.ones_like(vols), vols, vols * vols])
+        scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
+        a_s = a / scale
+        ata = a_s.T @ a_s
     for arr in (a_s, ata, scale):
         arr.flags.writeable = False
     return a_s, ata, scale

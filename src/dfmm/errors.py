@@ -47,15 +47,7 @@ class NonPositiveAmount(EngineError):
     pass
 
 
-class ExceedsLpClaim(EngineError):
-    pass
-
-
 class ValuationUnavailable(EngineError):
-    pass
-
-
-class NegativeFlow(EngineError):
     pass
 
 

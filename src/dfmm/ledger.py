@@ -14,16 +14,11 @@ raises that asset's T; selling into the pool lowers it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .eldf import Eldf, integrate_eldf
-from .errors import (
-    ExceedsLpClaim,
-    NegativeFlow,
-    NonPositiveAmount,
-    ValuationUnavailable,
-)
+from .errors import NonPositiveAmount, ValuationUnavailable
 from .money import from_units, to_units
 
 
@@ -42,43 +37,6 @@ class SyntheticPool:
     @property
     def t(self) -> float:
         return from_units(self.t_units)
-
-
-def open_inventory(pool: AssetPool) -> float:
-    """Inventory minus the LP claim: the unhedged exposure in the asset."""
-    return pool.inventory - pool.lp_inventory
-
-
-def hedge_target(pool: AssetPool, bid: Eldf | None, ask: Eldf | None) -> float:
-    """Synthetic flow required to fully hedge the open inventory.
-
-    A surplus should be carried against negative T worth its bid-side
-    value; a deficit against positive T worth its ask-side repurchase
-    cost. Returns 0 when inventory matches the LP claim.
-    """
-    gap = abs(pool.lp_inventory - pool.inventory)
-    if gap == 0.0:
-        return 0.0
-    if pool.inventory >= pool.lp_inventory:
-        if bid is None:
-            raise ValuationUnavailable(f"no bid curve for {pool.asset_id}")
-        return -integrate_eldf(bid, 0.0, gap)
-    if ask is None:
-        raise ValuationUnavailable(f"no ask curve for {pool.asset_id}")
-    return integrate_eldf(ask, 0.0, gap)
-
-
-@dataclass(frozen=True)
-class Payout:
-    """Result of an LP withdrawal: in-kind units plus any $S shortfall leg."""
-
-    asset_id: str
-    in_kind: float
-    s_units: int
-
-    @property
-    def s_value(self) -> float:
-        return from_units(self.s_units)
 
 
 @dataclass(frozen=True)
@@ -139,55 +97,6 @@ class BalanceSheet:
         self.version += 1
         return self.pools[asset_id]
 
-    def withdraw_plp(self, asset_id: str, amount: float, bid: Eldf | None = None) -> Payout:
-        """Pay the LP claim in kind, topping up any inventory shortfall in $S.
-
-        The shortfall leg is valued on the asset's bid curve (what the
-        missing units would fetch), so a missing curve is an error only
-        when a shortfall actually exists.
-        """
-        if not amount > 0:
-            raise NonPositiveAmount(f"withdrawal must be positive, got {amount}")
-        pool = self.pools[asset_id]
-        if amount > pool.lp_inventory:
-            raise ExceedsLpClaim(
-                f"withdraw {amount} exceeds LP claim {pool.lp_inventory}"
-            )
-        in_kind = min(pool.inventory, amount)
-        shortfall = amount - in_kind
-        s_units = 0
-        if shortfall > 0:
-            if bid is None:
-                raise ValuationUnavailable(
-                    f"no bid curve to value {shortfall} {asset_id} shortfall"
-                )
-            s_units = to_units(integrate_eldf(bid, 0.0, shortfall))
-        entry = LogEntry(
-            "withdraw_plp", (asset_id, float(amount), float(in_kind), s_units)
-        )
-        self._apply(entry)
-        self.log.append(entry)
-        self.version += 1
-        return Payout(asset_id, in_kind, s_units)
-
-    # --- synthetic pool operations ---
-
-    def apply_synthetic_flow(
-        self, asset_id: str, withdrawn: float, deposited: float
-    ) -> SyntheticPool:
-        if withdrawn < 0 or deposited < 0:
-            raise NegativeFlow(
-                f"flows must be nonnegative, got withdrawn={withdrawn} "
-                f"deposited={deposited}"
-            )
-        entry = LogEntry(
-            "synthetic_flow", (asset_id, to_units(withdrawn), to_units(deposited))
-        )
-        self._apply(entry)
-        self.log.append(entry)
-        self.version += 1
-        return self.spools[asset_id]
-
     # --- trade and reserve entries (appended by the pricing commit path) ---
 
     def record_trade(self, data: tuple) -> None:
@@ -214,15 +123,6 @@ class BalanceSheet:
             pool = self.pools[asset_id]
             pool.inventory += amount
             pool.lp_inventory += amount
-        elif kind == "withdraw_plp":
-            asset_id, amount, in_kind, _s_units = data
-            pool = self.pools[asset_id]
-            pool.inventory -= in_kind
-            pool.lp_inventory -= amount
-        elif kind == "synthetic_flow":
-            asset_id, w_units, d_units = data
-            self.add_asset(asset_id)
-            self.spools[asset_id].t_units += w_units - d_units
         elif kind == "trade":
             (_t, a_in, a_out, v_in, v_out, _vs, vp, rp_in, rp_out, _fee) = data
             self.add_asset(a_in)

@@ -79,12 +79,6 @@ class FeeSchedule:
     theta: float
     xi: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.theta < 1.0):
-            raise ValueError(f"theta must be in [0, 1), got {self.theta}")
-        if not (0.0 <= self.xi <= self.theta):
-            raise ValueError(f"xi must satisfy 0 <= xi <= theta, got {self.xi}")
-
 
 def premium_fn(t: float, params: RebalanceParams) -> float:
     """Outstanding premium at synthetic flow t; nonnegative on both sides."""

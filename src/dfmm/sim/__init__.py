@@ -1,5 +1,5 @@
 from .config import AssetConfig, ScenarioConfig, load_config
-from .engine import Engine, RunArtifacts, run_scenario
+from .engine import Engine, RunArtifacts
 
 __all__ = [
     "AssetConfig",
@@ -7,5 +7,4 @@ __all__ = [
     "load_config",
     "Engine",
     "RunArtifacts",
-    "run_scenario",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..money import from_units
-from ..pricing import RebalanceParams, premium_fn
+from ..pricing import RebalanceParams, rp_delta
 from .config import ScenarioConfig
 
 
@@ -16,7 +16,6 @@ class TradeIntent:
     asset_in: str
     asset_out: str
     v_in: float
-    agent: str
 
 
 class TraderFlow:
@@ -40,7 +39,7 @@ class TraderFlow:
             if j >= i:
                 j += 1
             size = float(self.rng.lognormal(self.size_mu, self.size_sigma))
-            out.append(TradeIntent(ids[i], ids[j], size, agent="trader"))
+            out.append(TradeIntent(ids[i], ids[j], size))
         return out
 
 
@@ -86,10 +85,8 @@ class ArbitrageurAgent:
             return None
 
         rebate = -(
-            premium_fn(t_in - target, params_by_asset[asset_in])
-            - premium_fn(t_in, params_by_asset[asset_in])
-            + premium_fn(t_out + target, params_by_asset[asset_out])
-            - premium_fn(t_out, params_by_asset[asset_out])
+            rp_delta(t_in, t_in - target, params_by_asset[asset_in])
+            + rp_delta(t_out, t_out + target, params_by_asset[asset_out])
         )
         payoff = rebate - theta * target - self.fixed_cost
         if payoff <= 0.0:

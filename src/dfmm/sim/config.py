@@ -10,7 +10,7 @@ trades at fixed timesteps.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigInvalid, ParseError
 

@@ -19,15 +19,14 @@ stays above its margin floor.
 The engine keeps a full set of exact-unit accumulators and audits them
 after every epoch: trade balances, premium-reserve telescoping, treasury
 identity, and the hedged solvency margin. An audit failure, like any
-other engine error raised mid-run, is fail-stop: the run halts with a
-diagnostic naming the error class and timestep, and the logs collected
-so far are preserved.
+other engine error raised mid-run or by the first refit at construction,
+is fail-stop: the run halts with a diagnostic naming the error class and
+timestep, and the logs collected so far are preserved.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +62,7 @@ from ..vaults import (
 from .agents import ArbitrageurAgent, TraderFlow
 from .config import ScenarioConfig
 from .market import ExternalMarket
-
-LOG_KINDS = ("trades", "curves", "vaults", "auction", "treasury", "metrics", "rewards")
+from .output import SCHEMAS
 
 
 @dataclass
@@ -72,21 +70,6 @@ class RunArtifacts:
     logs: dict
     summary: dict
     config: ScenarioConfig
-
-
-@dataclass
-class FillRecord:
-    timestep: int
-    asset_in: str
-    asset_out: str
-    agent: str
-    v_in: float
-    v_out: float
-    v_s_units: int
-    v_prime_units: int
-    rp_in_units: int
-    rp_out_units: int
-    fee_units: int
 
 
 class Engine:
@@ -142,7 +125,7 @@ class Engine:
             )
             self.initial_mid[aid] = acfg.mid_price
 
-        self.logs: dict[str, list] = {kind: [] for kind in LOG_KINDS}
+        self.logs: dict[str, list] = {kind: [] for kind in SCHEMAS}
 
         # exact-unit accumulators for the conservation audit
         self.total_v_s_units = 0
@@ -158,7 +141,6 @@ class Engine:
         self.vault_external_units = 0
 
         # summary trackers
-        self.fills: list[FillRecord] = []
         self.rejected = 0
         self.trader_cost_units = 0
         self.arb_pnl = 0.0
@@ -170,8 +152,11 @@ class Engine:
             for vp in self.vaults.values()
         )
 
-        self._refit_curves(slot_id=0)
-        self._strike_all()
+        try:
+            self._refit_curves(slot_id=0)
+            self._strike_all()
+        except EngineError as exc:
+            self._halt(exc)
 
     # ------------------------------------------------------------------
     # curve and vault plumbing
@@ -223,7 +208,8 @@ class Engine:
     # trading
 
     def submit_trade(self, asset_in: str, asset_out: str, v_in: float, agent: str):
-        """Quote and execute one swap; returns the fill or None if rejected."""
+        """Quote and execute one swap; returns the quote it filled, or None
+        if rejected. Each fill is one row of the trades log."""
         try:
             quote = quote_swap(
                 asset_in,
@@ -248,20 +234,6 @@ class Engine:
             (self.t, "xi", asset_in, from_units(xi_units), self.reserve.balance)
         )
 
-        fill = FillRecord(
-            timestep=self.t,
-            asset_in=asset_in,
-            asset_out=asset_out,
-            agent=agent,
-            v_in=v_in,
-            v_out=quote.v_out,
-            v_s_units=quote.v_s_units,
-            v_prime_units=quote.v_prime_units,
-            rp_in_units=quote.rp_in_units,
-            rp_out_units=quote.rp_out_units,
-            fee_units=quote.fee_units,
-        )
-        self.fills.append(fill)
         self.logs["trades"].append(
             (
                 self.t,
@@ -293,7 +265,7 @@ class Engine:
             self.trader_cost_units += (
                 quote.rp_in_units + quote.rp_out_units + quote.fee_units
             )
-        return fill
+        return quote
 
     def queue_vault_flow(self, asset_id: str, side: str, amount: float) -> None:
         """Queue an sLP deposit (positive) or withdrawal; applied at the
@@ -324,9 +296,17 @@ class Engine:
         if self.arb is not None:
             self._run_arbitrageur()
 
+        # the auction moves only params, the premium reserve and the
+        # treasury, so one reading serves it and the metrics
+        utils = {
+            aid: utilisation(
+                self.sheet.pools[aid], self.vaults[aid], u_max_report=cfg.u_max_report
+            )
+            for aid in self.sheet.asset_ids()
+        }
         at_epoch_boundary = self.t % cfg.epoch_len == 0
-        self._run_auction(at_epoch_boundary)
-        self._emit_metrics()
+        self._run_auction(utils, at_epoch_boundary)
+        self._emit_metrics(utils)
         if at_epoch_boundary:
             self.step_epoch()
         self._audit()
@@ -347,27 +327,21 @@ class Engine:
             return
         if v_in <= 0:
             return
-        fill = self.submit_trade(asset_in, asset_out, v_in, agent="arb")
-        if fill is None:
+        quote = self.submit_trade(asset_in, asset_out, v_in, agent="arb")
+        if quote is None:
             return
-        self.market[asset_in].record_flow(fill.v_in)
-        self.market[asset_out].record_flow(-fill.v_out)
+        self.market[asset_in].record_flow(quote.v_in)
+        self.market[asset_out].record_flow(-quote.v_out)
         gain = (
-            self.market[asset_out].mid * fill.v_out
-            - self.market[asset_in].mid * fill.v_in
+            self.market[asset_out].mid * quote.v_out
+            - self.market[asset_in].mid * quote.v_in
             - self.arb.fixed_cost
         )
         self.arb_pnl += gain
 
-    def _run_auction(self, at_epoch_boundary: bool) -> None:
+    def _run_auction(self, utils: dict, at_epoch_boundary: bool) -> None:
         if not self.cfg.auction_enabled:
             return
-        utils = {
-            aid: utilisation(
-                self.sheet.pools[aid], self.vaults[aid], u_max_report=self.cfg.u_max_report
-            )
-            for aid in self.sheet.asset_ids()
-        }
         t_units = {aid: self.sheet.spools[aid].t_units for aid in self.sheet.asset_ids()}
         new_params, events = auction_step(
             self.auction_state,
@@ -536,7 +510,7 @@ class Engine:
             total += abs(to_units(now) - to_units(then))
         return total
 
-    def _emit_metrics(self) -> None:
+    def _emit_metrics(self, utils: dict) -> None:
         report = solvency_check(self.sheet, {a: c.bid for a, c in self.curves.items()})
         margin_units = self.solvency_margin_units(report)
         if self.min_margin_units is None or margin_units < self.min_margin_units:
@@ -544,9 +518,7 @@ class Engine:
         rows = self.logs["metrics"]
         for aid in self.sheet.asset_ids():
             market = self.market[aid]
-            util = utilisation(
-                self.sheet.pools[aid], self.vaults[aid], u_max_report=self.cfg.u_max_report
-            )
+            util = utils[aid]
             self.max_utilisation = max(self.max_utilisation, util.u_rhs, util.u_lhs)
             rows.append((self.t, "mid", aid, market.mid))
             rows.append(
@@ -588,14 +560,18 @@ class Engine:
             self.diagnostic = f"conservation audit failed: {', '.join(failed)}"
             raise InvariantBreach(self.diagnostic)
 
+    def _halt(self, exc: EngineError) -> None:
+        self.halted = True
+        self.diagnostic = f"{type(exc).__name__} at t={self.t}: {exc}"
+
     def run(self) -> RunArtifacts:
-        """Step to the horizon; any engine error halts the run fail-stop."""
+        """Step to the horizon; any engine error, including one in the
+        first refit at construction, halts the run fail-stop."""
         try:
             while self.t < self.cfg.horizon and not self.halted:
                 self.step_timestep()
         except EngineError as exc:
-            self.halted = True
-            self.diagnostic = f"{type(exc).__name__} at t={self.t}: {exc}"
+            self._halt(exc)
         for row in self.rewards.claims():
             self.logs["rewards"].append(row)
         return RunArtifacts(logs=self.logs, summary=self._summary(), config=self.cfg)
@@ -612,7 +588,7 @@ class Engine:
             "diagnostic": self.diagnostic,
             "timesteps": self.t,
             "epochs": self.epoch,
-            "fills": len(self.fills),
+            "fills": len(self.logs["trades"]),
             "rejected": self.rejected,
             "final_treasury": self.reserve.balance,
             "trader_cost": from_units(self.trader_cost_units),
@@ -630,9 +606,3 @@ class Engine:
             "max_utilisation": self.max_utilisation,
             "liquidations": self.liquidations,
         }
-
-
-def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
-    """Build and run a scenario to completion; ``ConfigInvalid`` when it
-    does not validate."""
-    return Engine(cfg).run()

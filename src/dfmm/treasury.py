@@ -89,14 +89,12 @@ def reward_distribute(
     target pays a corrective transfer of gamma (a fraction of the
     accrued amount) to the underweighted classes; transfers clamp at
     zero so no share goes negative, and the integer residue lands on
-    the pLP share.
+    the pLP share. ``ScenarioConfig.validate`` keeps gamma in [0, 1).
     """
     if accrued_units < 0:
         raise BadRates(f"accrued rewards cannot be negative, got {accrued_units}")
     if accrued_units == 0:
         return RewardShares(0, 0, 0)
-    if not (0.0 <= gamma < 1.0):
-        raise BadRates(f"gamma must be in [0, 1), got {gamma}")
 
     cap_short = vaults.short.capacity()
     cap_long = vaults.long.capacity()
@@ -182,6 +180,3 @@ class RewardLedger:
         for (asset_id, cls), units in sorted(self.claimable_units.items()):
             rows.append((cls, asset_id, cls, from_units(units)))
         return rows
-
-    def total_claimable_units(self) -> int:
-        return sum(self.claimable_units.values()) + sum(self.accrued_units.values())

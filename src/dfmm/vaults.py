@@ -40,12 +40,6 @@ class Vault:
     margin_floor_units: int
     liquidated: bool = False
 
-    def __post_init__(self):
-        if not (0.0 < self.coll_rate <= 1.0):
-            raise BadParams(f"collateralisation rate must be in (0, 1], got {self.coll_rate}")
-        if self.collateral_units < 0:
-            raise BadParams("collateral cannot be negative")
-
     @property
     def collateral(self) -> float:
         return from_units(self.collateral_units)
@@ -128,14 +122,9 @@ def cover_coefficient(
     """Utilisation-dependent premium multiplier.
 
     Equals d_min at zero utilisation and d_max at u_max, following a
-    power-k ramp in between; utilisation beyond u_max is clamped.
+    power-k ramp in between; utilisation beyond u_max is clamped. The
+    parameters' ranges are ``ScenarioConfig.validate``'s to check.
     """
-    if d_min > d_max:
-        raise BadParams(f"d_min {d_min} > d_max {d_max}")
-    if u_max <= 0:
-        raise BadParams(f"u_max must be positive, got {u_max}")
-    if k <= 0:
-        raise BadParams(f"exponent must be positive, got {k}")
     if u < 0:
         raise BadParams(f"utilisation must be nonnegative, got {u}")
     u_eff = min(u, u_max)

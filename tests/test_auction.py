@@ -21,7 +21,7 @@ from dfmm.auction import (
     target_for,
     update_aggressiveness,
 )
-from dfmm.errors import BadParams, InactiveSide, NoTargetInOptimal
+from dfmm.errors import InactiveSide, NoTargetInOptimal
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, premium_units
 from dfmm.vaults import Utilisation
@@ -51,20 +51,12 @@ class TestRegimes:
             assert order.index(regime) >= order.index(classify_regime(prev_u, THR))
             prev_u = float(u)
 
-    def test_threshold_ordering_enforced(self):
-        with pytest.raises(BadParams):
-            RegimeThresholds(0.6, 0.3, 0.9)
-
     def test_targets(self):
         assert target_for(BAND1, TGT) == (10, "epochs")
         assert target_for(BAND2, TGT) == (5, "epochs")
         assert target_for(CRITICAL, TGT) == (3, "timesteps")
         with pytest.raises(NoTargetInOptimal):
             target_for(OPTIMAL, TGT)
-
-    def test_target_ordering_enforced(self):
-        with pytest.raises(BadParams):
-            RebalanceTargets(j_star=2, j_prime=5, j_dagger=1)
 
 
 class TestBreachClock:

@@ -28,6 +28,7 @@ from dfmm.errors import (
     OutOfDomain,
     ParseError,
     ReversedInterval,
+    SolverDivergence,
     TooFewPoints,
 )
 from oracles import grid_solve_volume, newton_quadratic, random_positive_quadratic
@@ -43,7 +44,7 @@ class TestFit:
         assert curve.c2 == pytest.approx(0.0, abs=1e-12)
         assert curve.c1 == pytest.approx(0.0, abs=1e-12)
         assert curve.c0 == pytest.approx(1.0, abs=1e-12)
-        assert curve.fit_domain == (0.0, 2.0)
+        assert (curve.v_lo, curve.v_hi) == (0.0, 2.0)
 
     def test_exact_quadratic_matches_newton_oracle(self):
         pts = quad_points(2.0, 3.0, 1.0, (0.0, 1.0, 2.0))
@@ -97,6 +98,33 @@ class TestFit:
         with pytest.raises(NonPositiveDensity):
             fit_eldf(pts)
 
+    # Every comparison with NaN is false, so only an explicit finiteness
+    # check keeps a NaN or infinite curve out of the engine.
+    @pytest.mark.parametrize(
+        "c2,c1,c0,v_hi",
+        [
+            (math.nan, 0.0, 1.0, 1.0),
+            (0.0, math.inf, 1.0, 1.0),
+            (0.0, 0.0, -math.inf, 1.0),
+            (1e300, 0.0, 1.0, 1e200),  # finite coefficients, density overflows
+        ],
+    )
+    def test_non_finite_density_rejected(self, c2, c1, c0, v_hi):
+        with pytest.raises(NonPositiveDensity, match="not finite"):
+            Eldf(c2, c1, c0, v_lo=0.0, v_hi=v_hi)
+
+    def test_overflowing_volumes_rejected(self):
+        # v*v overflows, so the normal equations give NaN coefficients
+        pts = [CurvePoint(float(v), 1.0) for v in np.linspace(0.0, 1e200, 7)]
+        with pytest.raises(NonPositiveDensity, match="not finite"):
+            fit_eldf(pts)
+
+    def test_underflowing_volumes_diverge(self):
+        # v*v underflows to zero, so the normal equations are singular
+        pts = [CurvePoint(float(v), 1.0) for v in np.linspace(0.0, 1e-200, 7)]
+        with pytest.raises(SolverDivergence, match="singular"):
+            fit_eldf(pts)
+
 
 def uncached_coefficients(points):
     """Column-scaled normal-equation fit rebuilt from scratch: (c2, c1, c0)."""
@@ -131,7 +159,7 @@ class TestDesignCache:
                 pts = [CurvePoint(v, p) for v, p in zip(vols, self.random_prices(rng, vols))]
                 curve = fit_eldf(pts)
                 assert (curve.c2, curve.c1, curve.c0) == uncached_coefficients(pts)
-                assert curve.fit_domain == (vols[0], vols[-1])
+                assert (curve.v_lo, curve.v_hi) == (vols[0], vols[-1])
 
     def test_repeated_grid_hits_cache_and_stays_bit_equal(self):
         vols = [0.0, 1.5, 3.0, 4.5, 6.0]

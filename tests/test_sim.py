@@ -9,10 +9,11 @@ import pytest
 
 from dfmm import cli, eldf
 from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach
+from dfmm.ledger import BalanceSheet
 from dfmm.money import from_units, to_units
 from dfmm.pricing import quote_swap
 from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_config
-from dfmm.sim.engine import Engine, RunArtifacts, run_scenario
+from dfmm.sim.engine import Engine, RunArtifacts
 from dfmm.sim.market import ExternalMarket
 from dfmm.sim.output import write_logs
 from dfmm.vaults import SHORT, boundary_premium_flow
@@ -73,9 +74,52 @@ class TestConfig:
         cfg = scenario(theta0=0.6, theta_star=0.3)
         assert any("theta_star" in v for v in cfg.validate())
 
-    def test_run_scenario_rejects_invalid(self):
-        with pytest.raises(ConfigInvalid):
-            run_scenario(scenario(theta=0.001, xi=0.002))
+    # validate is the one implementation of each range rule: the fee
+    # schedule, auction thresholds and targets, vaults, cover coefficient
+    # and reward split take their parameters from a validated config.
+    @pytest.mark.parametrize(
+        "overrides,violation",
+        [
+            ({"theta": 1.0}, "fees.theta must be in [0, 1), got 1.0"),
+            ({"xi": -0.001}, "fees.xi must be in [0, 1), got -0.001"),
+            (
+                {"theta": 0.001, "xi": 0.002},
+                "fees.xi (0.002) must not exceed fees.theta (0.001)",
+            ),
+            (
+                {"theta0": 0.6, "theta_star": 0.3},
+                "auction thresholds must satisfy 0 <= theta0 <= theta_star <= "
+                "theta_dagger <= 1, got (0.6, 0.3, 0.75)",
+            ),
+            ({"j_star": 2, "j_prime": 3}, "auction.j_star (2) must be >= j_prime (3) >= 1"),
+            ({"j_dagger": 0}, "auction.j_dagger must be >= 1, got 0"),
+            ({"rho_long": 0.0}, "vaults.rho_long must be in (0, 1], got 0.0"),
+            ({"rho_short": 1.5}, "vaults.rho_short must be in (0, 1], got 1.5"),
+            (
+                {"assets": (asset("X", c_long=-1.0), asset("Y"))},
+                "asset.X.c_long and c_short must be >= 0",
+            ),
+            (
+                {"d_min": 0.001, "d_max": 0.0005},
+                "premium.d_min (0.001) must not exceed d_max (0.0005)",
+            ),
+            ({"u_max": 0.0}, "premium.u_max must be > 0, got 0.0"),
+            ({"k": 0.0}, "premium.k must be > 0, got 0.0"),
+            ({"reward_gamma": 1.0}, "rewards.gamma must be in [0, 1), got 1.0"),
+        ],
+        ids=[
+            "theta-range", "xi-range", "xi-above-theta", "threshold-order",
+            "j_star-below-j_prime", "j_dagger-below-1", "rho_long-zero",
+            "rho_short-above-1", "collateral-negative", "d_min-above-d_max",
+            "u_max-zero", "k-zero", "gamma-range",
+        ],
+    )
+    def test_rule_violation_rejected(self, overrides, violation):
+        cfg = scenario(**overrides)
+        assert cfg.validate() == [violation]
+        with pytest.raises(ConfigInvalid) as exc:
+            Engine(cfg)
+        assert exc.value.violations == [violation]
 
     def test_apply_overrides_rejects_unknown(self):
         from dfmm.errors import ParseError
@@ -118,27 +162,27 @@ class TestMarket:
 
 class TestEngine:
     def test_zero_horizon_echoes_initial_state(self):
-        art = run_scenario(scenario(horizon=0))
+        art = Engine(scenario(horizon=0)).run()
         assert art.summary["timesteps"] == 0
         assert art.summary["fills"] == 0
         assert art.logs["trades"] == []
 
     def test_determinism_same_seed(self):
         cfg = scenario(trader_rate=1.5, arb_enabled=True, horizon=40)
-        a1 = run_scenario(cfg)
-        a2 = run_scenario(cfg)
+        a1 = Engine(cfg).run()
+        a2 = Engine(cfg).run()
         assert a1.logs == a2.logs
         assert a1.summary == a2.summary
 
     def test_different_seed_differs(self):
         cfg = scenario(trader_rate=1.5, horizon=40)
-        a1 = run_scenario(cfg)
-        a2 = run_scenario(dataclasses.replace(cfg, seed=8))
+        a1 = Engine(cfg).run()
+        a2 = Engine(dataclasses.replace(cfg, seed=8)).run()
         assert a1.logs["trades"] != a2.logs["trades"]
 
     def test_scripted_trade_fills_once(self):
         cfg = scenario(scripted_trades=((3, "X", "Y", 25.0),))
-        art = run_scenario(cfg)
+        art = Engine(cfg).run()
         assert art.summary["fills"] == 1
         assert len(art.logs["trades"]) == 1
         assert art.logs["trades"][0][0] == 3
@@ -158,13 +202,13 @@ class TestEngine:
             horizon=10,
             epoch_len=5,
         )
-        art = run_scenario(cfg)
+        art = Engine(cfg).run()
         settlements = [row for row in art.logs["vaults"] if float(row[5]) != 0.0]
         assert settlements, "open inventory plus curve moves must settle"
 
     def test_no_settlement_when_curves_static(self):
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),), horizon=10)
-        art = run_scenario(cfg)
+        art = Engine(cfg).run()
         for row in art.logs["vaults"]:
             assert float(row[5]) == pytest.approx(0.0)
 
@@ -184,7 +228,7 @@ class TestEngine:
         for _ in range(4):
             eng.step_timestep()
             assert not eng.vaults["Y"].short.liquidated
-        assert len(eng.fills) == 1
+        assert len(eng.logs["trades"]) == 1
         d_before = eng.params["Y"].d_rhs
         cap_before = eng.vaults["Y"].short.capacity()
         eng.queue_vault_flow("Y", "short", 5000.0)
@@ -261,8 +305,6 @@ class TestEngine:
         cfg = scenario(trader_rate=2.0, horizon=40)
         eng = Engine(cfg)
         eng.run()
-        from dfmm.ledger import BalanceSheet
-
         replayed = BalanceSheet.replay(eng.sheet.log)
         assert replayed.balances() == eng.sheet.balances()
 
@@ -312,6 +354,7 @@ class TestEngine:
                 assert surplus <= vp.long.capacity() + 1e-6
                 assert -surplus <= min(pool.lp_inventory, vp.short.capacity()) + 1e-6
         assert eng.rejected > 0, "scenario should have stressed the caps"
+        assert BalanceSheet.replay(eng.sheet.log).balances() == eng.sheet.balances()
 
 
 class TestPremiumReserve:
@@ -352,12 +395,12 @@ class TestPremiumReserve:
         with pytest.raises(ExceedsCapacity):
             self.quote(eng, eng.limits)
         eng.step_timestep()
-        assert eng.fills == [] and eng.rejected == 1
+        assert eng.logs["trades"] == [] and eng.rejected == 1
 
     def test_debit_within_reserve_fills_and_keeps_vault(self):
         eng = Engine(self.cfg(c_short=200.0))
         eng.step_timestep()
-        assert len(eng.fills) == 1
+        assert len(eng.logs["trades"]) == 1
         side, flow = boundary_premium_flow(
             eng.limits["Y"].t_open_units, eng.sheet.spools["Y"].t_units, eng.params["Y"]
         )
@@ -401,8 +444,10 @@ class TestArbitrageLoop:
         # the zero-cost arbitrageur walks both flows back toward zero
         assert abs(eng.sheet.spools["X"].t) < 1.0
         assert abs(eng.sheet.spools["Y"].t) < 1.0
-        arb_fills = [f for f in eng.fills if f.agent == "arb"]
-        assert arb_fills
+        # the script fills once, at t=2, and no trader flows, so every
+        # later fill is the arbitrageur's
+        assert [row[0] for row in eng.logs["trades"]][:1] == [2]
+        assert len(eng.logs["trades"]) > 1
 
     def test_flow_nonincreasing_after_shock(self):
         eng = Engine(self.shock_cfg())
@@ -452,6 +497,30 @@ class TestFailStop:
         rows = {f["name"]: f["rows"] for f in manifest["files"]}
         assert rows["trades.csv"] == summary["fills"] > 0
         assert rows["metrics.csv"] > 0
+
+    # Both depths pass validate, but the first refit, in Engine.__init__,
+    # cannot build a curve: v*v overflows to NaN coefficients at 1e200 and
+    # underflows to a singular fit at 1e-200.
+    @pytest.mark.parametrize(
+        "depth,diagnostic",
+        [
+            ("1e200", "NonPositiveDensity at t=0: density nan*v^2"),
+            ("1e-200", "SolverDivergence at t=0: normal equations singular"),
+        ],
+    )
+    def test_first_refit_error_halts_with_exit_3(self, tmp_path, capsys, depth, diagnostic):
+        ini = demo_ini(tmp_path, {"asset.ALPHA": {"depth": depth}})
+        assert cli.main(["validate", str(ini)]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ini), "--out", str(out)]) == cli.EXIT_BREACH
+        err = capsys.readouterr().err
+        assert err.startswith(f"run halted: {diagnostic}")
+        assert err.count("\n") == 1  # the diagnostic alone, no traceback
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["halted"] and summary["timesteps"] == 0
+        assert summary["diagnostic"].startswith(diagnostic)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {f["name"] for f in manifest["files"]} >= {"summary.json", "trades.csv"}
 
     def test_oversized_queued_withdrawal_halts(self):
         cfg = scenario(

@@ -5,7 +5,7 @@ from dfmm.auction import LHS, ON_TARGET, RHS, TOO_FAST, TOO_SLOW, update_aggress
 from dfmm.errors import BadRates, ConfigInvalid, NegativeReserveInvariantBreach
 from dfmm.ledger import AssetPool
 from dfmm.money import from_units, to_units
-from dfmm.pricing import FeeSchedule, RebalanceParams
+from dfmm.pricing import RebalanceParams
 from dfmm.sim.config import AssetConfig, ScenarioConfig
 from dfmm.sim.engine import Engine
 from dfmm.treasury import (
@@ -41,19 +41,13 @@ def discrepancy(t_open, a_prev, comparison, lam, d):
 
 
 def fee_split(theta, xi):
-    """One scripted fill: (fill, treasury xi slice, accrued reward), units."""
+    """One fill: (its quote, treasury xi slice, accrued reward), units."""
     assets = tuple(
         AssetConfig(asset_id=aid, depth=5000.0, deposit=2000.0) for aid in ("X", "Y")
     )
-    eng = Engine(
-        ScenarioConfig(
-            horizon=1, theta=theta, xi=xi, assets=assets,
-            scripted_trades=((1, "X", "Y", 25.0),),
-        )
-    )
-    eng.step_timestep()
-    (fill,) = eng.fills
-    return fill, eng.reserve.balance_units, eng.rewards.pending_units("Y")
+    eng = Engine(ScenarioConfig(horizon=1, theta=theta, xi=xi, assets=assets))
+    quote = eng.submit_trade("X", "Y", 25.0, agent="script")
+    return quote, eng.reserve.balance_units, eng.rewards.pending_units("Y")
 
 
 class TestDiscrepancy:
@@ -95,14 +89,14 @@ class TestFeesAndRewards:
     round(xi * v_s), capped at the fee, and the rest accrues as reward."""
 
     def test_zero_rate(self):
-        fill, xi_units, reward_units = fee_split(0.003, 0.0)
+        quote, xi_units, reward_units = fee_split(0.003, 0.0)
         assert xi_units == 0
-        assert reward_units == fill.fee_units > 0
+        assert reward_units == quote.fee_units > 0
 
     def test_fee_value(self):
-        fill, xi_units, _ = fee_split(0.003, 0.001)
-        assert xi_units == round(0.001 * fill.v_s_units)
-        assert from_units(xi_units) == pytest.approx(0.001 * from_units(fill.v_s_units))
+        quote, xi_units, _ = fee_split(0.003, 0.001)
+        assert xi_units == round(0.001 * quote.v_s_units)
+        assert from_units(xi_units) == pytest.approx(0.001 * from_units(quote.v_s_units))
 
     def test_unit_rate_rejected(self):
         with pytest.raises(ConfigInvalid, match="xi"):
@@ -110,21 +104,17 @@ class TestFeesAndRewards:
 
     def test_reward_all_to_treasury(self):
         # xi == theta: the reward is only the commit's rounding residue
-        fill, xi_units, reward_units = fee_split(0.003, 0.003)
-        assert xi_units + reward_units == fill.fee_units
-        assert reward_units == max(fill.fee_units - round(0.003 * fill.v_s_units), 0)
+        quote, xi_units, reward_units = fee_split(0.003, 0.003)
+        assert xi_units + reward_units == quote.fee_units
+        assert reward_units == max(quote.fee_units - round(0.003 * quote.v_s_units), 0)
         assert reward_units <= 4
 
     def test_reward_value(self):
-        fill, xi_units, reward_units = fee_split(0.003, 0.001)
-        assert xi_units + reward_units == fill.fee_units
+        quote, xi_units, reward_units = fee_split(0.003, 0.001)
+        assert xi_units + reward_units == quote.fee_units
         assert from_units(reward_units) == pytest.approx(
-            0.002 * from_units(fill.v_s_units), abs=1e-11
+            0.002 * from_units(quote.v_s_units), abs=1e-11
         )
-
-    def test_xi_above_theta_rejected(self):
-        with pytest.raises(ValueError):
-            FeeSchedule(theta=0.001, xi=0.002)
 
 
 class TestTreasuryUpdate:

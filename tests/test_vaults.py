@@ -110,12 +110,10 @@ class TestCoverCoefficient:
             assert all(b >= a - 1e-12 for a, b in zip(ds, ds[1:]))
 
     def test_bad_params(self):
-        with pytest.raises(BadParams):
-            cover_coefficient(0.5, 2.0, 1.0, 1.0, 2.0)
-        with pytest.raises(BadParams):
-            cover_coefficient(0.5, 0.5, 2.0, 0.0, 2.0)
-        with pytest.raises(BadParams):
-            cover_coefficient(0.5, 0.5, 2.0, 1.0, 0.0)
+        # d_min, d_max, u_max and k are ScenarioConfig.validate's to check
+        # (tests/test_sim.py::TestConfig); the utilisation is a runtime value
+        with pytest.raises(BadParams, match="utilisation"):
+            cover_coefficient(-0.5, 0.5, 2.0, 1.0, 2.0)
 
 
 class TestSwaption:
