@@ -121,6 +121,10 @@ class TestConfig:
             Engine(cfg)
         assert exc.value.violations == [violation]
 
+    def test_run_scenario_rejects_invalid(self):
+        with pytest.raises(ConfigInvalid):
+            Engine(scenario(theta=0.001, xi=0.002)).run()
+
     def test_apply_overrides_rejects_unknown(self):
         from dfmm.errors import ParseError
 

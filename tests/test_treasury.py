@@ -116,6 +116,10 @@ class TestFeesAndRewards:
             0.002 * from_units(quote.v_s_units), abs=1e-11
         )
 
+    def test_xi_above_theta_rejected(self):
+        with pytest.raises(ConfigInvalid, match="xi"):
+            fee_split(0.001, 0.002)
+
 
 class TestTreasuryUpdate:
     def test_fee_then_cost(self):
