@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .errors import CorruptManifest, EngineError, ParseError, UnknownLogKind
+from .errors import CorruptManifest, ParseError, UnknownLogKind
 from .sim.config import SWEEPABLE, ScenarioConfig, _convert, apply_overrides, load_config
 from .sim.engine import Engine
 from .sim.output import read_log, read_manifest, write_logs
@@ -34,31 +34,30 @@ def _default_out(config_path: str, seed: int) -> str:
     return os.path.join(root, f"{stem}_seed{seed}")
 
 
-def cmd_validate(args) -> int:
+def _load_valid(path: str, violations_to, seed: int | None = None):
+    """The validated config of a scenario file, or None once a parse error
+    (to stderr) or the violations (to ``violations_to``) are printed."""
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(path, seed_override=seed)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return None
     violations = cfg.validate()
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
+    for v in violations:
+        print(f"violation: {v}", file=violations_to)
+    return None if violations else cfg
+
+
+def cmd_validate(args) -> int:
+    if _load_valid(args.config, sys.stdout) is None:
         return EXIT_VALIDATION
     print("ok")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config, seed_override=args.seed)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    violations = cfg.validate()
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
+    cfg = _load_valid(args.config, sys.stderr, seed=args.seed)
+    if cfg is None:
         return EXIT_VALIDATION
     outdir = args.out or _default_out(args.config, cfg.seed)
     started = time.monotonic()
@@ -104,50 +103,37 @@ def _sweep_seed(base_seed: int, index: int) -> int:
 
 
 def _sweep_worker(payload):
-    index, cfg, overrides = payload
-    try:
-        artifacts = Engine(cfg).run()
-        summary = artifacts.summary
-        return (index, overrides, summary, None)
-    except EngineError as exc:
-        return (index, overrides, None, str(exc))
+    """Summary of one grid point's run; an engine error halts the run,
+    and the sweep reports the point as breach."""
+    index, cfg = payload
+    return index, Engine(cfg).run().summary
 
 
 def cmd_sweep(args) -> int:
+    base = _load_valid(args.config, sys.stderr)
+    if base is None:
+        return EXIT_VALIDATION
     try:
-        base = load_config(args.config)
         points = _grid_points(args.grid)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    violations = base.validate()
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
 
-    jobs = []
+    invalid = {}
+    runnable = []
     for index, overrides in enumerate(points):
         cfg = replace(apply_overrides(base, overrides), seed=_sweep_seed(base.seed, index))
         bad = cfg.validate()
         if bad:
-            jobs.append((index, None, overrides, "; ".join(bad)))
+            invalid[index] = "; ".join(bad)
         else:
-            jobs.append((index, cfg, overrides, None))
+            runnable.append((index, cfg))
 
-    results = {}
-    runnable = [(i, cfg, ov) for i, cfg, ov, err in jobs if cfg is not None]
     if args.jobs > 1 and len(runnable) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for index, overrides, summary, err in pool.map(_sweep_worker, runnable):
-                results[index] = (overrides, summary, err)
+            summaries = dict(pool.map(_sweep_worker, runnable))
     else:
-        for payload in runnable:
-            index, overrides, summary, err = _sweep_worker(payload)
-            results[index] = (overrides, summary, err)
-    for index, _cfg, overrides, err in jobs:
-        if err is not None:
-            results[index] = (overrides, None, err)
+        summaries = dict(map(_sweep_worker, runnable))
 
     keys = sorted({k for p in points for k in p})
     header = ["point"] + keys + [
@@ -155,12 +141,12 @@ def cmd_sweep(args) -> int:
         "min_solvency_margin", "status",
     ]
     print(",".join(header))
-    for index in range(len(points)):
-        overrides, summary, err = results[index]
+    for index, overrides in enumerate(points):
         cells = [str(index)] + [repr(overrides.get(k, "")) for k in keys]
-        if summary is None:
-            cells += ["", "", "", "", "", f"error: {err}"]
+        if index in invalid:
+            cells += ["", "", "", "", "", f"error: {invalid[index]}"]
         else:
+            summary = summaries[index]
             status = "breach" if summary["halted"] else "ok"
             cells += [
                 str(summary["fills"]),

@@ -83,10 +83,6 @@ class ZeroPrevValue(EngineError):
     pass
 
 
-class NoCounterpartyCollateral(EngineError):
-    pass
-
-
 # --- auction ---
 
 class NoTargetInOptimal(EngineError):

@@ -10,6 +10,7 @@ trades at fixed timesteps.
 from __future__ import annotations
 
 import configparser
+import sys
 from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigInvalid, ParseError
@@ -64,7 +65,6 @@ class ScenarioConfig:
     rho_long: float = 0.5
     rho_short: float = 0.5
     margin_floor: float = 1.0
-    settlement_enabled: bool = True
     # engine behaviour
     clamp_extrapolation: bool = True
     u_max_report: float = 10.0
@@ -166,6 +166,9 @@ class ScenarioConfig:
                 v.append(f"{tag}.sigma must be >= 0, got {a.sigma}")
             if a.depth <= 0:
                 v.append(f"{tag}.depth must be > 0, got {a.depth}")
+            elif not (sys.float_info.min <= a.depth * a.depth <= sys.float_info.max):
+                # the snapshot fit squares depths: NaN or singular otherwise
+                v.append(f"{tag}.depth squared must be a normal finite float, got {a.depth}")
             if a.n_points < 3:
                 v.append(f"{tag}.n_points must be >= 3, got {a.n_points}")
             if a.deposit <= 0:
@@ -228,7 +231,6 @@ _SECTION_FIELDS = {
         "rho_long": float,
         "rho_short": float,
         "margin_floor": float,
-        "settlement_enabled": bool,
     },
     "engine": {"clamp_extrapolation": bool, "u_max_report": float},
     "rewards": {"gamma": float, "alpha": float},
@@ -243,7 +245,6 @@ _SECTION_FIELDS = {
 _KEY_RENAMES = {
     ("premium", "lambda"): "lam",
     ("auction", "enabled"): "auction_enabled",
-    ("vaults", "settlement_enabled"): "settlement_enabled",
     ("rewards", "gamma"): "reward_gamma",
     ("rewards", "alpha"): "reward_alpha",
     ("traders", "rate"): "trader_rate",

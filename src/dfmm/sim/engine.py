@@ -8,6 +8,13 @@ withdrawals, distribute rewards, and re-strike hedge positions. One run
 is strictly single-threaded; all randomness derives from the scenario
 seed, so identical configs produce identical outputs byte for byte.
 
+Settlement, premium flow and each queued flow move a vault's collateral
+by integer ledger units (positive into the vault, the sign convention of
+``vaults``), and each is followed by a margin check. ``liquidations``
+adds up the checks that liquidated a vault, so it counts each
+liquidation once: without queued deposits, which can revive a vault, it
+equals the 0 -> 1 flips of the vaults log's ``liquidated`` column.
+
 Every quote, whether from a trader, the script or the arbitrageur, is
 gated on vault capacity net of a reserve: the premium debit the next
 boundary would take from the covering vault at the post-trade flow T,
@@ -47,6 +54,7 @@ from ..treasury import RewardLedger, TreasuryReserve, treasury_update
 from ..vaults import (
     LONG,
     SHORT,
+    SwaptionPosition,
     Vault,
     VaultPair,
     VaultLimits,
@@ -104,7 +112,7 @@ class Engine:
         self.sheet = BalanceSheet()
         self.curves: dict[str, AssetCurves] = {}
         self.strike_bid: dict[str, Eldf] = {}
-        self.positions: dict[str, object] = {}
+        self.positions: dict[str, SwaptionPosition | None] = {}
         self.vaults: dict[str, VaultPair] = {}
         self.params: dict[str, RebalanceParams] = {}
         self.limits: dict[str, VaultLimits] = {}
@@ -393,33 +401,27 @@ class Engine:
             settlement_units = {LONG: 0, SHORT: 0}
             flow_units = {LONG: 0, SHORT: 0}
 
-            pos = self.positions.get(aid)
-            if pos is not None and cfg.settlement_enabled:
-                counterparty = (
-                    vp.long if pos.direction == "protocol_pays_variable" else vp.short
+            pos = self.positions[aid]
+            if pos is not None:
+                vault = vp.by_side(pos.side)
+                moved = settle_swaption(
+                    pos, self.strike_bid[aid], self.curves[aid].bid, vault
                 )
-                side = LONG if counterparty is vp.long else SHORT
-                outcome = settle_swaption(
-                    pos, self.strike_bid[aid], self.curves[aid].bid, counterparty
-                )
-                signed = outcome.paid_units if outcome.vault_pays else -outcome.paid_units
-                self.hedge_pnl_units += signed
-                self.settlement_net_units += signed
-                settlement_units[side] = -signed
-                if margin_check(counterparty):
-                    self._liquidate(aid, counterparty)
+                self.hedge_pnl_units -= moved
+                self.settlement_net_units -= moved
+                settlement_units[pos.side] = moved
+                self.liquidations += margin_check(vault)
 
             t_now = self.sheet.spools[aid].t_units
             t_prev = self.limits[aid].t_open_units
             side = covering_side(t_prev, t_now)
             if side is not None:
                 vault = vp.by_side(side)
-                result = slp_premium_flow(t_prev, t_now, self.params[aid], vault)
-                self.hedge_pnl_units -= result.applied_units
-                self.slp_flow_net_units -= result.applied_units
-                flow_units[side] += result.applied_units
-                if result.liquidated:
-                    self._liquidate(aid, vault)
+                applied = slp_premium_flow(t_prev, t_now, self.params[aid], vault)
+                self.hedge_pnl_units -= applied
+                self.slp_flow_net_units -= applied
+                flow_units[side] += applied
+                self.liquidations += margin_check(vault)
 
             still_queued = []
             for asset_q, side_q, amount_q in self.queued_vault_flows:
@@ -441,7 +443,7 @@ class Engine:
                     vault.withdraw(take)
                     amount_q = -take
                 self.vault_external_units += amount_q
-                margin_check(vault)
+                self.liquidations += margin_check(vault)
             self.queued_vault_flows = still_queued
 
             pending = self.rewards.pending_units(aid)
@@ -473,10 +475,6 @@ class Engine:
                     )
                 )
         self._strike_all()
-
-    def _liquidate(self, aid: str, vault: Vault) -> None:
-        self.liquidations += 1
-        self.positions[aid] = None  # exposure unwound on liquidation
 
     # ------------------------------------------------------------------
     # metrics, audit, run loop
@@ -565,24 +563,29 @@ class Engine:
         self.diagnostic = f"{type(exc).__name__} at t={self.t}: {exc}"
 
     def run(self) -> RunArtifacts:
-        """Step to the horizon; any engine error, including one in the
-        first refit at construction, halts the run fail-stop."""
+        """Step to the horizon and value the final margin; any engine
+        error, including one in the first refit at construction or in
+        that final valuation, halts the run fail-stop."""
+        margin_units = 0
         try:
             while self.t < self.cfg.horizon and not self.halted:
                 self.step_timestep()
+            if not self.halted:
+                margin_units = self.solvency_margin_units()
         except EngineError as exc:
             self._halt(exc)
         for row in self.rewards.claims():
             self.logs["rewards"].append(row)
-        return RunArtifacts(logs=self.logs, summary=self._summary(), config=self.cfg)
+        return RunArtifacts(
+            logs=self.logs, summary=self._summary(margin_units), config=self.cfg
+        )
 
-    def _summary(self) -> dict:
+    def _summary(self, margin_units: int) -> dict:
         vault_now = sum(
             vp.long.collateral_units + vp.short.collateral_units
             for vp in self.vaults.values()
         )
         slp_pnl_units = vault_now - self.initial_vault_units - self.vault_external_units
-        margin_units = self.solvency_margin_units() if not self.halted else 0
         return {
             "halted": self.halted,
             "diagnostic": self.diagnostic,

@@ -6,10 +6,17 @@ vault covers surpluses. A vault's capacity is collateral divided by its
 collateralisation rate and drops to zero on liquidation. Each epoch
 boundary passes the premium move to the covering vault; the trade gate
 holds that debit back from the vault's capacity at quote time
-(``side_cap``, ``VaultLimits``). A swaption per
-asset and epoch settles the change in external-curve valuation of the
-open-inventory notional; settlement is non-recourse, capped at the
-paying vault's collateral.
+(``side_cap``, ``VaultLimits``). A swaption per asset and epoch settles
+the change in external-curve valuation of the open-inventory notional
+with the vault on the open side.
+
+Sign convention: every boundary function returns the integer ledger
+units it moved into the vault, negative when the vault paid. The short
+vault pays a rise in the notional's valuation and the long vault pays a
+fall; a payment is non-recourse, capped at the collateral of a vault
+that is not liquidated. ``margin_check`` returns True only on the call
+that liquidates a vault, so a caller that adds up its results counts
+each liquidation once.
 """
 
 from __future__ import annotations
@@ -19,16 +26,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .eldf import Eldf, integrate_eldf
-from .errors import BadParams, NoCounterpartyCollateral, ZeroPrevValue
+from .errors import BadParams, ZeroPrevValue
 from .ledger import AssetPool
 from .money import SCALE, from_units, to_units
 from .pricing import RebalanceParams, premium_units
 
 LONG = "long"
 SHORT = "short"
-
-PROTOCOL_PAYS_VARIABLE = "protocol_pays_variable"
-PROTOCOL_PAYS_FIXED = "protocol_pays_fixed"
 
 
 @dataclass
@@ -44,18 +48,11 @@ class Vault:
     def collateral(self) -> float:
         return from_units(self.collateral_units)
 
-    def capacity(self, reserve_units: int = 0) -> float:
-        """Maximum open inventory this vault can cover; 0 once liquidated.
-
-        ``reserve_units`` is collateral the vault already owes, held back
-        from what it covers: the trade gate passes the premium debit the
-        next epoch boundary will take from it, and covers nothing once
-        that debit would leave the vault at or below its margin floor
-        (``side_cap``).
-        """
+    def capacity(self) -> float:
+        """Maximum open inventory this vault can cover; 0 once liquidated."""
         if self.liquidated:
             return 0.0
-        return from_units(self.collateral_units - reserve_units) / self.coll_rate
+        return from_units(self.collateral_units) / self.coll_rate
 
     def deposit(self, amount_units: int) -> None:
         if amount_units <= 0:
@@ -92,23 +89,24 @@ def utilisation(
 ) -> Utilisation:
     """Open inventory relative to what the vaults can support, per side.
 
-    The deficit side is additionally bounded by the LP claim itself (a
-    deficit can never exceed what LPs deposited), so the deficit is
-    divided by min(LP claim, short capacity): more short collateral
-    lowers u_rhs, and with it the cover coefficient, only while the
-    vault and not the LP claim is the binding term. Each side is
-    reported capped at ``u_max_report``, which is also what a side with
-    open inventory and no capacity (a liquidated vault) reports; zero
-    open inventory reports zero whatever the capacity.
+    Each side's open inventory is divided by the bound the trade gate
+    applies to it, ``side_cap`` with no reserve: the deficit by
+    min(LP claim, short capacity), so more short collateral lowers
+    u_rhs, and with it the cover coefficient, only while the vault and
+    not the LP claim is the binding term; the surplus by long capacity.
+    Each side is reported capped at ``u_max_report``, which is also what
+    a side with open inventory and no capacity (a liquidated vault, or
+    one at or below its margin floor) reports; zero open inventory
+    reports zero whatever the capacity.
     """
     deficit = pool.lp_inventory - pool.inventory
     u_rhs = 0.0
     u_lhs = 0.0
     if deficit > 0:
-        denom = min(pool.lp_inventory, vaults.short.capacity())
+        denom = side_cap(pool, vaults.short)
         u_rhs = deficit / denom if denom > 0 else u_max_report
     elif deficit < 0:
-        denom = vaults.long.capacity()
+        denom = side_cap(pool, vaults.long)
         u_lhs = -deficit / denom if denom > 0 else u_max_report
     return Utilisation(
         u_rhs=min(max(u_rhs, 0.0), u_max_report),
@@ -133,12 +131,13 @@ def cover_coefficient(
 
 @dataclass(frozen=True)
 class SwaptionPosition:
-    """One epoch's hedge of the open-inventory notional."""
+    """One epoch's hedge of the open-inventory notional with the vault on
+    ``side``: LONG for a surplus, SHORT for a deficit."""
 
     asset_id: str
     notional: float
     fixed_leg_value_units: int
-    direction: str
+    side: str
 
 
 def strike_swaption(pool: AssetPool, curve: Eldf) -> Optional[SwaptionPosition]:
@@ -148,44 +147,25 @@ def strike_swaption(pool: AssetPool, curve: Eldf) -> Optional[SwaptionPosition]:
     if gap == 0.0:
         return None
     notional = abs(gap)
-    direction = PROTOCOL_PAYS_VARIABLE if gap > 0 else PROTOCOL_PAYS_FIXED
     value = integrate_eldf(curve, 0.0, notional)
     return SwaptionPosition(
         asset_id=pool.asset_id,
         notional=notional,
         fixed_leg_value_units=to_units(value),
-        direction=direction,
+        side=LONG if gap > 0 else SHORT,
     )
 
 
-@dataclass(frozen=True)
-class SettlementOutcome:
-    """Signed settlement from the variable payer to the fixed owner.
-
-    paid_units carries the actual transfer after the non-recourse cap;
-    vault_pays is True when the sLP side owes (its collateral was
-    debited), False when the protocol owes the sLP.
-    """
-
-    raw_units: int
-    paid_units: int
-    vault_pays: bool
-    capped: bool
-
-
 def settle_swaption(
-    pos: SwaptionPosition,
-    curve_prev: Eldf,
-    curve_now: Eldf,
-    counterparty: Vault | None,
-) -> SettlementOutcome:
-    """Settle the epoch move of the notional's curve valuation.
+    pos: SwaptionPosition, curve_prev: Eldf, curve_now: Eldf, vault: Vault
+) -> int:
+    """Settle the epoch move of the notional's curve valuation with the
+    vault on the position's side; returns the units moved into it.
 
-    Settlement = notional * (value_now / value_prev - 1), positive paid
-    by the variable-leg payer to the fixed-leg owner. When the sLP vault
-    is the payer the transfer is capped at its collateral and the vault
-    is debited here; the protocol side of the cash movement is the
-    caller's to book.
+    The move is notional * (value_now / value_prev - 1). The short vault
+    pays a rise and the long vault pays a fall, capped at its collateral
+    (nothing once liquidated); the vault is credited the other way. The
+    protocol side of the cash movement is the caller's to book.
     """
     value_prev = integrate_eldf(curve_prev, 0.0, pos.notional)
     if value_prev <= 0:
@@ -193,55 +173,41 @@ def settle_swaption(
             f"previous-epoch valuation {value_prev} of {pos.asset_id} notional"
         )
     value_now = integrate_eldf(curve_now, 0.0, pos.notional)
-    raw = to_units(pos.notional * (value_now / value_prev - 1.0))
-    if raw == 0:
-        return SettlementOutcome(0, 0, vault_pays=False, capped=False)
-
-    # Variable payer owes on raw > 0. The sLP holds the variable leg when
-    # the protocol pays fixed, and vice versa.
-    slp_is_variable = pos.direction == PROTOCOL_PAYS_FIXED
-    vault_pays = (raw > 0) == slp_is_variable
-    if vault_pays:
-        if counterparty is None:
-            raise NoCounterpartyCollateral(f"no vault to settle {pos.asset_id}")
-        available = 0 if counterparty.liquidated else counterparty.collateral_units
-        paid = min(abs(raw), available)
-        counterparty.collateral_units -= paid
-        return SettlementOutcome(raw, paid, vault_pays=True, capped=paid < abs(raw))
-    paid = abs(raw)
-    if counterparty is not None:
-        counterparty.collateral_units += paid
-    return SettlementOutcome(raw, paid, vault_pays=False, capped=False)
+    rise = to_units(pos.notional * (value_now / value_prev - 1.0))
+    owed = rise if pos.side == SHORT else -rise
+    available = 0 if vault.liquidated else vault.collateral_units
+    moved = -min(owed, available) if owed > 0 else -owed
+    vault.collateral_units += moved
+    return moved
 
 
 def margin_check(vault: Vault) -> bool:
-    """Liquidate when collateral is at or below the floor.
+    """Liquidate a vault whose collateral is at or below its floor.
 
-    Liquidation zeroes the vault's capacity contribution; swaption
-    exposure is unwound by the caller. Returns True when liquidation
-    fired.
+    Liquidation zeroes the vault's capacity. Returns True only when this
+    call liquidated the vault, False for one already liquidated.
     """
-    if vault.liquidated:
-        return True
-    if vault.collateral_units <= vault.margin_floor_units:
-        vault.liquidated = True
-        return True
-    return False
+    if vault.liquidated or vault.collateral_units > vault.margin_floor_units:
+        return False
+    vault.liquidated = True
+    return True
 
 
 def side_cap(pool: AssetPool, vault: Vault, reserve_units: int = 0) -> float:
     """Cap on the open inventory one vault covers, net of a reserve.
 
     The long vault caps the surplus; the short vault and the LP claim
-    together cap the deficit. Reserve rule: ``reserve_units``, the
-    premium debit the next epoch boundary will take from this vault, is
-    held back from its collateral, and a vault whose collateral net of
-    the reserve is at or below the margin floor caps open inventory at
-    zero, since that boundary's margin check would liquidate it.
+    together cap the deficit; a liquidated vault covers nothing. Reserve
+    rule: ``reserve_units``, the premium debit the next epoch boundary
+    will take from this vault, is held back from its collateral, and a
+    vault whose collateral net of the reserve is at or below the margin
+    floor caps open inventory at zero, since that boundary's margin
+    check would liquidate it. This is the one place the reserve applies.
     """
-    if vault.collateral_units - reserve_units <= vault.margin_floor_units:
+    free_units = vault.collateral_units - reserve_units
+    if vault.liquidated or free_units <= vault.margin_floor_units:
         return 0.0
-    cap = vault.capacity(reserve_units)
+    cap = from_units(free_units) / vault.coll_rate
     return cap if vault.side == LONG else min(pool.lp_inventory, cap)
 
 
@@ -319,26 +285,18 @@ def covering_side(t_open_units: int, t_now_units: int) -> str | None:
 
 def boundary_premium_flow(
     t_open_units: int, t_now_units: int, params: RebalanceParams
-) -> tuple[str | None, int]:
-    """Premium flow an epoch boundary passes to the sLP vaults.
+) -> int:
+    """Premium flow an epoch boundary passes to the covering vault.
 
-    Returns the covering side and the signed flow in ledger units: the
-    fall of the outstanding premium from the epoch's open to now, a
-    credit when positive and a debit when negative. The boundary
+    The signed flow in ledger units is the fall of the outstanding
+    premium from the epoch's open to now, a credit when positive and a
+    debit when negative; ``covering_side`` names the vault. The boundary
     (``slp_premium_flow``) values the flow here; the trade gate
     (``VaultLimits``) takes the same difference of ``premium_units``
     values, so the reserve held back at quote time is what the boundary
     takes while the params stay put.
     """
-    flow = premium_units(t_open_units, params) - premium_units(t_now_units, params)
-    return covering_side(t_open_units, t_now_units), flow
-
-
-@dataclass(frozen=True)
-class PremiumFlowResult:
-    applied_units: int
-    requested_units: int
-    liquidated: bool
+    return premium_units(t_open_units, params) - premium_units(t_now_units, params)
 
 
 def slp_premium_flow(
@@ -346,26 +304,20 @@ def slp_premium_flow(
     t_next_units: int,
     params: RebalanceParams,
     vault: Vault,
-) -> PremiumFlowResult:
-    """Pass the premium move through to the covering vault's collateral.
+) -> int:
+    """Pass the premium move through to the covering vault's collateral;
+    returns the units applied.
 
     The vault is credited when the outstanding premium fell (the system
     rebalanced) and debited when it rose; the amount is
     ``boundary_premium_flow``. Debits are non-recourse: they stop at
-    zero collateral, after which the margin check liquidates. The trade
-    gate holds each quote's debit back from the covering vault's
-    capacity, so while that vault's side has open inventory a debit
-    only outgrows the collateral when the params rose after the quote
-    or a settlement took collateral first.
+    zero collateral, ``max(flow, -collateral)``; the caller's margin
+    check then liquidates. The trade gate holds each quote's debit back
+    from the covering vault's capacity, so while that vault's side has
+    open inventory a debit only outgrows the collateral when the params
+    rose after the quote or a settlement took collateral first.
     """
-    _, flow = boundary_premium_flow(t_prev_units, t_next_units, params)
-    if flow >= 0:
-        vault.collateral_units += flow
-        applied = flow
-    else:
-        applied = -min(-flow, vault.collateral_units)
-        vault.collateral_units += applied
-    liquidated = margin_check(vault)
-    return PremiumFlowResult(
-        applied_units=applied, requested_units=flow, liquidated=liquidated
-    )
+    flow = boundary_premium_flow(t_prev_units, t_next_units, params)
+    applied = max(flow, -vault.collateral_units)
+    vault.collateral_units += applied
+    return applied

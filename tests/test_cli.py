@@ -33,6 +33,30 @@ class TestValidate:
         assert f"asset.ALPHA: {side} density hits zero" in captured.out + captured.err
         assert not out.exists()
 
+    # The snapshot fit squares the depth: at 1e200 that overflows to NaN
+    # coefficients, at 1e-200 it underflows to a singular fit.
+    @pytest.mark.parametrize("depth", ["1e200", "1e-200"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unfittable_depth_exits_2(self, tmp_path, capsys, command, depth):
+        ini = demo_ini(tmp_path, {"asset.ALPHA": {"depth": depth}})
+        out = tmp_path / "out"
+        argv = [command, str(ini)] + (["--out", str(out)] if command == "run" else [])
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        violation = "asset.ALPHA.depth squared must be a normal finite float, got "
+        assert f"violation: {violation}{float(depth)}" in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("depth", ["1.3e154", "1.5e-154"])
+    def test_depth_with_normal_square_is_valid(self, tmp_path, capsys, depth):
+        ini = demo_ini(tmp_path, {"asset.ALPHA": {"depth": depth}})
+        assert cli.main(["validate", str(ini)]) == cli.EXIT_OK
+
+    def test_removed_settlement_key_is_a_parse_error(self, tmp_path, capsys):
+        ini = demo_ini(tmp_path, {"vaults": {"settlement_enabled": "true"}})
+        assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("parse error: ")
+
 
 class TestSweep:
     def test_two_point_grid(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dfmm import cli, eldf
-from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach
+from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach, SolverDivergence
 from dfmm.ledger import BalanceSheet
 from dfmm.money import from_units, to_units
 from dfmm.pricing import quote_swap
@@ -16,7 +16,7 @@ from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_c
 from dfmm.sim.engine import Engine, RunArtifacts
 from dfmm.sim.market import ExternalMarket
 from dfmm.sim.output import write_logs
-from dfmm.vaults import SHORT, boundary_premium_flow
+from dfmm.vaults import SHORT, boundary_premium_flow, covering_side
 
 import numpy as np
 
@@ -210,6 +210,26 @@ class TestEngine:
         settlements = [row for row in art.logs["vaults"] if float(row[5]) != 0.0]
         assert settlements, "open inventory plus curve moves must settle"
 
+    def test_liquidations_count_each_vault_flip_once(self):
+        # tiny vaults under busy flow: several liquidate, and a liquidated
+        # vault stays liquidated through the later boundaries
+        small = dict(c_long=10.0, c_short=10.0, sigma=0.1)
+        cfg = scenario(
+            trader_rate=4,
+            horizon=80,
+            epoch_len=2,
+            seed=1,
+            assets=(asset("X", **small), asset("Y", mid_price=50.0, **small)),
+        )
+        art = Engine(cfg).run()
+        liquidated, flips = {}, 0
+        for row in art.logs["vaults"]:
+            vault, now = (row[1], row[2]), int(row[7])
+            flips += now and not liquidated.get(vault, 0)
+            liquidated[vault] = now
+        assert flips > 0
+        assert art.summary["liquidations"] == flips
+
     def test_no_settlement_when_curves_static(self):
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),), horizon=10)
         art = Engine(cfg).run()
@@ -393,8 +413,8 @@ class TestPremiumReserve:
         pool = eng.sheet.pools["Y"]
         deficit_after = pool.lp_inventory - (pool.inventory - quote.v_out)
         assert deficit_after < c_short / 0.5
-        side, flow = boundary_premium_flow(0, quote.t_out_after_units, eng.params["Y"])
-        assert side == SHORT
+        assert covering_side(0, quote.t_out_after_units) == SHORT
+        flow = boundary_premium_flow(0, quote.t_out_after_units, eng.params["Y"])
         assert (c_short - from_units(-flow)) / 0.5 < deficit_after
         with pytest.raises(ExceedsCapacity):
             self.quote(eng, eng.limits)
@@ -405,10 +425,9 @@ class TestPremiumReserve:
         eng = Engine(self.cfg(c_short=200.0))
         eng.step_timestep()
         assert len(eng.logs["trades"]) == 1
-        side, flow = boundary_premium_flow(
-            eng.limits["Y"].t_open_units, eng.sheet.spools["Y"].t_units, eng.params["Y"]
-        )
-        assert side == SHORT and flow < 0
+        t_open, t_now = eng.limits["Y"].t_open_units, eng.sheet.spools["Y"].t_units
+        flow = boundary_premium_flow(t_open, t_now, eng.params["Y"])
+        assert covering_side(t_open, t_now) == SHORT and flow < 0
         reserve_units = -flow
         for _ in range(4):
             eng.step_timestep()  # t=5 is the epoch boundary
@@ -502,29 +521,41 @@ class TestFailStop:
         assert rows["trades.csv"] == summary["fills"] > 0
         assert rows["metrics.csv"] > 0
 
-    # Both depths pass validate, but the first refit, in Engine.__init__,
-    # cannot build a curve: v*v overflows to NaN coefficients at 1e200 and
-    # underflows to a singular fit at 1e-200.
-    @pytest.mark.parametrize(
-        "depth,diagnostic",
-        [
-            ("1e200", "NonPositiveDensity at t=0: density nan*v^2"),
-            ("1e-200", "SolverDivergence at t=0: normal equations singular"),
-        ],
-    )
-    def test_first_refit_error_halts_with_exit_3(self, tmp_path, capsys, depth, diagnostic):
-        ini = demo_ini(tmp_path, {"asset.ALPHA": {"depth": depth}})
+    def test_first_refit_error_halts_with_exit_3(self, tmp_path, capsys, monkeypatch):
+        # an engine error in the first refit, in Engine.__init__
+        def failing_fit(*args, **kwargs):
+            raise SolverDivergence("normal equations singular")
+
+        monkeypatch.setattr("dfmm.sim.market.fit_eldf", failing_fit)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_BREACH
+        diagnostic = "SolverDivergence at t=0: normal equations singular"
+        err = capsys.readouterr().err
+        assert err == f"run halted: {diagnostic}\n"  # no traceback
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["halted"] and summary["timesteps"] == 0
+        assert summary["diagnostic"] == diagnostic
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {f["name"] for f in manifest["files"]} >= {"summary.json", "trades.csv"}
+
+    def test_final_margin_error_halts_with_exit_3(self, tmp_path, capsys):
+        # horizon 0 and no clamping: valuing A's 1000 of inventory on a
+        # curve only 100 deep, for the summary's final margin, is out of
+        # domain before any timestep runs
+        ini = tmp_path / "scenario.ini"
+        ini.write_text(
+            "[run]\nhorizon = 0\n[engine]\nclamp_extrapolation = false\n"
+            "[asset.A]\ndepth = 100\ndeposit = 1000\n[asset.B]\n"
+        )
         assert cli.main(["validate", str(ini)]) == cli.EXIT_OK
         out = tmp_path / "out"
         assert cli.main(["run", str(ini), "--out", str(out)]) == cli.EXIT_BREACH
         err = capsys.readouterr().err
-        assert err.startswith(f"run halted: {diagnostic}")
-        assert err.count("\n") == 1  # the diagnostic alone, no traceback
+        assert err.startswith("run halted: OutOfDomain at t=0: ")
+        assert err.count("\n") == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["halted"] and summary["timesteps"] == 0
-        assert summary["diagnostic"].startswith(diagnostic)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert {f["name"] for f in manifest["files"]} >= {"summary.json", "trades.csv"}
+        assert summary["solvency_margin"] == 0.0
 
     def test_oversized_queued_withdrawal_halts(self):
         cfg = scenario(

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfmm.eldf import Eldf
-from dfmm.errors import BadParams, NoCounterpartyCollateral, ZeroPrevValue
+from dfmm.errors import BadParams, ZeroPrevValue
 from dfmm.ledger import AssetPool
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, premium_units
 from dfmm.vaults import (
     LONG,
-    PROTOCOL_PAYS_FIXED,
-    PROTOCOL_PAYS_VARIABLE,
     SHORT,
     SwaptionPosition,
     Vault,
@@ -84,6 +82,12 @@ class TestUtilisation:
         )
         assert u.u_rhs == 3.0
 
+    def test_vault_at_or_below_floor_has_no_capacity(self):
+        # 0.5 of collateral under a floor of 1.0, not yet liquidated: the
+        # trade gate's side_cap is 0, so utilisation reports the cap
+        u = utilisation(AssetPool("X", 99.9, 100.0), pair(c_short=0.5), u_max_report=10.0)
+        assert u.u_rhs == 10.0
+
 
 class TestCoverCoefficient:
     def test_lower_boundary(self):
@@ -120,54 +124,68 @@ class TestSwaption:
     def test_strike_directions(self):
         bid = flat_curve(1.0)
         surplus = strike_swaption(AssetPool("X", 110.0, 100.0), bid)
-        assert surplus.direction == PROTOCOL_PAYS_VARIABLE
+        assert surplus.side == LONG
         assert surplus.notional == pytest.approx(10.0)
         deficit = strike_swaption(AssetPool("X", 90.0, 100.0), bid)
-        assert deficit.direction == PROTOCOL_PAYS_FIXED
+        assert deficit.side == SHORT
         assert strike_swaption(AssetPool("X", 100.0, 100.0), bid) is None
 
     def test_unchanged_curve_settles_zero(self):
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), PROTOCOL_PAYS_FIXED)
+        pos = SwaptionPosition("X", 10.0, to_units(10.0), SHORT)
         counter = vault(SHORT, 100.0)
-        out = settle_swaption(pos, flat_curve(1.0), flat_curve(1.0), counter)
-        assert out.paid_units == 0
+        assert settle_swaption(pos, flat_curve(1.0), flat_curve(1.0), counter) == 0
+        assert counter.collateral_units == to_units(100.0)
 
     def test_value_ratio_gain(self):
-        # value rises 10%: variable payer owes notional * 0.1
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), PROTOCOL_PAYS_FIXED)
+        # value rises 10%: the short vault pays notional * 0.1
+        pos = SwaptionPosition("X", 10.0, to_units(10.0), SHORT)
         counter = vault(SHORT, 100.0)
-        out = settle_swaption(pos, flat_curve(1.0), flat_curve(1.1), counter)
-        assert out.raw_units == to_units(1.0)
-        assert out.vault_pays  # sLP short holds the variable leg
+        moved = settle_swaption(pos, flat_curve(1.0), flat_curve(1.1), counter)
+        assert moved == -to_units(1.0)
         assert counter.collateral_units == to_units(99.0)
 
     def test_non_recourse_cap(self):
-        # value falls 10% on a protocol-pays-variable position: the sLP
-        # (fixed payer) owes 1.0 but holds only 0.5
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), PROTOCOL_PAYS_VARIABLE)
+        # value falls 10%: the long vault owes 1.0 but holds only 0.5
+        pos = SwaptionPosition("X", 10.0, to_units(10.0), LONG)
         counter = vault(LONG, 0.5)
-        out = settle_swaption(pos, flat_curve(1.0), flat_curve(0.9), counter)
-        assert abs(out.raw_units) == to_units(1.0)
-        assert out.vault_pays and out.capped
-        assert out.paid_units == to_units(0.5)
+        moved = settle_swaption(pos, flat_curve(1.0), flat_curve(0.9), counter)
+        assert moved == -to_units(0.5)
         assert counter.collateral_units == 0
 
     def test_protocol_pays_credits_vault(self):
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), PROTOCOL_PAYS_VARIABLE)
+        pos = SwaptionPosition("X", 10.0, to_units(10.0), LONG)
         counter = vault(LONG, 5.0)
-        out = settle_swaption(pos, flat_curve(1.0), flat_curve(1.2), counter)
-        assert not out.vault_pays
+        moved = settle_swaption(pos, flat_curve(1.0), flat_curve(1.2), counter)
+        assert moved == to_units(2.0)
         assert counter.collateral_units == to_units(7.0)
 
+    # (side, collateral, liquidated, value now, units moved into the vault)
+    @pytest.mark.parametrize(
+        "side,collateral,liquidated,level,moved",
+        [
+            (SHORT, 100.0, False, 1.1, -1.0),  # short pays a rise
+            (SHORT, 100.0, False, 0.9, 1.0),  # and receives a fall
+            (LONG, 100.0, False, 0.9, -1.0),  # long pays a fall
+            (LONG, 100.0, False, 1.1, 1.0),  # and receives a rise
+            (SHORT, 0.25, False, 1.1, -0.25),  # a payment stops at collateral
+            (LONG, 0.25, False, 0.9, -0.25),
+            (SHORT, 100.0, True, 1.1, 0.0),  # a liquidated vault pays nothing
+            (LONG, 100.0, True, 0.9, 0.0),
+            (LONG, 100.0, True, 1.1, 1.0),  # but is still credited
+        ],
+    )
+    def test_sign_and_cap(self, side, collateral, liquidated, level, moved):
+        pos = SwaptionPosition("X", 10.0, to_units(10.0), side)
+        counter = vault(side, collateral)
+        counter.liquidated = liquidated
+        got = settle_swaption(pos, flat_curve(1.0), flat_curve(level), counter)
+        assert got == to_units(moved)
+        assert counter.collateral_units == to_units(collateral) + got
+
     def test_zero_prev_value(self):
-        pos = SwaptionPosition("X", 0.0, 0, PROTOCOL_PAYS_FIXED)
+        pos = SwaptionPosition("X", 0.0, 0, SHORT)
         with pytest.raises(ZeroPrevValue):
             settle_swaption(pos, flat_curve(1.0), flat_curve(1.0), vault(SHORT, 1.0))
-
-    def test_missing_counterparty(self):
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), PROTOCOL_PAYS_FIXED)
-        with pytest.raises(NoCounterpartyCollateral):
-            settle_swaption(pos, flat_curve(1.0), flat_curve(1.1), None)
 
     def test_settlement_antisymmetry(self):
         rng = np.random.default_rng(19)
@@ -176,10 +194,10 @@ class TestSwaption:
             r = float(rng.uniform(0.5, 2.0))
             if abs(r - 1.0) < 1e-6:
                 continue
-            pos = SwaptionPosition("X", notional, to_units(notional), PROTOCOL_PAYS_FIXED)
+            pos = SwaptionPosition("X", notional, to_units(notional), SHORT)
             fwd = settle_swaption(pos, flat_curve(1.0), flat_curve(r), vault(SHORT, 1e9))
             rev = settle_swaption(pos, flat_curve(r), flat_curve(1.0), vault(SHORT, 1e9))
-            assert fwd.raw_units * rev.raw_units <= 0
+            assert fwd * rev <= 0
 
 
 class TestMargin:
@@ -197,6 +215,13 @@ class TestMargin:
     def test_zero_collateral_liquidates(self):
         v = vault(SHORT, 0.0, floor=1.0)
         assert margin_check(v)
+
+    def test_liquidates_once(self):
+        # True only on the call that liquidates: summing the results
+        # counts each liquidation once
+        v = vault(SHORT, 0.5, floor=1.0)
+        assert [margin_check(v) for _ in range(3)] == [True, False, False]
+        assert v.liquidated
 
 
 class TestCapacity:
@@ -271,10 +296,9 @@ class TestPremiumReserve:
 
     def test_boundary_flow_is_premium_fall(self):
         t_open, t_now = to_units(10.0), to_units(-6.0)
-        side, flow = boundary_premium_flow(t_open, t_now, self.PARAMS)
-        assert side == LONG
+        flow = boundary_premium_flow(t_open, t_now, self.PARAMS)
         assert flow == premium_units(t_open, self.PARAMS) - premium_units(t_now, self.PARAMS)
-        assert boundary_premium_flow(0, 0, self.PARAMS) == (None, 0)
+        assert boundary_premium_flow(0, 0, self.PARAMS) == 0
 
     def test_reserve_held_back_on_its_side_only(self):
         # a flow below zero at the boundary: the long vault owes the debit
@@ -282,7 +306,7 @@ class TestPremiumReserve:
         limits = VaultLimits(pool, pair(c_long=30.0, c_short=20.0), to_units(-2.0))
         t_after = to_units(-8.0)
         r_after = premium_units(t_after, self.PARAMS)
-        _, flow = boundary_premium_flow(limits.t_open_units, t_after, self.PARAMS)
+        flow = boundary_premium_flow(limits.t_open_units, t_after, self.PARAMS)
         surplus_cap = limits.surplus_cap(t_after, r_after, self.PARAMS)
         assert surplus_cap == pytest.approx((30.0 + from_units(flow)) / 0.5)
         assert limits.deficit_cap(t_after, r_after, self.PARAMS) == pytest.approx(40.0)
@@ -350,7 +374,8 @@ class TestGateCaps:
         # each VaultLimits cap is side_cap with the boundary debit held
         # back from the covering vault only
         pool, vaults, params, t_open, t_after = state
-        side, flow = boundary_premium_flow(t_open, t_after, params)
+        side = covering_side(t_open, t_after)
+        flow = boundary_premium_flow(t_open, t_after, params)
         reserve = max(-flow, 0)
         limits = VaultLimits(pool, vaults, t_open)
         r_after = premium_units(t_after, params)
@@ -394,22 +419,22 @@ class TestPremiumFlow:
 
     def test_no_move(self):
         v = vault(SHORT, 100.0)
-        res = slp_premium_flow(to_units(5.0), to_units(5.0), self.PARAMS, v)
-        assert res.applied_units == 0
+        assert slp_premium_flow(to_units(5.0), to_units(5.0), self.PARAMS, v) == 0
 
     def test_rebalance_credits(self):
         v = vault(SHORT, 100.0)
-        res = slp_premium_flow(to_units(10.0), to_units(5.0), self.PARAMS, v)
-        assert res.applied_units == to_units(10.0)
+        applied = slp_premium_flow(to_units(10.0), to_units(5.0), self.PARAMS, v)
+        assert applied == to_units(10.0)
         assert v.collateral_units == to_units(110.0)
 
     def test_debit_clamps_at_zero_then_liquidates(self):
         v = vault(SHORT, 3.0, floor=1.0)
-        res = slp_premium_flow(to_units(5.0), to_units(20.0), self.PARAMS, v)
-        assert res.requested_units == to_units(5.0 * 10.0 * 0.1 - 20.0 * 25.0 * 0.1)
-        assert res.applied_units == -to_units(3.0)
+        t_prev, t_next = to_units(5.0), to_units(20.0)
+        flow = boundary_premium_flow(t_prev, t_next, self.PARAMS)
+        assert flow == to_units(5.0 * 10.0 * 0.1 - 20.0 * 25.0 * 0.1)
+        assert slp_premium_flow(t_prev, t_next, self.PARAMS, v) == -to_units(3.0)
         assert v.collateral_units == 0
-        assert res.liquidated
+        assert margin_check(v)
 
     def test_non_recourse_over_path(self):
         rng = np.random.default_rng(37)
@@ -419,8 +444,7 @@ class TestPremiumFlow:
         t_prev = 0
         for _ in range(300):
             t_next = to_units(float(rng.uniform(-40.0, 40.0)))
-            res = slp_premium_flow(t_prev, t_next, self.PARAMS, v)
-            credited += max(res.applied_units, 0)
+            credited += max(slp_premium_flow(t_prev, t_next, self.PARAMS, v), 0)
             t_prev = t_next
             assert v.collateral_units >= 0
         # losses never exceed deposits plus what the vault earned
