@@ -14,7 +14,6 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .errors import CorruptManifest, ParseError, UnknownLogKind
@@ -130,6 +129,7 @@ def cmd_sweep(args) -> int:
             runnable.append((index, cfg))
 
     if args.jobs > 1 and len(runnable) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 20+ ms: only when used
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             summaries = dict(pool.map(_sweep_worker, runnable))
     else:

@@ -3,8 +3,8 @@
 A curve is a degree-2 polynomial in volume space: density(v) gives the
 accounting-asset price per unit at cumulative depth v, so integrating the
 curve over a volume interval converts volume to value and the inverse
-solve converts value back to volume. Curves are fitted per slot from
-venue snapshot points and are immutable once built.
+solve converts value back to volume. Curves are fitted per slot from a
+venue snapshot's volume and price arrays and are immutable once built.
 
 Extrapolation beyond the fitted domain is an error by default because a
 quadratic tail can go negative; curves built with clamped extrapolation
@@ -146,17 +146,20 @@ def _design(vol_bytes: bytes) -> tuple:
 
 
 def fit_eldf(
-    points: Sequence[CurvePoint],
+    volumes,
+    prices,
     *,
     side: str = COMBINED,
     slot_id: int = 0,
     extrapolation: str = "error",
 ) -> Eldf:
-    """Least-squares degree-2 fit of density over volume.
+    """Least-squares degree-2 fit of density (``prices``) over ``volumes``.
 
-    Volumes must be strictly increasing. Exact degree-<=2 data is
-    reproduced to fitting tolerance. Raises NonPositiveDensity when the
-    fitted curve dips to zero or below anywhere inside the domain.
+    Fewer than 3 points raise TooFewPoints, a price that is not > 0 (NaN
+    included) NonPositiveDensity, and volumes that do not start at or
+    above zero and strictly increase NonMonotoneVolumes. Exact degree-<=2
+    data is reproduced to fitting tolerance. Raises NonPositiveDensity
+    when the fitted curve dips to zero or below inside the domain.
 
     The design matrix, its Gram matrix and the column scales depend only
     on the volumes, so they come from a small cache (``_design``) keyed on
@@ -165,10 +168,14 @@ def fit_eldf(
     the same numpy operations on the same operands as an uncached fit, so
     the coefficients are bit-identical either way.
     """
-    if len(points) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(points)}")
-    vols = np.array([p.volume for p in points], dtype=float)
-    prices = np.array([p.price for p in points], dtype=float)
+    vols = np.asarray(volumes, dtype=float)
+    prices = np.asarray(prices, dtype=float)
+    if len(vols) < 3:
+        raise TooFewPoints(f"need at least 3 points, got {len(vols)}")
+    if not prices.min() > 0:  # NaN propagates through min
+        raise NonPositiveDensity(f"price must be positive, got {prices[~(prices > 0)][0]}")
+    if vols[0] < 0:
+        raise NonMonotoneVolumes(f"volume must be nonnegative, got {vols[0]}")
     a_s, ata, scale = _design(vols.tobytes())
     atb = a_s.T @ prices
     try:
@@ -210,21 +217,23 @@ def integrate_eldf(curve: Eldf, v1: float, v2: float) -> float:
 
     Additive over adjacent intervals. In clamp mode, the part of the
     interval outside the fit domain contributes boundary density times
-    length.
+    length. An interval inside the domain, where no check can fail and no
+    tail applies, is valued straight from the antiderivative.
     """
+    c2, c1, c0 = curve.c2, curve.c1, curve.c0
+    lo, hi = curve.v_lo, curve.v_hi
+    if lo <= v1 <= v2 <= hi:
+        return _antideriv(c2, c1, c0, v2) - _antideriv(c2, c1, c0, v1)
     if v2 < v1:
         raise ReversedInterval(f"v2={v2} < v1={v1}")
     _domain_check(curve, v1)
     _domain_check(curve, v2)
-    lo, hi = curve.v_lo, curve.v_hi
     a1, a2 = min(max(v1, lo), hi), min(max(v2, lo), hi)
-    total = _antideriv(curve.c2, curve.c1, curve.c0, a2) - _antideriv(
-        curve.c2, curve.c1, curve.c0, a1
-    )
+    total = _antideriv(c2, c1, c0, a2) - _antideriv(c2, c1, c0, a1)
     if v1 < lo:
-        total += (min(v2, lo) - v1) * _poly(curve.c2, curve.c1, curve.c0, lo)
+        total += (min(v2, lo) - v1) * _poly(c2, c1, c0, lo)
     if v2 > hi:
-        total += (v2 - max(v1, hi)) * _poly(curve.c2, curve.c1, curve.c0, hi)
+        total += (v2 - max(v1, hi)) * _poly(c2, c1, c0, hi)
     return total
 
 
@@ -272,8 +281,9 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     Closed-form cubic roots followed by Newton polish on the residual.
     Because the density is positive over the domain the cumulative value
     is strictly increasing there, so the in-domain root is unique. In
-    clamp mode, value beyond the domain capacity is sourced at the
-    boundary density.
+    clamp mode, value beyond the domain capacity (none from a v1 past
+    v_hi) is sourced at the boundary density. The capacity, residuals and
+    final check take ``integrate_eldf``'s float operations in its order.
     """
     if target_value < 0:
         raise NoFeasibleRoot(f"target value must be nonnegative, got {target_value}")
@@ -283,24 +293,24 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     c2, c1, c0 = curve.c2, curve.c1, curve.c0
     lo, hi = curve.v_lo, curve.v_hi
     v1_eff = min(max(v1, lo), hi)
-    capacity = integrate_eldf(curve, v1, hi)
+    f1 = _antideriv(c2, c1, c0, v1_eff)
+    # the part of [v1, v1_eff] below the domain is valued at clamp
+    # density; otherwise that interval is empty and adding 0.0 is exact
+    head = (lo - v1) * _poly(c2, c1, c0, lo) if v1 < lo else 0.0
+    capacity = (_antideriv(c2, c1, c0, hi) - f1) + head
     if target_value > capacity:
         if curve.extrapolation == "clamp":
             tail_density = _poly(c2, c1, c0, hi)
-            return hi + (target_value - capacity) / tail_density
+            return max(hi, v1) + (target_value - capacity) / tail_density
         raise NoFeasibleRoot(
             f"book can source only {capacity:.6g} from v1={v1:.6g}, "
             f"requested {target_value:.6g}"
         )
 
-    # Roots of F(v2) - (F(v1) + M) where F is the antiderivative; the part
-    # of [v1, v1_eff] below the domain was already valued at clamp density.
-    # Inside the domain that interval is empty and its value exactly 0.0.
-    head = 0.0 if v1 == v1_eff else integrate_eldf(curve, v1, v1_eff)
-    konst = _antideriv(c2, c1, c0, v1_eff) + (target_value - head)
+    # Roots of F(v2) - (F(v1) + M) where F is the antiderivative.
+    konst = f1 + (target_value - head)
     roots = _cubic_real_roots(c2 / 3.0, c1 / 2.0, c0, -konst)
-    span = hi - lo
-    slack = 1e-9 * max(1.0, span)
+    slack = 1e-9 * max(1.0, hi - lo)
     feasible = sorted(r for r in roots if v1_eff - slack <= r <= hi + slack)
     if not feasible:
         raise NoFeasibleRoot(
@@ -310,9 +320,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
 
     # Newton polish: density is positive in-domain so iteration is stable.
     for _ in range(8):
-        resid = (
-            _antideriv(c2, c1, c0, v2) - _antideriv(c2, c1, c0, v1_eff)
-        ) - (target_value - head)
+        resid = (_antideriv(c2, c1, c0, v2) - f1) - (target_value - head)
         dens = _poly(c2, c1, c0, v2)
         if dens <= 0:
             break
@@ -320,7 +328,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
         v2 = min(max(v2 - step, v1_eff), hi)
         if abs(step) < 1e-15 * max(1.0, abs(v2)):
             break
-    final = integrate_eldf(curve, v1, v2)
+    final = (_antideriv(c2, c1, c0, v2) - f1) + head
     if abs(final - target_value) > 1e-6 * max(1.0, target_value):
         raise SolverDivergence(
             f"cubic solve residual {final - target_value:.3g} for M={target_value:.6g}"
@@ -343,12 +351,15 @@ def snapshot_to_curves(
     starts at zero nearest the mid (bid depth grows as price falls, ask
     depth as price rises), making both sides integrable from zero.
     """
+
+    def fit(side, pairs):
+        vols, prices = zip(*pairs)
+        return fit_eldf(vols, prices, side=side, slot_id=slot_id, extrapolation=extrapolation)
+
     if not raw:
         raise TooFewPoints("empty snapshot")
     if mode == COMBINED:
-        return fit_eldf(
-            raw, side=COMBINED, slot_id=slot_id, extrapolation=extrapolation
-        )
+        return fit(COMBINED, [(p.volume, p.price) for p in raw])
     if mode != "split":
         raise ValueError(f"unknown snapshot mode {mode!r}")
     if mid_price is None:
@@ -364,18 +375,11 @@ def snapshot_to_curves(
     # Bid points sit below the mid on the shared volume axis; the point
     # nearest the mid is the best bid, so depth counts downward from it.
     v_best_bid = max(p.volume for p in bid_raw)
-    bid_pts = sorted(
-        (CurvePoint(v_best_bid - p.volume, p.price) for p in bid_raw),
-        key=lambda p: p.volume,
-    )
     v_best_ask = min(p.volume for p in ask_raw)
-    ask_pts = sorted(
-        (CurvePoint(p.volume - v_best_ask, p.price) for p in ask_raw),
-        key=lambda p: p.volume,
+    return (
+        fit(BID, sorted((v_best_bid - p.volume, p.price) for p in bid_raw)),
+        fit(ASK, sorted((p.volume - v_best_ask, p.price) for p in ask_raw)),
     )
-    bid = fit_eldf(bid_pts, side=BID, slot_id=slot_id, extrapolation=extrapolation)
-    ask = fit_eldf(ask_pts, side=ASK, slot_id=slot_id, extrapolation=extrapolation)
-    return bid, ask
 
 
 def parse_snapshot_lines(lines: Iterable[str]) -> dict:

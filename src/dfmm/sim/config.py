@@ -206,40 +206,20 @@ class ScenarioConfig:
         return self
 
 
-_SECTION_FIELDS = {
-    "run": {"horizon": int, "epoch_len": int, "slot_len": int, "seed": int},
-    "fees": {"theta": float, "xi": float},
-    "premium": {
-        "a_init": float,
-        "a_min": float,
-        "lambda": float,
-        "d_min": float,
-        "d_max": float,
-        "u_max": float,
-        "k": float,
-    },
-    "auction": {
-        "enabled": bool,
-        "theta0": float,
-        "theta_star": float,
-        "theta_dagger": float,
-        "j_star": int,
-        "j_prime": int,
-        "j_dagger": int,
-    },
-    "vaults": {
-        "rho_long": float,
-        "rho_short": float,
-        "margin_floor": float,
-    },
-    "engine": {"clamp_extrapolation": bool, "u_max_report": float},
-    "rewards": {"gamma": float, "alpha": float},
-    "traders": {"rate": float, "size_mu": float, "size_sigma": float},
-    "arbitrageur": {
-        "enabled": bool,
-        "fixed_cost": float,
-        "max_exposure": float,
-    },
+# INI keys per global section; each value's type is its ScenarioConfig
+# field's (after _KEY_RENAMES), as for the [asset.*] keys below
+_SECTION_KEYS = {
+    "run": ("horizon", "epoch_len", "slot_len", "seed"),
+    "fees": ("theta", "xi"),
+    "premium": ("a_init", "a_min", "lambda", "d_min", "d_max", "u_max", "k"),
+    "auction": (
+        "enabled", "theta0", "theta_star", "theta_dagger", "j_star", "j_prime", "j_dagger"
+    ),
+    "vaults": ("rho_long", "rho_short", "margin_floor"),
+    "engine": ("clamp_extrapolation", "u_max_report"),
+    "rewards": ("gamma", "alpha"),
+    "traders": ("rate", "size_mu", "size_sigma"),
+    "arbitrageur": ("enabled", "fixed_cost", "max_exposure"),
 }
 
 _KEY_RENAMES = {
@@ -255,6 +235,7 @@ _KEY_RENAMES = {
     ("arbitrageur", "max_exposure"): "arb_max_exposure",
 }
 
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 _ASSET_FIELD_TYPES = {
     f.name: f.type for f in fields(AssetConfig) if f.name != "asset_id"
 }
@@ -286,14 +267,14 @@ def load_config(path, *, seed_override: int | None = None) -> ScenarioConfig:
         raise ParseError(f"{path}: {exc}") from None
 
     kwargs: dict = {}
-    for section, keys in _SECTION_FIELDS.items():
+    for section, keys in _SECTION_KEYS.items():
         if not parser.has_section(section):
             continue
         for key, value in parser.items(section):
             if key not in keys:
                 raise ParseError(f"[{section}] has unknown key {key!r}")
             name = _KEY_RENAMES.get((section, key), key)
-            kwargs[name] = _convert(value, keys[key], f"[{section}] {key}")
+            kwargs[name] = _convert(value, _FIELD_TYPES[name], f"[{section}] {key}")
 
     assets = []
     for section in parser.sections():

@@ -10,10 +10,10 @@ seed, so identical configs produce identical outputs byte for byte.
 
 Settlement, premium flow and each queued flow move a vault's collateral
 by integer ledger units (positive into the vault, the sign convention of
-``vaults``), and each is followed by a margin check. ``liquidations``
-adds up the checks that liquidated a vault, so it counts each
-liquidation once: without queued deposits, which can revive a vault, it
-equals the 0 -> 1 flips of the vaults log's ``liquidated`` column.
+``vaults``), each followed by a margin check, as is every vault when
+the engine is built. ``liquidations`` adds up the checks that liquidated
+a vault, so each counts once: without queued deposits, which can revive
+a vault, it equals the 0 -> 1 flips of the vaults log's ``liquidated``.
 
 Every quote, whether from a trader, the script or the arbitrageur, is
 gated on vault capacity net of a reserve: the premium debit the next
@@ -29,11 +29,15 @@ identity, and the hedged solvency margin. An audit failure, like any
 other engine error raised mid-run or by the first refit at construction,
 is fail-stop: the run halts with a diagnostic naming the error class and
 timestep, and the logs collected so far are preserved.
+
+Each timestep adds its wall-clock time per phase (``PHASES``) to
+``Engine.perf`` in ns; ``RunArtifacts.perf`` holds the totals in seconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter_ns
 
 import numpy as np
 
@@ -78,6 +82,10 @@ class RunArtifacts:
     logs: dict
     summary: dict
     config: ScenarioConfig
+    perf: dict = field(default_factory=dict)  # seconds per engine phase
+
+
+PHASES = ("market", "refit", "cover", "traders", "arb", "auction", "metrics", "epoch", "audit")
 
 
 class Engine:
@@ -152,13 +160,14 @@ class Engine:
         self.rejected = 0
         self.trader_cost_units = 0
         self.arb_pnl = 0.0
-        self.liquidations = 0
+        # a vault that starts at or below its floor is liquidated up front
+        self.liquidations = sum(
+            margin_check(v) for vp in self.vaults.values() for v in (vp.long, vp.short)
+        )
         self.max_utilisation = 0.0
         self.min_margin_units: int | None = None
-        self.initial_vault_units = sum(
-            vp.long.collateral_units + vp.short.collateral_units
-            for vp in self.vaults.values()
-        )
+        self.perf = dict.fromkeys(PHASES, 0)
+        self.initial_vault_units = self._vault_units()
 
         try:
             self._refit_curves(slot_id=0)
@@ -169,14 +178,15 @@ class Engine:
     # ------------------------------------------------------------------
     # curve and vault plumbing
 
-    def _extrapolation(self) -> str:
-        return "clamp" if self.cfg.clamp_extrapolation else "error"
+    def _vault_units(self) -> int:
+        return sum(
+            vp.long.collateral_units + vp.short.collateral_units for vp in self.vaults.values()
+        )
 
     def _refit_curves(self, slot_id: int) -> None:
+        extrapolation = "clamp" if self.cfg.clamp_extrapolation else "error"
         for aid in self.market.asset_ids():
-            bid, ask = self.market[aid].fit_curves(
-                slot_id, extrapolation=self._extrapolation()
-            )
+            bid, ask = self.market[aid].fit_curves(slot_id, extrapolation=extrapolation)
             if aid in self.curves:
                 self.curves[aid].reset(bid, ask)
             else:
@@ -196,15 +206,14 @@ class Engine:
             )
 
     def _recompute_cover(self) -> None:
+        cfg = self.cfg
         for aid in self.sheet.asset_ids():
             util = utilisation(
-                self.sheet.pools[aid], self.vaults[aid], u_max_report=self.cfg.u_max_report
+                self.sheet.pools[aid], self.vaults[aid], u_max_report=cfg.u_max_report
             )
-            d_rhs = cover_coefficient(
-                util.u_rhs, self.cfg.d_min, self.cfg.d_max, self.cfg.u_max, self.cfg.k
-            )
-            d_lhs = cover_coefficient(
-                util.u_lhs, self.cfg.d_min, self.cfg.d_max, self.cfg.u_max, self.cfg.k
+            d_rhs, d_lhs = (
+                cover_coefficient(u, cfg.d_min, cfg.d_max, cfg.u_max, cfg.k)
+                for u in (util.u_rhs, util.u_lhs)
             )
             p = self.params[aid]
             if p.d_rhs != d_rhs or p.d_lhs != d_lhs:
@@ -287,22 +296,33 @@ class Engine:
     # ------------------------------------------------------------------
     # timestep and epoch
 
+    def _lap(self, phase: str, since: int) -> int:
+        now = perf_counter_ns()
+        self.perf[phase] += now - since
+        return now
+
     def step_timestep(self) -> None:
+        clock = perf_counter_ns()
         self.t += 1
         cfg = self.cfg
         self.market.step_all()
+        clock = self._lap("market", clock)
         if (self.t - 1) % cfg.slot_len == 0:
             self._refit_curves(slot_id=(self.t - 1) // cfg.slot_len)
+        clock = self._lap("refit", clock)
         self._recompute_cover()
+        clock = self._lap("cover", clock)
 
         for trade_t, a_in, a_out, size in cfg.scripted_trades:
             if trade_t == self.t:
                 self.submit_trade(a_in, a_out, size, agent="script")
         for intent in self.traders.arrivals(self.sheet.asset_ids()):
             self.submit_trade(intent.asset_in, intent.asset_out, intent.v_in, "trader")
+        clock = self._lap("traders", clock)
 
         if self.arb is not None:
             self._run_arbitrageur()
+        clock = self._lap("arb", clock)
 
         # the auction moves only params, the premium reserve and the
         # treasury, so one reading serves it and the metrics
@@ -314,10 +334,14 @@ class Engine:
         }
         at_epoch_boundary = self.t % cfg.epoch_len == 0
         self._run_auction(utils, at_epoch_boundary)
+        clock = self._lap("auction", clock)
         self._emit_metrics(utils)
+        clock = self._lap("metrics", clock)
         if at_epoch_boundary:
             self.step_epoch()
+        clock = self._lap("epoch", clock)
         self._audit()
+        self._lap("audit", clock)
 
     def _run_arbitrageur(self) -> None:
         t_units = {aid: self.sheet.spools[aid].t_units for aid in self.sheet.asset_ids()}
@@ -396,8 +420,7 @@ class Engine:
         for aid in self.sheet.asset_ids():
             vp = self.vaults[aid]
             pool = self.sheet.pools[aid]
-            before_long = vp.long.collateral_units
-            before_short = vp.short.collateral_units
+            before = {LONG: vp.long.collateral_units, SHORT: vp.short.collateral_units}
             settlement_units = {LONG: 0, SHORT: 0}
             flow_units = {LONG: 0, SHORT: 0}
 
@@ -461,13 +484,12 @@ class Engine:
                 )
 
             for side, vault in ((LONG, vp.long), (SHORT, vp.short)):
-                before = before_long if side == LONG else before_short
                 self.logs["vaults"].append(
                     (
                         self.epoch,
                         aid,
                         side,
-                        from_units(before),
+                        from_units(before[side]),
                         from_units(flow_units[side]),
                         from_units(settlement_units[side]),
                         vault.collateral,
@@ -576,16 +598,12 @@ class Engine:
             self._halt(exc)
         for row in self.rewards.claims():
             self.logs["rewards"].append(row)
-        return RunArtifacts(
-            logs=self.logs, summary=self._summary(margin_units), config=self.cfg
-        )
+        perf = {phase: ns / 1e9 for phase, ns in self.perf.items()}
+        return RunArtifacts(self.logs, self._summary(margin_units), self.cfg, perf)
 
     def _summary(self, margin_units: int) -> dict:
-        vault_now = sum(
-            vp.long.collateral_units + vp.short.collateral_units
-            for vp in self.vaults.values()
-        )
-        slp_pnl_units = vault_now - self.initial_vault_units - self.vault_external_units
+        vault_gain_units = self._vault_units() - self.initial_vault_units
+        slp_pnl_units = vault_gain_units - self.vault_external_units
         return {
             "halted": self.halted,
             "diagnostic": self.diagnostic,

@@ -1,18 +1,18 @@
-"""Synthetic external market: price processes and venue snapshots.
+"""Synthetic external market: price processes and venue depth profiles.
 
 Each asset's external mid follows a lognormal step process with optional
-drift, plus a linear price impact from net arbitrage hedging flow. Venue
-snapshots are sampled from per-side quadratic depth profiles around the
-mid, so the fitted curves reproduce the generating profile exactly.
+drift, plus a linear price impact from net arbitrage hedging flow. Each
+slot's venue snapshot samples per-side quadratic depth profiles around
+the mid, so the fitted curves reproduce the generating profile exactly.
 
-A market's config is frozen, so its snapshot volume grid and the
-normalised depths x = vols / depth are built once, when the market is
-created; every snapshot then only evaluates the price expressions at
-the current mid. Because every slot hands ``fit_eldf`` the same volumes,
-its design-matrix cache (keyed on the volumes' exact bytes) serves every
-refit after the first, and both caches hold exactly the arrays a fresh
-build would compute, so fitted curves are bit-identical to rebuilding
-them each slot.
+A market's config is frozen, so its volume grid and both sides' profiles
+at unit mid, 1 -+ (spread/2 + slope*x + curv*x^2) with x = vols / depth,
+are built once, as read-only arrays, when the market is created. A refit
+hands ``fit_eldf`` the grid and mid * profile for each side, the same
+numpy expressions on the same operands as building the snapshot afresh.
+Because every slot fits on the same volumes, the fit's design-matrix
+cache (keyed on the volumes' exact bytes) serves every refit after the
+first, so fitted curves are bit-identical to rebuilding them each slot.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ..eldf import ASK, BID, CurvePoint, Eldf, fit_eldf
+from ..eldf import ASK, BID, Eldf, fit_eldf
 from ..metrics import market_impact
 from .config import AssetConfig
 
@@ -34,13 +34,18 @@ class AssetMarket:
     mid: float
     rng: np.random.Generator
     pending_flow: float = 0.0
-    _vols: list = field(init=False, repr=False, compare=False)
-    _x: np.ndarray = field(init=False, repr=False, compare=False)
+    _vols: np.ndarray = field(init=False, repr=False, compare=False)
+    _profiles: tuple = field(init=False, repr=False, compare=False)  # (side, unit-mid prices)
 
     def __post_init__(self):
-        vols = np.linspace(0.0, self.cfg.depth, self.cfg.n_points)
-        self._vols = vols.tolist()
-        self._x = vols / self.cfg.depth
+        cfg = self.cfg
+        self._vols = np.linspace(0.0, cfg.depth, cfg.n_points)
+        x = self._vols / cfg.depth
+        bid = 1.0 - cfg.spread / 2.0 - cfg.bid_slope * x - cfg.bid_curv * x * x
+        ask = 1.0 + cfg.spread / 2.0 + cfg.ask_slope * x + cfg.ask_curv * x * x
+        for arr in (self._vols, bid, ask):
+            arr.flags.writeable = False
+        self._profiles = ((BID, bid), (ASK, ask))
 
     def step(self) -> None:
         """One lognormal return step, after applying any queued impact."""
@@ -58,24 +63,15 @@ class AssetMarket:
         """Net external hedging flow; positive = external buying pressure."""
         self.pending_flow += signed_volume
 
-    def snapshot(self, slot_id: int):
-        """Per-side snapshot points sampled from the depth profile."""
-        cfg = self.cfg
-        x = self._x
-        bid_prices = self.mid * (
-            1.0 - cfg.spread / 2.0 - cfg.bid_slope * x - cfg.bid_curv * x * x
-        )
-        ask_prices = self.mid * (
-            1.0 + cfg.spread / 2.0 + cfg.ask_slope * x + cfg.ask_curv * x * x
-        )
-        bid_pts = [CurvePoint(v, p) for v, p in zip(self._vols, bid_prices.tolist())]
-        ask_pts = [CurvePoint(v, p) for v, p in zip(self._vols, ask_prices.tolist())]
-        return bid_pts, ask_pts
-
     def fit_curves(self, slot_id: int, *, extrapolation: str) -> tuple[Eldf, Eldf]:
-        bid_pts, ask_pts = self.snapshot(slot_id)
-        bid = fit_eldf(bid_pts, side=BID, slot_id=slot_id, extrapolation=extrapolation)
-        ask = fit_eldf(ask_pts, side=ASK, slot_id=slot_id, extrapolation=extrapolation)
+        """This slot's (bid, ask) curves, fitted to the profiles at the mid."""
+        bid, ask = (
+            fit_eldf(
+                self._vols, self.mid * unit,
+                side=side, slot_id=slot_id, extrapolation=extrapolation,
+            )
+            for side, unit in self._profiles
+        )
         return bid, ask
 
 

@@ -4,8 +4,8 @@ Every log file starts with a schema-version comment line and a header
 row; rows are comma-separated with every value rendered by str(), which
 gives floats their shortest round-trip form (numpy scalars included), so
 identical runs produce identical bytes. The manifest names the config
-hash, seed, engine version, every file with its row count, and the
-wall-clock duration (the one intentionally non-deterministic field).
+hash, seed, engine version and every file with its row count; its wall
+clock duration and per-phase ``perf`` seconds are not deterministic.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def config_hash(cfg) -> str:
 def write_logs(artifacts, outdir, duration_seconds: float = 0.0) -> dict:
     """Write all log files and the manifest; returns the manifest dict.
 
-    ``duration_seconds`` is the run's wall-clock time. It goes only into
+    ``duration_seconds`` (wall clock) and ``artifacts.perf`` go only into
     the manifest, so the logs and summary.json stay byte-deterministic.
     """
     os.makedirs(outdir, exist_ok=True)
@@ -79,6 +79,7 @@ def write_logs(artifacts, outdir, duration_seconds: float = 0.0) -> dict:
         "seed": artifacts.config.seed,
         "files": files,
         "duration_seconds": duration_seconds,
+        "perf": artifacts.perf,
     }
     with open(os.path.join(outdir, MANIFEST_NAME), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

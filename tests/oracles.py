@@ -6,14 +6,39 @@ instead of closed-form cubics, pool simulation instead of the analytic
 impermanent-loss formula, and bisection on the raw balance residual
 instead of the piecewise quadratic solver (and, for flows large enough
 to cancel a float residual, bisection in exact rational arithmetic).
+
+The reference implementations at the end are earlier versions of engine
+code, kept verbatim so that faster replacements can be checked for
+identical results: the snapshot-point refit, the point-based
+``fit_eldf``, and ``integrate_eldf`` and ``solve_volume_for_value``
+before they were computed in one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
+from dfmm.eldf import (
+    ASK,
+    BID,
+    COMBINED,
+    CurvePoint,
+    Eldf,
+    _antideriv,
+    _cubic_real_roots,
+    _design,
+    _domain_check,
+    _poly,
+)
+from dfmm.errors import (
+    NoFeasibleRoot,
+    ReversedInterval,
+    SolverDivergence,
+    TooFewPoints,
+)
 from dfmm.pricing import RebalanceParams, premium_fn, premium_units
 
 
@@ -219,3 +244,159 @@ def exact_adjusted_notional(
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if residual(mid) < 0 else (lo, mid)
     return float((lo + hi) / 2)
+
+
+# ----------------------------------------------------------------------
+# verbatim references
+
+
+def snapshot_fit_curves(market, slot_id: int, *, extrapolation: str) -> tuple[Eldf, Eldf]:
+    """``AssetMarket.fit_curves`` through per-side snapshot points: the
+    grid and normalised depths of ``__post_init__``, then ``snapshot``
+    and the point fit, as the market did before it fitted from arrays."""
+    vols = np.linspace(0.0, market.cfg.depth, market.cfg.n_points)
+    _vols = vols.tolist()
+    _x = vols / market.cfg.depth
+
+    cfg = market.cfg
+    x = _x
+    bid_prices = market.mid * (
+        1.0 - cfg.spread / 2.0 - cfg.bid_slope * x - cfg.bid_curv * x * x
+    )
+    ask_prices = market.mid * (
+        1.0 + cfg.spread / 2.0 + cfg.ask_slope * x + cfg.ask_curv * x * x
+    )
+    bid_pts = [CurvePoint(v, p) for v, p in zip(_vols, bid_prices.tolist())]
+    ask_pts = [CurvePoint(v, p) for v, p in zip(_vols, ask_prices.tolist())]
+
+    bid = point_fit_eldf(bid_pts, side=BID, slot_id=slot_id, extrapolation=extrapolation)
+    ask = point_fit_eldf(ask_pts, side=ASK, slot_id=slot_id, extrapolation=extrapolation)
+    return bid, ask
+
+
+def point_fit_eldf(
+    points: Sequence[CurvePoint],
+    *,
+    side: str = COMBINED,
+    slot_id: int = 0,
+    extrapolation: str = "error",
+) -> Eldf:
+    """Least-squares degree-2 fit of density over volume.
+
+    Volumes must be strictly increasing. Exact degree-<=2 data is
+    reproduced to fitting tolerance. Raises NonPositiveDensity when the
+    fitted curve dips to zero or below anywhere inside the domain.
+
+    The design matrix, its Gram matrix and the column scales depend only
+    on the volumes, so they come from a small cache (``_design``) keyed on
+    the volumes' exact float64 bytes; simulated venues resample one fixed
+    grid every slot. Each fit computes only the price-dependent part with
+    the same numpy operations on the same operands as an uncached fit, so
+    the coefficients are bit-identical either way.
+    """
+    if len(points) < 3:
+        raise TooFewPoints(f"need at least 3 points, got {len(points)}")
+    vols = np.array([p.volume for p in points], dtype=float)
+    prices = np.array([p.price for p in points], dtype=float)
+    a_s, ata, scale = _design(vols.tobytes())
+    atb = a_s.T @ prices
+    try:
+        coef = np.linalg.solve(ata, atb) / scale
+    except np.linalg.LinAlgError as exc:
+        raise SolverDivergence(f"normal equations singular: {exc}") from None
+    c0, c1, c2 = coef.tolist()
+    return Eldf(
+        c2=c2,
+        c1=c1,
+        c0=c0,
+        side=side,
+        slot_id=slot_id,
+        v_lo=float(vols[0]),
+        v_hi=float(vols[-1]),
+        extrapolation=extrapolation,
+    )
+
+
+def integrate_eldf(curve: Eldf, v1: float, v2: float) -> float:
+    """Value of the volume interval [v1, v2] under the curve.
+
+    Additive over adjacent intervals. In clamp mode, the part of the
+    interval outside the fit domain contributes boundary density times
+    length.
+    """
+    if v2 < v1:
+        raise ReversedInterval(f"v2={v2} < v1={v1}")
+    _domain_check(curve, v1)
+    _domain_check(curve, v2)
+    lo, hi = curve.v_lo, curve.v_hi
+    a1, a2 = min(max(v1, lo), hi), min(max(v2, lo), hi)
+    total = _antideriv(curve.c2, curve.c1, curve.c0, a2) - _antideriv(
+        curve.c2, curve.c1, curve.c0, a1
+    )
+    if v1 < lo:
+        total += (min(v2, lo) - v1) * _poly(curve.c2, curve.c1, curve.c0, lo)
+    if v2 > hi:
+        total += (v2 - max(v1, hi)) * _poly(curve.c2, curve.c1, curve.c0, hi)
+    return total
+
+
+def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float:
+    """Smallest v2 >= v1 with integrate_eldf(curve, v1, v2) == target_value.
+
+    Closed-form cubic roots followed by Newton polish on the residual.
+    Because the density is positive over the domain the cumulative value
+    is strictly increasing there, so the in-domain root is unique. In
+    clamp mode, value beyond the domain capacity is sourced at the
+    boundary density.
+    """
+    if target_value < 0:
+        raise NoFeasibleRoot(f"target value must be nonnegative, got {target_value}")
+    _domain_check(curve, v1)
+    if target_value == 0.0:
+        return v1
+    c2, c1, c0 = curve.c2, curve.c1, curve.c0
+    lo, hi = curve.v_lo, curve.v_hi
+    v1_eff = min(max(v1, lo), hi)
+    capacity = integrate_eldf(curve, v1, hi)
+    if target_value > capacity:
+        if curve.extrapolation == "clamp":
+            tail_density = _poly(c2, c1, c0, hi)
+            return hi + (target_value - capacity) / tail_density
+        raise NoFeasibleRoot(
+            f"book can source only {capacity:.6g} from v1={v1:.6g}, "
+            f"requested {target_value:.6g}"
+        )
+
+    # Roots of F(v2) - (F(v1) + M) where F is the antiderivative; the part
+    # of [v1, v1_eff] below the domain was already valued at clamp density.
+    # Inside the domain that interval is empty and its value exactly 0.0.
+    head = 0.0 if v1 == v1_eff else integrate_eldf(curve, v1, v1_eff)
+    konst = _antideriv(c2, c1, c0, v1_eff) + (target_value - head)
+    roots = _cubic_real_roots(c2 / 3.0, c1 / 2.0, c0, -konst)
+    span = hi - lo
+    slack = 1e-9 * max(1.0, span)
+    feasible = sorted(r for r in roots if v1_eff - slack <= r <= hi + slack)
+    if not feasible:
+        raise NoFeasibleRoot(
+            f"no real root in [{v1_eff:.6g}, {hi:.6g}] for value {target_value:.6g}"
+        )
+    v2 = min(max(feasible[0], v1_eff), hi)
+
+    # Newton polish: density is positive in-domain so iteration is stable.
+    for _ in range(8):
+        resid = (
+            _antideriv(c2, c1, c0, v2) - _antideriv(c2, c1, c0, v1_eff)
+        ) - (target_value - head)
+        dens = _poly(c2, c1, c0, v2)
+        if dens <= 0:
+            break
+        step = resid / dens
+        v2 = min(max(v2 - step, v1_eff), hi)
+        if abs(step) < 1e-15 * max(1.0, abs(v2)):
+            break
+    final = integrate_eldf(curve, v1, v2)
+    if abs(final - target_value) > 1e-6 * max(1.0, target_value):
+        raise SolverDivergence(
+            f"cubic solve residual {final - target_value:.3g} for M={target_value:.6g}"
+        )
+    return v2

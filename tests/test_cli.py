@@ -1,9 +1,16 @@
 """The validate, sweep and inspect commands, through ``cli.main``."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dfmm import cli
 from test_sim import DEMO, demo_ini
+
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 class TestValidate:
@@ -70,6 +77,20 @@ class TestSweep:
         )
         assert [r.split(",")[:2] for r in rows] == [["0", "False"], ["1", "True"]]
         assert all(r.endswith(",ok") for r in rows)
+
+    def test_parallel_grid_matches_serial(self, tmp_path, capsys):
+        ini = demo_ini(tmp_path, {"run": {"horizon": 20}})
+        argv = ["sweep", str(ini), "--grid", "auction_enabled=false, TRUE", "--jobs"]
+        assert cli.main(argv + ["1"]) == cli.EXIT_OK
+        serial = capsys.readouterr().out
+        assert cli.main(argv + ["2"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == serial
+
+    def test_process_pool_imported_only_by_parallel_sweep(self):
+        code = "import sys, dfmm.cli; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout == "False\n", out.stderr
 
     @pytest.mark.parametrize("grid", ["horizon=abc", "auction_enabled=flase,ture"])
     def test_unparsable_grid_value_exits_2(self, capsys, grid):

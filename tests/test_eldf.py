@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,25 +30,28 @@ from dfmm.errors import (
     SolverDivergence,
     TooFewPoints,
 )
+import oracles
 from oracles import grid_solve_volume, newton_quadratic, random_positive_quadratic
 
 
-def quad_points(c2, c1, c0, vols):
-    return [CurvePoint(v, (c2 * v + c1) * v + c0) for v in vols]
+def quad_prices(c2, c1, c0, vols):
+    """(volumes, prices) arrays sampling the density c2*v^2 + c1*v + c0."""
+    vols = np.asarray(vols, dtype=float)
+    return vols, (c2 * vols + c1) * vols + c0
 
 
 class TestFit:
     def test_constant_data(self):
-        curve = fit_eldf([CurvePoint(v, 1.0) for v in (0.0, 1.0, 2.0)])
+        curve = fit_eldf(np.array([0.0, 1.0, 2.0]), np.ones(3))
         assert curve.c2 == pytest.approx(0.0, abs=1e-12)
         assert curve.c1 == pytest.approx(0.0, abs=1e-12)
         assert curve.c0 == pytest.approx(1.0, abs=1e-12)
         assert (curve.v_lo, curve.v_hi) == (0.0, 2.0)
 
     def test_exact_quadratic_matches_newton_oracle(self):
-        pts = quad_points(2.0, 3.0, 1.0, (0.0, 1.0, 2.0))
-        curve = fit_eldf(pts)
-        c2, c1, c0 = newton_quadratic([(p.volume, p.price) for p in pts])
+        vols, prices = quad_prices(2.0, 3.0, 1.0, (0.0, 1.0, 2.0))
+        curve = fit_eldf(vols, prices)
+        c2, c1, c0 = newton_quadratic(list(zip(vols.tolist(), prices.tolist())))
         assert curve.c2 == pytest.approx(c2, abs=1e-8)
         assert curve.c1 == pytest.approx(c1, abs=1e-8)
         assert curve.c0 == pytest.approx(c0, abs=1e-8)
@@ -59,7 +61,7 @@ class TestFit:
         for _ in range(50):
             c2, c1, c0, v_hi = random_positive_quadratic(rng)
             vols = np.linspace(0.0, v_hi, 9)
-            curve = fit_eldf(quad_points(c2, c1, c0, vols))
+            curve = fit_eldf(*quad_prices(c2, c1, c0, vols))
             scale = max(1.0, abs(c2), abs(c1), abs(c0))
             assert abs(curve.c2 - c2) <= 1e-8 * scale
             assert abs(curve.c1 - c1) <= 1e-8 * scale
@@ -69,8 +71,7 @@ class TestFit:
         # alternating +/-0.01 perturbation of p = v + 1 at 7 points
         vols = [float(v) for v in range(7)]
         prices = [v + 1.0 + (0.01 if i % 2 == 0 else -0.01) for i, v in enumerate(vols)]
-        pts = [CurvePoint(v, p) for v, p in zip(vols, prices)]
-        curve = fit_eldf(pts)
+        curve = fit_eldf(np.array(vols), np.array(prices))
 
         def sse(c2, c1, c0):
             return sum(((c2 * v + c1) * v + c0 - p) ** 2 for v, p in zip(vols, prices))
@@ -84,19 +85,36 @@ class TestFit:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            fit_eldf([CurvePoint(0, 1), CurvePoint(1, 1)])
+            fit_eldf(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
     def test_non_monotone_volumes(self):
-        pts = [CurvePoint(0, 1), CurvePoint(2, 1), CurvePoint(1, 1)]
         with pytest.raises(NonMonotoneVolumes):
-            fit_eldf(pts)
+            fit_eldf(np.array([0.0, 2.0, 1.0]), np.ones(3))
 
     def test_negative_dip_rejected(self):
         # positive V-shaped data whose least-squares parabola dips below zero
-        prices = (5.0, 0.1, 0.05, 0.1, 5.0)
-        pts = [CurvePoint(float(v), p) for v, p in zip(range(5), prices)]
+        prices = np.array([5.0, 0.1, 0.05, 0.1, 5.0])
         with pytest.raises(NonPositiveDensity):
-            fit_eldf(pts)
+            fit_eldf(np.arange(5.0), prices)
+
+    # the checks CurvePoint made on each point, made on the arrays
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, -math.inf])
+    def test_non_positive_price_rejected(self, bad):
+        prices = np.array([1.0, 1.0, bad, 1.0])
+        with pytest.raises(NonPositiveDensity, match="price must be positive"):
+            fit_eldf(np.arange(4.0), prices)
+
+    def test_negative_first_volume_rejected(self):
+        with pytest.raises(NonMonotoneVolumes, match="nonnegative"):
+            fit_eldf(np.array([-1.0, 0.0, 1.0]), np.ones(3))
+
+    def test_two_points_rejected_before_other_checks(self):
+        with pytest.raises(TooFewPoints, match="got 2"):
+            fit_eldf(np.array([-1.0, -2.0]), np.array([0.0, math.nan]))
+
+    def test_sequences_fit_like_arrays(self):
+        vols, prices = quad_prices(0.1, -0.2, 3.0, (0.0, 1.0, 2.5, 4.0))
+        assert fit_eldf(vols.tolist(), prices.tolist()) == fit_eldf(vols, prices)
 
     # Every comparison with NaN is false, so only an explicit finiteness
     # check keeps a NaN or infinite curve out of the engine.
@@ -115,21 +133,21 @@ class TestFit:
 
     def test_overflowing_volumes_rejected(self):
         # v*v overflows, so the normal equations give NaN coefficients
-        pts = [CurvePoint(float(v), 1.0) for v in np.linspace(0.0, 1e200, 7)]
+        vols = np.linspace(0.0, 1e200, 7)
         with pytest.raises(NonPositiveDensity, match="not finite"):
-            fit_eldf(pts)
+            fit_eldf(vols, np.ones(7))
 
     def test_underflowing_volumes_diverge(self):
         # v*v underflows to zero, so the normal equations are singular
-        pts = [CurvePoint(float(v), 1.0) for v in np.linspace(0.0, 1e-200, 7)]
+        vols = np.linspace(0.0, 1e-200, 7)
         with pytest.raises(SolverDivergence, match="singular"):
-            fit_eldf(pts)
+            fit_eldf(vols, np.ones(7))
 
 
-def uncached_coefficients(points):
+def uncached_coefficients(vols, prices):
     """Column-scaled normal-equation fit rebuilt from scratch: (c2, c1, c0)."""
-    vols = np.array([p.volume for p in points], dtype=float)
-    prices = np.array([p.price for p in points], dtype=float)
+    vols = np.array(vols, dtype=float)
+    prices = np.array(prices, dtype=float)
     a = np.column_stack([np.ones_like(vols), vols, vols * vols])
     scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
     a_s = a / scale
@@ -156,48 +174,50 @@ class TestDesignCache:
         grids = [self.random_grid(rng) for _ in range(20)]
         for _ in range(3):  # later passes hit the cache for every grid
             for vols in grids:
-                pts = [CurvePoint(v, p) for v, p in zip(vols, self.random_prices(rng, vols))]
-                curve = fit_eldf(pts)
-                assert (curve.c2, curve.c1, curve.c0) == uncached_coefficients(pts)
+                prices = self.random_prices(rng, vols)
+                curve = fit_eldf(vols, prices)
+                assert (curve.c2, curve.c1, curve.c0) == uncached_coefficients(vols, prices)
                 assert (curve.v_lo, curve.v_hi) == (vols[0], vols[-1])
 
     def test_repeated_grid_hits_cache_and_stays_bit_equal(self):
         vols = [0.0, 1.5, 3.0, 4.5, 6.0]
-        fit_eldf(quad_points(0.1, -0.2, 3.0, vols))
+        fit_eldf(*quad_prices(0.1, -0.2, 3.0, vols))
         hits = eldf._design.cache_info().hits
         for c0 in (2.0, 5.0, 11.0):
-            pts = quad_points(0.05, 0.3, c0, vols)
-            curve = fit_eldf(pts)
-            assert (curve.c2, curve.c1, curve.c0) == uncached_coefficients(pts)
+            grid, prices = quad_prices(0.05, 0.3, c0, vols)
+            curve = fit_eldf(grid, prices)
+            assert (curve.c2, curve.c1, curve.c0) == uncached_coefficients(grid, prices)
         assert eldf._design.cache_info().hits == hits + 3
 
     def test_cached_design_is_read_only(self):
         vols = [0.0, 1.0, 2.0, 4.0]
-        fit_eldf(quad_points(0.0, 0.5, 1.0, vols))
+        fit_eldf(*quad_prices(0.0, 0.5, 1.0, vols))
         for arr in eldf._design(np.array(vols).tobytes()):
             assert not arr.flags.writeable
 
     def test_non_monotone_grid_after_cached_grid_raises(self):
         vols = [0.0, 1.0, 2.0, 3.0]
-        fit_eldf(quad_points(0.0, 1.0, 1.0, vols))
+        fit_eldf(*quad_prices(0.0, 1.0, 1.0, vols))
         with pytest.raises(NonMonotoneVolumes):
-            fit_eldf(quad_points(0.0, 1.0, 1.0, [0.0, 2.0, 1.0, 3.0]))
+            fit_eldf(*quad_prices(0.0, 1.0, 1.0, [0.0, 2.0, 1.0, 3.0]))
         with pytest.raises(NonMonotoneVolumes):
-            fit_eldf(quad_points(0.0, 1.0, 1.0, [0.0, 1.0, 1.0, 3.0]))
+            fit_eldf(*quad_prices(0.0, 1.0, 1.0, [0.0, 1.0, 1.0, 3.0]))
         # a failed grid is not cached: it raises again
         with pytest.raises(NonMonotoneVolumes):
-            fit_eldf(quad_points(0.0, 1.0, 1.0, [0.0, 2.0, 1.0, 3.0]))
+            fit_eldf(*quad_prices(0.0, 1.0, 1.0, [0.0, 2.0, 1.0, 3.0]))
 
     def test_non_positive_price_on_cached_grid_raises(self):
         vols = [0.0, 1.0, 2.0, 3.0]
-        fit_eldf(quad_points(0.0, 1.0, 1.0, vols))
+        fit_eldf(*quad_prices(0.0, 1.0, 1.0, vols))
         with pytest.raises(NonPositiveDensity):
-            CurvePoint(3.0, 0.0)
-        # points that skip CurvePoint's own check: the fitted line is
-        # negative at v_hi, which the fitted curve's density check rejects
-        raw = [SimpleNamespace(volume=v, price=1.0 - 2.0 * v / 3.0) for v in vols]
+            fit_eldf(np.array(vols), np.array([1.0, 1.0, 1.0, 0.0]))
+        # the line 1 - 2v/3 is negative at v_hi: its last price is refused
         with pytest.raises(NonPositiveDensity):
-            fit_eldf(raw)
+            fit_eldf(*quad_prices(0.0, -2.0 / 3.0, 1.0, vols))
+        # positive prices whose fitted line reaches zero inside the domain
+        # pass the price check; the fitted curve's density check rejects it
+        with pytest.raises(NonPositiveDensity, match="not positive|dips"):
+            fit_eldf(np.array(vols), np.array([1.0, 0.3, 1e-9, 1e-9]))
 
 
 class TestEval:
@@ -402,3 +422,87 @@ def test_integration_additivity_hypothesis(c1, c0, span):
     whole = integrate_eldf(curve, a, c)
     split = integrate_eldf(curve, a, b) + integrate_eldf(curve, b, c)
     assert math.isclose(whole, split, rel_tol=1e-9, abs_tol=1e-12)
+
+
+class TestSolvePastDomain:
+    """A solve from a v1 past v_hi, where the capacity interval is empty."""
+
+    def test_clamp_sources_from_v1_at_boundary_density(self):
+        curve = Eldf(0.0, 0.0, 1.0, v_lo=0.0, v_hi=10.0, extrapolation="clamp")
+        assert solve_volume_for_value(curve, 12.0, 3.0) == 15.0
+        assert integrate_eldf(curve, 12.0, 15.0) == 3.0
+
+    def test_clamp_uses_density_at_v_hi(self):
+        curve = Eldf(0.0, 1.0, 1.0, v_lo=0.0, v_hi=10.0, extrapolation="clamp")
+        assert solve_volume_for_value(curve, 20.0, 22.0) == 22.0
+        assert integrate_eldf(curve, 20.0, 22.0) == 22.0
+
+    def test_error_mode_within_slack_has_no_capacity(self):
+        curve = Eldf(0.0, 0.0, 1.0, v_lo=0.0, v_hi=10.0)
+        v1 = 10.0 + 5e-9  # inside the domain check's slack of 1e-8
+        with pytest.raises(NoFeasibleRoot, match="source only 0"):
+            solve_volume_for_value(curve, v1, 1.0)
+        assert solve_volume_for_value(curve, v1, 0.0) == v1
+        with pytest.raises(OutOfDomain):
+            solve_volume_for_value(curve, 10.0 + 2e-8, 1.0)
+
+
+def outcome(fn, *args):
+    """repr of the result, or the class of the engine error raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the class is compared, not swallowed
+        return type(exc).__name__
+
+
+@st.composite
+def curve_and_points(draw):
+    """A valid curve and volumes in, at the edges of, below and above its domain."""
+    c2 = draw(st.floats(-2.0, 2.0))
+    c1 = draw(st.floats(-5.0, 5.0))
+    c0 = draw(st.floats(1e-3, 50.0))
+    lo = draw(st.sampled_from([0.0, 0.0, 1.0, 37.5]))
+    hi = lo + draw(st.floats(1e-3, 1e4))
+    mode = draw(st.sampled_from(["error", "clamp"]))
+    try:
+        curve = Eldf(c2, c1, c0, v_lo=lo, v_hi=hi, extrapolation=mode)
+    except NonPositiveDensity:
+        curve = Eldf(0.0, 0.0, c0, v_lo=lo, v_hi=hi, extrapolation=mode)
+    slack = 1e-9 * max(1.0, hi - lo)
+    volume = st.one_of(
+        st.sampled_from([lo, hi, lo - slack / 2, hi + slack / 2, lo - 2 * slack, hi + 2 * slack]),
+        st.floats(-0.5, 1.5).map(lambda u: lo + u * (hi - lo)),
+    )
+    return curve, draw(volume), draw(volume)
+
+
+@given(case=curve_and_points())
+@settings(max_examples=400)
+def test_integrate_identical_to_reference(case):
+    curve, v1, v2 = case
+    assert outcome(integrate_eldf, curve, v1, v2) == outcome(
+        oracles.integrate_eldf, curve, v1, v2
+    )
+
+
+@given(case=curve_and_points(), share=st.floats(-0.5, 2.0))
+@settings(max_examples=400)
+def test_solve_identical_to_reference(case, share):
+    curve, v1, _ = case
+    try:
+        full = oracles.integrate_eldf(curve, curve.v_lo, curve.v_hi)
+    except OutOfDomain:
+        full = 1.0
+    target = 0.0 if share == 0.5 else share * full
+    new = outcome(solve_volume_for_value, curve, v1, target)
+    ref = outcome(oracles.solve_volume_for_value, curve, v1, target)
+    if ref == "ReversedInterval":
+        # a v1 past v_hi: the reference could not value its empty capacity
+        assert v1 > curve.v_hi and target > 0.0
+        if curve.extrapolation == "clamp":
+            dens = eval_eldf(curve, curve.v_hi)
+            assert new == repr(v1 + target / dens)
+        else:
+            assert new == "NoFeasibleRoot"
+    else:
+        assert new == ref

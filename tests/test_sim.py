@@ -6,15 +6,19 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from dfmm import cli, eldf
 from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach, SolverDivergence
 from dfmm.ledger import BalanceSheet
 from dfmm.money import from_units, to_units
 from dfmm.pricing import quote_swap
 from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_config
-from dfmm.sim.engine import Engine, RunArtifacts
-from dfmm.sim.market import ExternalMarket
+from dfmm.sim import engine as engine_mod
+from dfmm.sim.engine import PHASES, Engine, RunArtifacts
+from dfmm.sim.market import AssetMarket, ExternalMarket
 from dfmm.sim.output import write_logs
 from dfmm.vaults import SHORT, boundary_premium_flow, covering_side
 
@@ -156,6 +160,42 @@ class TestMarket:
             acfg.mid_price * (1 + acfg.spread / 2)
         )
 
+    @given(
+        depth=st.tuples(st.floats(1.0, 10.0), st.integers(-150, 150)).map(
+            lambda me: me[0] * 10.0 ** me[1]
+        ),
+        n_points=st.integers(3, 64),
+        spread=st.floats(0.0, 1.0),
+        profile=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+        mid=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+        extrapolation=st.sampled_from(["error", "clamp"]),
+        slot_id=st.integers(0, 10**6),
+    )
+    @settings(max_examples=150)
+    def test_fit_curves_identical_to_snapshot_point_fit(
+        self, depth, n_points, spread, profile, mid, extrapolation, slot_id
+    ):
+        bid_slope, bid_curv, ask_slope, ask_curv = profile
+        acfg = AssetConfig(
+            "X", depth=depth, n_points=n_points, spread=spread, bid_slope=bid_slope,
+            bid_curv=bid_curv, ask_slope=ask_slope, ask_curv=ask_curv,
+        )
+        assume(scenario(assets=(acfg, asset("Y"))).validate() == [])
+        market = AssetMarket(cfg=acfg, mid=mid, rng=np.random.default_rng(0))
+
+        def fit(fn):
+            try:
+                return repr(fn(market, slot_id, extrapolation=extrapolation))
+            except Exception as exc:  # the class is compared, not swallowed
+                return type(exc).__name__
+
+        assert fit(AssetMarket.fit_curves) == fit(oracles.snapshot_fit_curves)
+
+    def test_profiles_are_read_only(self):
+        market = ExternalMarket(scenario().assets, np.random.SeedSequence(1))["X"]
+        for arr in (market._vols, *(unit for _, unit in market._profiles)):
+            assert not arr.flags.writeable
+
     def test_impact_shifts_mid(self):
         cfg = scenario(assets=(asset("X", impact_alpha=0.001), asset("Y")))
         market = ExternalMarket(cfg.assets, np.random.SeedSequence(1))
@@ -229,6 +269,46 @@ class TestEngine:
             liquidated[vault] = now
         assert flips > 0
         assert art.summary["liquidations"] == flips
+
+    def test_vault_starting_at_floor_is_liquidated_at_construction(self):
+        cfg = scenario(horizon=20, epoch_len=5, assets=(asset("X", c_long=0.0), asset("Y")))
+        eng = Engine(cfg)
+        assert eng.vaults["X"].long.liquidated and eng.liquidations == 1
+        art = eng.run()
+        rows = [r for r in art.logs["vaults"] if (r[1], r[2]) == ("X", "long")]
+        assert len(rows) == 4 and all(r[7] == 1 for r in rows)
+        assert art.summary["liquidations"] == 1
+        # the other vaults start well above the floor
+        assert sum(r[7] for r in art.logs["vaults"]) == 4
+
+    def test_clamped_marks_past_the_domain_keep_quoting(self, monkeypatch):
+        # 20-unit books under 4 trades a step for 5-step slots: the ask
+        # mark runs past v_hi, and the clamp mode sources the rest at the
+        # boundary density instead of rejecting with ReversedInterval
+        errors = []
+        quote = engine_mod.quote_swap
+
+        def recording(*args, **kwargs):
+            try:
+                return quote(*args, **kwargs)
+            except Exception as exc:
+                errors.append(type(exc).__name__)
+                raise
+
+        monkeypatch.setattr(engine_mod, "quote_swap", recording)
+        cfg = scenario(
+            trader_rate=4,
+            horizon=40,
+            slot_len=5,
+            clamp_extrapolation=True,
+            assets=(asset("X", depth=20.0), asset("Y", depth=20.0)),
+        )
+        eng = Engine(cfg)
+        art = eng.run()
+        assert not art.summary["halted"]
+        assert errors == []
+        assert (art.summary["fills"], art.summary["rejected"]) == (135, 0)
+        assert max(c.ask_mark for c in eng.curves.values()) > 20.0
 
     def test_no_settlement_when_curves_static(self):
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),), horizon=10)
@@ -588,6 +668,21 @@ class TestDeterministicOutput:
         assert "duration_seconds" not in summary
         manifest = json.loads((outs[0] / "manifest.json").read_text())
         assert manifest["duration_seconds"] >= 0.0
+
+    def test_manifest_reports_phase_seconds(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        perf = manifest["perf"]
+        assert sorted(perf) == sorted(PHASES) and len(PHASES) == 9
+        assert all(seconds >= 0.0 for seconds in perf.values())
+        assert perf["refit"] > 0.0 and perf["traders"] > 0.0
+        assert sum(perf.values()) <= manifest["duration_seconds"]
+
+    def test_artifacts_without_perf_write_an_empty_perf(self, tmp_path):
+        art = RunArtifacts(logs={}, summary={}, config=scenario())
+        assert art.perf == {}
+        assert write_logs(art, tmp_path)["perf"] == {}
 
     # SHA-256 over every CSV and summary.json, in name order, each as
     # name, NUL, bytes, NUL. A refactor that keeps the outputs keeps these.
