@@ -297,6 +297,8 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     # the part of [v1, v1_eff] below the domain is valued at clamp
     # density; otherwise that interval is empty and adding 0.0 is exact
     head = (lo - v1) * _poly(c2, c1, c0, lo) if v1 < lo else 0.0
+    if target_value < head:  # the root lies in that part, below v_lo
+        return v1 + target_value / _poly(c2, c1, c0, lo)
     capacity = (_antideriv(c2, c1, c0, hi) - f1) + head
     if target_value > capacity:
         if curve.extrapolation == "clamp":

@@ -40,20 +40,6 @@ class SyntheticPool:
 
 
 @dataclass(frozen=True)
-class SolvencyReport:
-    solvent: bool
-    surplus_units: int
-
-    @property
-    def surplus(self) -> float:
-        return from_units(self.surplus_units)
-
-    @property
-    def deficit(self) -> float:
-        return max(0.0, -self.surplus)
-
-
-@dataclass(frozen=True)
 class LogEntry:
     kind: str
     data: tuple
@@ -158,11 +144,11 @@ class BalanceSheet:
         }
 
 
-def solvency_check(sheet: BalanceSheet, bid_curves: Mapping[str, Eldf]) -> SolvencyReport:
-    """Bid-curve value of inventories versus the LP claims, across assets.
-
-    Both sides value every pool from zero depth on the asset's own bid
-    curve; the signed surplus is positive when obligations are covered.
+def solvency_check(sheet: BalanceSheet, bid_curves: Mapping[str, Eldf]) -> int:
+    """Bid-curve value of inventories minus the LP claims, across assets,
+    in ledger units. Both sides value every pool from zero depth on the
+    asset's own bid curve; the surplus is negative when obligations are
+    not covered.
     """
     lhs = 0
     rhs = 0
@@ -175,5 +161,4 @@ def solvency_check(sheet: BalanceSheet, bid_curves: Mapping[str, Eldf]) -> Solve
             raise ValuationUnavailable(f"no bid curve for {asset_id}")
         lhs += to_units(integrate_eldf(bid, 0.0, pool.inventory))
         rhs += to_units(integrate_eldf(bid, 0.0, pool.lp_inventory))
-    surplus = lhs - rhs
-    return SolvencyReport(solvent=surplus >= 0, surplus_units=surplus)
+    return lhs - rhs

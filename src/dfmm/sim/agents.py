@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..money import from_units
-from ..pricing import RebalanceParams, rp_delta
+from ..pricing import rp_delta
 from .config import ScenarioConfig
 
 
@@ -59,31 +59,22 @@ class ArbitrageurAgent:
     def decide(self, t_units_by_asset: dict, params_by_asset: dict, theta: float):
         """Pick the flow-reducing pair and size; None when unprofitable.
 
-        The in-leg is the asset with the most positive flow (selling it
-        to the pool walks that flow down), the out-leg the most negative
-        (buying walks it up). Sizing targets the notional that maximises
-        the combined rebate, capped at the exposure limit.
+        Precondition: the flows sum to zero in integer units (each swap
+        moves one V' between two flows), so the most positive flow, the
+        in-leg, is above zero exactly when the most negative, the
+        out-leg, is below. Every unit up to the nearer leg's distance
+        from zero earns on both legs; the exposure limit caps the size.
         """
         ids = sorted(t_units_by_asset)
-        if len(ids) < 2:
-            return None
         t_by_asset = {a: from_units(t_units_by_asset[a]) for a in ids}
         asset_in = max(ids, key=lambda a: t_by_asset[a])
         asset_out = min(ids, key=lambda a: t_by_asset[a])
-        if asset_in == asset_out:
-            return None
         t_in = t_by_asset[asset_in]
         t_out = t_by_asset[asset_out]
-        if t_in <= 0.0 and t_out >= 0.0:
-            return None  # nothing to rebalance
+        if t_in <= 0.0:
+            return None  # every flow is zero: nothing to rebalance
 
-        target = self._target_notional(
-            t_in, t_out, params_by_asset[asset_in], params_by_asset[asset_out]
-        )
-        target = min(target, self.max_exposure)
-        if target <= 0.0:
-            return None
-
+        target = min(t_in, -t_out, self.max_exposure)
         rebate = -(
             rp_delta(t_in, t_in - target, params_by_asset[asset_in])
             + rp_delta(t_out, t_out + target, params_by_asset[asset_out])
@@ -92,38 +83,3 @@ class ArbitrageurAgent:
         if payoff <= 0.0:
             return None
         return asset_in, asset_out, target
-
-    @staticmethod
-    def _target_notional(
-        t_in: float,
-        t_out: float,
-        p_in: RebalanceParams,
-        p_out: RebalanceParams,
-    ) -> float:
-        """Notional maximising the two-leg rebate.
-
-        While both legs move toward zero every unit earns, so at least
-        min of the two distances is optimal; past the point where one leg
-        crosses zero, marginal rebate on the other leg must still beat
-        the marginal penalty, which for quadratic premia has a closed
-        form.
-        """
-        dist_in = max(t_in, 0.0)
-        dist_out = max(-t_out, 0.0)
-        if dist_in > 0.0 and dist_out > 0.0:
-            return min(dist_in, dist_out)
-        if dist_in > 0.0:
-            d_i, a_i = p_in.d_rhs, p_in.a_rhs
-            d_o, a_o = p_out.d_rhs, p_out.a_rhs
-            denom = 2.0 * (d_i + d_o)
-            if denom <= 0.0:
-                return dist_in
-            v = (2.0 * d_i * dist_in + d_i * a_i - d_o * a_o) / denom
-            return min(max(v, 0.0), dist_in)
-        d_o, a_o = p_out.d_lhs, p_out.a_lhs
-        d_i, a_i = p_in.d_lhs, p_in.a_lhs
-        denom = 2.0 * (d_i + d_o)
-        if denom <= 0.0:
-            return dist_out
-        v = (2.0 * d_o * dist_out + d_o * a_o - d_i * a_i) / denom
-        return min(max(v, 0.0), dist_out)

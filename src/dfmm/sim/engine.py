@@ -23,9 +23,15 @@ valued with the params in force at the quote by the same
 the vault still covers its side's open inventory after that debit and
 stays above its margin floor.
 
-The engine keeps a full set of exact-unit accumulators and audits them
-after every epoch: trade balances, premium-reserve telescoping, treasury
-identity, and the hedged solvency margin. An audit failure, like any
+The audit runs at the end of every timestep, in exact ledger units. Each
+identity sets a total the engine keeps against a record kept by other
+code: trade balance (fills' V_S = V' + premia + fees), fee split (fees =
+the treasury's cumulative xi + the reward ledger's units), premium
+reserve (the sheet's RR balances = premia + the treasury's cumulative
+upsilon), treasury identity (balance = cum xi - cum upsilon), synthetic
+flows net (the flows T sum to zero) and hedge book (vault collateral
+moved since construction = queued flows applied - hedge P&L).
+A failed identity raises ``InvariantBreach`` naming it. That, like any
 other engine error raised mid-run or by the first refit at construction,
 is fail-stop: the run halts with a diagnostic naming the error class and
 timestep, and the logs collected so far are preserved.
@@ -50,7 +56,7 @@ from ..auction import (
 )
 from ..eldf import AssetCurves, Eldf, integrate_eldf, solve_volume_for_value
 from ..errors import EngineError, InvariantBreach
-from ..ledger import BalanceSheet, SolvencyReport, solvency_check
+from ..ledger import BalanceSheet, solvency_check
 from ..metrics import impermanent_loss, slippage
 from ..money import from_units, to_units
 from ..pricing import FeeSchedule, RebalanceParams, execute_swap, quote_swap
@@ -143,17 +149,12 @@ class Engine:
 
         self.logs: dict[str, list] = {kind: [] for kind in SCHEMAS}
 
-        # exact-unit accumulators for the conservation audit
+        # exact-unit totals the audit sets against records kept elsewhere
         self.total_v_s_units = 0
         self.total_v_prime_units = 0
         self.total_rp_units = 0
         self.total_fee_units = 0
-        self.total_xi_units = 0
-        self.total_reward_units = 0
-        self.upsilon_topup_units = 0
         self.hedge_pnl_units = 0
-        self.settlement_net_units = 0
-        self.slp_flow_net_units = 0
         self.vault_external_units = 0
 
         # summary trackers
@@ -276,8 +277,6 @@ class Engine:
         self.total_v_prime_units += quote.v_prime_units
         self.total_rp_units += quote.rp_in_units + quote.rp_out_units
         self.total_fee_units += quote.fee_units
-        self.total_xi_units += xi_units
-        self.total_reward_units += reward_units
         if agent == "trader":
             self.trader_cost_units += (
                 quote.rp_in_units + quote.rp_out_units + quote.fee_units
@@ -390,7 +389,6 @@ class Engine:
         for ev in events:
             treasury_update(self.reserve, upsilon_delta_units=ev.upsilon_units)
             self.sheet.adjust_rr(ev.asset_id, ev.upsilon_units, "auction")
-            self.upsilon_topup_units += ev.upsilon_units
             self.logs["auction"].append(
                 (
                     self.t,
@@ -431,7 +429,6 @@ class Engine:
                     pos, self.strike_bid[aid], self.curves[aid].bid, vault
                 )
                 self.hedge_pnl_units -= moved
-                self.settlement_net_units -= moved
                 settlement_units[pos.side] = moved
                 self.liquidations += margin_check(vault)
 
@@ -442,7 +439,6 @@ class Engine:
                 vault = vp.by_side(side)
                 applied = slp_premium_flow(t_prev, t_now, self.params[aid], vault)
                 self.hedge_pnl_units -= applied
-                self.slp_flow_net_units -= applied
                 flow_units[side] += applied
                 self.liquidations += margin_check(vault)
 
@@ -501,21 +497,23 @@ class Engine:
     # ------------------------------------------------------------------
     # metrics, audit, run loop
 
-    def solvency_margin_units(self, report: SolvencyReport | None = None) -> int:
+    def solvency_margin_units(self, surplus_units: int | None = None) -> int:
         """Hedged protocol margin: inventory surplus plus protocol cash.
 
-        ``report`` is the current solvency_check result when the caller
-        already holds it; otherwise it is computed here.
+        ``surplus_units`` is the current solvency_check result when the
+        caller already holds it; otherwise it is computed here.
         """
-        if report is None:
-            report = solvency_check(self.sheet, {a: c.bid for a, c in self.curves.items()})
+        if surplus_units is None:
+            surplus_units = solvency_check(
+                self.sheet, {a: c.bid for a, c in self.curves.items()}
+            )
         cash = (
             sum(s.t_units for s in self.sheet.spools.values())
             + sum(self.sheet.rr_units.values())
             + self.reserve.balance_units
             + self.hedge_pnl_units
         )
-        return report.surplus_units + cash
+        return surplus_units + cash
 
     def unsettled_revaluation_units(self) -> int:
         """Curve move since epoch open, valued on current open inventory."""
@@ -531,8 +529,8 @@ class Engine:
         return total
 
     def _emit_metrics(self, utils: dict) -> None:
-        report = solvency_check(self.sheet, {a: c.bid for a, c in self.curves.items()})
-        margin_units = self.solvency_margin_units(report)
+        surplus_units = solvency_check(self.sheet, {a: c.bid for a, c in self.curves.items()})
+        margin_units = self.solvency_margin_units(surplus_units)
         if self.min_margin_units is None or margin_units < self.min_margin_units:
             self.min_margin_units = margin_units
         rows = self.logs["metrics"]
@@ -548,7 +546,7 @@ class Engine:
             rows.append((self.t, "util_rhs", aid, util.u_rhs))
             rows.append((self.t, "util_lhs", aid, util.u_lhs))
         rows.append((self.t, "solvency_margin", "*", from_units(margin_units)))
-        rows.append((self.t, "solvency_deficit_raw", "*", report.deficit))
+        rows.append((self.t, "solvency_deficit_raw", "*", max(0.0, -from_units(surplus_units))))
         rows.append(
             (self.t, "unsettled_reval", "*", from_units(self.unsettled_revaluation_units()))
         )
@@ -561,18 +559,17 @@ class Engine:
             + self.total_rp_units
             + self.total_fee_units,
             "fee split": self.total_fee_units
-            == self.total_xi_units + self.total_reward_units,
+            == self.reserve.cum_xi_units + self.rewards.total_units(),
             "premium reserve": sum(self.sheet.rr_units.values())
-            == self.total_rp_units + self.upsilon_topup_units,
+            == self.total_rp_units + self.reserve.cum_upsilon_units,
             "treasury identity": self.reserve.balance_units
             == self.reserve.cum_xi_units - self.reserve.cum_upsilon_units,
             "synthetic flows net": sum(
                 s.t_units for s in self.sheet.spools.values()
             )
             == 0,
-            "hedge book": self.hedge_pnl_units
-            == self.settlement_net_units + self.slp_flow_net_units,
-            "treasury vs xi": self.reserve.cum_xi_units == self.total_xi_units,
+            "hedge book": self._vault_units() - self.initial_vault_units
+            == self.vault_external_units - self.hedge_pnl_units,
         }
         failed = [name for name, ok in checks.items() if not ok]
         if failed:

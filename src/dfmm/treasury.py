@@ -163,6 +163,9 @@ class RewardLedger:
     def pending_units(self, asset_id: str) -> int:
         return self.accrued_units.get(asset_id, 0)
 
+    def total_units(self) -> int:
+        return sum(self.accrued_units.values()) + sum(self.claimable_units.values())
+
     def distribute(self, asset_id: str, shares: RewardShares) -> None:
         pending = self.accrued_units.get(asset_id, 0)
         if shares.total_units != pending:

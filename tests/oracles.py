@@ -10,12 +10,14 @@ to cancel a float residual, bisection in exact rational arithmetic).
 The reference implementations at the end are earlier versions of engine
 code, kept verbatim so that faster replacements can be checked for
 identical results: the snapshot-point refit, the point-based
-``fit_eldf``, and ``integrate_eldf`` and ``solve_volume_for_value``
-before they were computed in one pass.
+``fit_eldf``, ``integrate_eldf`` and ``solve_volume_for_value`` before
+they were computed in one pass, and ``ArbitrageurAgent`` with its sizing
+for one-sided flows, which flows that sum to zero never reach.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,7 +41,8 @@ from dfmm.errors import (
     SolverDivergence,
     TooFewPoints,
 )
-from dfmm.pricing import RebalanceParams, premium_fn, premium_units
+from dfmm.money import from_units
+from dfmm.pricing import RebalanceParams, premium_fn, premium_units, rp_delta
 
 
 def newton_quadratic(points):
@@ -400,3 +403,89 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
             f"cubic solve residual {final - target_value:.3g} for M={target_value:.6g}"
         )
     return v2
+
+
+@dataclass(frozen=True)
+class ArbitrageurAgent:
+    """Harvests premium rebates by walking the synthetic flows toward zero.
+
+    Acts only when the expected net payoff is strictly positive: the
+    rebate claimable for moving both legs' flow toward zero, minus fees
+    and the fixed round-trip cost. It does not trade on gaps between
+    internal and external prices.
+    """
+
+    fixed_cost: float
+    max_exposure: float
+
+    def decide(self, t_units_by_asset: dict, params_by_asset: dict, theta: float):
+        """Pick the flow-reducing pair and size; None when unprofitable.
+
+        The in-leg is the asset with the most positive flow (selling it
+        to the pool walks that flow down), the out-leg the most negative
+        (buying walks it up). Sizing targets the notional that maximises
+        the combined rebate, capped at the exposure limit.
+        """
+        ids = sorted(t_units_by_asset)
+        if len(ids) < 2:
+            return None
+        t_by_asset = {a: from_units(t_units_by_asset[a]) for a in ids}
+        asset_in = max(ids, key=lambda a: t_by_asset[a])
+        asset_out = min(ids, key=lambda a: t_by_asset[a])
+        if asset_in == asset_out:
+            return None
+        t_in = t_by_asset[asset_in]
+        t_out = t_by_asset[asset_out]
+        if t_in <= 0.0 and t_out >= 0.0:
+            return None  # nothing to rebalance
+
+        target = self._target_notional(
+            t_in, t_out, params_by_asset[asset_in], params_by_asset[asset_out]
+        )
+        target = min(target, self.max_exposure)
+        if target <= 0.0:
+            return None
+
+        rebate = -(
+            rp_delta(t_in, t_in - target, params_by_asset[asset_in])
+            + rp_delta(t_out, t_out + target, params_by_asset[asset_out])
+        )
+        payoff = rebate - theta * target - self.fixed_cost
+        if payoff <= 0.0:
+            return None
+        return asset_in, asset_out, target
+
+    @staticmethod
+    def _target_notional(
+        t_in: float,
+        t_out: float,
+        p_in: RebalanceParams,
+        p_out: RebalanceParams,
+    ) -> float:
+        """Notional maximising the two-leg rebate.
+
+        While both legs move toward zero every unit earns, so at least
+        min of the two distances is optimal; past the point where one leg
+        crosses zero, marginal rebate on the other leg must still beat
+        the marginal penalty, which for quadratic premia has a closed
+        form.
+        """
+        dist_in = max(t_in, 0.0)
+        dist_out = max(-t_out, 0.0)
+        if dist_in > 0.0 and dist_out > 0.0:
+            return min(dist_in, dist_out)
+        if dist_in > 0.0:
+            d_i, a_i = p_in.d_rhs, p_in.a_rhs
+            d_o, a_o = p_out.d_rhs, p_out.a_rhs
+            denom = 2.0 * (d_i + d_o)
+            if denom <= 0.0:
+                return dist_in
+            v = (2.0 * d_i * dist_in + d_i * a_i - d_o * a_o) / denom
+            return min(max(v, 0.0), dist_in)
+        d_o, a_o = p_out.d_lhs, p_out.a_lhs
+        d_i, a_i = p_in.d_lhs, p_in.a_lhs
+        denom = 2.0 * (d_i + d_o)
+        if denom <= 0.0:
+            return dist_out
+        v = (2.0 * d_o * dist_out + d_o * a_o - d_i * a_i) / denom
+        return min(max(v, 0.0), dist_out)

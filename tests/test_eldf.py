@@ -447,6 +447,31 @@ class TestSolvePastDomain:
             solve_volume_for_value(curve, 10.0 + 2e-8, 1.0)
 
 
+class TestSolveBelowDomain:
+    """A solve from a v1 in the slack below v_lo for less than the value
+    of [v1, v_lo]: the root lies in that slack, at the density of v_lo."""
+
+    @pytest.mark.parametrize("mode", ["clamp", "error"])
+    @pytest.mark.parametrize("target", [1e-9, 9e-9])  # a tenth and nine tenths of the head
+    def test_root_in_the_slack(self, mode, target):
+        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, extrapolation=mode)
+        v2 = solve_volume_for_value(curve, -5e-9, target)
+        assert v2 == -5e-9 + target / 2.0 < 0.0
+        assert integrate_eldf(curve, -5e-9, v2) == pytest.approx(target, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["clamp", "error"])
+    def test_target_below_one_ulp_of_v1_returns_v1(self, mode):
+        # the solver's residual check used to fail on the whole head
+        curve = Eldf(1e-09, 1.4946, 22.47, v_lo=0.0, v_hi=1e4, extrapolation=mode)
+        assert solve_volume_for_value(curve, -5e-06, 8.9e-286) == -5e-06
+
+    @pytest.mark.parametrize("mode", ["clamp", "error"])
+    def test_target_at_or_above_the_head_reaches_the_domain(self, mode):
+        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, extrapolation=mode)
+        assert solve_volume_for_value(curve, -5e-9, 1e-8) == 0.0
+        assert solve_volume_for_value(curve, -5e-9, 1e-8 + 4.0) == pytest.approx(2.0)
+
+
 def outcome(fn, *args):
     """repr of the result, or the class of the engine error raised."""
     try:
@@ -496,7 +521,12 @@ def test_solve_identical_to_reference(case, share):
     target = 0.0 if share == 0.5 else share * full
     new = outcome(solve_volume_for_value, curve, v1, target)
     ref = outcome(oracles.solve_volume_for_value, curve, v1, target)
-    if ref == "ReversedInterval":
+    head = (curve.v_lo - v1) * eval_eldf(curve, curve.v_lo) if v1 < curve.v_lo else 0.0
+    if 0.0 < target < head and ref != "OutOfDomain":
+        # the root lies below v_lo, where the reference searched only the
+        # in-domain cubic's slack
+        assert new == repr(v1 + target / eval_eldf(curve, curve.v_lo))
+    elif ref == "ReversedInterval":
         # a v1 past v_hi: the reference could not value its empty capacity
         assert v1 > curve.v_hi and target > 0.0
         if curve.extrapolation == "clamp":

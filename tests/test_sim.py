@@ -14,7 +14,8 @@ from dfmm import cli, eldf
 from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach, SolverDivergence
 from dfmm.ledger import BalanceSheet
 from dfmm.money import from_units, to_units
-from dfmm.pricing import quote_swap
+from dfmm.pricing import RebalanceParams, quote_swap
+from dfmm.sim.agents import ArbitrageurAgent
 from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_config
 from dfmm.sim import engine as engine_mod
 from dfmm.sim.engine import PHASES, Engine, RunArtifacts
@@ -58,6 +59,11 @@ def scenario(**kw):
     )
     defaults.update(kw)
     return ScenarioConfig(**defaults)
+
+
+def bump(obj, attr):
+    """Add one ledger unit to an integer field."""
+    setattr(obj, attr, getattr(obj, attr) + 1)
 
 
 class TestConfig:
@@ -389,6 +395,28 @@ class TestEngine:
         assert "audit failed" in art.summary["diagnostic"]
         assert art.logs["trades"]  # evidence preserved
 
+    @pytest.mark.parametrize(
+        "corrupt,identity",
+        [
+            (lambda eng: bump(eng.vaults["X"].long, "collateral_units"), "hedge book"),
+            (lambda eng: eng.rewards.accrue("X", 1), "fee split"),
+            (lambda eng: bump(eng.reserve, "cum_upsilon_units"), "premium reserve"),
+            (lambda eng: eng.sheet.adjust_rr("X", 1, "corrupt"), "premium reserve"),
+            (lambda eng: bump(eng, "total_fee_units"), "fee split"),
+        ],
+        ids=["vault_collateral", "reward_accrual", "cum_upsilon", "rr_adjust", "fee_total"],
+    )
+    def test_one_unit_corruption_halts_naming_its_identity(self, corrupt, identity):
+        # one ledger unit, mid-run, in a record the audit compares
+        cfg = scenario(trader_rate=2.0, arb_enabled=True, horizon=30)
+        eng = Engine(cfg)
+        for _ in range(7):
+            eng.step_timestep()
+        corrupt(eng)
+        with pytest.raises(InvariantBreach, match=identity):
+            eng.step_timestep()
+        assert identity in eng.diagnostic
+
     def test_conservation_accumulators_over_random_run(self):
         cfg = scenario(trader_rate=3.0, arb_enabled=True, horizon=60, epoch_len=6)
         eng = Engine(cfg)
@@ -397,13 +425,22 @@ class TestEngine:
         assert eng.total_v_s_units == (
             eng.total_v_prime_units + eng.total_rp_units + eng.total_fee_units
         )
-        assert eng.total_fee_units == eng.total_xi_units + eng.total_reward_units
+        assert eng.total_fee_units == (
+            eng.reserve.cum_xi_units + eng.rewards.total_units()
+        )
         assert sum(eng.sheet.rr_units.values()) == (
-            eng.total_rp_units + eng.upsilon_topup_units
+            eng.total_rp_units + eng.reserve.cum_upsilon_units
         )
         assert eng.reserve.balance_units == (
             eng.reserve.cum_xi_units - eng.reserve.cum_upsilon_units
         )
+        assert sum(s.t_units for s in eng.sheet.spools.values()) == 0
+        assert eng._vault_units() - eng.initial_vault_units == (
+            eng.vault_external_units - eng.hedge_pnl_units
+        )
+        # every record the identities compare moved during the run
+        assert eng.reserve.cum_xi_units > 0 and eng.rewards.total_units() > 0
+        assert eng.hedge_pnl_units != 0
 
     def test_ledger_replay_matches_engine_sheet(self):
         cfg = scenario(trader_rate=2.0, horizon=40)
@@ -565,11 +602,49 @@ class TestArbitrageLoop:
             assert b <= a + 1e-9
 
 
+@st.composite
+def zero_sum_flows(draw):
+    """Integer flows over 2-6 assets that sum to zero, with ties and zeros."""
+    n = draw(st.integers(2, 6))
+    ids = draw(st.permutations(["A", "B", "C", "D", "E", "F"]))[:n]
+    unit = st.one_of(
+        st.just(0), st.integers(-10**3, 10**3), st.integers(-10**20, 10**20)
+    )
+    units = draw(st.lists(unit, min_size=n - 1, max_size=n - 1))
+    return dict(zip(ids, units + [-sum(units)]))
+
+
+rebalance_params = st.builds(
+    RebalanceParams,
+    a_rhs=st.floats(0.0, 50.0),
+    a_lhs=st.floats(0.0, 50.0),
+    d_rhs=st.floats(0.0, 0.05),
+    d_lhs=st.floats(0.0, 0.05),
+)
+
+
+@given(
+    flows=zero_sum_flows(),
+    params=st.lists(rebalance_params, min_size=6, max_size=6),
+    theta=st.floats(0.0, 0.5),
+    fixed_cost=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    max_exposure=st.floats(1e-6, 1e9),
+)
+@settings(max_examples=400)
+def test_arbitrageur_identical_to_reference(flows, params, theta, fixed_cost, max_exposure):
+    by_asset = dict(zip(sorted(flows), params))
+    new = ArbitrageurAgent(fixed_cost, max_exposure).decide(flows, by_asset, theta)
+    ref = oracles.ArbitrageurAgent(fixed_cost, max_exposure).decide(flows, by_asset, theta)
+    assert repr(new) == repr(ref)
+
+
 def demo_ini(tmp_path, overrides: dict) -> Path:
     """demo.ini with ``overrides`` ({section: {key: value}}) written to tmp_path."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read(DEMO, encoding="utf-8")
     for section, values in overrides.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
         for key, value in values.items():
             parser.set(section, key, str(value))
     path = tmp_path / "scenario.ini"
@@ -689,6 +764,15 @@ class TestDeterministicOutput:
     GOLDEN = {
         "demo": "9a2c01bb64a958c714b786bf89611558681363eddb7393f5989c6b5d594ff511",
         "busy": "027d908bf0ec0adcc285d06bf94bb619520577dd61c379281a30edf8cedf20ec",
+        "three": "6c94eba2ab740f885c7a6afa4fc42843b1a799c1456b969d1f2aa83ecf7c5495",
+    }
+    GAMMA = {
+        "mid_price": 20.0,
+        "sigma": 0.01,
+        "depth": 3000.0,
+        "deposit": 2500.0,
+        "c_long": 80000.0,
+        "c_short": 80000.0,
     }
 
     @pytest.mark.parametrize(
@@ -696,6 +780,12 @@ class TestDeterministicOutput:
         [
             ("demo", {}),
             ("busy", {"traders": {"rate": 8.0}, "run": {"horizon": 300}}),
+            # three assets with the arbitrageur on: it fills every step,
+            # across all six ordered pairs
+            (
+                "three",
+                {"asset.GAMMA": GAMMA, "traders": {"rate": 3.0}, "run": {"horizon": 200}},
+            ),
         ],
     )
     def test_golden_digest(self, tmp_path, name, overrides):
