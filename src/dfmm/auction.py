@@ -4,8 +4,10 @@ Utilisation is classified into four regimes. Inside the optimal band no
 auction runs. Outside it, a breach clock measures how long rebalancing
 takes; every time a regime's deadline window expires without the system
 re-entering the optimal band, the active side's aggressiveness steps up
-by one increment (treasury reserve permitting), and when a breach
-resolves faster than its deadline the aggressiveness steps back down.
+by one increment (treasury reserve permitting). When a breach resolves
+faster than its deadline the aggressiveness steps back down; one that
+resolves at or after its deadline leaves it unchanged, since every
+expiry on the way was already penalised.
 Band-regime deadlines are denominated in epochs and evaluated at epoch
 boundaries; the critical regime counts raw timesteps. Aggressiveness
 changes with open flow create a discrepancy between premia already
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import BadParams, InactiveSide, NoTargetInOptimal
+from .errors import BadParams
 from .money import from_units
 from .pricing import RebalanceParams, premium_units
 
@@ -32,7 +34,6 @@ LHS = "lhs"
 
 TOO_SLOW = "too_slow"
 TOO_FAST = "too_fast"
-ON_TARGET = "on_target"
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,13 @@ def classify_regime(u: float, thresholds: RegimeThresholds) -> str:
 
 
 def target_for(regime: str, targets: RebalanceTargets) -> tuple[int, str]:
-    """Deadline for a regime: (count, unit) with unit 'epochs' or 'timesteps'."""
-    if regime == OPTIMAL:
-        raise NoTargetInOptimal("no rebalancing target inside the optimal band")
-    if regime == BAND1:
-        return targets.j_star, "epochs"
-    if regime == BAND2:
-        return targets.j_prime, "epochs"
-    return targets.j_dagger, "timesteps"
+    """Deadline of a breach regime: (count, unit) with unit 'epochs' or
+    'timesteps'. The optimal band has none."""
+    return {
+        BAND1: (targets.j_star, "epochs"),
+        BAND2: (targets.j_prime, "epochs"),
+        CRITICAL: (targets.j_dagger, "timesteps"),
+    }[regime]
 
 
 @dataclass
@@ -106,17 +106,7 @@ def record_rebalance_progress(clock: SideClock, u_now: float, thresholds: Regime
     return None
 
 
-@dataclass(frozen=True)
-class AggressivenessUpdate:
-    a_before: float
-    a_after: float
-    capped: bool
-    upsilon_units: int
-    params_after: RebalanceParams
-
-
 def update_aggressiveness(
-    a_prev: float,
     side: str,
     t_open_units: int,
     comparison: str,
@@ -124,41 +114,36 @@ def update_aggressiveness(
     lam: float,
     a_min: float,
     tr_units: int,
-) -> AggressivenessUpdate:
-    """Apply one auction comparison to the active side's aggressiveness.
+) -> tuple[float, bool, int, RebalanceParams]:
+    """Apply one auction comparison to ``side``'s aggressiveness in ``params``.
 
-    too_fast steps down by the increment (floored at the minimum);
-    too_slow steps up, but when the implied premium increase at the open
-    flow would exceed the treasury reserve, the step is capped so the
-    increase about exhausts it. The returned discrepancy is the exact
-    ledger-unit premium change at the open flow, and a too_slow step
-    never prices above ``tr_units``: when rounding would take it over,
-    the step is bisected back toward ``a_prev`` (``premium_units`` is
-    nondecreasing in a) and marked capped.
+    Returns ``(a_after, capped, upsilon_units, params_after)``. too_fast
+    steps down by the increment (floored at the minimum); too_slow steps
+    up, but when the implied premium increase at the open flow would
+    exceed the treasury reserve, the step is capped so the increase about
+    exhausts it. ``upsilon_units`` is the exact ledger-unit premium change
+    at the open flow, and a too_slow step never prices above ``tr_units``:
+    when rounding would take it over, the step is bisected back toward
+    the previous aggressiveness (``premium_units`` is nondecreasing in a)
+    and marked capped. ``auction_step`` calls it only for RHS or LHS with
+    open flow.
     """
-    if t_open_units == 0:
-        raise InactiveSide("no open flow on this side")
-    if side not in (RHS, LHS):
-        raise BadParams(f"unknown side {side!r}")
-    d = params.d_rhs if side == RHS else params.d_lhs
+    if side == RHS:
+        a_prev, d = params.a_rhs, params.d_rhs
+    else:
+        a_prev, d = params.a_lhs, params.d_lhs
     abs_t = abs(from_units(t_open_units))
 
     capped = False
     if comparison == TOO_FAST:
         a_new = max(a_prev - lam, a_min)
-    elif comparison == TOO_SLOW:
-        candidate = a_prev + lam
-        increment = abs_t * lam * d
+    else:
         tr = from_units(tr_units)
-        if increment <= tr or d == 0.0:
-            a_new = candidate
+        if abs_t * lam * d <= tr or d == 0.0:
+            a_new = a_prev + lam
         else:
             a_new = a_prev + tr / (abs_t * d)
             capped = True
-    elif comparison == ON_TARGET:
-        a_new = a_prev
-    else:
-        raise BadParams(f"unknown comparison {comparison!r}")
 
     r_before = premium_units(t_open_units, params)
 
@@ -181,13 +166,7 @@ def update_aggressiveness(
             mid = 0.5 * (lo + hi)
         a_new = lo
         capped = True
-    return AggressivenessUpdate(
-        a_before=a_prev,
-        a_after=a_new,
-        capped=capped,
-        upsilon_units=upsilon,
-        params_after=params_after,
-    )
+    return a_new, capped, upsilon, params_after
 
 
 @dataclass
@@ -264,36 +243,27 @@ def auction_step(
                 breach_shown = measured
                 if measured_units < target:
                     comparison = TOO_FAST
-                elif measured_units == target:
-                    comparison = ON_TARGET
             elif clock.last_regime != OPTIMAL:
-                target, unit = target_for(clock.last_regime, targets)
-                regime = clock.last_regime
+                target, unit = target_for(regime, targets)
                 expired = False
                 if unit == "timesteps":
-                    if clock.window_timesteps >= target:
-                        expired = True
+                    expired = clock.window_timesteps >= target
                 elif at_epoch_boundary:
                     clock.window_epochs += 1
-                    if clock.window_epochs >= target:
-                        expired = True
+                    expired = clock.window_epochs >= target
                 if expired:
                     comparison = TOO_SLOW
                     clock.window_timesteps = 0
                     clock.window_epochs = 0
 
-            if comparison is None or comparison == ON_TARGET:
-                continue
-            if t_units == 0:
-                continue  # no open flow: the auction passes
+            if comparison is None or t_units == 0:
+                continue  # no comparison, or no open flow: the auction passes
             params = params_out[asset_id]
-            a_prev = params.a_rhs if side == RHS else params.a_lhs
-            upd = update_aggressiveness(
-                a_prev, side, t_units, comparison, params, state.lam, state.a_min,
-                tr_units,
+            a_before = params.a_rhs if side == RHS else params.a_lhs
+            a_after, capped, upsilon, params_out[asset_id] = update_aggressiveness(
+                side, t_units, comparison, params, state.lam, state.a_min, tr_units
             )
-            params_out[asset_id] = upd.params_after
-            tr_units -= upd.upsilon_units
+            tr_units -= upsilon
             events.append(
                 AuctionEvent(
                     asset_id=asset_id,
@@ -302,10 +272,10 @@ def auction_step(
                     breach_clock=breach_shown,
                     target=target,
                     comparison=comparison,
-                    a_before=upd.a_before,
-                    a_after=upd.a_after,
-                    capped=upd.capped,
-                    upsilon_units=upd.upsilon_units,
+                    a_before=a_before,
+                    a_after=a_after,
+                    capped=capped,
+                    upsilon_units=upsilon,
                 )
             )
     return params_out, events

@@ -51,6 +51,10 @@ class ValuationUnavailable(EngineError):
     pass
 
 
+class NonFiniteAmount(EngineError):
+    """An amount with no integer ledger units (infinite, NaN or too large)."""
+
+
 # --- pricing ---
 
 class NoFeasibleSolution(EngineError):
@@ -80,16 +84,6 @@ class BadParams(EngineError):
 
 
 class ZeroPrevValue(EngineError):
-    pass
-
-
-# --- auction ---
-
-class NoTargetInOptimal(EngineError):
-    pass
-
-
-class InactiveSide(EngineError):
     pass
 
 

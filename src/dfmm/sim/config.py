@@ -10,10 +10,12 @@ trades at fixed timesteps.
 from __future__ import annotations
 
 import configparser
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigInvalid, ParseError
+from ..money import SCALE
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,7 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         """Itemised range violations; empty when the config is usable."""
         v: list[str] = []
+        v += _non_finite(self, _INI_NAMES)
         if self.horizon < 0:
             v.append(f"run.horizon must be >= 0, got {self.horizon}")
         if self.epoch_len < 1:
@@ -140,12 +143,16 @@ class ScenarioConfig:
                 v.append(f"vaults.{name} must be in (0, 1], got {rho}")
         if self.margin_floor < 0:
             v.append(f"vaults.margin_floor must be >= 0, got {self.margin_floor}")
+        elif math.isfinite(self.margin_floor) and not math.isfinite(self.margin_floor * SCALE):
+            v.append(f"vaults.margin_floor overflows ledger units, got {self.margin_floor}")
         if self.u_max_report <= 0:
             v.append(f"engine.u_max_report must be > 0, got {self.u_max_report}")
         if not (0.0 <= self.reward_gamma < 1.0):
             v.append(f"rewards.gamma must be in [0, 1), got {self.reward_gamma}")
         if self.trader_rate < 0:
             v.append(f"traders.rate must be >= 0, got {self.trader_rate}")
+        if self.trader_size_sigma < 0:
+            v.append(f"traders.size_sigma must be >= 0, got {self.trader_size_sigma}")
         if self.arb_fixed_cost < 0:
             v.append(f"arbitrageur.fixed_cost must be >= 0, got {self.arb_fixed_cost}")
         if self.arb_max_exposure <= 0:
@@ -160,6 +167,11 @@ class ScenarioConfig:
             if a.asset_id in seen:
                 v.append(f"duplicate asset id {a.asset_id}")
             seen.add(a.asset_id)
+            v += _non_finite(a, {f.name: f"{tag}.{f.name}" for f in fields(a)})
+            for name in ("c_long", "c_short"):
+                c = getattr(a, name)
+                if math.isfinite(c) and not math.isfinite(c * SCALE):
+                    v.append(f"{tag}.{name} overflows ledger units, got {c}")
             if a.mid_price <= 0:
                 v.append(f"{tag}.mid_price must be > 0, got {a.mid_price}")
             if a.sigma < 0:
@@ -195,7 +207,11 @@ class ScenarioConfig:
                 v.append(f"script trade at t={t} outside [1, horizon]")
             if a_in not in asset_ids or a_out not in asset_ids:
                 v.append(f"script trade references unknown asset {a_in}->{a_out}")
-            if size <= 0:
+            elif a_in == a_out:
+                v.append(f"script trade at t={t} swaps {a_in} for itself")
+            if not math.isfinite(size):
+                v.append(f"script trade size must be finite, got {size}")
+            elif size <= 0:
                 v.append(f"script trade size must be > 0, got {size}")
         return v
 
@@ -204,6 +220,16 @@ class ScenarioConfig:
         if violations:
             raise ConfigInvalid(violations)
         return self
+
+
+def _non_finite(cfg, names: dict) -> list[str]:
+    """A violation per float field of ``cfg`` that is infinite or NaN,
+    named by ``names`` (field name -> INI name)."""
+    return [
+        f"{names[f.name]} must be finite, got {getattr(cfg, f.name)}"
+        for f in fields(cfg)
+        if f.type == "float" and not math.isfinite(getattr(cfg, f.name))
+    ]
 
 
 # INI keys per global section; each value's type is its ScenarioConfig
@@ -236,6 +262,11 @@ _KEY_RENAMES = {
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+_INI_NAMES = {
+    _KEY_RENAMES.get((section, key), key): f"{section}.{key}"
+    for section, keys in _SECTION_KEYS.items()
+    for key in keys
+}
 _ASSET_FIELD_TYPES = {
     f.name: f.type for f in fields(AssetConfig) if f.name != "asset_id"
 }
@@ -265,6 +296,10 @@ def load_config(path, *, seed_override: int | None = None) -> ScenarioConfig:
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+    for section in parser.sections():
+        if not (section in _SECTION_KEYS or section == "script" or section.startswith("asset.")):
+            raise ParseError(f"{path}: unknown section [{section}]")
 
     kwargs: dict = {}
     for section, keys in _SECTION_KEYS.items():

@@ -92,14 +92,18 @@ def read_manifest(outdir) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors too
         raise CorruptManifest(f"{path}: {exc}") from None
-    if manifest.get("schema") != "dfmm.manifest.v1":
-        raise CorruptManifest(f"{path}: unexpected schema {manifest.get('schema')!r}")
-    for entry in manifest.get("files", []):
-        fp = os.path.join(outdir, entry["name"])
-        if not os.path.exists(fp):
-            raise CorruptManifest(f"missing file listed in manifest: {entry['name']}")
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != "dfmm.manifest.v1":
+        raise CorruptManifest(f"{path}: unexpected schema {schema!r}")
+    try:
+        names = [entry["name"] for entry in manifest.get("files", [])]
+    except (TypeError, KeyError) as exc:
+        raise CorruptManifest(f"{path}: bad files list: {exc!r}") from None
+    for name in names:
+        if not os.path.exists(os.path.join(outdir, name)):
+            raise CorruptManifest(f"missing file listed in manifest: {name}")
     return manifest
 
 
@@ -111,8 +115,13 @@ def read_log(outdir, kind) -> tuple[tuple, list]:
     if not os.path.exists(path):
         raise CorruptManifest(f"log file missing: {path}")
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorruptManifest(f"{path}: {exc}") from None
+    if len(lines) < 2:
+        raise CorruptManifest(f"{path}: no header row")
     header = tuple(lines[1].split(","))
     for line in lines[2:]:
         if line:

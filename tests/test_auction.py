@@ -6,7 +6,6 @@ from dfmm.auction import (
     BAND2,
     CRITICAL,
     LHS,
-    ON_TARGET,
     OPTIMAL,
     RHS,
     TOO_FAST,
@@ -21,7 +20,6 @@ from dfmm.auction import (
     target_for,
     update_aggressiveness,
 )
-from dfmm.errors import InactiveSide, NoTargetInOptimal
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, premium_units
 from dfmm.vaults import Utilisation
@@ -55,7 +53,7 @@ class TestRegimes:
         assert target_for(BAND1, TGT) == (10, "epochs")
         assert target_for(BAND2, TGT) == (5, "epochs")
         assert target_for(CRITICAL, TGT) == (3, "timesteps")
-        with pytest.raises(NoTargetInOptimal):
+        with pytest.raises(KeyError):  # the optimal band has no deadline
             target_for(OPTIMAL, TGT)
 
 
@@ -87,66 +85,68 @@ class TestUpdateAggressiveness:
     PARAMS = RebalanceParams(a_rhs=10.0, a_lhs=10.0, d_rhs=0.1, d_lhs=0.1)
 
     def test_too_fast_decrements(self):
-        upd = update_aggressiveness(
-            10.0, RHS, to_units(5.0), TOO_FAST, self.PARAMS, lam=1.0, a_min=5.0,
+        a_after, _, upsilon, _ = update_aggressiveness(
+            RHS, to_units(5.0), TOO_FAST, self.PARAMS, lam=1.0, a_min=5.0,
             tr_units=to_units(100.0),
         )
-        assert upd.a_after == 9.0
-        assert upd.upsilon_units < 0
+        assert a_after == 9.0
+        assert upsilon < 0
 
     def test_too_fast_clamps_at_minimum(self):
         params = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=0.1, d_lhs=0.1)
-        upd = update_aggressiveness(
-            5.0, RHS, to_units(5.0), TOO_FAST, params, lam=1.0, a_min=5.0,
+        a_after, _, upsilon, _ = update_aggressiveness(
+            RHS, to_units(5.0), TOO_FAST, params, lam=1.0, a_min=5.0,
             tr_units=to_units(100.0),
         )
-        assert upd.a_after == 5.0
-        assert upd.upsilon_units == 0
+        assert a_after == 5.0
+        assert upsilon == 0
 
     def test_too_slow_cap_exhausts_treasury_exactly(self):
         params = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=0.1, d_lhs=0.1)
-        upd = update_aggressiveness(
-            5.0, RHS, to_units(10.0), TOO_SLOW, params, lam=2.0, a_min=1.0,
+        a_after, capped, upsilon, _ = update_aggressiveness(
+            RHS, to_units(10.0), TOO_SLOW, params, lam=2.0, a_min=1.0,
             tr_units=to_units(1.0),
         )
-        assert upd.capped
-        assert upd.a_after == pytest.approx(6.0)
-        assert abs(from_units(upd.upsilon_units) - 1.0) <= 1e-9
+        assert capped
+        assert a_after == pytest.approx(6.0)
+        assert abs(from_units(upsilon) - 1.0) <= 1e-9
 
     def test_too_slow_uncapped_when_funded(self):
         params = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=0.1, d_lhs=0.1)
-        upd = update_aggressiveness(
-            5.0, RHS, to_units(10.0), TOO_SLOW, params, lam=2.0, a_min=1.0,
+        a_after, capped, upsilon, params_after = update_aggressiveness(
+            RHS, to_units(10.0), TOO_SLOW, params, lam=2.0, a_min=1.0,
             tr_units=to_units(100.0),
         )
-        assert not upd.capped
-        assert upd.a_after == 7.0
-        assert upd.upsilon_units == premium_units(
-            to_units(10.0), upd.params_after
+        assert not capped
+        assert a_after == 7.0
+        assert params_after.a_rhs == 7.0 and params_after.a_lhs == 5.0
+        assert upsilon == premium_units(
+            to_units(10.0), params_after
         ) - premium_units(to_units(10.0), params)
 
     def test_lhs_side_mirrors(self):
         params = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=0.1, d_lhs=0.1)
-        upd = update_aggressiveness(
-            5.0, LHS, to_units(-10.0), TOO_SLOW, params, lam=2.0, a_min=1.0,
+        a_after, capped, upsilon, params_after = update_aggressiveness(
+            LHS, to_units(-10.0), TOO_SLOW, params, lam=2.0, a_min=1.0,
             tr_units=to_units(1.0),
         )
-        assert upd.capped
-        assert upd.a_after == pytest.approx(6.0)
-        assert abs(from_units(upd.upsilon_units) - 1.0) <= 1e-9
+        assert capped
+        assert a_after == pytest.approx(6.0)
+        assert params_after.a_lhs == a_after and params_after.a_rhs == 5.0
+        assert abs(from_units(upsilon) - 1.0) <= 1e-9
 
     def test_too_slow_never_prices_above_the_treasury(self):
         # the linear cap a_prev + tr / (|T| d) rounds to 69231 units here
         params = RebalanceParams(a_rhs=1.0, a_lhs=1.0, d_rhs=0.0005, d_lhs=0.0005)
-        upd = update_aggressiveness(
-            1.0, RHS, 3000000000000600, TOO_SLOW, params, lam=1.0, a_min=1.0,
+        a_after, capped, upsilon, params_after = update_aggressiveness(
+            RHS, 3000000000000600, TOO_SLOW, params, lam=1.0, a_min=1.0,
             tr_units=69230,
         )
-        assert upd.capped
-        assert 0 < upd.upsilon_units <= 69230
-        assert 1.0 < upd.a_after < 2.0
-        assert upd.upsilon_units == premium_units(
-            3000000000000600, upd.params_after
+        assert capped
+        assert 0 < upsilon <= 69230
+        assert 1.0 < a_after < 2.0
+        assert upsilon == premium_units(
+            3000000000000600, params_after
         ) - premium_units(3000000000000600, params)
 
     def test_too_slow_upsilon_fits_the_treasury(self):
@@ -159,42 +159,63 @@ class TestUpdateAggressiveness:
             lam = float(rng.uniform(1e-3, 10.0))
             tr_units = round(10.0 ** rng.uniform(0.0, 16.0))
             params = RebalanceParams(a_rhs=a_prev, a_lhs=a_prev, d_rhs=d, d_lhs=d)
-            upd = update_aggressiveness(
-                a_prev, side, t_units if side == RHS else -t_units, TOO_SLOW, params,
+            a_after, capped, upsilon, _ = update_aggressiveness(
+                side, t_units if side == RHS else -t_units, TOO_SLOW, params,
                 lam=lam, a_min=0.0, tr_units=tr_units,
             )
-            assert 0 <= upd.upsilon_units <= tr_units
-            assert a_prev <= upd.a_after <= a_prev + lam
-            if not upd.capped:
-                assert upd.a_after == a_prev + lam
+            assert 0 <= upsilon <= tr_units
+            assert a_prev <= a_after <= a_prev + lam
+            if not capped:
+                assert a_after == a_prev + lam
 
     def test_inactive_side(self):
-        with pytest.raises(InactiveSide):
-            update_aggressiveness(
-                5.0, RHS, 0, TOO_SLOW, self.PARAMS, 1.0, 1.0, to_units(1.0)
-            )
+        # X's rhs stays critical past j_dagger = 3 timesteps and Y's lhs
+        # breaches and resolves fast; without open flow no auction runs
+        params = {"X": self.PARAMS, "Y": self.PARAMS}
+        path = [
+            {"X": Utilisation(0.95, 0.0), "Y": Utilisation(0.0, u_y)}
+            for u_y in (0.95, 0.0, 0.95, 0.0, 0.95, 0.0, 0.95)
+        ]
+
+        def run(t):
+            state, out, seen = AuctionState(lam=1.0, a_min=1.0), params, []
+            for u in path:
+                out, events = auction_step(state, **step_args(u, t, out, to_units(100.0)))
+                seen += [(e.asset_id, e.side, e.comparison) for e in events]
+            return out, seen
+
+        assert run({"X": 0, "Y": 0}) == (params, [])
+        # the same path with open flow on both sides moves both
+        out, seen = run({"X": to_units(5.0), "Y": -to_units(5.0)})
+        assert ("X", RHS, TOO_SLOW) in seen and ("Y", LHS, TOO_FAST) in seen
+        assert out != params
 
     def test_on_target_no_change(self):
-        upd = update_aggressiveness(
-            10.0, RHS, to_units(5.0), ON_TARGET, self.PARAMS, 1.0, 1.0, 0
-        )
-        assert upd.a_after == 10.0
-        assert upd.upsilon_units == 0
+        # band1 (j_star = 2 epochs of one timestep) off the epoch boundary:
+        # resolved after exactly 2 timesteps, the breach is on target
+        state = AuctionState(lam=1.0, a_min=1.0)
+        params = {"X": self.PARAMS, "Y": self.PARAMS}
+        t = {"X": to_units(5.0), "Y": -to_units(5.0)}
+        for u_x in (0.4, 0.4, 0.0):
+            u = {"X": Utilisation(u_x, 0.0), "Y": Utilisation(0.0, 0.0)}
+            out, events = auction_step(
+                state, **step_args(u, t, params, to_units(100.0), boundary=False)
+            )
+            assert events == []
+            assert out == params
+        assert state.clock("X", RHS).breach_timesteps == 0
 
     def test_convergence_pairs(self):
         params = RebalanceParams(a_rhs=10.0, a_lhs=10.0, d_rhs=0.1, d_lhs=0.1)
         a = 10.0
         for _ in range(10):
-            up = update_aggressiveness(
-                a, RHS, to_units(5.0), TOO_SLOW, params, 1.0, 1.0, to_units(10**6)
+            _, _, _, params = update_aggressiveness(
+                RHS, to_units(5.0), TOO_SLOW, params, 1.0, 1.0, to_units(10**6)
             )
-            params = up.params_after
-            down = update_aggressiveness(
-                up.a_after, RHS, to_units(5.0), TOO_FAST, params, 1.0, 1.0, 0
+            a, _, _, params = update_aggressiveness(
+                RHS, to_units(5.0), TOO_FAST, params, 1.0, 1.0, 0
             )
-            params = down.params_after
-            assert abs(down.a_after - 10.0) <= 1e-12
-            a = down.a_after
+            assert abs(a - 10.0) <= 1e-12
 
 
 def step_args(u_by_asset, t_by_asset, params, tr, *, boundary=True):

@@ -1,6 +1,8 @@
-"""The validate, sweep and inspect commands, through ``cli.main``."""
+"""The validate, run, sweep and inspect commands, through ``cli.main``."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +66,77 @@ class TestValidate:
         assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("parse error: ")
 
+    # a misspelt section would otherwise leave the arbitrageur silently off
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_section_is_a_parse_error(self, tmp_path, capsys, command):
+        ini = demo_ini(tmp_path, {"arbitrager": {"enabled": "true"}})
+        out = tmp_path / "out"
+        argv = [command, str(ini)] + (["--out", str(out)] if command == "run" else [])
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "unknown section [arbitrager]" in err
+        assert not out.exists()
+
+    # each of these passed validate at one time and then ended the run
+    # with a traceback, a silent reject or a halt
+    @pytest.mark.parametrize(
+        "overrides,violation",
+        [
+            (
+                {"asset.ALPHA": {"mid_price": "nan"}},
+                "asset.ALPHA.mid_price must be finite, got nan",
+            ),
+            ({"asset.ALPHA": {"deposit": "inf"}}, "asset.ALPHA.deposit must be finite, got inf"),
+            ({"premium": {"lambda": "inf"}}, "premium.lambda must be finite, got inf"),
+            ({"traders": {"size_mu": "nan"}}, "traders.size_mu must be finite, got nan"),
+            ({"asset.ALPHA": {"c_long": "inf"}}, "asset.ALPHA.c_long must be finite, got inf"),
+            (
+                {"asset.ALPHA": {"c_short": "1e300"}},
+                "asset.ALPHA.c_short overflows ledger units, got 1e+300",
+            ),
+            ({"vaults": {"margin_floor": "inf"}}, "vaults.margin_floor must be finite, got inf"),
+            (
+                {"vaults": {"margin_floor": "1e300"}},
+                "vaults.margin_floor overflows ledger units, got 1e+300",
+            ),
+            ({"traders": {"size_sigma": "-1"}}, "traders.size_sigma must be >= 0, got -1.0"),
+            (
+                {"script": {"a": "3, ALPHA, ALPHA, 5.0"}},
+                "script trade at t=3 swaps ALPHA for itself",
+            ),
+            (
+                {"script": {"a": "3, ALPHA, BETA, inf"}},
+                "script trade size must be finite, got inf",
+            ),
+        ],
+        ids=[
+            "mid_price-nan", "deposit-inf", "lambda-inf", "size_mu-nan", "c_long-inf",
+            "c_short-overflow", "margin_floor-inf", "margin_floor-overflow",
+            "size_sigma-negative", "script-same-asset", "script-size-inf",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_that_would_crash_a_run_exits_2(
+        self, tmp_path, capsys, command, overrides, violation
+    ):
+        ini = demo_ini(tmp_path, {"run": {"horizon": 30}, **overrides})
+        out = tmp_path / "out"
+        argv = [command, str(ini)] + (["--out", str(out)] if command == "run" else [])
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [f"violation: {violation}"]
+        assert not out.exists()
+
+
+class TestRun:
+    def test_infinite_trade_size_rejects_without_a_traceback(self, tmp_path, capsys):
+        # lognormal sizes with mu = 800 overflow to inf: no trade has ledger units
+        ini = demo_ini(tmp_path, {"run": {"horizon": 30}, "traders": {"size_mu": 800}})
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ini), "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_BREACH)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rejected"] > 0
+
 
 class TestSweep:
     def test_two_point_grid(self, tmp_path, capsys):
@@ -123,3 +196,35 @@ class TestInspect:
     def test_unknown_log_kind_exits_4(self, outdir, capsys):
         assert cli.main(["inspect", str(outdir), "--log", "nope"]) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("inspect error:")
+
+    def corrupt(self, outdir, tmp_path, name, data: bytes):
+        """A copy of the run directory with file ``name`` replaced by ``data``."""
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        (copy / name).write_bytes(data)
+        return copy
+
+    def inspect_error(self, capsys, rundir) -> str:
+        assert cli.main(["inspect", str(rundir), "--log", "trades"]) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("inspect error:")
+        return captured.err
+
+    def test_emptied_log_exits_4(self, outdir, tmp_path, capsys):
+        rundir = self.corrupt(outdir, tmp_path, "trades.csv", b"")
+        assert "no header row" in self.inspect_error(capsys, rundir)
+
+    def test_manifest_that_is_a_list_exits_4(self, outdir, tmp_path, capsys):
+        rundir = self.corrupt(outdir, tmp_path, "manifest.json", b"[]\n")
+        assert "unexpected schema None" in self.inspect_error(capsys, rundir)
+
+    def test_manifest_with_a_bad_files_list_exits_4(self, outdir, tmp_path, capsys):
+        manifest = json.dumps({"schema": "dfmm.manifest.v1", "files": 3}).encode()
+        rundir = self.corrupt(outdir, tmp_path, "manifest.json", manifest)
+        assert "bad files list" in self.inspect_error(capsys, rundir)
+
+    def test_non_utf8_log_exits_4(self, outdir, tmp_path, capsys):
+        data = (outdir / "trades.csv").read_bytes() + b"1,\xff\xfe\n"
+        rundir = self.corrupt(outdir, tmp_path, "trades.csv", data)
+        assert "can't decode" in self.inspect_error(capsys, rundir)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfmm.errors import NonPositiveAmount, ValuationUnavailable
+from dfmm.errors import EngineError, NonFiniteAmount, NonPositiveAmount, ValuationUnavailable
 from dfmm.ledger import BalanceSheet, solvency_check
 from dfmm.money import to_units
 
@@ -14,6 +14,14 @@ def make_sheet(**pools) -> BalanceSheet:
         diff = inv - lp
         sheet.pools[asset_id].inventory += diff  # direct seed for tests
     return sheet
+
+
+class TestToUnits:
+    @pytest.mark.parametrize("amount", [float("inf"), float("-inf"), float("nan"), 1e300])
+    def test_amount_without_units_is_an_engine_error(self, amount):
+        with pytest.raises(NonFiniteAmount, match="no ledger units"):
+            to_units(amount)
+        assert issubclass(NonFiniteAmount, EngineError)
 
 
 class TestDepositWithdraw:
