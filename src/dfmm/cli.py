@@ -5,6 +5,11 @@ grid, and inspect run output. Exit codes are stable: 0 success, 2
 validation failure, 3 run halted fail-stop on an engine error (logs
 preserved), 4 I/O or corruption. The DFMM_OUTPUT_ROOT environment
 variable sets the default output root (default ./runs).
+
+``run`` opens the run directory's log files before the engine is built,
+so an unusable output path exits 4 before the first timestep, and
+streams the log rows into them during the run; an output error mid-run
+also exits 4. ``sweep`` keeps no log rows, only each run's summary.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import replace
 from .errors import CorruptManifest, ParseError, UnknownLogKind
 from .sim.config import SWEEPABLE, ScenarioConfig, _convert, apply_overrides, load_config
 from .sim.engine import Engine
-from .sim.output import read_log, read_manifest, write_logs
+from .sim.output import LogWriter, read_log, read_manifest, write_logs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,11 +64,12 @@ def cmd_run(args) -> int:
     if cfg is None:
         return EXIT_VALIDATION
     outdir = args.out or _default_out(args.config, cfg.seed)
-    started = time.monotonic()
-    artifacts = Engine(cfg).run()
-    duration = round(time.monotonic() - started, 6)
     try:
-        write_logs(artifacts, outdir, duration_seconds=duration)
+        with LogWriter(outdir) as writer:
+            started = time.monotonic()
+            artifacts = Engine(cfg).run(writer.write)
+            duration = round(time.monotonic() - started, 6)
+            write_logs(artifacts, outdir, duration_seconds=duration, writer=writer)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -101,11 +107,15 @@ def _sweep_seed(base_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _discard(logs) -> None:
+    """Drain for a run whose log rows nobody reads."""
+
+
 def _sweep_worker(payload):
     """Summary of one grid point's run; an engine error halts the run,
     and the sweep reports the point as breach."""
     index, cfg = payload
-    return index, Engine(cfg).run().summary
+    return index, Engine(cfg).run(_discard).summary
 
 
 def cmd_sweep(args) -> int:

@@ -52,7 +52,7 @@ class ValuationUnavailable(EngineError):
 
 
 class NonFiniteAmount(EngineError):
-    """An amount with no integer ledger units (infinite, NaN or too large)."""
+    """An amount that is infinite, NaN or too large for integer ledger units."""
 
 
 # --- pricing ---

@@ -39,7 +39,7 @@ class SyntheticPool:
         return from_units(self.t_units)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     kind: str
     data: tuple

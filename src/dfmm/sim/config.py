@@ -14,8 +14,13 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from ..errors import ConfigInvalid, ParseError
 from ..money import SCALE
+
+# the largest rate numpy's Poisson draw accepts; above it the draw raises
+_POISSON_RATE_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,8 @@ class ScenarioConfig:
             v.append(f"rewards.gamma must be in [0, 1), got {self.reward_gamma}")
         if self.trader_rate < 0:
             v.append(f"traders.rate must be >= 0, got {self.trader_rate}")
+        elif math.isfinite(self.trader_rate) and self.trader_rate > _POISSON_RATE_MAX:
+            v.append(f"traders.rate must be <= {_POISSON_RATE_MAX}, got {self.trader_rate}")
         if self.trader_size_sigma < 0:
             v.append(f"traders.size_sigma must be >= 0, got {self.trader_size_sigma}")
         if self.arb_fixed_cost < 0:

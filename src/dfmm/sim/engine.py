@@ -36,6 +36,17 @@ other engine error raised mid-run or by the first refit at construction,
 is fail-stop: the run halts with a diagnostic naming the error class and
 timestep, and the logs collected so far are preserved.
 
+Log rows are appended to the lists in ``Engine.logs``. ``run(drain)``
+hands that buffer to ``drain`` and empties it whenever, between two
+timesteps, it holds at least ``DRAIN_ROWS`` rows, so a run's memory does
+not grow with its log; no drain runs inside a timestep. The rows not yet
+drained, with the reward claims added at the end, are returned in
+``RunArtifacts.logs`` for the caller's last write. A halt therefore
+leaves on disk every row drained before it; the caller's last write adds
+the rest, including those the halting timestep logged before its error,
+so the files match those of the same run kept in memory. Without
+``drain``, every row stays in memory.
+
 Each timestep adds its wall-clock time per phase (``PHASES``) to
 ``Engine.perf`` in ns; ``RunArtifacts.perf`` holds the totals in seconds.
 """
@@ -85,11 +96,15 @@ from .output import SCHEMAS
 
 @dataclass
 class RunArtifacts:
-    logs: dict
+    logs: dict  # kind -> rows not drained during the run
     summary: dict
     config: ScenarioConfig
     perf: dict = field(default_factory=dict)  # seconds per engine phase
 
+
+# rows the log buffer may hold before run() drains it: about one drain
+# per 100 timesteps on a busy two-asset run
+DRAIN_ROWS = 4096
 
 PHASES = ("market", "refit", "cover", "traders", "arb", "auction", "metrics", "epoch", "audit")
 
@@ -158,6 +173,7 @@ class Engine:
         self.vault_external_units = 0
 
         # summary trackers
+        self.fills = 0
         self.rejected = 0
         self.trader_cost_units = 0
         self.arb_pnl = 0.0
@@ -243,6 +259,7 @@ class Engine:
         except EngineError:
             self.rejected += 1
             return None
+        self.fills += 1
 
         xi_units = min(round(self.fees.xi * quote.v_s_units), max(quote.fee_units, 0))
         reward_units = quote.fee_units - xi_units
@@ -581,14 +598,23 @@ class Engine:
         self.halted = True
         self.diagnostic = f"{type(exc).__name__} at t={self.t}: {exc}"
 
-    def run(self) -> RunArtifacts:
+    def run(self, drain=None) -> RunArtifacts:
         """Step to the horizon and value the final margin; any engine
         error, including one in the first refit at construction or in
-        that final valuation, halts the run fail-stop."""
+        that final valuation, halts the run fail-stop.
+
+        ``drain(logs)`` takes the buffered rows between timesteps (see
+        the module docstring); an error it raises ends the run.
+        """
         margin_units = 0
+        logs = self.logs
         try:
             while self.t < self.cfg.horizon and not self.halted:
                 self.step_timestep()
+                if drain is not None and sum(map(len, logs.values())) >= DRAIN_ROWS:
+                    drain(logs)
+                    for rows in logs.values():
+                        rows.clear()
             if not self.halted:
                 margin_units = self.solvency_margin_units()
         except EngineError as exc:
@@ -606,7 +632,7 @@ class Engine:
             "diagnostic": self.diagnostic,
             "timesteps": self.t,
             "epochs": self.epoch,
-            "fills": len(self.logs["trades"]),
+            "fills": self.fills,
             "rejected": self.rejected,
             "final_treasury": self.reserve.balance,
             "trader_cost": from_units(self.trader_cost_units),

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from ..eldf import ASK, BID, Eldf, fit_eldf
+from ..errors import NonFiniteAmount
 from ..metrics import market_impact
 from .config import AssetConfig
 
@@ -48,7 +49,10 @@ class AssetMarket:
         self._profiles = ((BID, bid), (ASK, ask))
 
     def step(self) -> None:
-        """One lognormal return step, after applying any queued impact."""
+        """One lognormal return step, after applying any queued impact.
+
+        Raises ``NonFiniteAmount`` naming the asset when the mid overflows.
+        """
         if self.pending_flow != 0.0:
             self.mid = max(
                 self.mid + market_impact(self.cfg.impact_alpha, self.pending_flow),
@@ -57,7 +61,12 @@ class AssetMarket:
             self.pending_flow = 0.0
         z = float(self.rng.standard_normal())
         sigma = self.cfg.sigma
-        self.mid *= math.exp(self.cfg.drift - 0.5 * sigma * sigma + sigma * z)
+        try:
+            self.mid *= math.exp(self.cfg.drift - 0.5 * sigma * sigma + sigma * z)
+        except OverflowError:
+            self.mid = math.inf
+        if not math.isfinite(self.mid):
+            raise NonFiniteAmount(f"asset {self.cfg.asset_id}: external mid overflows")
 
     def record_flow(self, signed_volume: float) -> None:
         """Net external hedging flow; positive = external buying pressure."""

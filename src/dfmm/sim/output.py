@@ -6,6 +6,11 @@ gives floats their shortest round-trip form (numpy scalars included), so
 identical runs produce identical bytes. The manifest names the config
 hash, seed, engine version and every file with its row count; its wall
 clock duration and per-phase ``perf`` seconds are not deterministic.
+
+A ``LogWriter`` opens every log file when it is created and appends rows
+to them as they come, so ``dfmm run`` streams the engine's rows to disk
+during the run. ``write_logs`` is its last write: the rows still held,
+then ``summary.json`` and the manifest, which is written last.
 """
 
 from __future__ import annotations
@@ -39,34 +44,71 @@ SCHEMAS = {
     "rewards": ("agent", "asset", "class", "claimable"),
 }
 
+# one "%s" per column: str() of a float is its shortest round-trip repr
+_TEMPLATES = {kind: ",".join(["%s"] * len(header)) + "\n" for kind, header in SCHEMAS.items()}
+
 
 def config_hash(cfg) -> str:
     payload = json.dumps(asdict(cfg), sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def write_logs(artifacts, outdir, duration_seconds: float = 0.0) -> dict:
-    """Write all log files and the manifest; returns the manifest dict.
+class LogWriter:
+    """The run directory's log files, open for appending rows.
 
-    ``duration_seconds`` (wall clock) and ``artifacts.perf`` go only into
-    the manifest, so the logs and summary.json stay byte-deterministic.
+    Creates ``outdir`` and writes each file's schema and header lines up
+    front, so an unusable directory fails before a run starts. ``rows``
+    counts the rows written per kind. Closing is idempotent.
     """
-    os.makedirs(outdir, exist_ok=True)
-    files = []
-    for kind, header in SCHEMAS.items():
-        rows = artifacts.logs.get(kind, [])
-        name = f"{kind}.csv"
-        path = os.path.join(outdir, name)
-        # one "%s" per column: str() of a float is its shortest
-        # round-trip repr, and rows are streamed rather than joined
-        template = ",".join(["%s"] * len(header)) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# schema=dfmm.{kind}.v1\n")
-            fh.write(",".join(header) + "\n")
-            write = fh.write
-            for row in rows:
-                write(template % row)
-        files.append({"name": name, "rows": len(rows)})
+
+    def __init__(self, outdir):
+        os.makedirs(outdir, exist_ok=True)
+        self.rows = dict.fromkeys(SCHEMAS, 0)
+        self._files = {}
+        try:
+            for kind, header in SCHEMAS.items():
+                path = os.path.join(outdir, f"{kind}.csv")
+                fh = self._files[kind] = open(path, "w", encoding="utf-8", newline="\n")
+                fh.write(f"# schema=dfmm.{kind}.v1\n")
+                fh.write(",".join(header) + "\n")
+        except OSError:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def write(self, logs) -> None:
+        """Append the rows of ``logs`` (kind -> rows, any subset of SCHEMAS)."""
+        for kind, fh in self._files.items():
+            rows = logs.get(kind)
+            if rows:
+                fh.writelines(map(_TEMPLATES[kind].__mod__, rows))
+                self.rows[kind] += len(rows)
+
+    def close(self) -> None:
+        for fh in self._files.values():
+            fh.close()
+
+
+def write_logs(artifacts, outdir, duration_seconds: float = 0.0, writer=None) -> dict:
+    """Write the rows in ``artifacts.logs``, summary.json and the manifest;
+    returns the manifest dict.
+
+    ``writer`` is the ``LogWriter`` on ``outdir`` that took the rows
+    drained during the run; it is closed here. Without one, a new writer
+    takes every row. ``duration_seconds`` (wall clock) and
+    ``artifacts.perf`` go only into the manifest, so the logs and
+    summary.json stay byte-deterministic.
+    """
+    if writer is None:
+        writer = LogWriter(outdir)
+    with writer:
+        writer.write(artifacts.logs)
+    files = [{"name": f"{kind}.csv", "rows": n} for kind, n in writer.rows.items()]
     summary_path = os.path.join(outdir, "summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(artifacts.summary, fh, indent=2, sort_keys=True)

@@ -10,6 +10,10 @@ from pathlib import Path
 import pytest
 
 from dfmm import cli
+from dfmm.sim import engine as engine_mod
+from dfmm.sim import output
+from dfmm.sim.config import load_config
+from dfmm.sim.engine import Engine
 from test_sim import DEMO, demo_ini
 
 SRC = Path(cli.__file__).resolve().parent.parent
@@ -108,11 +112,17 @@ class TestValidate:
                 {"script": {"a": "3, ALPHA, BETA, inf"}},
                 "script trade size must be finite, got inf",
             ),
+            # numpy's Poisson draw raises "lam value too large"
+            (
+                {"traders": {"rate": "1e30"}},
+                "traders.rate must be <= 9.223372006484771e+18, got 1e+30",
+            ),
         ],
         ids=[
             "mid_price-nan", "deposit-inf", "lambda-inf", "size_mu-nan", "c_long-inf",
             "c_short-overflow", "margin_floor-inf", "margin_floor-overflow",
             "size_sigma-negative", "script-same-asset", "script-size-inf",
+            "rate-poisson-overflow",
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -137,6 +147,85 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rejected"] > 0
 
+    def test_overflowing_mid_halts_with_exit_3(self, tmp_path, capsys):
+        ini = demo_ini(tmp_path, {"run": {"horizon": 30}, "asset.ALPHA": {"drift": 800}})
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ini), "--out", str(out)]) == cli.EXIT_BREACH
+        diagnostic = "NonFiniteAmount at t=1: asset ALPHA: external mid overflows"
+        assert capsys.readouterr().err == f"run halted: {diagnostic}\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diagnostic"] == diagnostic
+        assert (out / "manifest.json").exists()
+
+    def test_output_path_that_is_a_file_exits_4_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_engine(cfg):
+            raise AssertionError("engine built for an unusable output path")
+
+        monkeypatch.setattr(cli, "Engine", no_engine)
+        out = tmp_path / "out"
+        out.write_text("taken")
+        assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("output error: [Errno 17] File exists") and err.count("\n") == 1
+        assert out.read_text() == "taken"
+
+    def test_output_error_mid_run_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 200)
+        write = output.LogWriter.write
+        drains = []
+
+        def full_on_second_drain(self, logs):
+            drains.append(1)
+            if len(drains) == 2:
+                raise OSError(28, "No space left on device")
+            write(self, logs)
+
+        monkeypatch.setattr(output.LogWriter, "write", full_on_second_drain)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == "output error: [Errno 28] No space left on device\n"
+        assert captured.out == ""
+        assert len(drains) == 2 and not (out / "manifest.json").exists()
+
+    # a busy demo that completes, and one that halts on OutOfDomain at
+    # t=81; the small budget makes either run drain many times
+    BUSY = {"traders": {"rate": 8}, "run": {"horizon": 300}}
+    HALTS = {"engine": {"clamp_extrapolation": "false"}, **BUSY, "run": {"horizon": 400}}
+
+    @pytest.mark.parametrize(
+        "overrides,exit_code,budget",
+        [
+            (BUSY, cli.EXIT_OK, engine_mod.DRAIN_ROWS),
+            (BUSY, cli.EXIT_OK, 97),
+            (HALTS, cli.EXIT_BREACH, 97),
+        ],
+        ids=["completed", "completed-small-budget", "halted-small-budget"],
+    )
+    def test_streamed_run_matches_the_run_kept_in_memory(
+        self, tmp_path, monkeypatch, overrides, exit_code, budget
+    ):
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", budget)
+        ini = demo_ini(tmp_path, overrides)
+        streamed, kept = tmp_path / "streamed", tmp_path / "kept"
+        assert cli.main(["run", str(ini), "--out", str(streamed)]) == exit_code
+        art = Engine(load_config(ini)).run()
+        assert art.summary["halted"] == (exit_code == cli.EXIT_BREACH)
+        assert sum(map(len, art.logs.values())) > 2 * engine_mod.DRAIN_ROWS
+        manifest = output.write_logs(art, kept)
+        names = sorted(p.name for p in kept.iterdir())
+        assert names == sorted(p.name for p in streamed.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (streamed / name).read_bytes() == (kept / name).read_bytes(), name
+        files = json.loads((streamed / "manifest.json").read_text())["files"]
+        assert files == manifest["files"]
+        for entry in files[:-1]:  # every CSV: its rows below the two header lines
+            lines = (streamed / entry["name"]).read_bytes().count(b"\n")
+            assert entry["rows"] == lines - 2, entry
+
 
 class TestSweep:
     def test_two_point_grid(self, tmp_path, capsys):
@@ -150,6 +239,21 @@ class TestSweep:
         )
         assert [r.split(",")[:2] for r in rows] == [["0", "False"], ["1", "True"]]
         assert all(r.endswith(",ok") for r in rows)
+
+    def test_table_unchanged_by_draining(self, tmp_path, capsys, monkeypatch):
+        # the rows each run drains are discarded; the summaries are not
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 100)
+        ini = demo_ini(tmp_path, {"run": {"horizon": 60}, "traders": {"rate": 8}})
+        grid = "auction_enabled=false,true;k=1,3"
+        assert cli.main(["sweep", str(ini), "--grid", grid]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "point,auction_enabled,k,fills,final_treasury,max_utilisation,liquidations,"
+            "min_solvency_margin,status",
+            "0,False,1.0,536,393.628060907355,0.20684475967762578,0,34.456426848161,ok",
+            "1,False,3.0,510,361.039870110919,0.17089804880402076,0,51.360772248684,ok",
+            "2,True,1.0,524,398.172310172754,0.20990760645020357,0,75.246544724846,ok",
+            "3,True,3.0,529,351.170539353022,0.09711672809651418,0,46.020942787782,ok",
+        ]
 
     def test_parallel_grid_matches_serial(self, tmp_path, capsys):
         ini = demo_ini(tmp_path, {"run": {"horizon": 20}})

@@ -859,3 +859,48 @@ class TestLogWriter:
     def test_numpy_scalars_render_as_digits(self, tmp_path):
         (line,) = self.write(tmp_path, [(np.int64(3), "mid", "X", np.float64(0.1))])
         assert line == "3,mid,X,0.1\n"
+
+
+class TestDrain:
+    def test_drains_hold_the_budget_and_join_to_the_kept_logs(self):
+        cfg = scenario(trader_rate=8.0, horizon=300)
+        kept = Engine(cfg).run()
+
+        eng = Engine(cfg)
+        step = eng.step_timestep
+        step_rows = []
+
+        def counted_step():
+            before = sum(map(len, eng.logs.values()))
+            step()
+            step_rows.append(sum(map(len, eng.logs.values())) - before)
+
+        eng.step_timestep = counted_step
+        drained = {kind: [] for kind in eng.logs}
+        sizes = []
+
+        def record(logs):
+            n = sum(map(len, logs.values()))
+            assert engine_mod.DRAIN_ROWS <= n < engine_mod.DRAIN_ROWS + step_rows[-1]
+            sizes.append(n)
+            for kind, rows in logs.items():
+                drained[kind] += rows
+
+        streamed = eng.run(record)
+        assert len(sizes) >= 2  # about 42 rows a timestep
+        assert streamed.summary == kept.summary
+        assert sum(map(len, streamed.logs.values())) < engine_mod.DRAIN_ROWS + len(
+            kept.logs["rewards"]
+        )
+        assert {k: drained[k] + streamed.logs[k] for k in drained} == kept.logs
+
+    def test_drain_error_ends_the_run(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 10)
+
+        def full(logs):
+            raise OSError(28, "No space left on device")
+
+        eng = Engine(scenario(trader_rate=1.0))
+        with pytest.raises(OSError):
+            eng.run(full)
+        assert eng.t == 1 and not eng.halted
