@@ -8,8 +8,10 @@ variable sets the default output root (default ./runs).
 
 ``run`` opens the run directory's log files before the engine is built,
 so an unusable output path exits 4 before the first timestep, and
-streams the log rows into them during the run; an output error mid-run
-also exits 4. ``sweep`` keeps no log rows, only each run's summary.
+streams the log rows into them during the run, the balance sheet's
+``ledger.csv`` included; an output error mid-run also exits 4. ``sweep``
+keeps no log rows, only each run's summary, and starts at most one
+worker process per grid point.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ def cmd_sweep(args) -> int:
 
     if args.jobs > 1 and len(runnable) > 1:
         from concurrent.futures import ProcessPoolExecutor  # 20+ ms: only when used
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(runnable))) as pool:
             summaries = dict(pool.map(_sweep_worker, runnable))
     else:
         summaries = dict(map(_sweep_worker, runnable))
@@ -186,6 +189,8 @@ def _row_asset_match(header, row, asset: str) -> bool:
             return row[i] == asset or row[i] == "*"
         if name == "pair":
             return asset in row[i].replace("->", ",").split(",")
+        if name == "asset_in":  # the ledger: asset_out follows
+            return asset in row[i : i + 2]
     return True
 
 
@@ -212,6 +217,13 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfmm",
@@ -232,12 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid")
     p.add_argument("config")
     p.add_argument("--grid", required=True, help="e.g. 'k=1,2,3;theta=0.001,0.003'")
-    p.add_argument("--jobs", type=int, default=1, help="parallel processes")
+    p.add_argument(
+        "--jobs", type=positive_int, default=1, help="parallel processes, at most one per point"
+    )
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("inspect", help="print filtered rows from a run log")
     p.add_argument("outdir")
-    p.add_argument("--log", required=True, help="log kind, e.g. trades, treasury")
+    p.add_argument("--log", required=True, help="log kind, e.g. trades, treasury, ledger")
     p.add_argument("--asset", default=None, help="filter by asset id")
     p.add_argument("--from", dest="time_from", type=float, default=None)
     p.add_argument("--to", dest="time_to", type=float, default=None)

@@ -1,10 +1,19 @@
 """Asset pools, synthetic accounting-asset pools, and the balance sheet.
 
-The balance sheet is event-sourced: every mutation appends an entry with
-fully resolved amounts, and replaying the log from genesis reproduces all
-balances bit-exactly. Accounting-asset amounts are integer ledger units
-(see money.SCALE); physical inventory is carried in asset units as
+The balance sheet is event-sourced: every mutation appends a row with
+fully resolved amounts, and replaying the rows from genesis reproduces
+all balances bit-exactly. Accounting-asset amounts are integer ledger
+units (see money.SCALE); physical inventory is carried in asset units as
 floats, with float operations applied in the same order on replay.
+
+Each row is one row of a run's ``ledger.csv`` (columns ``LEDGER``),
+stamped with the engine's timestep, 0 for the deposits made before the
+first one. A deposit fills ``asset_in`` and ``v_in``, an ``rr_adjust``
+fills ``asset_in``, ``rp_in_units`` and ``reason``, and the cells a kind
+does not use hold ``""``. The engine streams ``BalanceSheet.log`` to that
+file with its other log rows and empties it as it goes, so a replay of a
+run starts from ``ledger.csv``: floats are written by str(), which
+round-trips them, and ledger units as ints.
 
 Sign convention for the synthetic flow T: T > 0 means accounting value
 was net received against an asset deficit (inventory below the LP claim),
@@ -39,20 +48,21 @@ class SyntheticPool:
         return from_units(self.t_units)
 
 
-@dataclass(frozen=True, slots=True)
-class LogEntry:
-    kind: str
-    data: tuple
+LEDGER = (
+    "timestep", "kind", "asset_in", "asset_out", "v_in", "v_out", "v_s_units",
+    "v_prime_units", "rp_in_units", "rp_out_units", "fee_units", "reason",
+)
 
 
 class BalanceSheet:
-    """Single-writer aggregate of all pools plus the append-only log."""
+    """Single-writer aggregate of all pools plus the append-only log of
+    ``LEDGER`` rows."""
 
     def __init__(self, asset_ids=()):
         self.pools: dict[str, AssetPool] = {}
         self.spools: dict[str, SyntheticPool] = {}
         self.rr_units: dict[str, int] = {}
-        self.log: list[LogEntry] = []
+        self.log: list[tuple] = []
         self.version: int = 0
         for asset_id in asset_ids:
             self.add_asset(asset_id)
@@ -74,13 +84,10 @@ class BalanceSheet:
     # --- primary LP operations ---
 
     def deposit_plp(self, asset_id: str, amount: float) -> AssetPool:
+        """Deposit before the first timestep: the row's timestep is 0."""
         if not amount > 0:
             raise NonPositiveAmount(f"deposit must be positive, got {amount}")
-        self.add_asset(asset_id)
-        entry = LogEntry("deposit_plp", (asset_id, float(amount)))
-        self._apply(entry)
-        self.log.append(entry)
-        self.version += 1
+        self._record((0, "deposit_plp", asset_id, "", float(amount), "", "", "", "", "", "", ""))
         return self.pools[asset_id]
 
     # --- trade and reserve entries (appended by the pricing commit path) ---
@@ -88,30 +95,26 @@ class BalanceSheet:
     def record_trade(self, data: tuple) -> None:
         """data: (timestep, asset_in, asset_out, v_in, v_out, v_s_units,
         v_prime_units, rp_in_units, rp_out_units, fee_units)."""
-        entry = LogEntry("trade", data)
-        self._apply(entry)
-        self.log.append(entry)
-        self.version += 1
+        self._record((data[0], "trade", *data[1:], ""))
 
-    def adjust_rr(self, asset_id: str, delta_units: int, reason: str) -> None:
-        entry = LogEntry("rr_adjust", (asset_id, int(delta_units), reason))
-        self._apply(entry)
-        self.log.append(entry)
-        self.version += 1
+    def adjust_rr(
+        self, asset_id: str, delta_units: int, reason: str, *, timestep: int = 0
+    ) -> None:
+        self._record(
+            (timestep, "rr_adjust", asset_id, "", "", "", "", "", int(delta_units), "", "", reason)
+        )
 
     # --- application / replay ---
 
-    def _apply(self, entry: LogEntry) -> None:
-        kind, data = entry.kind, entry.data
-        if kind == "deposit_plp":
-            asset_id, amount = data
-            self.add_asset(asset_id)
-            pool = self.pools[asset_id]
-            pool.inventory += amount
-            pool.lp_inventory += amount
-        elif kind == "trade":
-            (_t, a_in, a_out, v_in, v_out, _vs, vp, rp_in, rp_out, _fee) = data
-            self.add_asset(a_in)
+    def _record(self, row: tuple) -> None:
+        self._apply(row)
+        self.log.append(row)
+        self.version += 1
+
+    def _apply(self, row: tuple) -> None:
+        _t, kind, a_in, a_out, v_in, v_out, _vs, vp, rp_in, rp_out, _fee, _reason = row
+        self.add_asset(a_in)
+        if kind == "trade":
             self.add_asset(a_out)
             self.pools[a_in].inventory += v_in
             self.pools[a_out].inventory -= v_out
@@ -119,20 +122,22 @@ class BalanceSheet:
             self.spools[a_out].t_units += vp
             self.rr_units[a_in] += rp_in
             self.rr_units[a_out] += rp_out
+        elif kind == "deposit_plp":
+            pool = self.pools[a_in]
+            pool.inventory += v_in
+            pool.lp_inventory += v_in
         elif kind == "rr_adjust":
-            asset_id, delta, _reason = data
-            self.add_asset(asset_id)
-            self.rr_units[asset_id] += delta
+            self.rr_units[a_in] += rp_in
         else:
-            raise ValueError(f"unknown log entry kind {kind!r}")
+            raise ValueError(f"unknown ledger row kind {kind!r}")
 
     @classmethod
-    def replay(cls, log) -> "BalanceSheet":
+    def replay(cls, rows) -> "BalanceSheet":
+        """The sheet that ``rows`` (``LEDGER`` rows from genesis, typed as
+        the sheet logs them) produce."""
         sheet = cls()
-        for entry in log:
-            sheet._apply(entry)
-            sheet.log.append(entry)
-            sheet.version += 1
+        for row in rows:
+            sheet._record(row)
         return sheet
 
     def balances(self) -> dict:

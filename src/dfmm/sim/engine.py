@@ -36,16 +36,19 @@ other engine error raised mid-run or by the first refit at construction,
 is fail-stop: the run halts with a diagnostic naming the error class and
 timestep, and the logs collected so far are preserved.
 
-Log rows are appended to the lists in ``Engine.logs``. ``run(drain)``
-hands that buffer to ``drain`` and empties it whenever, between two
-timesteps, it holds at least ``DRAIN_ROWS`` rows, so a run's memory does
-not grow with its log; no drain runs inside a timestep. The rows not yet
-drained, with the reward claims added at the end, are returned in
+Log rows are appended to the lists in ``Engine.logs``. Its ``ledger``
+list is the balance sheet's own event log, ``BalanceSheet.log``, so the
+drain covers the ledger rows too. ``run(drain)`` hands that buffer to
+``drain`` and empties it whenever, between two timesteps, it holds at
+least ``DRAIN_ROWS`` rows, so a run's memory does not grow with its
+horizon; no drain runs inside a timestep. The rows not yet drained, with
+the reward claims added at the end, are returned in
 ``RunArtifacts.logs`` for the caller's last write. A halt therefore
 leaves on disk every row drained before it; the caller's last write adds
 the rest, including those the halting timestep logged before its error,
 so the files match those of the same run kept in memory. Without
-``drain``, every row stays in memory.
+``drain``, every row stays in memory, and ``BalanceSheet.replay`` of the
+sheet's log rebuilds the sheet.
 
 Each timestep adds its wall-clock time per phase (``PHASES``) to
 ``Engine.perf`` in ns; ``RunArtifacts.perf`` holds the totals in seconds.
@@ -103,8 +106,11 @@ class RunArtifacts:
 
 
 # rows the log buffer may hold before run() drains it: about one drain
-# per 100 timesteps on a busy two-asset run
-DRAIN_ROWS = 4096
+# per 5 timesteps on a busy two-asset run. Formatting a drain's rows
+# evicts the engine's working set from the caches, so the timestep after
+# it runs slower; small drains keep that cost small and spread it out
+# instead of putting a few much slower timesteps in the tail.
+DRAIN_ROWS = 256
 
 PHASES = ("market", "refit", "cover", "traders", "arb", "auction", "metrics", "epoch", "audit")
 
@@ -163,6 +169,7 @@ class Engine:
             self.initial_mid[aid] = acfg.mid_price
 
         self.logs: dict[str, list] = {kind: [] for kind in SCHEMAS}
+        self.logs["ledger"] = self.sheet.log
 
         # exact-unit totals the audit sets against records kept elsewhere
         self.total_v_s_units = 0
@@ -405,7 +412,7 @@ class Engine:
         self.params.update(new_params)
         for ev in events:
             treasury_update(self.reserve, upsilon_delta_units=ev.upsilon_units)
-            self.sheet.adjust_rr(ev.asset_id, ev.upsilon_units, "auction")
+            self.sheet.adjust_rr(ev.asset_id, ev.upsilon_units, "auction", timestep=self.t)
             self.logs["auction"].append(
                 (
                     self.t,

@@ -9,7 +9,8 @@ clock duration and per-phase ``perf`` seconds are not deterministic.
 
 A ``LogWriter`` opens every log file when it is created and appends rows
 to them as they come, so ``dfmm run`` streams the engine's rows to disk
-during the run. ``write_logs`` is its last write: the rows still held,
+during the run, the balance sheet's ledger rows (``ledger.csv``)
+included. ``write_logs`` is its last write: the rows still held,
 then ``summary.json`` and the manifest, which is written last.
 """
 
@@ -21,6 +22,7 @@ import os
 from dataclasses import asdict
 
 from ..errors import CorruptManifest, UnknownLogKind
+from ..ledger import LEDGER
 
 ENGINE_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
@@ -42,6 +44,7 @@ SCHEMAS = {
     "treasury": ("time", "kind", "asset", "amount", "tr_after"),
     "metrics": ("timestep", "metric_id", "context", "value"),
     "rewards": ("agent", "asset", "class", "claimable"),
+    "ledger": LEDGER,
 }
 
 # one "%s" per column: str() of a float is its shortest round-trip repr

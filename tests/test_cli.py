@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dfmm import cli
+from dfmm.ledger import BalanceSheet
 from dfmm.sim import engine as engine_mod
 from dfmm.sim import output
 from dfmm.sim.config import load_config
@@ -17,6 +18,19 @@ from dfmm.sim.engine import Engine
 from test_sim import DEMO, demo_ini
 
 SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def ledger_rows(outdir) -> list[tuple]:
+    """The rows of a run's ledger.csv, typed as the balance sheet logs them."""
+
+    def cell(convert, text):
+        return convert(text) if text else ""
+
+    rows = []
+    for t, kind, a_in, a_out, v_in, v_out, *units, reason in output.read_log(outdir, "ledger")[1]:
+        floats = (cell(float, v_in), cell(float, v_out))
+        rows.append((int(t), kind, a_in, a_out, *floats, *(cell(int, u) for u in units), reason))
+    return rows
 
 
 class TestValidate:
@@ -211,7 +225,8 @@ class TestRun:
         ini = demo_ini(tmp_path, overrides)
         streamed, kept = tmp_path / "streamed", tmp_path / "kept"
         assert cli.main(["run", str(ini), "--out", str(streamed)]) == exit_code
-        art = Engine(load_config(ini)).run()
+        eng = Engine(load_config(ini))
+        art = eng.run()
         assert art.summary["halted"] == (exit_code == cli.EXIT_BREACH)
         assert sum(map(len, art.logs.values())) > 2 * engine_mod.DRAIN_ROWS
         manifest = output.write_logs(art, kept)
@@ -225,6 +240,11 @@ class TestRun:
         for entry in files[:-1]:  # every CSV: its rows below the two header lines
             lines = (streamed / entry["name"]).read_bytes().count(b"\n")
             assert entry["rows"] == lines - 2, entry
+        # the sheet replays from the streamed ledger.csv alone
+        ledger = ledger_rows(streamed)
+        assert {row[1] for row in ledger} >= {"deposit_plp", "trade"}
+        assert ledger == eng.sheet.log
+        assert BalanceSheet.replay(ledger).balances() == eng.sheet.balances()
 
 
 class TestSweep:
@@ -263,6 +283,43 @@ class TestSweep:
         assert cli.main(argv + ["2"]) == cli.EXIT_OK
         assert capsys.readouterr().out == serial
 
+    def test_jobs_start_at_most_one_worker_per_point(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class SerialPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        ini = demo_ini(tmp_path, {"run": {"horizon": 20}})
+        argv = ["sweep", str(ini), "--grid", "auction_enabled=false, TRUE", "--jobs"]
+        assert cli.main(argv + ["1"]) == cli.EXIT_OK
+        serial = capsys.readouterr().out
+        assert pools == []
+        assert cli.main(argv + ["64"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == serial
+        assert pools == [2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_parse_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", str(DEMO), "--grid", "k=1,2", "--jobs", jobs])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+
     def test_process_pool_imported_only_by_parallel_sweep(self):
         code = "import sys, dfmm.cli; print('concurrent.futures.process' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -282,10 +339,10 @@ class TestInspect:
         assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_OK
         return out
 
-    def rows(self, capsys, outdir, *args):
-        assert cli.main(["inspect", str(outdir), "--log", "metrics", *args]) == cli.EXIT_OK
+    def rows(self, capsys, outdir, *args, log="metrics"):
+        assert cli.main(["inspect", str(outdir), "--log", log, *args]) == cli.EXIT_OK
         header, *rows = capsys.readouterr().out.splitlines()
-        assert header == "timestep,metric_id,context,value"
+        assert header == ",".join(output.SCHEMAS[log])
         return [r.split(",") for r in rows]
 
     def test_asset_and_time_filters(self, outdir, capsys):
@@ -296,6 +353,18 @@ class TestInspect:
         ]
         assert {r[2] for r in kept} == {"BETA", "*"}
         assert {r[0] for r in kept} == {str(t) for t in range(10, 21)}
+
+        # the ledger matches on either leg; its deposits are at timestep 0
+        every = self.rows(capsys, outdir, log="ledger")
+        kept = self.rows(capsys, outdir, "--asset", "BETA", "--to", "20", log="ledger")
+        assert kept == [r for r in every if "BETA" in r[2:4] and int(r[0]) <= 20]
+        deposits = [["0", "deposit_plp", "ALPHA"], ["0", "deposit_plp", "BETA"]]
+        assert [r[:3] for r in every[:2]] == deposits
+        assert kept[0][:3] == deposits[1]
+        assert {r[1] for r in kept[1:]} == {"trade"} and kept[-1][0] == "20"
+        kept = self.rows(capsys, outdir, "--asset", "ALPHA", "--from", "1", "--to", "1",
+                         log="ledger")
+        assert kept == [r for r in every if r[0] == "1"] and len(kept) > 0
 
     def test_unknown_log_kind_exits_4(self, outdir, capsys):
         assert cli.main(["inspect", str(outdir), "--log", "nope"]) == cli.EXIT_IO

@@ -759,12 +759,22 @@ class TestDeterministicOutput:
         assert art.perf == {}
         assert write_logs(art, tmp_path)["perf"] == {}
 
-    # SHA-256 over every CSV and summary.json, in name order, each as
-    # name, NUL, bytes, NUL. A refactor that keeps the outputs keeps these.
+    # SHA-256 over the seven CSVs below and summary.json, in name order,
+    # each as name, NUL, bytes, NUL. A refactor that keeps the outputs
+    # keeps these; ledger.csv is pinned on its own in GOLDEN_LEDGER.
+    GOLDEN_FILES = (
+        "auction.csv", "curves.csv", "metrics.csv", "rewards.csv", "summary.json",
+        "trades.csv", "treasury.csv", "vaults.csv",
+    )
     GOLDEN = {
         "demo": "9a2c01bb64a958c714b786bf89611558681363eddb7393f5989c6b5d594ff511",
         "busy": "027d908bf0ec0adcc285d06bf94bb619520577dd61c379281a30edf8cedf20ec",
         "three": "6c94eba2ab740f885c7a6afa4fc42843b1a799c1456b969d1f2aa83ecf7c5495",
+    }
+    GOLDEN_LEDGER = {
+        "demo": "4ca6f23f911b5b9f4a7cc48f1e83b893c922ec86182250b55be51c81cc162c48",
+        "busy": "5ad552d5eadfef46eaa2738534450aabbf8a95ee766359436ced50892e84b21c",
+        "three": "aa7d167729df15d37f7c657e6f9064199b3d170743d984e22d99c013cb448d83",
     }
     GAMMA = {
         "mid_price": 20.0,
@@ -793,10 +803,11 @@ class TestDeterministicOutput:
         out = tmp_path / "out"
         assert cli.main(["run", str(ini), "--out", str(out)]) == cli.EXIT_OK
         digest = hashlib.sha256()
-        for path in sorted(out.iterdir()):
-            if path.suffix == ".csv" or path.name == "summary.json":
-                digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        for file_name in self.GOLDEN_FILES:
+            digest.update(file_name.encode() + b"\0" + (out / file_name).read_bytes() + b"\0")
         assert digest.hexdigest() == self.GOLDEN[name]
+        ledger = hashlib.sha256((out / "ledger.csv").read_bytes()).hexdigest()
+        assert ledger == self.GOLDEN_LEDGER[name]
 
     def test_uncached_refits_give_identical_run(self, monkeypatch):
         cfg = load_config(DEMO)
@@ -887,12 +898,14 @@ class TestDrain:
                 drained[kind] += rows
 
         streamed = eng.run(record)
-        assert len(sizes) >= 2  # about 42 rows a timestep
+        assert len(sizes) >= 2  # about 47 rows a timestep
         assert streamed.summary == kept.summary
         assert sum(map(len, streamed.logs.values())) < engine_mod.DRAIN_ROWS + len(
             kept.logs["rewards"]
         )
+        # the joined kinds include the sheet's ledger rows, most of them drained
         assert {k: drained[k] + streamed.logs[k] for k in drained} == kept.logs
+        assert len(drained["ledger"]) > len(streamed.logs["ledger"]) > 0
 
     def test_drain_error_ends_the_run(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 10)
