@@ -8,8 +8,9 @@ variable sets the default output root (default ./runs).
 
 ``run`` opens the run directory's log files before the engine is built,
 so an unusable output path exits 4 before the first timestep, and
-streams the log rows into them during the run, the balance sheet's
-``ledger.csv`` included; an output error mid-run also exits 4. ``sweep``
+streams the log rows into them during the run through a writer process,
+the balance sheet's ``ledger.csv`` included; an output error mid-run,
+or the loss of the writer, also exits 4. ``sweep``
 keeps no log rows, only each run's summary, and starts at most one
 worker process per grid point.
 """
@@ -185,10 +186,8 @@ def _row_time(header, row):
 
 def _row_asset_match(header, row, asset: str) -> bool:
     for i, name in enumerate(header):
-        if name in ("asset", "context"):
-            return row[i] == asset or row[i] == "*"
-        if name == "pair":
-            return asset in row[i].replace("->", ",").split(",")
+        if name in ("asset", "context", "pair"):  # an asset, "*" or a pair "A->B"
+            return row[i] == "*" or asset in row[i].split("->")
         if name == "asset_in":  # the ledger: asset_out follows
             return asset in row[i : i + 2]
     return True

@@ -287,19 +287,22 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     """
     if target_value < 0:
         raise NoFeasibleRoot(f"target value must be nonnegative, got {target_value}")
-    _domain_check(curve, v1)
-    if target_value == 0.0:
-        return v1
     c2, c1, c0 = curve.c2, curve.c1, curve.c0
     lo, hi = curve.v_lo, curve.v_hi
+    if not lo <= v1 <= hi:  # inside the domain the check cannot fail
+        _domain_check(curve, v1)
+    if target_value == 0.0:
+        return v1
+    # _antideriv's coefficients, divided once: F(v) = ((a3*v + a2)*v + c0)*v
+    a3, a2 = c2 / 3.0, c1 / 2.0
     v1_eff = min(max(v1, lo), hi)
-    f1 = _antideriv(c2, c1, c0, v1_eff)
+    f1 = ((a3 * v1_eff + a2) * v1_eff + c0) * v1_eff
     # the part of [v1, v1_eff] below the domain is valued at clamp
     # density; otherwise that interval is empty and adding 0.0 is exact
     head = (lo - v1) * _poly(c2, c1, c0, lo) if v1 < lo else 0.0
     if target_value < head:  # the root lies in that part, below v_lo
         return v1 + target_value / _poly(c2, c1, c0, lo)
-    capacity = (_antideriv(c2, c1, c0, hi) - f1) + head
+    capacity = (((a3 * hi + a2) * hi + c0) * hi - f1) + head
     if target_value > capacity:
         if curve.extrapolation == "clamp":
             tail_density = _poly(c2, c1, c0, hi)
@@ -311,18 +314,18 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
 
     # Roots of F(v2) - (F(v1) + M) where F is the antiderivative.
     konst = f1 + (target_value - head)
-    roots = _cubic_real_roots(c2 / 3.0, c1 / 2.0, c0, -konst)
+    roots = _cubic_real_roots(a3, a2, c0, -konst)
     slack = 1e-9 * max(1.0, hi - lo)
-    feasible = sorted(r for r in roots if v1_eff - slack <= r <= hi + slack)
+    feasible = [r for r in roots if v1_eff - slack <= r <= hi + slack]
     if not feasible:
         raise NoFeasibleRoot(
             f"no real root in [{v1_eff:.6g}, {hi:.6g}] for value {target_value:.6g}"
         )
-    v2 = min(max(feasible[0], v1_eff), hi)
+    v2 = min(max(min(feasible), v1_eff), hi)
 
     # Newton polish: density is positive in-domain so iteration is stable.
     for _ in range(8):
-        resid = (_antideriv(c2, c1, c0, v2) - f1) - (target_value - head)
+        resid = (((a3 * v2 + a2) * v2 + c0) * v2 - f1) - (target_value - head)
         dens = _poly(c2, c1, c0, v2)
         if dens <= 0:
             break
@@ -330,7 +333,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
         v2 = min(max(v2 - step, v1_eff), hi)
         if abs(step) < 1e-15 * max(1.0, abs(v2)):
             break
-    final = (_antideriv(c2, c1, c0, v2) - f1) + head
+    final = (((a3 * v2 + a2) * v2 + c0) * v2 - f1) + head
     if abs(final - target_value) > 1e-6 * max(1.0, target_value):
         raise SolverDivergence(
             f"cubic solve residual {final - target_value:.3g} for M={target_value:.6g}"

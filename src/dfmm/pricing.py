@@ -133,6 +133,15 @@ def _quad_roots(a: float, b: float, c: float) -> list[float]:
     return roots
 
 
+def _move(t0: float, h: float, params: RebalanceParams, d: float, sa: float) -> float:
+    """R(t0 + h) - R(t0), given (d, sa) = (d, s*a) on t0's branch: in h
+    while t0 + h stays on that branch, so that large flows do not cancel
+    away a small move."""
+    if (t0 + h >= 0) != (t0 >= 0):
+        return premium_fn(t0 + h, params) - premium_fn(t0, params)
+    return d * h * (h + 2.0 * t0 + sa)
+
+
 def solve_adjusted_notional(
     v_s: float,
     t_in0: float,
@@ -152,67 +161,79 @@ def solve_adjusted_notional(
     if v_s == 0.0:
         return 0.0
     rhs = (1.0 - theta) * v_s
+    # (d, s*a) of R(t) = d*(t*t + s*a*t) on each leg's branches, indexed
+    # by t >= 0, and on each leg's start branch
+    br_in = ((params_in.d_lhs, -params_in.a_lhs), (params_in.d_rhs, params_in.a_rhs))
+    br_out = ((params_out.d_lhs, -params_out.a_lhs), (params_out.d_rhs, params_out.a_rhs))
+    up_in, up_out = t_in0 >= 0, t_out0 >= 0
+    d_in0, sa_in0 = br_in[up_in]
+    d_out0, sa_out0 = br_out[up_out]
 
-    def move(t0: float, h: float, params: RebalanceParams) -> float:
-        # R(t0 + h) - R(t0), in h while t0 + h stays on t0's branch so
-        # that large flows do not cancel away a small move
-        if (t0 + h >= 0) != (t0 >= 0):
-            return premium_fn(t0 + h, params) - premium_fn(t0, params)
-        d, a, s = _branch(t0 >= 0, params)
-        return d * h * (h + 2.0 * t0 + s * a)
-
-    def residual(v: float) -> float:
-        return v + move(t_in0, -v, params_in) + move(t_out0, v, params_out) - rhs
-
-    breaks = sorted(
-        b for b in (t_in0 if t_in0 > 0 else None, -t_out0 if t_out0 < 0 else None)
-        if b is not None
-    )
-    edges = [0.0] + breaks + [math.inf]
+    edges = [0.0]
+    if t_in0 > 0 and t_out0 < 0:
+        edges += (t_in0, -t_out0) if t_in0 <= -t_out0 else (-t_out0, t_in0)
+    elif t_in0 > 0:
+        edges.append(t_in0)
+    elif t_out0 < 0:
+        edges.append(-t_out0)
+    edges.append(math.inf)
     scale = max(1.0, v_s, abs(t_in0), abs(t_out0))
     tol = 1e-12 * scale
 
     for lo, hi in zip(edges, edges[1:]):
-        if hi - lo <= tol and math.isfinite(hi):
+        finite = hi != math.inf
+        if hi - lo <= tol and finite:
             continue
-        mid = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        d_i, a_i, s_i = _branch(t_in0 - mid >= 0, params_in)
-        d_o, a_o, s_o = _branch(t_out0 + mid >= 0, params_out)
+        mid = 0.5 * (lo + hi) if finite else lo + 1.0
+        d_i, sa_i = br_in[t_in0 - mid >= 0]
+        d_o, sa_o = br_out[t_out0 + mid >= 0]
         qa = d_i + d_o
-        qb = 1.0 - d_i * (2.0 * t_in0 + s_i * a_i) + d_o * (2.0 * t_out0 + s_o * a_o)
+        qb = 1.0 - d_i * (2.0 * t_in0 + sa_i) + d_o * (2.0 * t_out0 + sa_o)
         # each leg's move is d*h*(h + 2*t0 + s*a) on this piece's branch,
         # plus a constant only when the piece lies across zero from t0
         qc = -rhs
-        if (t_in0 - mid >= 0) != (t_in0 >= 0):
-            qc += d_i * (t_in0 * t_in0 + s_i * a_i * t_in0) - premium_fn(t_in0, params_in)
-        if (t_out0 + mid >= 0) != (t_out0 >= 0):
-            qc += d_o * (t_out0 * t_out0 + s_o * a_o * t_out0) - premium_fn(t_out0, params_out)
-        candidates = sorted(
-            min(max(r, lo), hi if math.isfinite(hi) else r)
+        if (t_in0 - mid >= 0) != up_in:
+            qc += d_i * (t_in0 * t_in0 + sa_i * t_in0) - premium_fn(t_in0, params_in)
+        if (t_out0 + mid >= 0) != up_out:
+            qc += d_o * (t_out0 * t_out0 + sa_o * t_out0) - premium_fn(t_out0, params_out)
+        candidates = [
+            min(max(r, lo), hi if finite else r)
             for r in _quad_roots(qa, qb, qc)
-            if lo - tol <= r and (math.isinf(hi) or r <= hi + tol)
-        )
+            if lo - tol <= r and (not finite or r <= hi + tol)
+        ]
+        if len(candidates) == 2 and candidates[1] < candidates[0]:
+            candidates.reverse()
         for root in candidates:
-            # Newton polish on the exact piecewise residual.
-            v = root
-            for _ in range(4):
-                d_i2, a_i2, s_i2 = _branch(t_in0 - v >= 0, params_in)
-                d_o2, a_o2, s_o2 = _branch(t_out0 + v >= 0, params_out)
+            # up to 4 Newton steps on the exact piecewise residual, which
+            # is evaluated once more at the last v for the acceptance test
+            v, steps = root, 4
+            while True:
+                residual = (
+                    v
+                    + _move(t_in0, -v, params_in, d_in0, sa_in0)
+                    + _move(t_out0, v, params_out, d_out0, sa_out0)
+                    - rhs
+                )
+                if steps == 0:
+                    break
+                steps -= 1
+                d_i, sa_i = br_in[t_in0 - v >= 0]
+                d_o, sa_o = br_out[t_out0 + v >= 0]
                 deriv = (
                     1.0
-                    - d_i2 * (2.0 * (t_in0 - v) + s_i2 * a_i2)
-                    + d_o2 * (2.0 * (t_out0 + v) + s_o2 * a_o2)
+                    - d_i * (2.0 * (t_in0 - v) + sa_i)
+                    + d_o * (2.0 * (t_out0 + v) + sa_o)
                 )
                 if deriv == 0.0:
                     break
-                step = residual(v) / deriv
+                step = residual / deriv
                 v_new = v - step
-                if not (lo - tol <= v_new and (math.isinf(hi) or v_new <= hi + tol)):
+                if not (lo - tol <= v_new and (not finite or v_new <= hi + tol)):
                     break
                 v = v_new
                 if abs(step) < 1e-15 * scale:
-                    break
-            if abs(residual(v)) <= 1e-9 * scale and v >= -tol:
+                    steps = 0
+            if abs(residual) <= 1e-9 * scale and v >= -tol:
                 return max(v, 0.0)
     raise NoFeasibleSolution(
         f"no nonnegative root for v_s={v_s}, t_in={t_in0}, t_out={t_out0}"
@@ -308,7 +329,7 @@ def _commit_notional(
     return p, r_in - r_in0, r_out - r_out0, fee, r_in, r_out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SwapQuote:
     asset_in: str
     asset_out: str

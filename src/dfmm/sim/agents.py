@@ -11,7 +11,7 @@ from ..pricing import rp_delta
 from .config import ScenarioConfig
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TradeIntent:
     asset_in: str
     asset_out: str
@@ -30,15 +30,18 @@ class TraderFlow:
     def arrivals(self, asset_ids) -> list[TradeIntent]:
         if self.rate <= 0 or len(asset_ids) < 2:
             return []
-        n = int(self.rng.poisson(self.rate))
+        rng = self.rng
+        n = int(rng.poisson(self.rate))
         out = []
         ids = sorted(asset_ids)
+        k = len(ids)
         for _ in range(n):
-            i = int(self.rng.integers(len(ids)))
-            j = int(self.rng.integers(len(ids) - 1))
+            i = int(rng.integers(k))
+            # integers(1) is always 0 and draws nothing, so two assets skip it
+            j = int(rng.integers(k - 1)) if k > 2 else 0
             if j >= i:
                 j += 1
-            size = float(self.rng.lognormal(self.size_mu, self.size_sigma))
+            size = float(rng.lognormal(self.size_mu, self.size_sigma))
             out.append(TradeIntent(ids[i], ids[j], size))
         return out
 

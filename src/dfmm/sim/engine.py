@@ -4,9 +4,11 @@ Phase order within a timestep is fixed: external market step, slot
 refits, exogenous trader flow, arbitrageur, auction progress, metrics.
 Epoch boundaries additionally settle swaptions, pass premium flows to
 the vaults, apply queued vault deposits and the covered part of queued
-withdrawals, distribute rewards, and re-strike hedge positions. One run
-is strictly single-threaded; all randomness derives from the scenario
-seed, so identical configs produce identical outputs byte for byte.
+withdrawals, distribute rewards, and re-strike hedge positions. The
+engine is single-threaded, and ``dfmm run`` has a separate writer
+process format and append its log rows (``sim.output.LogWriter``); all
+randomness derives from the scenario seed, so identical configs produce
+identical outputs byte for byte.
 
 Settlement, premium flow and each queued flow move a vault's collateral
 by integer ledger units (positive into the vault, the sign convention of
@@ -106,10 +108,12 @@ class RunArtifacts:
 
 
 # rows the log buffer may hold before run() drains it: about one drain
-# per 5 timesteps on a busy two-asset run. Formatting a drain's rows
-# evicts the engine's working set from the caches, so the timestep after
-# it runs slower; small drains keep that cost small and spread it out
-# instead of putting a few much slower timesteps in the tail.
+# per 5 timesteps on a busy two-asset run. A drain evicts some of the
+# engine's working set from the caches, so the timestep after it runs
+# slower: by about 25-50 us on average with 256-row drains handed to the
+# writer process (35-80 us when this process formatted them). Small
+# drains keep that cost small and spread it out instead of putting a few
+# much slower timesteps in the tail.
 DRAIN_ROWS = 256
 
 PHASES = ("market", "refit", "cover", "traders", "arb", "auction", "metrics", "epoch", "audit")
@@ -276,12 +280,14 @@ class Engine:
             (self.t, "xi", asset_in, from_units(xi_units), self.reserve.balance)
         )
 
+        pair = f"{asset_in}->{asset_out}"
+        v_s = quote.v_s
         self.logs["trades"].append(
             (
                 self.t,
-                f"{asset_in}->{asset_out}",
+                pair,
                 v_in,
-                quote.v_s,
+                v_s,
                 quote.v_prime_s,
                 quote.rp_x,
                 quote.rp_y,
@@ -292,10 +298,8 @@ class Engine:
             )
         )
         mid_in = self.market[asset_in].mid
-        exec_price = quote.v_s / v_in if v_in > 0 else mid_in
-        self.logs["metrics"].append(
-            (self.t, "slippage", f"{asset_in}->{asset_out}", slippage(mid_in, exec_price))
-        )
+        exec_price = v_s / v_in if v_in > 0 else mid_in
+        self.logs["metrics"].append((self.t, "slippage", pair, slippage(mid_in, exec_price)))
 
         self.total_v_s_units += quote.v_s_units
         self.total_v_prime_units += quote.v_prime_units

@@ -7,19 +7,26 @@ identical runs produce identical bytes. The manifest names the config
 hash, seed, engine version and every file with its row count; its wall
 clock duration and per-phase ``perf`` seconds are not deterministic.
 
-A ``LogWriter`` opens every log file when it is created and appends rows
-to them as they come, so ``dfmm run`` streams the engine's rows to disk
-during the run, the balance sheet's ledger rows (``ledger.csv``)
-included. ``write_logs`` is its last write: the rows still held,
-then ``summary.json`` and the manifest, which is written last.
+A ``LogWriter`` writes every log file's header lines when it is created
+and then hands rows to a writer process, which formats them and appends
+them to the files while the engine runs on; the engine's process only
+sends them. ``dfmm run`` streams the engine's rows that way during the
+run, the balance sheet's ledger rows (``ledger.csv``) included.
+``write_logs`` is the last write: the rows still held, then, once the
+writer has finished, ``summary.json`` and the manifest, which is
+written last.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import os
+import subprocess
+import sys
 from dataclasses import asdict
+from itertools import chain
 
 from ..errors import CorruptManifest, UnknownLogKind
 from ..ledger import LEDGER
@@ -50,6 +57,10 @@ SCHEMAS = {
 # one "%s" per column: str() of a float is its shortest round-trip repr
 _TEMPLATES = {kind: ",".join(["%s"] * len(header)) + "\n" for kind, header in SCHEMAS.items()}
 
+_WRITER_SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_logwriter.py")
+# the value types marshal keeps as themselves
+_MARSHALLED = frozenset((int, float, str, bool, type(None)))
+
 
 def config_hash(cfg) -> str:
     payload = json.dumps(asdict(cfg), sort_keys=True, default=str)
@@ -57,23 +68,35 @@ def config_hash(cfg) -> str:
 
 
 class LogWriter:
-    """The run directory's log files, open for appending rows.
+    """The run directory's log files and the writer process that fills them.
 
-    Creates ``outdir`` and writes each file's schema and header lines up
-    front, so an unusable directory fails before a run starts. ``rows``
-    counts the rows written per kind. Closing is idempotent.
+    Creates ``outdir`` and writes each file's schema and header lines in
+    this process, so an unusable directory fails before a run starts,
+    then starts the writer process (``_logwriter.py``), which appends
+    every row ``write`` sends it. ``rows`` counts the rows sent per kind.
+
+    ``close`` waits for the writer to finish; it raises ``OSError`` if
+    the writer failed, and closing again does nothing. A writer that
+    dies mid-run makes the next ``write`` raise ``BrokenPipeError``.
     """
 
     def __init__(self, outdir):
         os.makedirs(outdir, exist_ok=True)
         self.rows = dict.fromkeys(SCHEMAS, 0)
-        self._files = {}
-        try:
-            for kind, header in SCHEMAS.items():
-                path = os.path.join(outdir, f"{kind}.csv")
-                fh = self._files[kind] = open(path, "w", encoding="utf-8", newline="\n")
+        files = {}
+        for kind, header in SCHEMAS.items():
+            path = os.path.join(outdir, f"{kind}.csv")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(f"# schema=dfmm.{kind}.v1\n")
                 fh.write(",".join(header) + "\n")
+            files[kind] = (path, _TEMPLATES[kind])
+        self._proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", _WRITER_SCRIPT],
+            stdin=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            self._send(files)
         except OSError:
             self.close()
             raise
@@ -81,20 +104,53 @@ class LogWriter:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc_info):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self.close()
+        except OSError:
+            # the writer's own error names the cause better than the
+            # broken pipe it left behind; any other error in flight stands
+            if exc_type is None or issubclass(exc_type, OSError):
+                raise
+
+    def _send(self, message) -> None:
+        data = marshal.dumps(message)
+        self._proc.stdin.write(len(data).to_bytes(4, "little") + data)
+        self._proc.stdin.flush()
 
     def write(self, logs) -> None:
-        """Append the rows of ``logs`` (kind -> rows, any subset of SCHEMAS)."""
-        for kind, fh in self._files.items():
-            rows = logs.get(kind)
+        """Send the rows of ``logs`` (kind -> rows, any subset of SCHEMAS)
+        to the writer, which appends them in order."""
+        batch = {}
+        for kind, rows in logs.items():
             if rows:
-                fh.writelines(map(_TEMPLATES[kind].__mod__, rows))
+                if not _MARSHALLED.issuperset(map(type, chain.from_iterable(rows))):
+                    # marshal would write a numpy scalar as its raw bytes;
+                    # send what "%s" prints for it
+                    rows = [
+                        tuple(v if type(v) in _MARSHALLED else str(v) for v in row)
+                        for row in rows
+                    ]
+                batch[kind] = rows
                 self.rows[kind] += len(rows)
+        if batch:
+            self._send(batch)
 
     def close(self) -> None:
-        for fh in self._files.values():
-            fh.close()
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        lines = proc.stderr.read().decode("utf-8", "replace").strip().splitlines()
+        proc.stderr.close()
+        code = proc.wait()
+        if code < 0:
+            raise OSError(f"log writer killed by signal {-code}")
+        if code != 0:
+            raise OSError(lines[-1] if lines else f"log writer exited with status {code}")
 
 
 def write_logs(artifacts, outdir, duration_seconds: float = 0.0, writer=None) -> dict:
@@ -102,10 +158,10 @@ def write_logs(artifacts, outdir, duration_seconds: float = 0.0, writer=None) ->
     returns the manifest dict.
 
     ``writer`` is the ``LogWriter`` on ``outdir`` that took the rows
-    drained during the run; it is closed here. Without one, a new writer
-    takes every row. ``duration_seconds`` (wall clock) and
-    ``artifacts.perf`` go only into the manifest, so the logs and
-    summary.json stay byte-deterministic.
+    drained during the run; it is closed here, which waits for its
+    process. Without one, a new writer takes every row.
+    ``duration_seconds`` (wall clock) and ``artifacts.perf`` go only into
+    the manifest, so the logs and summary.json stay byte-deterministic.
     """
     if writer is None:
         writer = LogWriter(outdir)

@@ -11,12 +11,15 @@ The reference implementations at the end are earlier versions of engine
 code, kept verbatim so that faster replacements can be checked for
 identical results: the snapshot-point refit, the point-based
 ``fit_eldf``, ``integrate_eldf`` and ``solve_volume_for_value`` before
-they were computed in one pass, and ``ArbitrageurAgent`` with its sizing
-for one-sided flows, which flows that sum to zero never reach.
+they were computed in one pass, ``ArbitrageurAgent`` with its sizing
+for one-sided flows, which flows that sum to zero never reach, and
+``solve_adjusted_notional`` and ``TraderFlow`` before their per-call
+overhead was trimmed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,12 +40,22 @@ from dfmm.eldf import (
 )
 from dfmm.errors import (
     NoFeasibleRoot,
+    NoFeasibleSolution,
     ReversedInterval,
     SolverDivergence,
     TooFewPoints,
 )
 from dfmm.money import from_units
-from dfmm.pricing import RebalanceParams, premium_fn, premium_units, rp_delta
+from dfmm.pricing import (
+    RebalanceParams,
+    _branch,
+    _quad_roots,
+    premium_fn,
+    premium_units,
+    rp_delta,
+)
+from dfmm.sim.agents import TradeIntent
+from dfmm.sim.config import ScenarioConfig
 
 
 def newton_quadratic(points):
@@ -489,3 +502,114 @@ class ArbitrageurAgent:
             return dist_out
         v = (2.0 * d_o * dist_out + d_o * a_o - d_i * a_i) / denom
         return min(max(v, 0.0), dist_out)
+
+
+def solve_adjusted_notional(
+    v_s: float,
+    t_in0: float,
+    t_out0: float,
+    params_in: RebalanceParams,
+    params_out: RebalanceParams,
+    theta: float,
+) -> float:
+    """Smallest V' >= 0 balancing V' + dR_in + dR_out + theta*v_s = v_s.
+
+    The in-leg flow moves t_in0 -> t_in0 - V', the out-leg
+    t_out0 -> t_out0 + V'. Pieces are delimited by the volumes at which
+    either flow crosses zero; within a piece the balance is a quadratic.
+    """
+    if v_s < 0:
+        raise NoFeasibleSolution(f"gross notional must be nonnegative, got {v_s}")
+    if v_s == 0.0:
+        return 0.0
+    rhs = (1.0 - theta) * v_s
+
+    def move(t0: float, h: float, params: RebalanceParams) -> float:
+        # R(t0 + h) - R(t0), in h while t0 + h stays on t0's branch so
+        # that large flows do not cancel away a small move
+        if (t0 + h >= 0) != (t0 >= 0):
+            return premium_fn(t0 + h, params) - premium_fn(t0, params)
+        d, a, s = _branch(t0 >= 0, params)
+        return d * h * (h + 2.0 * t0 + s * a)
+
+    def residual(v: float) -> float:
+        return v + move(t_in0, -v, params_in) + move(t_out0, v, params_out) - rhs
+
+    breaks = sorted(
+        b for b in (t_in0 if t_in0 > 0 else None, -t_out0 if t_out0 < 0 else None)
+        if b is not None
+    )
+    edges = [0.0] + breaks + [math.inf]
+    scale = max(1.0, v_s, abs(t_in0), abs(t_out0))
+    tol = 1e-12 * scale
+
+    for lo, hi in zip(edges, edges[1:]):
+        if hi - lo <= tol and math.isfinite(hi):
+            continue
+        mid = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
+        d_i, a_i, s_i = _branch(t_in0 - mid >= 0, params_in)
+        d_o, a_o, s_o = _branch(t_out0 + mid >= 0, params_out)
+        qa = d_i + d_o
+        qb = 1.0 - d_i * (2.0 * t_in0 + s_i * a_i) + d_o * (2.0 * t_out0 + s_o * a_o)
+        # each leg's move is d*h*(h + 2*t0 + s*a) on this piece's branch,
+        # plus a constant only when the piece lies across zero from t0
+        qc = -rhs
+        if (t_in0 - mid >= 0) != (t_in0 >= 0):
+            qc += d_i * (t_in0 * t_in0 + s_i * a_i * t_in0) - premium_fn(t_in0, params_in)
+        if (t_out0 + mid >= 0) != (t_out0 >= 0):
+            qc += d_o * (t_out0 * t_out0 + s_o * a_o * t_out0) - premium_fn(t_out0, params_out)
+        candidates = sorted(
+            min(max(r, lo), hi if math.isfinite(hi) else r)
+            for r in _quad_roots(qa, qb, qc)
+            if lo - tol <= r and (math.isinf(hi) or r <= hi + tol)
+        )
+        for root in candidates:
+            # Newton polish on the exact piecewise residual.
+            v = root
+            for _ in range(4):
+                d_i2, a_i2, s_i2 = _branch(t_in0 - v >= 0, params_in)
+                d_o2, a_o2, s_o2 = _branch(t_out0 + v >= 0, params_out)
+                deriv = (
+                    1.0
+                    - d_i2 * (2.0 * (t_in0 - v) + s_i2 * a_i2)
+                    + d_o2 * (2.0 * (t_out0 + v) + s_o2 * a_o2)
+                )
+                if deriv == 0.0:
+                    break
+                step = residual(v) / deriv
+                v_new = v - step
+                if not (lo - tol <= v_new and (math.isinf(hi) or v_new <= hi + tol)):
+                    break
+                v = v_new
+                if abs(step) < 1e-15 * scale:
+                    break
+            if abs(residual(v)) <= 1e-9 * scale and v >= -tol:
+                return max(v, 0.0)
+    raise NoFeasibleSolution(
+        f"no nonnegative root for v_s={v_s}, t_in={t_in0}, t_out={t_out0}"
+    )
+
+
+class TraderFlow:
+    """Poisson arrivals with lognormal sizes over uniform asset pairs."""
+
+    def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
+        self.rate = cfg.trader_rate
+        self.size_mu = cfg.trader_size_mu
+        self.size_sigma = cfg.trader_size_sigma
+        self.rng = rng
+
+    def arrivals(self, asset_ids) -> list[TradeIntent]:
+        if self.rate <= 0 or len(asset_ids) < 2:
+            return []
+        n = int(self.rng.poisson(self.rate))
+        out = []
+        ids = sorted(asset_ids)
+        for _ in range(n):
+            i = int(self.rng.integers(len(ids)))
+            j = int(self.rng.integers(len(ids) - 1))
+            if j >= i:
+                j += 1
+            size = float(self.rng.lognormal(self.size_mu, self.size_sigma))
+            out.append(TradeIntent(ids[i], ids[j], size))
+        return out

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,47 @@ class TestRun:
         assert captured.out == ""
         assert len(drains) == 2 and not (out / "manifest.json").exists()
 
+    def test_writer_lost_mid_run_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 200)
+        write = output.LogWriter.write
+        drains = []
+
+        def killed_on_second_drain(self, logs):
+            drains.append(1)
+            if len(drains) == 2:
+                pid = self._proc.pid
+                os.kill(pid, signal.SIGKILL)
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, left to reap
+            write(self, logs)
+
+        monkeypatch.setattr(output.LogWriter, "write", killed_on_second_drain)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == "output error: log writer killed by signal 9\n"
+        assert captured.out == ""
+        assert len(drains) == 2 and not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_writer_output_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        send = output.LogWriter._send
+
+        def trades_to_a_full_disk(self, message):
+            if isinstance(message.get("trades"), tuple):  # the files, sent first
+                message = dict(message, trades=("/dev/full", message["trades"][1]))
+            send(self, message)
+
+        monkeypatch.setattr(output.LogWriter, "_send", trades_to_a_full_disk)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == "output error: [Errno 28] No space left on device\n"
+        assert captured.out == "" and not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     # a busy demo that completes, and one that halts on OutOfDomain at
     # t=81; the small budget makes either run drain many times
     BUSY = {"traders": {"rate": 8}, "run": {"horizon": 300}}
@@ -225,6 +267,8 @@ class TestRun:
         ini = demo_ini(tmp_path, overrides)
         streamed, kept = tmp_path / "streamed", tmp_path / "kept"
         assert cli.main(["run", str(ini), "--out", str(streamed)]) == exit_code
+        with pytest.raises(ChildProcessError):  # the writer process is reaped
+            os.waitpid(-1, os.WNOHANG)
         eng = Engine(load_config(ini))
         art = eng.run()
         assert art.summary["halted"] == (exit_code == cli.EXIT_BREACH)
@@ -348,11 +392,15 @@ class TestInspect:
     def test_asset_and_time_filters(self, outdir, capsys):
         every = self.rows(capsys, outdir)
         kept = self.rows(capsys, outdir, "--asset", "BETA", "--from", "10", "--to", "20")
+        # a slippage row's context is the pair it traded, matched on either leg
         assert kept == [
-            r for r in every if r[2] in ("BETA", "*") and 10 <= float(r[0]) <= 20
+            r for r in every
+            if (r[2] == "*" or "BETA" in r[2].split("->")) and 10 <= float(r[0]) <= 20
         ]
-        assert {r[2] for r in kept} == {"BETA", "*"}
+        assert {r[2] for r in kept} == {"BETA", "*", "ALPHA->BETA", "BETA->ALPHA"}
         assert {r[0] for r in kept} == {str(t) for t in range(10, 21)}
+        slippage = [r for r in self.rows(capsys, outdir, "--asset", "ALPHA") if r[1] == "slippage"]
+        assert slippage == [r for r in every if r[1] == "slippage"] and len(slippage) == 160
 
         # the ledger matches on either leg; its deposits are at timestep 0
         every = self.rows(capsys, outdir, log="ledger")

@@ -26,12 +26,14 @@ from dfmm.pricing import (
     solve_adjusted_notional,
 )
 from dfmm.vaults import LONG, SHORT, Vault, VaultLimits, VaultPair
+import oracles
 from oracles import (
     balance_residual,
     bisect_adjusted_notional,
     exact_adjusted_notional,
     scan_commit,
 )
+from test_eldf import outcome
 
 P_STD = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=0.1, d_lhs=0.1)
 P_ZERO = RebalanceParams(a_rhs=0.0, a_lhs=0.0, d_rhs=0.0, d_lhs=0.0)
@@ -432,3 +434,38 @@ class TestCommit:
         for _ in range(2000):
             t = int(rng.integers(-10**18, 10**18)) // 10 ** int(rng.integers(0, 18))
             assert premium_units(t, P_STD) == to_units(premium_fn(from_units(t), P_STD))
+
+
+@st.composite
+def solver_inputs(draw):
+    """Arguments of ``solve_adjusted_notional``: flows on both sides of
+    zero and at zero, a leg that crosses zero exactly at V' = v_s, both
+    legs crossing at the same V', params with zero coefficients, and a
+    few zero and negative gross notionals."""
+    flow = st.one_of(st.just(0.0), _FLOW_UNITS.map(from_units))
+    v_s = draw(
+        st.one_of(st.just(0.0), st.just(-1.0), _FLOW_UNITS.map(lambda u: from_units(abs(u))))
+    )
+    t_in0 = draw(st.one_of(flow, st.just(v_s)))
+    t_out0 = draw(st.one_of(flow, st.just(-v_s), st.just(-t_in0)))
+    return v_s, t_in0, t_out0, draw(_PARAMS), draw(_PARAMS), draw(_THETA)
+
+
+# the first piece holds both roots, -2e-8 within its tolerance and 0.25:
+# the smaller is polished first, and accepted
+@example(
+    (
+        1e-8,
+        1e9,
+        1e9,
+        RebalanceParams(a_rhs=1.5, a_lhs=0.0, d_rhs=1.0, d_lhs=1.0),
+        RebalanceParams(a_rhs=0.0, a_lhs=0.0, d_rhs=1.0, d_lhs=1.0),
+        0.0,
+    )
+)
+@given(solver_inputs())
+@settings(max_examples=600)
+def test_solver_identical_to_reference(args):
+    assert outcome(solve_adjusted_notional, *args) == outcome(
+        oracles.solve_adjusted_notional, *args
+    )

@@ -15,7 +15,7 @@ from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach, SolverD
 from dfmm.ledger import BalanceSheet
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, quote_swap
-from dfmm.sim.agents import ArbitrageurAgent
+from dfmm.sim.agents import ArbitrageurAgent, TraderFlow
 from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_config
 from dfmm.sim import engine as engine_mod
 from dfmm.sim.engine import PHASES, Engine, RunArtifacts
@@ -840,6 +840,18 @@ class TestDeterministicOutput:
         assert not art.summary["halted"]
         # one per timestep's metrics, one for the summary's final margin
         assert len(calls) == art.summary["timesteps"] + 1 == 41
+
+
+@pytest.mark.parametrize("n_assets", [2, 6])
+@pytest.mark.parametrize("seed,rate", [(1, 0.8), (7, 8.0), (42, 3.0)])
+def test_arrivals_identical_to_reference(n_assets, seed, rate):
+    cfg = scenario(trader_rate=rate)
+    ids = [f"A{i}" for i in range(n_assets)][::-1]
+    new = TraderFlow(cfg, np.random.default_rng(seed))
+    ref = oracles.TraderFlow(cfg, np.random.default_rng(seed))
+    for _ in range(50):
+        assert repr(new.arrivals(ids)) == repr(ref.arrivals(ids))
+    assert new.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 class TestLogWriter:
