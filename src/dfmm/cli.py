@@ -142,9 +142,15 @@ def cmd_sweep(args) -> int:
             runnable.append((index, cfg))
 
     if args.jobs > 1 and len(runnable) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # 20+ ms: only when used
-        # the pool forks all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(runnable))) as pool:
+        import multiprocessing  # 20+ ms with the pool: only when used
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a child forked here could deadlock on a lock numpy's thread held;
+        # the server preloads nothing (a console script's __main__ is dfmm)
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([])
+        jobs = min(args.jobs, len(runnable))
+        with ProcessPoolExecutor(jobs, mp_context=context) as pool:
             summaries = dict(pool.map(_sweep_worker, runnable))
     else:
         summaries = dict(map(_sweep_worker, runnable))

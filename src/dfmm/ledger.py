@@ -13,7 +13,8 @@ fills ``asset_in``, ``rp_in_units`` and ``reason``, and the cells a kind
 does not use hold ``""``. The engine streams ``BalanceSheet.log`` to that
 file with its other log rows and empties it as it goes, so a replay of a
 run starts from ``ledger.csv``: floats are written by str(), which
-round-trips them, and ledger units as ints.
+round-trips them, and ledger units as ints. A fill's one record is its
+``trade`` row; ``trade_rows`` renders it as a row of ``trades.csv``.
 
 Sign convention for the synthetic flow T: T > 0 means accounting value
 was net received against an asset deficit (inventory below the LP claim),
@@ -147,6 +148,23 @@ class BalanceSheet:
             "t": {a: s.t_units for a, s in self.spools.items()},
             "rr": dict(self.rr_units),
         }
+
+
+def trade_rows(rows, t_units: dict) -> list[tuple]:
+    """The ``trades.csv`` rows of the ``trade`` rows among ``rows``. The
+    flows T after each fill advance in ``t_units`` (asset -> units, 0 when
+    absent) as ``_apply`` advances the sheet's, so one dict passed to each
+    batch of a log in turn renders the whole log."""
+    out = []
+    for t, kind, a_in, a_out, v_in, v_out, v_s, vp, rp_in, rp_out, fee, _ in rows:
+        if kind == "trade":
+            t_in = t_units[a_in] = t_units.get(a_in, 0) - vp
+            t_out = t_units[a_out] = t_units.get(a_out, 0) + vp
+            out.append((
+                t, f"{a_in}->{a_out}", v_in, from_units(v_s), from_units(vp), from_units(rp_in),
+                from_units(rp_out), from_units(fee), v_out, from_units(t_in), from_units(t_out),
+            ))
+    return out
 
 
 def solvency_check(sheet: BalanceSheet, bid_curves: Mapping[str, Eldf]) -> int:

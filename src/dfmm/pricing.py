@@ -107,11 +107,10 @@ def premium_units(t_units: int, params: RebalanceParams) -> int:
     return round(premium_fn(t_units / SCALE, params) * SCALE)
 
 
-def _branch(t_sign_positive: bool, params: RebalanceParams):
-    """(d, a, s) of R(t) = d*(t*t + s*a*t) on one side of t = 0."""
-    if t_sign_positive:
-        return params.d_rhs, params.a_rhs, 1.0
-    return params.d_lhs, params.a_lhs, -1.0
+def _branches(params: RebalanceParams):
+    """(d, s*a) of R(t) = d*(t*t + s*a*t) on each side of t = 0, indexed
+    by t >= 0."""
+    return (params.d_lhs, -params.a_lhs), (params.d_rhs, params.a_rhs)
 
 
 def _quad_roots(a: float, b: float, c: float) -> list[float]:
@@ -161,10 +160,8 @@ def solve_adjusted_notional(
     if v_s == 0.0:
         return 0.0
     rhs = (1.0 - theta) * v_s
-    # (d, s*a) of R(t) = d*(t*t + s*a*t) on each leg's branches, indexed
-    # by t >= 0, and on each leg's start branch
-    br_in = ((params_in.d_lhs, -params_in.a_lhs), (params_in.d_rhs, params_in.a_rhs))
-    br_out = ((params_out.d_lhs, -params_out.a_lhs), (params_out.d_rhs, params_out.a_rhs))
+    # each leg's branches, and its start branch
+    br_in, br_out = _branches(params_in), _branches(params_out)
     up_in, up_out = t_in0 >= 0, t_out0 >= 0
     d_in0, sa_in0 = br_in[up_in]
     d_out0, sa_out0 = br_out[up_out]
@@ -277,10 +274,10 @@ def _commit_notional(
     x_in_max, x_in_min = (t_in0_u - lo) / SCALE, (t_in0_u - hi) / SCALE
     x_out_min, x_out_max = (t_out0_u + lo) / SCALE, (t_out0_u + hi) / SCALE
     # dR/dt = d*(2x + s*a), the right derivative at the kink x = 0
-    d, a, s = _branch(x_in_max >= 0, params_in)
-    g_in = d * (2.0 * x_in_max + s * a)
-    d, a, s = _branch(x_out_min >= 0, params_out)
-    g_out = d * (2.0 * x_out_min + s * a)
+    d, sa = _branches(params_in)[x_in_max >= 0]
+    g_in = d * (2.0 * x_in_max + sa)
+    d, sa = _branches(params_out)[x_out_min >= 0]
+    g_out = d * (2.0 * x_out_min + sa)
     m = 1.0 - g_in + g_out
     # A convex R is largest at a window end.
     r_max = max(premium_fn(x_in_max, params_in), premium_fn(x_in_min, params_in))
@@ -340,8 +337,6 @@ class SwapQuote:
     rp_in_units: int
     rp_out_units: int
     fee_units: int
-    t_in_after_units: int
-    t_out_after_units: int
     state_version: int
 
     def __post_init__(self):
@@ -357,28 +352,6 @@ class SwapQuote:
             raise NoFeasibleSolution(
                 f"quote does not balance: {balance} != {self.v_s_units}"
             )
-
-    @property
-    def v_s(self) -> float:
-        return from_units(self.v_s_units)
-
-    @property
-    def v_prime_s(self) -> float:
-        return from_units(self.v_prime_units)
-
-    @property
-    def rp_x(self) -> float:
-        """Premium delta on the in-leg."""
-        return from_units(self.rp_in_units)
-
-    @property
-    def rp_y(self) -> float:
-        """Premium delta on the out-leg."""
-        return from_units(self.rp_out_units)
-
-    @property
-    def fee(self) -> float:
-        return from_units(self.fee_units)
 
 
 def quote_swap(
@@ -473,8 +446,6 @@ def quote_swap(
         rp_in_units=rp_in_u,
         rp_out_units=rp_out_u,
         fee_units=fee_u,
-        t_in_after_units=t_in0_u - p,
-        t_out_after_units=t_out0_u + p,
         state_version=sheet.version,
     )
 
@@ -490,17 +461,12 @@ def execute_swap(
 
     Returns v_out delivered to the trader. The quote must have been
     computed against the sheet's current version; any interleaved
-    mutation (trade, refit, LP flow) invalidates it.
+    mutation (trade, refit, LP flow) invalidates it, so the inventory
+    ``quote_swap`` found for v_out is still in the pool.
     """
     if quote.state_version != sheet.version:
         raise StaleQuote(
             f"quote pinned version {quote.state_version}, sheet at {sheet.version}"
-        )
-    pool_out = sheet.pools[quote.asset_out]
-    if quote.v_out > pool_out.inventory + _CAP_TOL * max(1.0, pool_out.inventory):
-        raise InsufficientInventory(
-            f"{quote.asset_out} pool holds {pool_out.inventory}, "
-            f"fill needs {quote.v_out}"
         )
     sheet.record_trade(
         (

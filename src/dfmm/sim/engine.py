@@ -38,9 +38,11 @@ other engine error raised mid-run or by the first refit at construction,
 is fail-stop: the run halts with a diagnostic naming the error class and
 timestep, and the logs collected so far are preserved.
 
-Log rows are appended to the lists in ``Engine.logs``. Its ``ledger``
-list is the balance sheet's own event log, ``BalanceSheet.log``, so the
-drain covers the ledger rows too. ``run(drain)`` hands that buffer to
+Log rows are appended to the lists in ``Engine.logs``, one per kind in
+``sim.output.LOGGED``. Its ``ledger`` list is the balance sheet's own
+event log, ``BalanceSheet.log``, so the drain covers the ledger rows too;
+a fill's one record is its ``trade`` row there, and ``trades.csv`` is
+rendered from it when it is written. ``run(drain)`` hands that buffer to
 ``drain`` and empties it whenever, between two timesteps, it holds at
 least ``DRAIN_ROWS`` rows, so a run's memory does not grow with its
 horizon; no drain runs inside a timestep. The rows not yet drained, with
@@ -96,7 +98,7 @@ from ..vaults import (
 from .agents import ArbitrageurAgent, TraderFlow
 from .config import ScenarioConfig
 from .market import ExternalMarket
-from .output import SCHEMAS
+from .output import LOGGED
 
 
 @dataclass
@@ -108,7 +110,7 @@ class RunArtifacts:
 
 
 # rows the log buffer may hold before run() drains it: about one drain
-# per 5 timesteps on a busy two-asset run. A drain evicts some of the
+# per 6 timesteps on a busy two-asset run. A drain evicts some of the
 # engine's working set from the caches, so the timestep after it runs
 # slower: by about 25-50 us on average with 256-row drains handed to the
 # writer process (35-80 us when this process formatted them). Small
@@ -172,7 +174,7 @@ class Engine:
             )
             self.initial_mid[aid] = acfg.mid_price
 
-        self.logs: dict[str, list] = {kind: [] for kind in SCHEMAS}
+        self.logs: dict[str, list] = {kind: [] for kind in LOGGED}
         self.logs["ledger"] = self.sheet.log
 
         # exact-unit totals the audit sets against records kept elsewhere
@@ -254,7 +256,7 @@ class Engine:
 
     def submit_trade(self, asset_in: str, asset_out: str, v_in: float, agent: str):
         """Quote and execute one swap; returns the quote it filled, or None
-        if rejected. Each fill is one row of the trades log."""
+        if rejected. Each fill is one ``trade`` row of the ledger."""
         try:
             quote = quote_swap(
                 asset_in,
@@ -280,26 +282,8 @@ class Engine:
             (self.t, "xi", asset_in, from_units(xi_units), self.reserve.balance)
         )
 
-        pair = f"{asset_in}->{asset_out}"
-        v_s = quote.v_s
-        self.logs["trades"].append(
-            (
-                self.t,
-                pair,
-                v_in,
-                v_s,
-                quote.v_prime_s,
-                quote.rp_x,
-                quote.rp_y,
-                quote.fee,
-                quote.v_out,
-                from_units(quote.t_in_after_units),
-                from_units(quote.t_out_after_units),
-            )
-        )
-        mid_in = self.market[asset_in].mid
-        exec_price = v_s / v_in if v_in > 0 else mid_in
-        self.logs["metrics"].append((self.t, "slippage", pair, slippage(mid_in, exec_price)))
+        slip = slippage(self.market[asset_in].mid, from_units(quote.v_s_units) / v_in)
+        self.logs["metrics"].append((self.t, "slippage", f"{asset_in}->{asset_out}", slip))
 
         self.total_v_s_units += quote.v_s_units
         self.total_v_prime_units += quote.v_prime_units

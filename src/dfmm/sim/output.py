@@ -11,7 +11,8 @@ A ``LogWriter`` writes every log file's header lines when it is created
 and then hands rows to a writer process, which formats them and appends
 them to the files while the engine runs on; the engine's process only
 sends them. ``dfmm run`` streams the engine's rows that way during the
-run, the balance sheet's ledger rows (``ledger.csv``) included.
+run, the balance sheet's ledger rows (``ledger.csv``) included; the
+rows of ``trades.csv`` are rendered from the ledger's fills as they go.
 ``write_logs`` is the last write: the rows still held, then, once the
 writer has finished, ``summary.json`` and the manifest, which is
 written last.
@@ -29,7 +30,7 @@ from dataclasses import asdict
 from itertools import chain
 
 from ..errors import CorruptManifest, UnknownLogKind
-from ..ledger import LEDGER
+from ..ledger import LEDGER, trade_rows
 
 ENGINE_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
@@ -53,6 +54,7 @@ SCHEMAS = {
     "rewards": ("agent", "asset", "class", "claimable"),
     "ledger": LEDGER,
 }
+LOGGED = tuple(kind for kind in SCHEMAS if kind != "trades")  # the rest render from these
 
 # one "%s" per column: str() of a float is its shortest round-trip repr
 _TEMPLATES = {kind: ",".join(["%s"] * len(header)) + "\n" for kind, header in SCHEMAS.items()}
@@ -83,6 +85,7 @@ class LogWriter:
     def __init__(self, outdir):
         os.makedirs(outdir, exist_ok=True)
         self.rows = dict.fromkeys(SCHEMAS, 0)
+        self._t_units: dict[str, int] = {}
         files = {}
         for kind, header in SCHEMAS.items():
             path = os.path.join(outdir, f"{kind}.csv")
@@ -119,8 +122,11 @@ class LogWriter:
         self._proc.stdin.flush()
 
     def write(self, logs) -> None:
-        """Send the rows of ``logs`` (kind -> rows, any subset of SCHEMAS)
-        to the writer, which appends them in order."""
+        """Send the rows of ``logs`` (kind -> rows, any subset of ``LOGGED``)
+        and the ``trades`` rows of its ledger rows, with T carried over from
+        the last write, to the writer, which appends them in order."""
+        if logs.get("ledger"):
+            logs = {**logs, "trades": trade_rows(logs["ledger"], self._t_units)}
         batch = {}
         for kind, rows in logs.items():
             if rows:

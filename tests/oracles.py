@@ -12,9 +12,11 @@ code, kept verbatim so that faster replacements can be checked for
 identical results: the snapshot-point refit, the point-based
 ``fit_eldf``, ``integrate_eldf`` and ``solve_volume_for_value`` before
 they were computed in one pass, ``ArbitrageurAgent`` with its sizing
-for one-sided flows, which flows that sum to zero never reach, and
-``solve_adjusted_notional`` and ``TraderFlow`` before their per-call
-overhead was trimmed.
+for one-sided flows, which flows that sum to zero never reach,
+``solve_adjusted_notional`` (with the ``_branch`` it read) and
+``TraderFlow`` before their per-call overhead was trimmed, and the
+trades-log row ``Engine.submit_trade`` built for each fill before that
+log was rendered from the ledger.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from dfmm.errors import (
 from dfmm.money import from_units
 from dfmm.pricing import (
     RebalanceParams,
-    _branch,
     _quad_roots,
     premium_fn,
     premium_units,
@@ -504,6 +505,13 @@ class ArbitrageurAgent:
         return min(max(v, 0.0), dist_out)
 
 
+def _branch(t_sign_positive: bool, params: RebalanceParams):
+    """(d, a, s) of R(t) = d*(t*t + s*a*t) on one side of t = 0."""
+    if t_sign_positive:
+        return params.d_rhs, params.a_rhs, 1.0
+    return params.d_lhs, params.a_lhs, -1.0
+
+
 def solve_adjusted_notional(
     v_s: float,
     t_in0: float,
@@ -613,3 +621,24 @@ class TraderFlow:
             size = float(self.rng.lognormal(self.size_mu, self.size_sigma))
             out.append(TradeIntent(ids[i], ids[j], size))
         return out
+
+
+def trade_row(t: int, quote, v_in: float, t_after_units: tuple[int, int]) -> tuple:
+    """The trades-log row of a fill at timestep ``t``; ``t_after_units``
+    holds the in- and out-asset flows T after it, which the quote itself
+    carried when this row was built."""
+    pair = f"{quote.asset_in}->{quote.asset_out}"
+    t_in_after_units, t_out_after_units = t_after_units
+    return (
+        t,
+        pair,
+        v_in,
+        from_units(quote.v_s_units),
+        from_units(quote.v_prime_units),
+        from_units(quote.rp_in_units),
+        from_units(quote.rp_out_units),
+        from_units(quote.fee_units),
+        quote.v_out,
+        from_units(t_in_after_units),
+        from_units(t_out_after_units),
+    )

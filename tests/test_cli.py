@@ -333,9 +333,11 @@ class TestSweep:
         pools = []
 
         class SerialPool:
-            """Records its worker count and maps in this process."""
+            """Records its worker count, checks its start method and maps
+            in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() != "fork"
                 pools.append(max_workers)
 
             def __enter__(self):

@@ -189,9 +189,9 @@ class TestQuoteExecute:
     def test_identity_swap(self):
         sheet, curves, params, fees = make_env()
         quote = quote_swap("X", "Y", 10.0, sheet, curves, params, fees)
-        assert quote.v_s == pytest.approx(10.0)
-        assert quote.v_prime_s == pytest.approx(10.0)
-        assert quote.fee == 0.0
+        assert from_units(quote.v_s_units) == pytest.approx(10.0)
+        assert from_units(quote.v_prime_units) == pytest.approx(10.0)
+        assert from_units(quote.fee_units) == 0.0
         v_out = execute_swap(quote, sheet, curves, timestep=1)
         assert v_out == pytest.approx(10.0)
         assert sheet.spools["X"].t == pytest.approx(-10.0)
@@ -204,14 +204,14 @@ class TestQuoteExecute:
         quote = quote_swap("X", "Y", 10.0, sheet, curves, params, fees)
         v_out = execute_swap(quote, sheet, curves)
         assert v_out == pytest.approx(9.0)
-        assert quote.fee == pytest.approx(1.0)
+        assert from_units(quote.fee_units) == pytest.approx(1.0)
 
     def test_hand_case_quote(self):
         sheet, curves, params, fees = make_env(params=P_UNIT_D)
         quote = quote_swap("X", "Y", 10.0, sheet, curves, params, fees)
-        assert quote.v_prime_s == pytest.approx(2.0)
-        assert quote.rp_x == pytest.approx(4.0, abs=1e-9)
-        assert quote.rp_y == pytest.approx(4.0, abs=1e-9)
+        assert from_units(quote.v_prime_units) == pytest.approx(2.0)
+        assert from_units(quote.rp_in_units) == pytest.approx(4.0, abs=1e-9)
+        assert from_units(quote.rp_out_units) == pytest.approx(4.0, abs=1e-9)
 
     def test_balance_identity_exact(self):
         sheet, curves, params, fees = make_env(params=P_STD, theta=0.003)

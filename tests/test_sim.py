@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from dfmm import cli, eldf
 from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach, SolverDivergence
-from dfmm.ledger import BalanceSheet
+from dfmm.ledger import BalanceSheet, trade_rows
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, quote_swap
 from dfmm.sim.agents import ArbitrageurAgent, TraderFlow
@@ -74,15 +74,6 @@ class TestConfig:
     def test_seed_override(self):
         cfg = load_config("scenarios/demo.ini", seed_override=99)
         assert cfg.seed == 99
-
-    def test_xi_above_theta_rejected(self):
-        cfg = scenario(theta=0.001, xi=0.002)
-        violations = cfg.validate()
-        assert any("xi" in v and "theta" in v for v in violations)
-
-    def test_threshold_ordering_rejected(self):
-        cfg = scenario(theta0=0.6, theta_star=0.3)
-        assert any("theta_star" in v for v in cfg.validate())
 
     # validate is the one implementation of each range rule: the fee
     # schedule, auction thresholds and targets, vaults, cover coefficient
@@ -215,7 +206,7 @@ class TestEngine:
         art = Engine(scenario(horizon=0)).run()
         assert art.summary["timesteps"] == 0
         assert art.summary["fills"] == 0
-        assert art.logs["trades"] == []
+        assert trade_rows(art.logs["ledger"], {}) == []
 
     def test_determinism_same_seed(self):
         cfg = scenario(trader_rate=1.5, arb_enabled=True, horizon=40)
@@ -228,14 +219,14 @@ class TestEngine:
         cfg = scenario(trader_rate=1.5, horizon=40)
         a1 = Engine(cfg).run()
         a2 = Engine(dataclasses.replace(cfg, seed=8)).run()
-        assert a1.logs["trades"] != a2.logs["trades"]
+        assert trade_rows(a1.logs["ledger"], {}) != trade_rows(a2.logs["ledger"], {})
 
     def test_scripted_trade_fills_once(self):
         cfg = scenario(scripted_trades=((3, "X", "Y", 25.0),))
         art = Engine(cfg).run()
         assert art.summary["fills"] == 1
-        assert len(art.logs["trades"]) == 1
-        assert art.logs["trades"][0][0] == 3
+        (row,) = trade_rows(art.logs["ledger"], {})
+        assert row[0] == 3
 
     def test_trade_moves_flow_and_inventory(self):
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),))
@@ -338,7 +329,7 @@ class TestEngine:
         for _ in range(4):
             eng.step_timestep()
             assert not eng.vaults["Y"].short.liquidated
-        assert len(eng.logs["trades"]) == 1
+        assert len(trade_rows(eng.logs["ledger"], {})) == 1
         d_before = eng.params["Y"].d_rhs
         cap_before = eng.vaults["Y"].short.capacity()
         eng.queue_vault_flow("Y", "short", 5000.0)
@@ -393,7 +384,7 @@ class TestEngine:
         art = eng.run()
         assert art.summary["halted"]
         assert "audit failed" in art.summary["diagnostic"]
-        assert art.logs["trades"]  # evidence preserved
+        assert trade_rows(art.logs["ledger"], {})  # evidence preserved
 
     @pytest.mark.parametrize(
         "corrupt,identity",
@@ -530,18 +521,19 @@ class TestPremiumReserve:
         pool = eng.sheet.pools["Y"]
         deficit_after = pool.lp_inventory - (pool.inventory - quote.v_out)
         assert deficit_after < c_short / 0.5
-        assert covering_side(0, quote.t_out_after_units) == SHORT
-        flow = boundary_premium_flow(0, quote.t_out_after_units, eng.params["Y"])
+        t_out_after = eng.sheet.spools["Y"].t_units + quote.v_prime_units
+        assert covering_side(0, t_out_after) == SHORT
+        flow = boundary_premium_flow(0, t_out_after, eng.params["Y"])
         assert (c_short - from_units(-flow)) / 0.5 < deficit_after
         with pytest.raises(ExceedsCapacity):
             self.quote(eng, eng.limits)
         eng.step_timestep()
-        assert eng.logs["trades"] == [] and eng.rejected == 1
+        assert trade_rows(eng.logs["ledger"], {}) == [] and eng.rejected == 1
 
     def test_debit_within_reserve_fills_and_keeps_vault(self):
         eng = Engine(self.cfg(c_short=200.0))
         eng.step_timestep()
-        assert len(eng.logs["trades"]) == 1
+        assert len(trade_rows(eng.logs["ledger"], {})) == 1
         t_open, t_now = eng.limits["Y"].t_open_units, eng.sheet.spools["Y"].t_units
         flow = boundary_premium_flow(t_open, t_now, eng.params["Y"])
         assert covering_side(t_open, t_now) == SHORT and flow < 0
@@ -586,8 +578,9 @@ class TestArbitrageLoop:
         assert abs(eng.sheet.spools["Y"].t) < 1.0
         # the script fills once, at t=2, and no trader flows, so every
         # later fill is the arbitrageur's
-        assert [row[0] for row in eng.logs["trades"]][:1] == [2]
-        assert len(eng.logs["trades"]) > 1
+        fills = trade_rows(eng.logs["ledger"], {})
+        assert [row[0] for row in fills][:1] == [2]
+        assert len(fills) > 1
 
     def test_flow_nonincreasing_after_shock(self):
         eng = Engine(self.shock_cfg())
@@ -725,7 +718,7 @@ class TestFailStop:
         assert art.summary["diagnostic"].startswith(
             f"BadParams at t={cfg.epoch_len}: vault withdrawal"
         )
-        assert len(art.logs["trades"]) == 1
+        assert len(trade_rows(art.logs["ledger"], {})) == 1
         assert art.logs["metrics"]
 
 
@@ -910,7 +903,7 @@ class TestDrain:
                 drained[kind] += rows
 
         streamed = eng.run(record)
-        assert len(sizes) >= 2  # about 47 rows a timestep
+        assert len(sizes) >= 2  # about 40 rows a timestep
         assert streamed.summary == kept.summary
         assert sum(map(len, streamed.logs.values())) < engine_mod.DRAIN_ROWS + len(
             kept.logs["rewards"]
@@ -929,3 +922,69 @@ class TestDrain:
         with pytest.raises(OSError):
             eng.run(full)
         assert eng.t == 1 and not eng.halted
+
+
+class TestTradesView:
+    """trades.csv is rendered from the ledger's trade rows: each rendered
+    row equals the row the engine built for the fill before."""
+
+    @staticmethod
+    def record_fills(eng):
+        """Wrap ``eng.submit_trade``; returns the oracle row and the agent
+        of each fill, in order."""
+        rows, agents = [], []
+        submit = eng.submit_trade
+
+        def recorded(asset_in, asset_out, v_in, agent):
+            quote = submit(asset_in, asset_out, v_in, agent)
+            if quote is not None:
+                spools = eng.sheet.spools
+                t_after = (spools[asset_in].t_units, spools[asset_out].t_units)
+                rows.append(oracles.trade_row(eng.t, quote, v_in, t_after))
+                agents.append(agent)
+            return quote
+
+        eng.submit_trade = recorded
+        return rows, agents
+
+    def test_view_equals_the_row_each_fill_built(self):
+        cfg = scenario(
+            trader_rate=1.5,
+            arb_enabled=True,
+            horizon=40,
+            scripted_trades=((3, "X", "Y", 25.0), (9, "Y", "X", 40.0)),
+        )
+        eng = Engine(cfg)
+        rows, agents = self.record_fills(eng)
+        art = eng.run()
+        assert not art.summary["halted"]
+        assert {"trader", "script", "arb"} <= set(agents)
+        assert len(rows) == art.summary["fills"]
+        assert repr(trade_rows(art.logs["ledger"], {})) == repr(rows)
+
+    def test_view_equals_the_rows_of_a_halted_run(self):
+        # the withdrawal halts the run at the first boundary, after that
+        # timestep's traders filled
+        cfg = scenario(trader_rate=2.0, assets=(asset("X"), asset("Y", c_short=1500.0)))
+        eng = Engine(cfg)
+        eng.queue_vault_flow("Y", "short", -2000.0)
+        rows, _ = self.record_fills(eng)
+        art = eng.run()
+        assert art.summary["halted"] and art.summary["timesteps"] == cfg.epoch_len
+        assert rows and rows[-1][0] == cfg.epoch_len
+        assert repr(trade_rows(art.logs["ledger"], {})) == repr(rows)
+
+    def test_drained_batches_render_as_one(self, monkeypatch):
+        # one dict carries the flows T from each drain to the next
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 50)
+        eng = Engine(scenario(trader_rate=8.0, arb_enabled=True, horizon=60))
+        batches = []
+        art = eng.run(lambda logs: batches.append(list(logs["ledger"])))
+        batches.append(art.logs["ledger"])
+        assert len(batches) > 5
+        t_units = {}
+        rendered = [row for batch in batches for row in trade_rows(batch, t_units)]
+        whole = trade_rows([row for batch in batches for row in batch], {})
+        assert len(whole) == art.summary["fills"]
+        assert rendered == whole
+        assert t_units == {aid: s.t_units for aid, s in eng.sheet.spools.items()}
