@@ -75,6 +75,15 @@ class TestConfig:
         cfg = load_config("scenarios/demo.ini", seed_override=99)
         assert cfg.seed == 99
 
+    def test_xi_above_theta_rejected(self):
+        cfg = scenario(theta=0.001, xi=0.002)
+        violations = cfg.validate()
+        assert any("xi" in v and "theta" in v for v in violations)
+
+    def test_threshold_ordering_rejected(self):
+        cfg = scenario(theta0=0.6, theta_star=0.3)
+        assert any("theta_star" in v for v in cfg.validate())
+
     # validate is the one implementation of each range rule: the fee
     # schedule, auction thresholds and targets, vaults, cover coefficient
     # and reward split take their parameters from a validated config.
