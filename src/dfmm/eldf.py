@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     NoFeasibleRoot,
@@ -126,9 +127,10 @@ def _design(vol_bytes: bytes) -> tuple:
     columns rescaled to unit max-norm (so the 3x3 system stays well
     conditioned even for large volume ranges), its Gram matrix and the
     column scales. Keyed on the exact float64 bytes of the volumes, so a
-    cache hit hands back the arrays a fresh build would compute. Raises
-    NonMonotoneVolumes, and caches nothing, unless volumes strictly
-    increase.
+    cache hit hands back the arrays a fresh build would compute. Raises,
+    caching nothing, NonMonotoneVolumes unless volumes strictly increase
+    and SolverDivergence for a singular Gram matrix: LAPACK's ``gesv``
+    finds that from the matrix alone, so one solve refuses the grid once.
     """
     vols = np.frombuffer(vol_bytes, dtype=float)
     if not np.all(np.diff(vols) > 0):
@@ -140,6 +142,10 @@ def _design(vol_bytes: bytes) -> tuple:
         scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
         a_s = a / scale
         ata = a_s.T @ a_s
+    try:
+        np.linalg.solve(ata, scale)  # any right-hand side gives the same verdict
+    except np.linalg.LinAlgError as exc:
+        raise SolverDivergence(f"normal equations singular: {exc}") from None
     for arr in (a_s, ata, scale):
         arr.flags.writeable = False
     return a_s, ata, scale
@@ -163,10 +169,13 @@ def fit_eldf(
 
     The design matrix, its Gram matrix and the column scales depend only
     on the volumes, so they come from a small cache (``_design``) keyed on
-    the volumes' exact float64 bytes; simulated venues resample one fixed
-    grid every slot. Each fit computes only the price-dependent part with
-    the same numpy operations on the same operands as an uncached fit, so
-    the coefficients are bit-identical either way.
+    the volumes' exact float64 bytes. Each fit then computes ``atb`` and
+    calls the gufunc behind ``np.linalg.solve`` with the loop it picks, so
+    the same ``gesv`` runs on the same operands: the coefficients are
+    bit-identical to an uncached ``np.linalg.solve`` fit. That wrapper's
+    one extra error, a singular matrix, ``_design`` raises; otherwise the
+    gufunc clears the FP flags, so a non-finite ``atb`` gives NaN
+    coefficients, which Eldf rejects, without a warning.
     """
     vols = np.asarray(volumes, dtype=float)
     prices = np.asarray(prices, dtype=float)
@@ -178,21 +187,9 @@ def fit_eldf(
         raise NonMonotoneVolumes(f"volume must be nonnegative, got {vols[0]}")
     a_s, ata, scale = _design(vols.tobytes())
     atb = a_s.T @ prices
-    try:
-        coef = np.linalg.solve(ata, atb) / scale
-    except np.linalg.LinAlgError as exc:
-        raise SolverDivergence(f"normal equations singular: {exc}") from None
+    coef = _umath_linalg.solve1(ata, atb, signature="dd->d") / scale
     c0, c1, c2 = coef.tolist()
-    return Eldf(
-        c2=c2,
-        c1=c1,
-        c0=c0,
-        side=side,
-        slot_id=slot_id,
-        v_lo=float(vols[0]),
-        v_hi=float(vols[-1]),
-        extrapolation=extrapolation,
-    )
+    return Eldf(c2, c1, c0, side, slot_id, float(vols[0]), float(vols[-1]), extrapolation)
 
 
 def _domain_check(curve: Eldf, v: float, tol: float = 1e-9):

@@ -106,6 +106,8 @@ class ScenarioConfig:
             v.append(f"run.epoch_len must be >= 1, got {self.epoch_len}")
         if self.slot_len < 1:
             v.append(f"run.slot_len must be >= 1, got {self.slot_len}")
+        if self.seed < 0:
+            v.append(f"run.seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.theta < 1.0):
             v.append(f"fees.theta must be in [0, 1), got {self.theta}")
         if not (0.0 <= self.xi < 1.0):

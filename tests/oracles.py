@@ -11,8 +11,10 @@ The reference implementations at the end are earlier versions of engine
 code, kept verbatim so that faster replacements can be checked for
 identical results: the snapshot-point refit, the point-based
 ``fit_eldf``, ``integrate_eldf`` and ``solve_volume_for_value`` before
-they were computed in one pass, ``ArbitrageurAgent`` with its sizing
-for one-sided flows, which flows that sum to zero never reach,
+they were computed in one pass, ``fit_eldf`` with ``np.linalg.solve``
+and its error handling before it called LAPACK's gufunc directly,
+``ArbitrageurAgent`` with its sizing for one-sided flows, which flows
+that sum to zero never reach,
 ``solve_adjusted_notional`` (with the ``_branch`` it read) and
 ``TraderFlow`` before their per-call overhead was trimmed, and the
 trades-log row ``Engine.submit_trade`` built for each fill before that
@@ -43,6 +45,8 @@ from dfmm.eldf import (
 from dfmm.errors import (
     NoFeasibleRoot,
     NoFeasibleSolution,
+    NonMonotoneVolumes,
+    NonPositiveDensity,
     ReversedInterval,
     SolverDivergence,
     TooFewPoints,
@@ -332,6 +336,33 @@ def point_fit_eldf(
         v_hi=float(vols[-1]),
         extrapolation=extrapolation,
     )
+
+
+def linalg_fit_eldf(volumes, prices) -> Eldf:
+    """``fit_eldf`` solving with ``np.linalg.solve``, with its design built
+    afresh as the uncached ``_design`` built it."""
+    vols = np.asarray(volumes, dtype=float)
+    prices = np.asarray(prices, dtype=float)
+    if len(vols) < 3:
+        raise TooFewPoints(f"need at least 3 points, got {len(vols)}")
+    if not prices.min() > 0:  # NaN propagates through min
+        raise NonPositiveDensity(f"price must be positive, got {prices[~(prices > 0)][0]}")
+    if vols[0] < 0:
+        raise NonMonotoneVolumes(f"volume must be nonnegative, got {vols[0]}")
+    if not np.all(np.diff(vols) > 0):
+        raise NonMonotoneVolumes("snapshot volumes must be strictly increasing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.column_stack([np.ones_like(vols), vols, vols * vols])
+        scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
+        a_s = a / scale
+        ata = a_s.T @ a_s
+    atb = a_s.T @ prices
+    try:
+        coef = np.linalg.solve(ata, atb) / scale
+    except np.linalg.LinAlgError as exc:
+        raise SolverDivergence(f"normal equations singular: {exc}") from None
+    c0, c1, c2 = coef.tolist()
+    return Eldf(c2=c2, c1=c1, c0=c0, v_lo=float(vols[0]), v_hi=float(vols[-1]))
 
 
 def integrate_eldf(curve: Eldf, v1: float, v2: float) -> float:

@@ -80,6 +80,23 @@ class TestValidate:
         ini = demo_ini(tmp_path, {"asset.ALPHA": {"depth": depth}})
         assert cli.main(["validate", str(ini)]) == cli.EXIT_OK
 
+    # numpy's SeedSequence refuses a negative seed, so the run would end
+    # in a traceback after creating its directory
+    @pytest.mark.parametrize("command", ["validate", "run", "run --seed", "sweep"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("DFMM_OUTPUT_ROOT", str(tmp_path / "runs"))
+        if command == "run --seed":
+            argv = ["run", str(DEMO), "--seed", "-5"]
+        else:
+            argv = [command, str(demo_ini(tmp_path, {"run": {"seed": -5}}))]
+            argv += ["--grid", "k=1,2"] if command == "sweep" else []
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "violation: run.seed must be >= 0, got -5"
+        ]
+        assert not (tmp_path / "runs").exists()
+
     def test_removed_settlement_key_is_a_parse_error(self, tmp_path, capsys):
         ini = demo_ini(tmp_path, {"vaults": {"settlement_enabled": "true"}})
         assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION

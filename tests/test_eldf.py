@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,43 @@ class TestFit:
         vols = np.linspace(0.0, 1e-200, 7)
         with pytest.raises(SolverDivergence, match="singular"):
             fit_eldf(vols, np.ones(7))
+
+
+class TestSolveErrors:
+    """The fit refuses what the ``np.linalg.solve`` fit refused, alike."""
+
+    CASES = {
+        # v*v underflows to zero, so the Gram matrix is singular
+        "singular-grid": (np.linspace(0.0, 1e-197, 7), np.ones(7), SolverDivergence),
+        # an infinite right-hand side solves to NaN coefficients
+        "inf-price": (np.arange(5.0), np.array([1, 1, math.inf, 1, 1.0]), NonPositiveDensity),
+        "overflowing-volumes": (np.linspace(0.0, 1e201, 7), np.ones(7), NonPositiveDensity),
+        # the price-dependent product is the one numpy op left to warn
+        "huge-prices": (np.arange(5.0), np.full(5, 1e308), RuntimeWarning),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_error_as_linalg_solve(self, case):
+        vols, prices, error = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as want:
+                oracles.linalg_fit_eldf(vols, prices)
+            with pytest.raises(error) as got:
+                fit_eldf(vols, prices)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        if case == "inf-price":
+            assert "not finite" in str(got.value)
+
+    def test_singular_grid_is_not_cached(self):
+        eldf._design.cache_clear()
+        fit_eldf(*quad_prices(0.0, 1.0, 1.0, [0.0, 1.0, 2.0, 3.0]))
+        for _ in range(2):  # refused again, not served from the cache
+            with pytest.raises(SolverDivergence, match="singular"):
+                fit_eldf(np.linspace(0.0, 1e-199, 5), np.ones(5))
+        info = eldf._design.cache_info()
+        assert (info.currsize, info.hits) == (1, 0)
 
 
 def uncached_coefficients(vols, prices):

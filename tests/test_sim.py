@@ -1,4 +1,5 @@
 import configparser
+import copy
 import dataclasses
 import hashlib
 import json
@@ -638,6 +639,44 @@ def test_arbitrageur_identical_to_reference(flows, params, theta, fixed_cost, ma
     new = ArbitrageurAgent(fixed_cost, max_exposure).decide(flows, by_asset, theta)
     ref = oracles.ArbitrageurAgent(fixed_cost, max_exposure).decide(flows, by_asset, theta)
     assert repr(new) == repr(ref)
+
+
+@pytest.fixture(scope="module")
+def calm_states() -> list:
+    """Ten engines between timesteps of demo.ini (the ``calm`` workload's
+    scenario, shortened), one every 6 steps, with drained logs."""
+    engine = Engine(load_config(DEMO))
+    states = []
+    for t in range(1, 61):
+        engine.step_timestep()
+        for rows in engine.logs.values():
+            rows.clear()
+        if t % 6 == 0:
+            states.append(copy.deepcopy(engine))
+    return states
+
+
+@given(state=st.integers(0, 9), forward=st.booleans(), v_in=st.floats(10.0, 60.0))
+@settings(max_examples=100)
+def test_split_swap_matches_whole_swap(calm_states, state, forward, v_in):
+    """A swap and the same swap made in two halves in one timestep agree:
+    summed V', premium and fee within 3 ledger units, v_out within 1e-14.
+
+    The sizes span the traders' larger draws. Below 10 units a one-unit
+    rounding of V' exceeds 1e-14 of v_out; above 60, float64 rounding of
+    the premium on trades worth over 10^16 units exceeds 3 units.
+    """
+    ids = calm_states[state].sheet.asset_ids()
+    a_in, a_out = ids if forward else ids[::-1]
+    whole = copy.deepcopy(calm_states[state]).submit_trade(a_in, a_out, v_in, "trader")
+    halves = copy.deepcopy(calm_states[state])
+    first = halves.submit_trade(a_in, a_out, v_in / 2, "trader")
+    second = halves.submit_trade(a_in, a_out, v_in - v_in / 2, "trader")
+    for field in ("v_prime_units", "fee_units"):
+        assert abs(getattr(whole, field) - getattr(first, field) - getattr(second, field)) <= 3
+    premium = [q.rp_in_units + q.rp_out_units for q in (whole, first, second)]
+    assert abs(premium[0] - premium[1] - premium[2]) <= 3
+    assert first.v_out + second.v_out == pytest.approx(whole.v_out, rel=1e-14, abs=0)
 
 
 def demo_ini(tmp_path, overrides: dict) -> Path:
