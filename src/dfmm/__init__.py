@@ -16,9 +16,8 @@ from .eldf import (
     snapshot_to_curves,
     solve_volume_for_value,
 )
-from .ledger import AssetPool, BalanceSheet, SyntheticPool, solvency_check
+from .ledger import AssetPool, BalanceSheet, solvency_check
 from .pricing import (
-    FeeSchedule,
     RebalanceParams,
     SwapQuote,
     execute_swap,

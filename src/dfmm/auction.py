@@ -210,11 +210,11 @@ def auction_step(
     """One scheduler tick of the auction across all assets.
 
     utilisation_by_asset maps asset -> Utilisation; t_units_by_asset maps
-    asset -> synthetic flow. Assets are processed in ascending id order,
-    draining the shared treasury reserve sequentially. Returns the
-    updated params mapping and the list of AuctionEvents; the caller
-    books each event's discrepancy against the treasury and the premium
-    reserve.
+    asset -> synthetic flow in ledger units and is only read. Assets are
+    processed in ascending id order, draining the shared treasury reserve
+    sequentially. Returns the updated params mapping and the list of
+    AuctionEvents; the caller books each event's discrepancy against the
+    treasury and the premium reserve.
     """
     params_out = dict(params_by_asset)
     events: list[AuctionEvent] = []

@@ -1,4 +1,4 @@
-"""Asset pools, synthetic accounting-asset pools, and the balance sheet.
+"""Asset pools, the accounting-asset balances, and the balance sheet.
 
 The balance sheet is event-sourced: every mutation appends a row with
 fully resolved amounts, and replaying the rows from genesis reproduces
@@ -39,16 +39,6 @@ class AssetPool:
     lp_inventory: float = 0.0
 
 
-@dataclass
-class SyntheticPool:
-    asset_id: str
-    t_units: int = 0
-
-    @property
-    def t(self) -> float:
-        return from_units(self.t_units)
-
-
 LEDGER = (
     "timestep", "kind", "asset_in", "asset_out", "v_in", "v_out", "v_s_units",
     "v_prime_units", "rp_in_units", "rp_out_units", "fee_units", "reason",
@@ -57,11 +47,13 @@ LEDGER = (
 
 class BalanceSheet:
     """Single-writer aggregate of all pools plus the append-only log of
-    ``LEDGER`` rows."""
+    ``LEDGER`` rows. Each asset's accounting-asset balances, the flow T
+    and the premium reserve RR, are ledger units in ``t_units`` and
+    ``rr_units``."""
 
     def __init__(self, asset_ids=()):
         self.pools: dict[str, AssetPool] = {}
-        self.spools: dict[str, SyntheticPool] = {}
+        self.t_units: dict[str, int] = {}
         self.rr_units: dict[str, int] = {}
         self.log: list[tuple] = []
         self.version: int = 0
@@ -72,7 +64,7 @@ class BalanceSheet:
         if asset_id in self.pools:
             return
         self.pools[asset_id] = AssetPool(asset_id)
-        self.spools[asset_id] = SyntheticPool(asset_id)
+        self.t_units[asset_id] = 0
         self.rr_units[asset_id] = 0
 
     def asset_ids(self):
@@ -119,8 +111,8 @@ class BalanceSheet:
             self.add_asset(a_out)
             self.pools[a_in].inventory += v_in
             self.pools[a_out].inventory -= v_out
-            self.spools[a_in].t_units -= vp
-            self.spools[a_out].t_units += vp
+            self.t_units[a_in] -= vp
+            self.t_units[a_out] += vp
             self.rr_units[a_in] += rp_in
             self.rr_units[a_out] += rp_out
         elif kind == "deposit_plp":
@@ -145,7 +137,7 @@ class BalanceSheet:
         """Flat snapshot used to compare a sheet against its replay."""
         return {
             "pools": {a: (p.inventory, p.lp_inventory) for a, p in self.pools.items()},
-            "t": {a: s.t_units for a, s in self.spools.items()},
+            "t": dict(self.t_units),
             "rr": dict(self.rr_units),
         }
 

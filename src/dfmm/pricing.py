@@ -47,6 +47,7 @@ from .errors import (
     ExceedsCapacity,
     InsufficientInventory,
     NoFeasibleSolution,
+    NonFiniteAmount,
     StaleQuote,
 )
 from .ledger import BalanceSheet
@@ -74,12 +75,6 @@ class RebalanceParams:
             raise ValueError("cover coefficients must be nonnegative")
 
 
-@dataclass(frozen=True)
-class FeeSchedule:
-    theta: float
-    xi: float
-
-
 def premium_fn(t: float, params: RebalanceParams) -> float:
     """Outstanding premium at synthetic flow t; nonnegative on both sides."""
     if t >= 0:
@@ -102,9 +97,16 @@ def premium_units(t_units: int, params: RebalanceParams) -> int:
     Deterministic function of the committed state so premium deltas
     telescope exactly over any trade path. Equal to
     ``to_units(premium_fn(from_units(t_units), params))``, written out
-    because the commit search calls it on every candidate.
+    because the commit search calls it on every candidate; a premium
+    with no ledger units raises ``NonFiniteAmount`` as there.
     """
-    return round(premium_fn(t_units / SCALE, params) * SCALE)
+    premium = premium_fn(t_units / SCALE, params) * SCALE
+    try:
+        return round(premium)
+    except (OverflowError, ValueError):
+        raise NonFiniteAmount(
+            f"no ledger units for premium {premium!r} at T={t_units} units"
+        ) from None
 
 
 def _branches(params: RebalanceParams):
@@ -361,11 +363,12 @@ def quote_swap(
     sheet: BalanceSheet,
     curves: Mapping[str, AssetCurves],
     params_by_asset: Mapping[str, RebalanceParams],
-    fees: FeeSchedule,
+    theta: float,
     *,
     limits_by_asset: Mapping[str, VaultLimits] | None = None,
 ) -> SwapQuote:
-    """Price v_in of asset_in against asset_out at the current state.
+    """Price v_in of asset_in against asset_out at the current state,
+    with fee rate ``theta`` on the gross notional.
 
     The gross notional marks the in-leg on the bid curve from its slot
     mark; the adjusted notional is converted to asset_out on its ask
@@ -390,8 +393,8 @@ def quote_swap(
 
     v_s = integrate_eldf(cin.bid, cin.bid_mark, cin.bid_mark + v_in)
     v_s_units = to_units(v_s)
-    t_in0_u = sheet.spools[asset_in].t_units
-    t_out0_u = sheet.spools[asset_out].t_units
+    t_in0_u = sheet.t_units[asset_in]
+    t_out0_u = sheet.t_units[asset_out]
 
     v_prime = solve_adjusted_notional(
         from_units(v_s_units),
@@ -399,7 +402,7 @@ def quote_swap(
         from_units(t_out0_u),
         params_in,
         params_out,
-        fees.theta,
+        theta,
     )
 
     p, rp_in_u, rp_out_u, fee_u, r_in_u, r_out_u = _commit_notional(
@@ -409,7 +412,7 @@ def quote_swap(
         t_out0_u,
         params_in,
         params_out,
-        fees.theta,
+        theta,
     )
 
     v_out = solve_volume_for_value(cout.ask, cout.ask_mark, from_units(p)) - cout.ask_mark

@@ -67,6 +67,7 @@ class ArbitrageurAgent:
         in-leg, is above zero exactly when the most negative, the
         out-leg, is below. Every unit up to the nearer leg's distance
         from zero earns on both legs; the exposure limit caps the size.
+        ``t_units_by_asset`` is only read.
         """
         ids = sorted(t_units_by_asset)
         t_by_asset = {a: from_units(t_units_by_asset[a]) for a in ids}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -21,6 +22,12 @@ from ..money import SCALE
 
 # the largest rate numpy's Poisson draw accepts; above it the draw raises
 _POISSON_RATE_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+# an asset id is a CSV cell and one half of a pair cell "IN->OUT", and "*"
+# is the run-wide context that inspect matches: none of ",", ">", "*" fits
+_ASSET_ID = re.compile(r"[A-Za-z0-9_-]+")
+# each refit fits both sides of every asset over the whole grid, so the
+# grid sets a run's refit time and memory
+_N_POINTS_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,6 @@ class ScenarioConfig:
     # members
     assets: tuple = ()
     scripted_trades: tuple = ()
-
-    def asset(self, asset_id: str) -> AssetConfig:
-        for a in self.assets:
-            if a.asset_id == asset_id:
-                return a
-        raise KeyError(asset_id)
 
     def validate(self) -> list[str]:
         """Itemised range violations; empty when the config is usable."""
@@ -173,6 +174,8 @@ class ScenarioConfig:
         seen = set()
         for a in self.assets:
             tag = f"asset.{a.asset_id}"
+            if not _ASSET_ID.fullmatch(a.asset_id):
+                v.append(f"asset id {a.asset_id!r} must be letters, digits, '_' or '-'")
             if a.asset_id in seen:
                 v.append(f"duplicate asset id {a.asset_id}")
             seen.add(a.asset_id)
@@ -190,8 +193,8 @@ class ScenarioConfig:
             elif not (sys.float_info.min <= a.depth * a.depth <= sys.float_info.max):
                 # the snapshot fit squares depths: NaN or singular otherwise
                 v.append(f"{tag}.depth squared must be a normal finite float, got {a.depth}")
-            if a.n_points < 3:
-                v.append(f"{tag}.n_points must be >= 3, got {a.n_points}")
+            if not 3 <= a.n_points <= _N_POINTS_MAX:
+                v.append(f"{tag}.n_points must be in [3, {_N_POINTS_MAX}], got {a.n_points}")
             if a.deposit <= 0:
                 v.append(f"{tag}.deposit must be > 0, got {a.deposit}")
             if a.c_long < 0 or a.c_short < 0:

@@ -77,7 +77,7 @@ from ..errors import EngineError, InvariantBreach
 from ..ledger import BalanceSheet, solvency_check
 from ..metrics import impermanent_loss, slippage
 from ..money import from_units, to_units
-from ..pricing import FeeSchedule, RebalanceParams, execute_swap, quote_swap
+from ..pricing import RebalanceParams, execute_swap, quote_swap
 from ..treasury import RewardLedger, TreasuryReserve, treasury_update
 from ..vaults import (
     LONG,
@@ -143,7 +143,6 @@ class Engine:
             else None
         )
 
-        self.fees = FeeSchedule(theta=cfg.theta, xi=cfg.xi)
         self.thresholds = RegimeThresholds(cfg.theta0, cfg.theta_star, cfg.theta_dagger)
         self.targets = RebalanceTargets(cfg.j_star, cfg.j_prime, cfg.j_dagger)
         self.auction_state = AuctionState(lam=cfg.lam, a_min=cfg.a_min)
@@ -232,7 +231,7 @@ class Engine:
             self.strike_bid[aid] = bid
             self.positions[aid] = strike_swaption(self.sheet.pools[aid], bid)
             self.limits[aid] = VaultLimits(
-                self.sheet.pools[aid], self.vaults[aid], self.sheet.spools[aid].t_units
+                self.sheet.pools[aid], self.vaults[aid], self.sheet.t_units[aid]
             )
 
     def _recompute_cover(self) -> None:
@@ -265,7 +264,7 @@ class Engine:
                 self.sheet,
                 self.curves,
                 self.params,
-                self.fees,
+                self.cfg.theta,
                 limits_by_asset=self.limits,
             )
             execute_swap(quote, self.sheet, self.curves, timestep=self.t)
@@ -274,7 +273,7 @@ class Engine:
             return None
         self.fills += 1
 
-        xi_units = min(round(self.fees.xi * quote.v_s_units), max(quote.fee_units, 0))
+        xi_units = min(round(self.cfg.xi * quote.v_s_units), max(quote.fee_units, 0))
         reward_units = quote.fee_units - xi_units
         treasury_update(self.reserve, xi_delta_units=xi_units)
         self.rewards.accrue(asset_out, reward_units)
@@ -355,8 +354,7 @@ class Engine:
         self._lap("audit", clock)
 
     def _run_arbitrageur(self) -> None:
-        t_units = {aid: self.sheet.spools[aid].t_units for aid in self.sheet.asset_ids()}
-        decision = self.arb.decide(t_units, self.params, self.fees.theta)
+        decision = self.arb.decide(self.sheet.t_units, self.params, self.cfg.theta)
         if decision is None:
             return
         asset_in, asset_out, notional = decision
@@ -385,11 +383,10 @@ class Engine:
     def _run_auction(self, utils: dict, at_epoch_boundary: bool) -> None:
         if not self.cfg.auction_enabled:
             return
-        t_units = {aid: self.sheet.spools[aid].t_units for aid in self.sheet.asset_ids()}
         new_params, events = auction_step(
             self.auction_state,
             utils,
-            t_units,
+            self.sheet.t_units,
             self.params,
             self.targets,
             self.thresholds,
@@ -444,7 +441,7 @@ class Engine:
                 settlement_units[pos.side] = moved
                 self.liquidations += margin_check(vault)
 
-            t_now = self.sheet.spools[aid].t_units
+            t_now = self.sheet.t_units[aid]
             t_prev = self.limits[aid].t_open_units
             side = covering_side(t_prev, t_now)
             if side is not None:
@@ -520,7 +517,7 @@ class Engine:
                 self.sheet, {a: c.bid for a, c in self.curves.items()}
             )
         cash = (
-            sum(s.t_units for s in self.sheet.spools.values())
+            sum(self.sheet.t_units.values())
             + sum(self.sheet.rr_units.values())
             + self.reserve.balance_units
             + self.hedge_pnl_units
@@ -554,7 +551,7 @@ class Engine:
             rows.append(
                 (self.t, "il", aid, impermanent_loss(self.initial_mid[aid], market.mid))
             )
-            rows.append((self.t, "t_open", aid, self.sheet.spools[aid].t))
+            rows.append((self.t, "t_open", aid, from_units(self.sheet.t_units[aid])))
             rows.append((self.t, "util_rhs", aid, util.u_rhs))
             rows.append((self.t, "util_lhs", aid, util.u_lhs))
         rows.append((self.t, "solvency_margin", "*", from_units(margin_units)))
@@ -576,10 +573,7 @@ class Engine:
             == self.total_rp_units + self.reserve.cum_upsilon_units,
             "treasury identity": self.reserve.balance_units
             == self.reserve.cum_xi_units - self.reserve.cum_upsilon_units,
-            "synthetic flows net": sum(
-                s.t_units for s in self.sheet.spools.values()
-            )
-            == 0,
+            "synthetic flows net": sum(self.sheet.t_units.values()) == 0,
             "hedge book": self._vault_units() - self.initial_vault_units
             == self.vault_external_units - self.hedge_pnl_units,
         }

@@ -23,7 +23,6 @@ from .vaults import VaultPair
 PLP = "plp"
 SLP_LONG = "slp_long"
 SLP_SHORT = "slp_short"
-CLASSES = (PLP, SLP_LONG, SLP_SHORT)
 
 
 @dataclass
@@ -56,24 +55,6 @@ def treasury_update(
     return reserve
 
 
-@dataclass(frozen=True)
-class RewardShares:
-    plp_units: int
-    slp_long_units: int
-    slp_short_units: int
-
-    @property
-    def total_units(self) -> int:
-        return self.plp_units + self.slp_long_units + self.slp_short_units
-
-    def as_dict(self) -> dict:
-        return {
-            PLP: self.plp_units,
-            SLP_LONG: self.slp_long_units,
-            SLP_SHORT: self.slp_short_units,
-        }
-
-
 def reward_distribute(
     pool: AssetPool,
     vaults: VaultPair,
@@ -81,8 +62,9 @@ def reward_distribute(
     *,
     gamma: float = 0.01,
     alpha: float = 1.0,
-) -> RewardShares:
-    """Split accrued rewards across the pLP and sLP classes.
+) -> dict[str, int]:
+    """Split accrued rewards across the pLP and sLP classes: the units of
+    each class, keyed ``PLP``, ``SLP_LONG`` and ``SLP_SHORT``.
 
     Baseline is a third each. The class whose capacity share of
     B = I + C_short/rho_short + C_long/rho_long sits above the 1/3
@@ -94,7 +76,7 @@ def reward_distribute(
     if accrued_units < 0:
         raise BadRates(f"accrued rewards cannot be negative, got {accrued_units}")
     if accrued_units == 0:
-        return RewardShares(0, 0, 0)
+        return {PLP: 0, SLP_LONG: 0, SLP_SHORT: 0}
 
     cap_short = vaults.short.capacity()
     cap_long = vaults.long.capacity()
@@ -145,7 +127,7 @@ def reward_distribute(
         else:
             break
         plp_units = accrued_units - long_units - short_units
-    return RewardShares(plp_units, long_units, short_units)
+    return {PLP: plp_units, SLP_LONG: long_units, SLP_SHORT: short_units}
 
 
 @dataclass
@@ -166,13 +148,14 @@ class RewardLedger:
     def total_units(self) -> int:
         return sum(self.accrued_units.values()) + sum(self.claimable_units.values())
 
-    def distribute(self, asset_id: str, shares: RewardShares) -> None:
+    def distribute(self, asset_id: str, shares: dict[str, int]) -> None:
+        """Move ``asset_id``'s pending units to the classes' claimable
+        balances; ``shares`` (class -> units) must sum to them."""
         pending = self.accrued_units.get(asset_id, 0)
-        if shares.total_units != pending:
-            raise BadRates(
-                f"shares {shares.total_units} do not match pending {pending}"
-            )
-        for cls, units in shares.as_dict().items():
+        total = sum(shares.values())
+        if total != pending:
+            raise BadRates(f"shares {total} do not match pending {pending}")
+        for cls, units in shares.items():
             key = (asset_id, cls)
             self.claimable_units[key] = self.claimable_units.get(key, 0) + units
         self.accrued_units[asset_id] = 0

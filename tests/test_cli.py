@@ -170,6 +170,31 @@ class TestValidate:
         assert not out.exists()
 
 
+    # each of these passed validate: an id that splits a log cell or a pair
+    # wrote rows with more cells than their header, and a run with the grid
+    # asked numpy for 72.8 TiB (so this test only validates)
+    @pytest.mark.parametrize(
+        "overrides,violation",
+        [
+            *(
+                ({f"asset.{bad}": {}}, f"asset id {bad!r} must be letters, digits, '_' or '-'")
+                for bad in ("BE,TA", "A->B", "*", "")
+            ),
+            (
+                {"asset.ALPHA": {"n_points": 10**13}},
+                "asset.ALPHA.n_points must be in [3, 10000], got 10000000000000",
+            ),
+        ],
+        ids=["id-comma", "id-arrow", "id-star", "id-empty", "n_points-above-max"],
+    )
+    def test_id_or_grid_that_would_break_a_run_exits_2(
+        self, tmp_path, capsys, overrides, violation
+    ):
+        ini = demo_ini(tmp_path, overrides)
+        assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().out.splitlines() == [f"violation: {violation}"]
+
+
 class TestRun:
     def test_infinite_trade_size_rejects_without_a_traceback(self, tmp_path, capsys):
         # lognormal sizes with mu = 800 overflow to inf: no trade has ledger units
@@ -188,6 +213,16 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diagnostic"] == diagnostic
         assert (out / "manifest.json").exists()
+
+    def test_premium_overflowing_ledger_units_halts_with_exit_3(self, tmp_path, capsys):
+        ini = demo_ini(tmp_path, {"premium": {"d_max": "1e300"}})
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ini), "--out", str(out)]) == cli.EXIT_BREACH
+        err = capsys.readouterr().err
+        assert err.startswith("run halted: NonFiniteAmount at t=15: no ledger units")
+        assert err.count("\n") == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["fills"], summary["rejected"]) == (17, 11)
 
     def test_output_path_that_is_a_file_exits_4_before_the_run(
         self, tmp_path, capsys, monkeypatch

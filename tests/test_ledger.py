@@ -56,14 +56,14 @@ class TestSyntheticFlow:
         sheet = BalanceSheet(["X", "Y"])
         trade(sheet, "X", "Y", 10_000)
         trade(sheet, "Y", "X", 4_000)
-        assert (sheet.spools["X"].t_units, sheet.spools["Y"].t_units) == (-6_000, 6_000)
+        assert (sheet.t_units["X"], sheet.t_units["Y"]) == (-6_000, 6_000)
 
     def test_exact_unwind(self):
         sheet = BalanceSheet(["X", "Y"])
         trade(sheet, "X", "Y", 10_000)
         trade(sheet, "Y", "X", 4_000)
         trade(sheet, "Y", "X", 6_000)
-        assert sheet.spools["X"].t_units == sheet.spools["Y"].t_units == 0
+        assert sheet.t_units["X"] == sheet.t_units["Y"] == 0
 
 
 class TestSolvency:

@@ -10,12 +10,12 @@ from dfmm.errors import (
     ExceedsCapacity,
     InsufficientInventory,
     NoFeasibleSolution,
+    NonFiniteAmount,
     StaleQuote,
 )
 from dfmm.ledger import BalanceSheet
 from dfmm.money import from_units, to_units
 from dfmm.pricing import (
-    FeeSchedule,
     _commit_notional,
     RebalanceParams,
     execute_swap,
@@ -48,15 +48,14 @@ def make_env(t_x=0.0, t_y=0.0, params=P_ZERO, theta=0.0, deposit=10_000.0):
     sheet = BalanceSheet()
     sheet.deposit_plp("X", deposit)
     sheet.deposit_plp("Y", deposit)
-    sheet.spools["X"].t_units = to_units(t_x)
-    sheet.spools["Y"].t_units = to_units(t_y)
+    sheet.t_units["X"] = to_units(t_x)
+    sheet.t_units["Y"] = to_units(t_y)
     curves = {
         "X": AssetCurves("X", unit("bid"), unit("ask")),
         "Y": AssetCurves("Y", unit("bid"), unit("ask")),
     }
     params_by_asset = {"X": params, "Y": params}
-    fees = FeeSchedule(theta=theta, xi=0.0)
-    return sheet, curves, params_by_asset, fees
+    return sheet, curves, params_by_asset, theta
 
 
 class TestPremiumFn:
@@ -187,35 +186,35 @@ class TestNotionalSolver:
 
 class TestQuoteExecute:
     def test_identity_swap(self):
-        sheet, curves, params, fees = make_env()
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, fees)
+        sheet, curves, params, theta = make_env()
+        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
         assert from_units(quote.v_s_units) == pytest.approx(10.0)
         assert from_units(quote.v_prime_units) == pytest.approx(10.0)
         assert from_units(quote.fee_units) == 0.0
         v_out = execute_swap(quote, sheet, curves, timestep=1)
         assert v_out == pytest.approx(10.0)
-        assert sheet.spools["X"].t == pytest.approx(-10.0)
-        assert sheet.spools["Y"].t == pytest.approx(10.0)
+        assert from_units(sheet.t_units["X"]) == pytest.approx(-10.0)
+        assert from_units(sheet.t_units["Y"]) == pytest.approx(10.0)
         assert sheet.pools["X"].inventory == pytest.approx(10_010.0)
         assert sheet.pools["Y"].inventory == pytest.approx(9_990.0)
 
     def test_fee_only_swap(self):
-        sheet, curves, params, fees = make_env(theta=0.1)
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, fees)
+        sheet, curves, params, theta = make_env(theta=0.1)
+        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
         v_out = execute_swap(quote, sheet, curves)
         assert v_out == pytest.approx(9.0)
         assert from_units(quote.fee_units) == pytest.approx(1.0)
 
     def test_hand_case_quote(self):
-        sheet, curves, params, fees = make_env(params=P_UNIT_D)
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, fees)
+        sheet, curves, params, theta = make_env(params=P_UNIT_D)
+        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
         assert from_units(quote.v_prime_units) == pytest.approx(2.0)
         assert from_units(quote.rp_in_units) == pytest.approx(4.0, abs=1e-9)
         assert from_units(quote.rp_out_units) == pytest.approx(4.0, abs=1e-9)
 
     def test_balance_identity_exact(self):
-        sheet, curves, params, fees = make_env(params=P_STD, theta=0.003)
-        quote = quote_swap("X", "Y", 17.3, sheet, curves, params, fees)
+        sheet, curves, params, theta = make_env(params=P_STD, theta=0.003)
+        quote = quote_swap("X", "Y", 17.3, sheet, curves, params, theta)
         assert (
             quote.v_prime_units
             + quote.rp_in_units
@@ -225,27 +224,27 @@ class TestQuoteExecute:
         )
 
     def test_stale_quote_rejected(self):
-        sheet, curves, params, fees = make_env()
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, fees)
+        sheet, curves, params, theta = make_env()
+        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
         sheet.deposit_plp("X", 1.0)  # any mutation invalidates
         with pytest.raises(StaleQuote):
             execute_swap(quote, sheet, curves)
 
     def test_marks_advance_and_reset_matters(self):
-        sheet, curves, params, fees = make_env()
-        q1 = quote_swap("X", "Y", 10.0, sheet, curves, params, fees)
+        sheet, curves, params, theta = make_env()
+        q1 = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
         execute_swap(q1, sheet, curves)
         assert curves["X"].bid_mark == pytest.approx(10.0)
         assert curves["Y"].ask_mark == pytest.approx(10.0)
 
     def test_insufficient_inventory(self):
-        sheet, curves, params, fees = make_env(deposit=5.0)
+        sheet, curves, params, theta = make_env(deposit=5.0)
         with pytest.raises(InsufficientInventory):
-            quote_swap("X", "Y", 50.0, sheet, curves, params, fees)
+            quote_swap("X", "Y", 50.0, sheet, curves, params, theta)
 
     def test_capacity_limits(self):
         # small vaults cap X's surplus or Y's deficit at 5; the rest cover 1e6
-        sheet, curves, params, fees = make_env()
+        sheet, curves, params, theta = make_env()
 
         def limits(c_long_x, c_short_y):
             return {
@@ -262,32 +261,32 @@ class TestQuoteExecute:
 
         for gated in (limits(2.5, 5e5), limits(5e5, 2.5)):
             with pytest.raises(ExceedsCapacity):
-                quote_swap("X", "Y", 50.0, sheet, curves, params, fees, limits_by_asset=gated)
+                quote_swap("X", "Y", 50.0, sheet, curves, params, theta, limits_by_asset=gated)
         quote = quote_swap(
-            "X", "Y", 4.0, sheet, curves, params, fees, limits_by_asset=limits(2.5, 2.5)
+            "X", "Y", 4.0, sheet, curves, params, theta, limits_by_asset=limits(2.5, 2.5)
         )
         assert quote.v_out == pytest.approx(4.0)
 
     def test_imbalance_monotonicity(self):
         # both legs' |T| strictly grow: total premium positive
-        sheet, curves, params, fees = make_env(t_x=-5.0, t_y=5.0, params=P_STD)
-        quote = quote_swap("X", "Y", 3.0, sheet, curves, params, fees)
+        sheet, curves, params, theta = make_env(t_x=-5.0, t_y=5.0, params=P_STD)
+        quote = quote_swap("X", "Y", 3.0, sheet, curves, params, theta)
         assert quote.rp_in_units + quote.rp_out_units > 0
         # both legs' |T| strictly shrink: total premium negative
-        sheet, curves, params, fees = make_env(t_x=50.0, t_y=-50.0, params=P_STD)
-        quote = quote_swap("X", "Y", 3.0, sheet, curves, params, fees)
+        sheet, curves, params, theta = make_env(t_x=50.0, t_y=-50.0, params=P_STD)
+        quote = quote_swap("X", "Y", 3.0, sheet, curves, params, theta)
         assert quote.rp_in_units + quote.rp_out_units < 0
 
 
 class TestConservation:
     def test_value_conservation_random_trades(self):
         rng = np.random.default_rng(53)
-        sheet, curves, params, fees = make_env(params=P_STD, theta=0.003, deposit=50_000.0)
+        sheet, curves, params, theta = make_env(params=P_STD, theta=0.003, deposit=50_000.0)
         total_vs = total_vp = total_rp = total_fee = 0
         for _ in range(500):
             a_in, a_out = ("X", "Y") if rng.integers(2) else ("Y", "X")
             v_in = float(rng.uniform(0.1, 20.0))
-            quote = quote_swap(a_in, a_out, v_in, sheet, curves, params, fees)
+            quote = quote_swap(a_in, a_out, v_in, sheet, curves, params, theta)
             execute_swap(quote, sheet, curves)
             total_vs += quote.v_s_units
             total_vp += quote.v_prime_units
@@ -307,25 +306,25 @@ class TestConservation:
         """Shock then rebalance back to exactly zero flow: the premium
         reserve returns every unit it collected."""
         params = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=5e-5, d_lhs=5e-5)
-        sheet, curves, params_by_asset, fees = make_env(params=params, deposit=100_000.0)
+        sheet, curves, params_by_asset, theta = make_env(params=params, deposit=100_000.0)
 
-        q1 = quote_swap("X", "Y", 40.0, sheet, curves, params_by_asset, fees)
+        q1 = quote_swap("X", "Y", 40.0, sheet, curves, params_by_asset, theta)
         execute_swap(q1, sheet, curves)
-        assert sheet.spools["X"].t_units < 0 < sheet.spools["Y"].t_units
+        assert sheet.t_units["X"] < 0 < sheet.t_units["Y"]
 
         # unwind toward zero, then land the residual exactly
         for _ in range(50):
-            t_y = sheet.spools["Y"].t_units
+            t_y = sheet.t_units["Y"]
             if t_y == 0:
                 break
             v_in = from_units(abs(t_y))
             if t_y > 0:
-                quote = quote_swap("Y", "X", v_in, sheet, curves, params_by_asset, fees)
+                quote = quote_swap("Y", "X", v_in, sheet, curves, params_by_asset, theta)
             else:
-                quote = quote_swap("X", "Y", v_in, sheet, curves, params_by_asset, fees)
+                quote = quote_swap("X", "Y", v_in, sheet, curves, params_by_asset, theta)
             execute_swap(quote, sheet, curves)
-        assert sheet.spools["X"].t_units == 0
-        assert sheet.spools["Y"].t_units == 0
+        assert sheet.t_units["X"] == 0
+        assert sheet.t_units["Y"] == 0
         assert sheet.rr_units["X"] == 0
         assert sheet.rr_units["Y"] == 0
 
@@ -434,6 +433,11 @@ class TestCommit:
         for _ in range(2000):
             t = int(rng.integers(-10**18, 10**18)) // 10 ** int(rng.integers(0, 18))
             assert premium_units(t, P_STD) == to_units(premium_fn(from_units(t), P_STD))
+
+    def test_premium_without_ledger_units_raises_as_to_units_does(self):
+        # 1000^2 * 1e300 overflows to inf, which has no ledger units
+        with pytest.raises(NonFiniteAmount, match="no ledger units"):
+            premium_units(10**15, RebalanceParams(5.0, 5.0, 1e300, 1e300))
 
 
 @st.composite

@@ -117,12 +117,25 @@ class TestConfig:
             ({"u_max": 0.0}, "premium.u_max must be > 0, got 0.0"),
             ({"k": 0.0}, "premium.k must be > 0, got 0.0"),
             ({"reward_gamma": 1.0}, "rewards.gamma must be in [0, 1), got 1.0"),
+            # "," splits a CSV cell, "->" a pair and "*" is the run-wide context
+            *(
+                (
+                    {"assets": (asset(bad), asset("Y"))},
+                    f"asset id {bad!r} must be letters, digits, '_' or '-'",
+                )
+                for bad in ("BE,TA", "A->B", "*", "")
+            ),
+            (
+                {"assets": (asset("X", n_points=10**13), asset("Y"))},
+                "asset.X.n_points must be in [3, 10000], got 10000000000000",
+            ),
         ],
         ids=[
             "theta-range", "xi-range", "xi-above-theta", "threshold-order",
             "j_star-below-j_prime", "j_dagger-below-1", "rho_long-zero",
             "rho_short-above-1", "collateral-negative", "d_min-above-d_max",
-            "u_max-zero", "k-zero", "gamma-range",
+            "u_max-zero", "k-zero", "gamma-range", "asset-id-comma", "asset-id-arrow",
+            "asset-id-star", "asset-id-empty", "n_points-above-max",
         ],
     )
     def test_rule_violation_rejected(self, overrides, violation):
@@ -131,6 +144,9 @@ class TestConfig:
         with pytest.raises(ConfigInvalid) as exc:
             Engine(cfg)
         assert exc.value.violations == [violation]
+
+    def test_asset_id_of_letters_digits_underscore_and_dash_is_valid(self):
+        assert scenario(assets=(asset("ALPHA_1"), asset("b-2"))).validate() == []
 
     def test_run_scenario_rejects_invalid(self):
         with pytest.raises(ConfigInvalid):
@@ -156,7 +172,7 @@ class TestMarket:
         cfg = scenario()
         market = ExternalMarket(cfg.assets, np.random.SeedSequence(1))
         bid, ask = market["X"].fit_curves(0, extrapolation="error")
-        acfg = cfg.asset("X")
+        acfg = cfg.assets[0]  # X
         # density at zero depth matches mid less half the spread
         from dfmm.eldf import eval_eldf
 
@@ -242,7 +258,7 @@ class TestEngine:
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),))
         eng = Engine(cfg)
         eng.step_timestep()
-        assert eng.sheet.spools["X"].t_units < 0 < eng.sheet.spools["Y"].t_units
+        assert eng.sheet.t_units["X"] < 0 < eng.sheet.t_units["Y"]
         assert eng.sheet.pools["X"].inventory > 2000.0
         assert eng.sheet.pools["Y"].inventory < 2000.0
 
@@ -435,7 +451,7 @@ class TestEngine:
         assert eng.reserve.balance_units == (
             eng.reserve.cum_xi_units - eng.reserve.cum_upsilon_units
         )
-        assert sum(s.t_units for s in eng.sheet.spools.values()) == 0
+        assert sum(eng.sheet.t_units.values()) == 0
         assert eng._vault_units() - eng.initial_vault_units == (
             eng.vault_external_units - eng.hedge_pnl_units
         )
@@ -516,7 +532,7 @@ class TestPremiumReserve:
 
     def quote(self, eng, limits):
         return quote_swap(
-            "X", "Y", 2.0, eng.sheet, eng.curves, eng.params, eng.fees,
+            "X", "Y", 2.0, eng.sheet, eng.curves, eng.params, eng.cfg.theta,
             limits_by_asset=limits,
         )
 
@@ -531,7 +547,7 @@ class TestPremiumReserve:
         pool = eng.sheet.pools["Y"]
         deficit_after = pool.lp_inventory - (pool.inventory - quote.v_out)
         assert deficit_after < c_short / 0.5
-        t_out_after = eng.sheet.spools["Y"].t_units + quote.v_prime_units
+        t_out_after = eng.sheet.t_units["Y"] + quote.v_prime_units
         assert covering_side(0, t_out_after) == SHORT
         flow = boundary_premium_flow(0, t_out_after, eng.params["Y"])
         assert (c_short - from_units(-flow)) / 0.5 < deficit_after
@@ -544,7 +560,7 @@ class TestPremiumReserve:
         eng = Engine(self.cfg(c_short=200.0))
         eng.step_timestep()
         assert len(trade_rows(eng.logs["ledger"], {})) == 1
-        t_open, t_now = eng.limits["Y"].t_open_units, eng.sheet.spools["Y"].t_units
+        t_open, t_now = eng.limits["Y"].t_open_units, eng.sheet.t_units["Y"]
         flow = boundary_premium_flow(t_open, t_now, eng.params["Y"])
         assert covering_side(t_open, t_now) == SHORT and flow < 0
         reserve_units = -flow
@@ -584,8 +600,8 @@ class TestArbitrageLoop:
         eng = Engine(self.shock_cfg())
         eng.run()
         # the zero-cost arbitrageur walks both flows back toward zero
-        assert abs(eng.sheet.spools["X"].t) < 1.0
-        assert abs(eng.sheet.spools["Y"].t) < 1.0
+        assert abs(from_units(eng.sheet.t_units["X"])) < 1.0
+        assert abs(from_units(eng.sheet.t_units["Y"])) < 1.0
         # the script fills once, at t=2, and no trader flows, so every
         # later fill is the arbitrageur's
         fills = trade_rows(eng.logs["ledger"], {})
@@ -598,7 +614,7 @@ class TestArbitrageLoop:
         for _ in range(20):
             eng.step_timestep()
             worst.append(
-                max(abs(eng.sheet.spools[a].t) for a in eng.sheet.asset_ids())
+                max(abs(from_units(t)) for t in eng.sheet.t_units.values())
             )
         after_shock = worst[2:]
         for a, b in zip(after_shock, after_shock[1:]):
@@ -986,8 +1002,8 @@ class TestTradesView:
         def recorded(asset_in, asset_out, v_in, agent):
             quote = submit(asset_in, asset_out, v_in, agent)
             if quote is not None:
-                spools = eng.sheet.spools
-                t_after = (spools[asset_in].t_units, spools[asset_out].t_units)
+                t_units = eng.sheet.t_units
+                t_after = (t_units[asset_in], t_units[asset_out])
                 rows.append(oracles.trade_row(eng.t, quote, v_in, t_after))
                 agents.append(agent)
             return quote
@@ -1035,4 +1051,4 @@ class TestTradesView:
         whole = trade_rows([row for batch in batches for row in batch], {})
         assert len(whole) == art.summary["fills"]
         assert rendered == whole
-        assert t_units == {aid: s.t_units for aid, s in eng.sheet.spools.items()}
+        assert t_units == eng.sheet.t_units

@@ -166,25 +166,25 @@ class TestRewardDistribute:
         vaults = pair(50.0, 50.0)  # capacities 100 each: all shares 1/3
         accrued = to_units(9.0)
         shares = reward_distribute(pool, vaults, accrued)
-        assert shares.total_units == accrued
-        assert shares.plp_units == pytest.approx(accrued / 3, abs=2)
-        assert shares.slp_long_units == pytest.approx(accrued / 3, abs=2)
+        assert sum(shares.values()) == accrued
+        assert shares[PLP] == pytest.approx(accrued / 3, abs=2)
+        assert shares[SLP_LONG] == pytest.approx(accrued / 3, abs=2)
 
     def test_plp_overweight_pays_gamma_split(self):
         pool = AssetPool("X", 200.0, 200.0)
         vaults = pair(25.0, 25.0)  # capacities 50: pLP share 2/3
         accrued = to_units(300.0)
         shares = reward_distribute(pool, vaults, accrued, gamma=0.03)
-        assert shares.total_units == accrued
+        assert sum(shares.values()) == accrued
         third = accrued / 3
-        assert shares.plp_units < third
-        assert shares.slp_long_units > third
-        assert shares.slp_short_units > third
-        assert shares.slp_long_units == shares.slp_short_units
+        assert shares[PLP] < third
+        assert shares[SLP_LONG] > third
+        assert shares[SLP_SHORT] > third
+        assert shares[SLP_LONG] == shares[SLP_SHORT]
 
     def test_zero_accrued(self):
         shares = reward_distribute(AssetPool("X", 1.0, 1.0), pair(1.0, 1.0), 0)
-        assert shares.as_dict() == {PLP: 0, SLP_LONG: 0, SLP_SHORT: 0}
+        assert shares == {PLP: 0, SLP_LONG: 0, SLP_SHORT: 0}
 
     def test_simplex_over_random_states(self):
         rng = np.random.default_rng(59)
@@ -194,10 +194,10 @@ class TestRewardDistribute:
             accrued = int(rng.integers(0, 10**14))
             gamma = float(rng.uniform(0.0, 0.5))
             shares = reward_distribute(pool, vaults, accrued, gamma=gamma)
-            assert shares.total_units == accrued
-            assert shares.plp_units >= 0
-            assert shares.slp_long_units >= 0
-            assert shares.slp_short_units >= 0
+            assert sum(shares.values()) == accrued
+            assert shares[PLP] >= 0
+            assert shares[SLP_LONG] >= 0
+            assert shares[SLP_SHORT] >= 0
 
 
 class TestRewardLedger:
@@ -214,7 +214,5 @@ class TestRewardLedger:
     def test_mismatched_distribution_rejected(self):
         ledger = RewardLedger()
         ledger.accrue("X", 100)
-        from dfmm.treasury import RewardShares
-
         with pytest.raises(BadRates):
-            ledger.distribute("X", RewardShares(10, 10, 10))
+            ledger.distribute("X", {PLP: 10, SLP_LONG: 10, SLP_SHORT: 10})
