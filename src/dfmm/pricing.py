@@ -54,7 +54,7 @@ from .ledger import BalanceSheet
 from .money import SCALE, from_units, to_units
 
 if TYPE_CHECKING:
-    from .vaults import VaultLimits
+    from .vaults import VaultPair
 
 _CAP_TOL = 1e-9
 
@@ -365,7 +365,7 @@ def quote_swap(
     params_by_asset: Mapping[str, RebalanceParams],
     theta: float,
     *,
-    limits_by_asset: Mapping[str, VaultLimits] | None = None,
+    vaults_by_asset: Mapping[str, VaultPair] | None = None,
 ) -> SwapQuote:
     """Price v_in of asset_in against asset_out at the current state,
     with fee rate ``theta`` on the gross notional.
@@ -373,7 +373,7 @@ def quote_swap(
     The gross notional marks the in-leg on the bid curve from its slot
     mark; the adjusted notional is converted to asset_out on its ask
     curve. The quote pins the sheet version and fails stale at execution
-    if anything moved. With ``limits_by_asset`` the quote is gated: the
+    if anything moved. With ``vaults_by_asset`` the quote is gated: the
     in-asset's post-trade surplus must stay within its ``surplus_cap``
     and the out-asset's post-trade deficit within its ``deficit_cap``,
     each given the leg's post-trade flow T, the premium committed there
@@ -422,16 +422,20 @@ def quote_swap(
         raise InsufficientInventory(
             f"{asset_out} pool holds {pool_out.inventory}, quote needs {v_out}"
         )
-    if limits_by_asset is not None:
+    if vaults_by_asset is not None:
         pool_in = sheet.pools[asset_in]
-        max_surplus = limits_by_asset[asset_in].surplus_cap(t_in0_u - p, r_in_u, params_in)
+        max_surplus = vaults_by_asset[asset_in].surplus_cap(
+            pool_in, t_in0_u - p, r_in_u, params_in
+        )
         surplus_after = (pool_in.inventory + v_in) - pool_in.lp_inventory
         if surplus_after > max_surplus + _CAP_TOL * max(1.0, max_surplus):
             raise ExceedsCapacity(
                 f"{asset_in} surplus {surplus_after:.6g} would exceed "
                 f"long-vault capacity {max_surplus:.6g}"
             )
-        max_deficit = limits_by_asset[asset_out].deficit_cap(t_out0_u + p, r_out_u, params_out)
+        max_deficit = vaults_by_asset[asset_out].deficit_cap(
+            pool_out, t_out0_u + p, r_out_u, params_out
+        )
         deficit_after = pool_out.lp_inventory - (pool_out.inventory - v_out)
         if deficit_after > max_deficit + _CAP_TOL * max(1.0, max_deficit):
             raise ExceedsCapacity(

@@ -1,10 +1,1 @@
-from .config import AssetConfig, ScenarioConfig, load_config
-from .engine import Engine, RunArtifacts
-
-__all__ = [
-    "AssetConfig",
-    "ScenarioConfig",
-    "load_config",
-    "Engine",
-    "RunArtifacts",
-]
+"""Scenario engine: config, markets, agents, the run loop and its logs."""

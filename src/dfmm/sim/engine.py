@@ -72,7 +72,7 @@ from ..auction import (
     RegimeThresholds,
     auction_step,
 )
-from ..eldf import AssetCurves, Eldf, integrate_eldf, solve_volume_for_value
+from ..eldf import AssetCurves, integrate_eldf, solve_volume_for_value
 from ..errors import EngineError, InvariantBreach
 from ..ledger import BalanceSheet, solvency_check
 from ..metrics import impermanent_loss, slippage
@@ -82,10 +82,8 @@ from ..treasury import RewardLedger, TreasuryReserve, treasury_update
 from ..vaults import (
     LONG,
     SHORT,
-    SwaptionPosition,
     Vault,
     VaultPair,
-    VaultLimits,
     cover_coefficient,
     covering_side,
     margin_check,
@@ -151,12 +149,8 @@ class Engine:
 
         self.sheet = BalanceSheet()
         self.curves: dict[str, AssetCurves] = {}
-        self.strike_bid: dict[str, Eldf] = {}
-        self.positions: dict[str, SwaptionPosition | None] = {}
         self.vaults: dict[str, VaultPair] = {}
         self.params: dict[str, RebalanceParams] = {}
-        self.limits: dict[str, VaultLimits] = {}
-        self.initial_mid: dict[str, float] = {}
         self.queued_vault_flows: list[tuple[str, str, int]] = []
 
         floor_units = to_units(cfg.margin_floor)
@@ -171,7 +165,6 @@ class Engine:
             self.params[aid] = RebalanceParams(
                 a_rhs=cfg.a_init, a_lhs=cfg.a_init, d_rhs=d0, d_lhs=d0
             )
-            self.initial_mid[aid] = acfg.mid_price
 
         self.logs: dict[str, list] = {kind: [] for kind in LOGGED}
         self.logs["ledger"] = self.sheet.log
@@ -226,13 +219,12 @@ class Engine:
         self.sheet.bump_version()
 
     def _strike_all(self) -> None:
+        """Open each asset's epoch on its vault pair: T, bid and hedge."""
         for aid in self.sheet.asset_ids():
-            bid = self.curves[aid].bid
-            self.strike_bid[aid] = bid
-            self.positions[aid] = strike_swaption(self.sheet.pools[aid], bid)
-            self.limits[aid] = VaultLimits(
-                self.sheet.pools[aid], self.vaults[aid], self.sheet.t_units[aid]
-            )
+            vp = self.vaults[aid]
+            vp.t_open_units = self.sheet.t_units[aid]
+            vp.strike_bid = self.curves[aid].bid
+            vp.position = strike_swaption(self.sheet.pools[aid], vp.strike_bid)
 
     def _recompute_cover(self) -> None:
         cfg = self.cfg
@@ -265,7 +257,7 @@ class Engine:
                 self.curves,
                 self.params,
                 self.cfg.theta,
-                limits_by_asset=self.limits,
+                vaults_by_asset=self.vaults,
             )
             execute_swap(quote, self.sheet, self.curves, timestep=self.t)
         except EngineError:
@@ -431,18 +423,16 @@ class Engine:
             settlement_units = {LONG: 0, SHORT: 0}
             flow_units = {LONG: 0, SHORT: 0}
 
-            pos = self.positions[aid]
+            pos = vp.position
             if pos is not None:
                 vault = vp.by_side(pos.side)
-                moved = settle_swaption(
-                    pos, self.strike_bid[aid], self.curves[aid].bid, vault
-                )
+                moved = settle_swaption(pos, self.curves[aid].bid, vault)
                 self.hedge_pnl_units -= moved
                 settlement_units[pos.side] = moved
                 self.liquidations += margin_check(vault)
 
             t_now = self.sheet.t_units[aid]
-            t_prev = self.limits[aid].t_open_units
+            t_prev = vp.t_open_units
             side = covering_side(t_prev, t_now)
             if side is not None:
                 vault = vp.by_side(side)
@@ -533,7 +523,7 @@ class Engine:
             if notional == 0.0:
                 continue
             now = integrate_eldf(self.curves[aid].bid, 0.0, notional)
-            then = integrate_eldf(self.strike_bid[aid], 0.0, notional)
+            then = integrate_eldf(self.vaults[aid].strike_bid, 0.0, notional)
             total += abs(to_units(now) - to_units(then))
         return total
 
@@ -549,7 +539,7 @@ class Engine:
             self.max_utilisation = max(self.max_utilisation, util.u_rhs, util.u_lhs)
             rows.append((self.t, "mid", aid, market.mid))
             rows.append(
-                (self.t, "il", aid, impermanent_loss(self.initial_mid[aid], market.mid))
+                (self.t, "il", aid, impermanent_loss(market.cfg.mid_price, market.mid))
             )
             rows.append((self.t, "t_open", aid, from_units(self.sheet.t_units[aid])))
             rows.append((self.t, "util_rhs", aid, util.u_rhs))

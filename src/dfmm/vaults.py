@@ -6,9 +6,10 @@ vault covers surpluses. A vault's capacity is collateral divided by its
 collateralisation rate and drops to zero on liquidation. Each epoch
 boundary passes the premium move to the covering vault; the trade gate
 holds that debit back from the vault's capacity at quote time
-(``side_cap``, ``VaultLimits``). A swaption per asset and epoch settles
-the change in external-curve valuation of the open-inventory notional
-with the vault on the open side.
+(``VaultPair.surplus_cap`` and ``deficit_cap``). A swaption per asset
+and epoch settles the change in external-curve valuation of the
+open-inventory notional, from the fixed leg stored at the strike, with
+the vault on the open side.
 
 Sign convention: every boundary function returns the integer ledger
 units it moved into the vault, negative when the vault paid. The short
@@ -17,6 +18,11 @@ fall; a payment is non-recourse, capped at the collateral of a vault
 that is not liquidated. ``margin_check`` returns True only on the call
 that liquidates a vault, so a caller that adds up its results counts
 each liquidation once.
+
+Liquidation policy: a liquidated vault stays liquidated, covering
+nothing, however much a settlement or a premium flow credits it
+afterwards; only a deposit that lifts its collateral above the margin
+floor revives it (``Vault.deposit``).
 """
 
 from __future__ import annotations
@@ -71,11 +77,60 @@ class Vault:
 
 @dataclass
 class VaultPair:
+    """One asset's two vaults and the state its epoch opened with.
+
+    ``Engine`` sets the three epoch fields at each boundary: the asset's
+    flow T, from which the next boundary's premium flow is measured, the
+    bid curve the swaption was struck on, and that swaption (None with no
+    open inventory).
+
+    The trade gate reads one cap per leg: the in-leg the long cap, the
+    out-leg the short (deficit) cap. Each holds back the debit the next
+    boundary would take from that vault, valued from the premium the
+    quote committed at the leg's post-trade flow:
+    ``premium_after_units - premium_units(t_open)``, the value
+    ``boundary_premium_flow`` gives while the params stay put.
+    """
+
     long: Vault
     short: Vault
+    t_open_units: int = 0
+    strike_bid: Optional[Eldf] = None
+    position: Optional[SwaptionPosition] = None
 
     def by_side(self, side: str) -> Vault:
         return self.long if side == LONG else self.short
+
+    def surplus_cap(
+        self,
+        pool: AssetPool,
+        t_after_units: int,
+        premium_after_units: int,
+        params: RebalanceParams,
+    ) -> float:
+        return self._cap(pool, LONG, t_after_units, premium_after_units, params)
+
+    def deficit_cap(
+        self,
+        pool: AssetPool,
+        t_after_units: int,
+        premium_after_units: int,
+        params: RebalanceParams,
+    ) -> float:
+        return self._cap(pool, SHORT, t_after_units, premium_after_units, params)
+
+    def _cap(
+        self,
+        pool: AssetPool,
+        side: str,
+        t_after_units: int,
+        premium_after_units: int,
+        params: RebalanceParams,
+    ) -> float:
+        reserve = 0
+        if covering_side(self.t_open_units, t_after_units) == side:
+            reserve = max(premium_after_units - premium_units(self.t_open_units, params), 0)
+        return side_cap(pool, self.by_side(side), reserve)
 
 
 @dataclass(frozen=True)
@@ -136,13 +191,13 @@ class SwaptionPosition:
 
     asset_id: str
     notional: float
-    fixed_leg_value_units: int
+    fixed_leg_value: float
     side: str
 
 
 def strike_swaption(pool: AssetPool, curve: Eldf) -> Optional[SwaptionPosition]:
-    """Open a position on the current open inventory, valued on the
-    current curve (which becomes the fixed leg at settlement)."""
+    """Open a position on the current open inventory; its value on the
+    current curve is the fixed leg that settlement reads."""
     gap = pool.inventory - pool.lp_inventory
     if gap == 0.0:
         return None
@@ -151,23 +206,22 @@ def strike_swaption(pool: AssetPool, curve: Eldf) -> Optional[SwaptionPosition]:
     return SwaptionPosition(
         asset_id=pool.asset_id,
         notional=notional,
-        fixed_leg_value_units=to_units(value),
+        fixed_leg_value=value,
         side=LONG if gap > 0 else SHORT,
     )
 
 
-def settle_swaption(
-    pos: SwaptionPosition, curve_prev: Eldf, curve_now: Eldf, vault: Vault
-) -> int:
+def settle_swaption(pos: SwaptionPosition, curve_now: Eldf, vault: Vault) -> int:
     """Settle the epoch move of the notional's curve valuation with the
     vault on the position's side; returns the units moved into it.
 
-    The move is notional * (value_now / value_prev - 1). The short vault
-    pays a rise and the long vault pays a fall, capped at its collateral
-    (nothing once liquidated); the vault is credited the other way. The
-    protocol side of the cash movement is the caller's to book.
+    The move is notional * (value_now / fixed_leg_value - 1), the fixed
+    leg being the notional's value on the curve it was struck on. The
+    short vault pays a rise and the long vault pays a fall, capped at its
+    collateral (nothing once liquidated); the vault is credited the other
+    way. The protocol side of the cash movement is the caller's to book.
     """
-    value_prev = integrate_eldf(curve_prev, 0.0, pos.notional)
+    value_prev = pos.fixed_leg_value
     if value_prev <= 0:
         raise ZeroPrevValue(
             f"previous-epoch valuation {value_prev} of {pos.asset_id} notional"
@@ -234,42 +288,6 @@ def withdrawable_units(pool: AssetPool, vault: Vault) -> int:
     return max(vault.collateral_units - keep, 0)
 
 
-@dataclass(frozen=True)
-class VaultLimits:
-    """One asset's trade-gate caps as its vault pair sets them.
-
-    ``t_open_units`` is the asset's flow T when the epoch opened, from
-    which the next boundary's premium flow is measured. A leg reads one
-    cap: the in-leg the long cap, the out-leg the short (deficit) cap.
-    Each holds back the debit the next boundary would take from that
-    vault, valued from the premium the quote committed at the leg's
-    post-trade flow: ``premium_after_units - premium_units(t_open)``,
-    the value ``boundary_premium_flow`` gives while the params stay put.
-    """
-
-    pool: AssetPool
-    vaults: VaultPair
-    t_open_units: int
-
-    def surplus_cap(
-        self, t_after_units: int, premium_after_units: int, params: RebalanceParams
-    ) -> float:
-        return self._cap(LONG, t_after_units, premium_after_units, params)
-
-    def deficit_cap(
-        self, t_after_units: int, premium_after_units: int, params: RebalanceParams
-    ) -> float:
-        return self._cap(SHORT, t_after_units, premium_after_units, params)
-
-    def _cap(
-        self, side: str, t_after_units: int, premium_after_units: int, params: RebalanceParams
-    ) -> float:
-        reserve = 0
-        if covering_side(self.t_open_units, t_after_units) == side:
-            reserve = max(premium_after_units - premium_units(self.t_open_units, params), 0)
-        return side_cap(self.pool, self.vaults.by_side(side), reserve)
-
-
 def covering_side(t_open_units: int, t_now_units: int) -> str | None:
     """Vault side that carries an epoch's premium flow.
 
@@ -292,7 +310,7 @@ def boundary_premium_flow(
     premium from the epoch's open to now, a credit when positive and a
     debit when negative; ``covering_side`` names the vault. The boundary
     (``slp_premium_flow``) values the flow here; the trade gate
-    (``VaultLimits``) takes the same difference of ``premium_units``
+    (``VaultPair``'s caps) takes the same difference of ``premium_units``
     values, so the reserve held back at quote time is what the boundary
     takes while the params stay put.
     """

@@ -16,9 +16,11 @@ and its error handling before it called LAPACK's gufunc directly,
 ``ArbitrageurAgent`` with its sizing for one-sided flows, which flows
 that sum to zero never reach,
 ``solve_adjusted_notional`` (with the ``_branch`` it read) and
-``TraderFlow`` before their per-call overhead was trimmed, and the
+``TraderFlow`` before their per-call overhead was trimmed, the
 trades-log row ``Engine.submit_trade`` built for each fill before that
-log was rendered from the ledger.
+log was rendered from the ledger, and ``settle_swaption`` before it read
+the position's stored fixed leg, when it valued the notional on the
+strike curve again.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from dfmm import eldf
 from dfmm.eldf import (
     ASK,
     BID,
@@ -50,8 +53,9 @@ from dfmm.errors import (
     ReversedInterval,
     SolverDivergence,
     TooFewPoints,
+    ZeroPrevValue,
 )
-from dfmm.money import from_units
+from dfmm.money import from_units, to_units
 from dfmm.pricing import (
     RebalanceParams,
     _quad_roots,
@@ -61,6 +65,7 @@ from dfmm.pricing import (
 )
 from dfmm.sim.agents import TradeIntent
 from dfmm.sim.config import ScenarioConfig
+from dfmm.vaults import SHORT, SwaptionPosition, Vault
 
 
 def newton_quadratic(points):
@@ -673,3 +678,28 @@ def trade_row(t: int, quote, v_in: float, t_after_units: tuple[int, int]) -> tup
         from_units(t_in_after_units),
         from_units(t_out_after_units),
     )
+
+
+def settle_swaption(
+    pos: SwaptionPosition, curve_prev: Eldf, curve_now: Eldf, vault: Vault
+) -> int:
+    """Settle the epoch move of the notional's curve valuation with the
+    vault on the position's side; returns the units moved into it.
+
+    The move is notional * (value_now / value_prev - 1). The short vault
+    pays a rise and the long vault pays a fall, capped at its collateral
+    (nothing once liquidated); the vault is credited the other way. The
+    protocol side of the cash movement is the caller's to book.
+    """
+    value_prev = eldf.integrate_eldf(curve_prev, 0.0, pos.notional)
+    if value_prev <= 0:
+        raise ZeroPrevValue(
+            f"previous-epoch valuation {value_prev} of {pos.asset_id} notional"
+        )
+    value_now = eldf.integrate_eldf(curve_now, 0.0, pos.notional)
+    rise = to_units(pos.notional * (value_now / value_prev - 1.0))
+    owed = rise if pos.side == SHORT else -rise
+    available = 0 if vault.liquidated else vault.collateral_units
+    moved = -min(owed, available) if owed > 0 else -owed
+    vault.collateral_units += moved
+    return moved

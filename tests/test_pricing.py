@@ -25,7 +25,7 @@ from dfmm.pricing import (
     rp_delta,
     solve_adjusted_notional,
 )
-from dfmm.vaults import LONG, SHORT, Vault, VaultLimits, VaultPair
+from dfmm.vaults import LONG, SHORT, Vault, VaultPair
 import oracles
 from oracles import (
     balance_residual,
@@ -246,24 +246,20 @@ class TestQuoteExecute:
         # small vaults cap X's surplus or Y's deficit at 5; the rest cover 1e6
         sheet, curves, params, theta = make_env()
 
-        def limits(c_long_x, c_short_y):
+        def vaults(c_long_x, c_short_y):
             return {
-                aid: VaultLimits(
-                    sheet.pools[aid],
-                    VaultPair(
-                        long=Vault(aid, LONG, to_units(c_long), 0.5, 0),
-                        short=Vault(aid, SHORT, to_units(c_short), 0.5, 0),
-                    ),
-                    0,
+                aid: VaultPair(
+                    long=Vault(aid, LONG, to_units(c_long), 0.5, 0),
+                    short=Vault(aid, SHORT, to_units(c_short), 0.5, 0),
                 )
                 for aid, c_long, c_short in (("X", c_long_x, 5e5), ("Y", 5e5, c_short_y))
             }
 
-        for gated in (limits(2.5, 5e5), limits(5e5, 2.5)):
+        for gated in (vaults(2.5, 5e5), vaults(5e5, 2.5)):
             with pytest.raises(ExceedsCapacity):
-                quote_swap("X", "Y", 50.0, sheet, curves, params, theta, limits_by_asset=gated)
+                quote_swap("X", "Y", 50.0, sheet, curves, params, theta, vaults_by_asset=gated)
         quote = quote_swap(
-            "X", "Y", 4.0, sheet, curves, params, theta, limits_by_asset=limits(2.5, 2.5)
+            "X", "Y", 4.0, sheet, curves, params, theta, vaults_by_asset=vaults(2.5, 2.5)
         )
         assert quote.v_out == pytest.approx(4.0)
 

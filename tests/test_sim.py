@@ -22,7 +22,7 @@ from dfmm.sim import engine as engine_mod
 from dfmm.sim.engine import PHASES, Engine, RunArtifacts
 from dfmm.sim.market import AssetMarket, ExternalMarket
 from dfmm.sim.output import write_logs
-from dfmm.vaults import SHORT, boundary_premium_flow, covering_side
+from dfmm.vaults import SHORT, boundary_premium_flow, covering_side, side_cap
 
 import numpy as np
 
@@ -293,6 +293,45 @@ class TestEngine:
         assert flips > 0
         assert art.summary["liquidations"] == flips
 
+    def test_credits_leave_a_liquidated_vault_liquidated_until_a_deposit(self):
+        # the liquidation policy in the vaults docstring, on the tiny-vault
+        # run above: premium-flow and settlement credits accrue to a
+        # liquidated vault, which still covers nothing; a queued deposit
+        # that leaves it above the floor revives it at the next boundary
+        small = dict(c_long=10.0, c_short=10.0, sigma=0.1)
+        cfg = scenario(
+            trader_rate=4,
+            horizon=80,
+            epoch_len=2,
+            seed=1,
+            assets=(asset("X", **small), asset("Y", mid_price=50.0, **small)),
+        )
+        eng = Engine(cfg)
+        liquidated, credits = {}, {}
+        while len(credits.get(("Y", SHORT), ())) < 2:
+            assert eng.t < cfg.horizon, "no credit to a liquidated vault"
+            n = len(eng.logs["vaults"])
+            eng.step_timestep()
+            for row in eng.logs["vaults"][n:]:
+                key, flow, settlement = (row[1], row[2]), row[4], row[5]
+                if liquidated.get(key) and (flow > 0 or settlement > 0):
+                    vault = eng.vaults[row[1]].by_side(row[2])
+                    assert row[7] == 1 and vault.liquidated
+                    assert side_cap(eng.sheet.pools[row[1]], vault) == 0.0
+                    kinds = credits.setdefault(key, set())
+                    kinds.update(("flow",) if flow > 0 else ())
+                    kinds.update(("settlement",) if settlement > 0 else ())
+                liquidated[key] = row[7]
+        vault = eng.vaults["Y"].short
+        assert vault.collateral_units > vault.margin_floor_units
+        eng.queue_vault_flow("Y", SHORT, 1.0)
+        epoch = eng.epoch
+        while eng.epoch == epoch:
+            eng.step_timestep()
+        row = eng.logs["vaults"][-1]
+        assert (row[0], row[1], row[2], row[7]) == (epoch + 1, "Y", SHORT, 0)
+        assert not vault.liquidated and side_cap(eng.sheet.pools["Y"], vault) > 0.0
+
     def test_vault_starting_at_floor_is_liquidated_at_construction(self):
         cfg = scenario(horizon=20, epoch_len=5, assets=(asset("X", c_long=0.0), asset("Y")))
         eng = Engine(cfg)
@@ -530,10 +569,10 @@ class TestPremiumReserve:
             auction_enabled=False,
         )
 
-    def quote(self, eng, limits):
+    def quote(self, eng, vaults):
         return quote_swap(
             "X", "Y", 2.0, eng.sheet, eng.curves, eng.params, eng.cfg.theta,
-            limits_by_asset=limits,
+            vaults_by_asset=vaults,
         )
 
     # The trade owes a ~61.6 debit at the boundary and leaves a ~76 deficit:
@@ -552,7 +591,7 @@ class TestPremiumReserve:
         flow = boundary_premium_flow(0, t_out_after, eng.params["Y"])
         assert (c_short - from_units(-flow)) / 0.5 < deficit_after
         with pytest.raises(ExceedsCapacity):
-            self.quote(eng, eng.limits)
+            self.quote(eng, eng.vaults)
         eng.step_timestep()
         assert trade_rows(eng.logs["ledger"], {}) == [] and eng.rejected == 1
 
@@ -560,7 +599,7 @@ class TestPremiumReserve:
         eng = Engine(self.cfg(c_short=200.0))
         eng.step_timestep()
         assert len(trade_rows(eng.logs["ledger"], {})) == 1
-        t_open, t_now = eng.limits["Y"].t_open_units, eng.sheet.t_units["Y"]
+        t_open, t_now = eng.vaults["Y"].t_open_units, eng.sheet.t_units["Y"]
         flow = boundary_premium_flow(t_open, t_now, eng.params["Y"])
         assert covering_side(t_open, t_now) == SHORT and flow < 0
         reserve_units = -flow

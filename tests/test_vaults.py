@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfmm.eldf import Eldf
+from dfmm.eldf import BID, Eldf, fit_eldf, integrate_eldf
 from dfmm.errors import BadParams, ZeroPrevValue
 from dfmm.ledger import AssetPool
 from dfmm.money import from_units, to_units
@@ -13,7 +13,6 @@ from dfmm.vaults import (
     SHORT,
     SwaptionPosition,
     Vault,
-    VaultLimits,
     VaultPair,
     boundary_premium_flow,
     cover_coefficient,
@@ -26,6 +25,7 @@ from dfmm.vaults import (
     utilisation,
     withdrawable_units,
 )
+import oracles
 
 
 def vault(side, collateral, rate=0.5, floor=1.0, asset="X"):
@@ -40,6 +40,21 @@ def pair(c_long=50.0, c_short=50.0, rate_long=0.5, rate_short=0.5):
 
 def flat_curve(level, v_hi=1000.0):
     return Eldf(0.0, 0.0, level, v_lo=0.0, v_hi=v_hi)
+
+
+def struck(notional, side, level=1.0):
+    """A position struck on ``flat_curve(level)``: its fixed leg is the
+    notional's value there."""
+    return SwaptionPosition(
+        "X", notional, integrate_eldf(flat_curve(level), 0.0, notional), side
+    )
+
+
+def bid_curve(mid, depth=1000.0, slope=0.05, curv=0.02):
+    """A bid curve fitted to a falling profile at ``mid``, as the market's."""
+    x = np.linspace(0.0, 1.0, 7)
+    prices = mid * (1.0 - 0.001 - slope * x - curv * x * x)
+    return fit_eldf(depth * x, prices, side=BID)
 
 
 class TestUtilisation:
@@ -131,31 +146,31 @@ class TestSwaption:
         assert strike_swaption(AssetPool("X", 100.0, 100.0), bid) is None
 
     def test_unchanged_curve_settles_zero(self):
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), SHORT)
+        pos = struck(10.0, SHORT)
         counter = vault(SHORT, 100.0)
-        assert settle_swaption(pos, flat_curve(1.0), flat_curve(1.0), counter) == 0
+        assert settle_swaption(pos, flat_curve(1.0), counter) == 0
         assert counter.collateral_units == to_units(100.0)
 
     def test_value_ratio_gain(self):
         # value rises 10%: the short vault pays notional * 0.1
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), SHORT)
+        pos = struck(10.0, SHORT)
         counter = vault(SHORT, 100.0)
-        moved = settle_swaption(pos, flat_curve(1.0), flat_curve(1.1), counter)
+        moved = settle_swaption(pos, flat_curve(1.1), counter)
         assert moved == -to_units(1.0)
         assert counter.collateral_units == to_units(99.0)
 
     def test_non_recourse_cap(self):
         # value falls 10%: the long vault owes 1.0 but holds only 0.5
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), LONG)
+        pos = struck(10.0, LONG)
         counter = vault(LONG, 0.5)
-        moved = settle_swaption(pos, flat_curve(1.0), flat_curve(0.9), counter)
+        moved = settle_swaption(pos, flat_curve(0.9), counter)
         assert moved == -to_units(0.5)
         assert counter.collateral_units == 0
 
     def test_protocol_pays_credits_vault(self):
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), LONG)
+        pos = struck(10.0, LONG)
         counter = vault(LONG, 5.0)
-        moved = settle_swaption(pos, flat_curve(1.0), flat_curve(1.2), counter)
+        moved = settle_swaption(pos, flat_curve(1.2), counter)
         assert moved == to_units(2.0)
         assert counter.collateral_units == to_units(7.0)
 
@@ -175,17 +190,17 @@ class TestSwaption:
         ],
     )
     def test_sign_and_cap(self, side, collateral, liquidated, level, moved):
-        pos = SwaptionPosition("X", 10.0, to_units(10.0), side)
+        pos = struck(10.0, side)
         counter = vault(side, collateral)
         counter.liquidated = liquidated
-        got = settle_swaption(pos, flat_curve(1.0), flat_curve(level), counter)
+        got = settle_swaption(pos, flat_curve(level), counter)
         assert got == to_units(moved)
         assert counter.collateral_units == to_units(collateral) + got
 
     def test_zero_prev_value(self):
-        pos = SwaptionPosition("X", 0.0, 0, SHORT)
+        pos = struck(0.0, SHORT)
         with pytest.raises(ZeroPrevValue):
-            settle_swaption(pos, flat_curve(1.0), flat_curve(1.0), vault(SHORT, 1.0))
+            settle_swaption(pos, flat_curve(1.0), vault(SHORT, 1.0))
 
     def test_settlement_antisymmetry(self):
         rng = np.random.default_rng(19)
@@ -194,10 +209,40 @@ class TestSwaption:
             r = float(rng.uniform(0.5, 2.0))
             if abs(r - 1.0) < 1e-6:
                 continue
-            pos = SwaptionPosition("X", notional, to_units(notional), SHORT)
-            fwd = settle_swaption(pos, flat_curve(1.0), flat_curve(r), vault(SHORT, 1e9))
-            rev = settle_swaption(pos, flat_curve(r), flat_curve(1.0), vault(SHORT, 1e9))
+            fwd = settle_swaption(struck(notional, SHORT), flat_curve(r), vault(SHORT, 1e9))
+            rev = settle_swaption(
+                struck(notional, SHORT, r), flat_curve(1.0), vault(SHORT, 1e9)
+            )
             assert fwd * rev <= 0
+
+    # (collateral, liquidated): ample, small enough that the cap binds on
+    # most payments, and liquidated
+    @pytest.mark.parametrize("collateral,liquidated", [(1e9, False), (0.5, False), (1e9, True)])
+    @pytest.mark.parametrize("side", [LONG, SHORT])
+    @pytest.mark.parametrize("mid", [100.0, 0.5])
+    def test_stored_fixed_leg_settles_as_strike_curve_revaluation(
+        self, mid, side, collateral, liquidated
+    ):
+        # the stored fixed leg moves the units that valuing the notional
+        # on the strike curve again moved, on curves away from price 1
+        rng = np.random.default_rng(29)
+        paid = capped = 0
+        for _ in range(50):
+            gap = float(rng.uniform(0.5, 300.0))
+            pool = AssetPool("X", 1000.0 + (gap if side == LONG else -gap), 1000.0)
+            curve_then = bid_curve(mid * float(rng.uniform(0.8, 1.2)))
+            curve_now = bid_curve(mid * float(rng.uniform(0.8, 1.2)))
+            pos = strike_swaption(pool, curve_then)
+            assert pos.side == side
+            new, old = vault(side, collateral), vault(side, collateral)
+            new.liquidated = old.liquidated = liquidated
+            moved = settle_swaption(pos, curve_now, new)
+            assert moved == oracles.settle_swaption(pos, curve_then, curve_now, old)
+            assert new.collateral_units == old.collateral_units
+            paid += moved < 0
+            capped += moved == -to_units(collateral)
+        assert (paid > 0) == (not liquidated)
+        assert (capped > 0) == (collateral < 1.0 and not liquidated)
 
 
 class TestMargin:
@@ -222,6 +267,17 @@ class TestMargin:
         v = vault(SHORT, 0.5, floor=1.0)
         assert [margin_check(v) for _ in range(3)] == [True, False, False]
         assert v.liquidated
+
+
+    def test_only_a_deposit_above_the_floor_revives(self):
+        # credits do not revive a vault (test_sim's liquidation-policy
+        # test); a deposit that leaves it above its floor does
+        v = vault(SHORT, 0.5, floor=1.0)
+        assert margin_check(v)
+        v.deposit(to_units(0.5))  # at the floor
+        assert v.liquidated and v.capacity() == 0.0
+        v.deposit(1)
+        assert not v.liquidated and v.capacity() > 0.0
 
 
 class TestCapacity:
@@ -303,13 +359,14 @@ class TestPremiumReserve:
     def test_reserve_held_back_on_its_side_only(self):
         # a flow below zero at the boundary: the long vault owes the debit
         pool = AssetPool("X", 100.0, 80.0)
-        limits = VaultLimits(pool, pair(c_long=30.0, c_short=20.0), to_units(-2.0))
+        vaults = pair(c_long=30.0, c_short=20.0)
+        vaults.t_open_units = to_units(-2.0)
         t_after = to_units(-8.0)
         r_after = premium_units(t_after, self.PARAMS)
-        flow = boundary_premium_flow(limits.t_open_units, t_after, self.PARAMS)
-        surplus_cap = limits.surplus_cap(t_after, r_after, self.PARAMS)
+        flow = boundary_premium_flow(vaults.t_open_units, t_after, self.PARAMS)
+        surplus_cap = vaults.surplus_cap(pool, t_after, r_after, self.PARAMS)
         assert surplus_cap == pytest.approx((30.0 + from_units(flow)) / 0.5)
-        assert limits.deficit_cap(t_after, r_after, self.PARAMS) == pytest.approx(40.0)
+        assert vaults.deficit_cap(pool, t_after, r_after, self.PARAMS) == pytest.approx(40.0)
 
     def test_reserve_down_to_the_floor_covers_nothing(self):
         pool = AssetPool("X", 100.0, 80.0)
@@ -321,18 +378,17 @@ class TestPremiumReserve:
     def test_vault_limits_reserve_the_boundary_debit(self):
         pool = AssetPool("X", 60.0, 80.0)
         vaults = pair(c_long=30.0, c_short=20.0)
-        t_open = to_units(2.0)
-        limits = VaultLimits(pool, vaults, t_open)
+        t_open = vaults.t_open_units = to_units(2.0)
         t_after = to_units(8.0)
         r_after = premium_units(t_after, self.PARAMS)
         debit = r_after - premium_units(t_open, self.PARAMS)
-        max_deficit = limits.deficit_cap(t_after, r_after, self.PARAMS)
+        max_deficit = vaults.deficit_cap(pool, t_after, r_after, self.PARAMS)
         assert max_deficit == pytest.approx((20.0 - from_units(debit)) / 0.5)
-        assert limits.surplus_cap(t_after, r_after, self.PARAMS) == pytest.approx(60.0)
+        assert vaults.surplus_cap(pool, t_after, r_after, self.PARAMS) == pytest.approx(60.0)
         # a trade back toward the open flow owes nothing: full capacity
         t_back = to_units(1.0)
         r_back = premium_units(t_back, self.PARAMS)
-        assert limits.deficit_cap(t_back, r_back, self.PARAMS) == pytest.approx(40.0)
+        assert vaults.deficit_cap(pool, t_back, r_back, self.PARAMS) == pytest.approx(40.0)
 
 
 # ledger units from 1 to 1e18 (1e-12 $ to 1e6 $), spread evenly in log scale
@@ -371,18 +427,18 @@ def gate_states(draw):
 class TestGateCaps:
     @given(gate_states())
     def test_one_sided_caps_equal_open_inventory_limits(self, state):
-        # each VaultLimits cap is side_cap with the boundary debit held
+        # each VaultPair cap is side_cap with the boundary debit held
         # back from the covering vault only
         pool, vaults, params, t_open, t_after = state
         side = covering_side(t_open, t_after)
         flow = boundary_premium_flow(t_open, t_after, params)
         reserve = max(-flow, 0)
-        limits = VaultLimits(pool, vaults, t_open)
+        vaults.t_open_units = t_open
         r_after = premium_units(t_after, params)
-        assert limits.surplus_cap(t_after, r_after, params) == side_cap(
+        assert vaults.surplus_cap(pool, t_after, r_after, params) == side_cap(
             pool, vaults.long, reserve if side == LONG else 0
         )
-        assert limits.deficit_cap(t_after, r_after, params) == side_cap(
+        assert vaults.deficit_cap(pool, t_after, r_after, params) == side_cap(
             pool, vaults.short, reserve if side == SHORT else 0
         )
 
