@@ -25,7 +25,7 @@ import time
 from dataclasses import replace
 
 from .errors import CorruptManifest, ParseError, UnknownLogKind
-from .sim.config import SWEEPABLE, ScenarioConfig, _convert, apply_overrides, load_config
+from .sim.config import SWEEPABLE, _FIELD_TYPES, _convert, load_config
 from .sim.engine import Engine
 from .sim.output import LogWriter, read_log, read_manifest, write_logs
 
@@ -85,7 +85,6 @@ def cmd_run(args) -> int:
 
 def _grid_points(spec: str) -> list[dict]:
     """Expand 'a=1,2;b=x,y' into the cross product of overrides."""
-    defaults = ScenarioConfig()
     axes = []
     for part in spec.split(";"):
         part = part.strip()
@@ -97,7 +96,7 @@ def _grid_points(spec: str) -> list[dict]:
         key = key.strip()
         if key not in SWEEPABLE:
             raise ParseError(f"unknown sweep parameter {key!r}")
-        kind = type(getattr(defaults, key))
+        kind = _FIELD_TYPES[key]
         axes.append((key, [_convert(raw, kind, f"--grid {key}") for raw in values.split(",")]))
     points: list[dict] = [{}]
     for key, values in axes:
@@ -134,7 +133,7 @@ def cmd_sweep(args) -> int:
     invalid = {}
     runnable = []
     for index, overrides in enumerate(points):
-        cfg = replace(apply_overrides(base, overrides), seed=_sweep_seed(base.seed, index))
+        cfg = replace(base, **overrides, seed=_sweep_seed(base.seed, index))
         bad = cfg.validate()
         if bad:
             invalid[index] = "; ".join(bad)

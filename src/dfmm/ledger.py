@@ -32,11 +32,28 @@ from .errors import NonPositiveAmount, ValuationUnavailable
 from .money import from_units, to_units
 
 
+# the sLP vault sides (see vaults)
+LONG = "long"
+SHORT = "short"
+
+
 @dataclass
 class AssetPool:
     asset_id: str
     inventory: float = 0.0
     lp_inventory: float = 0.0
+
+    def open_inventory(self, inflow: float = 0.0) -> tuple[str | None, float]:
+        """The vault side covering the open inventory once ``inflow`` more
+        asset units are in the pool, and that inventory: a surplus over
+        the LP claim is the long vault's, a deficit the short vault's;
+        (None, 0.0) when the pool matches the claim."""
+        gap = (self.inventory + inflow) - self.lp_inventory
+        if gap > 0:
+            return LONG, gap
+        if gap < 0:
+            return SHORT, -gap
+        return None, 0.0
 
 
 LEDGER = (

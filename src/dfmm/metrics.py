@@ -17,13 +17,3 @@ def impermanent_loss(p0: float, p1: float) -> float:
         raise NonPositivePrice(f"prices must be positive, got p0={p0}, p1={p1}")
     r = p1 / p0
     return math.sqrt(r) - (r + 1.0) / 2.0
-
-
-def slippage(expected: float, executed: float) -> float:
-    """Expected minus executed price; positive favours the trader."""
-    return expected - executed
-
-
-def market_impact(alpha: float, v: float) -> float:
-    """Linear price response alpha * trade size."""
-    return alpha * v

@@ -44,13 +44,12 @@ from typing import TYPE_CHECKING, Mapping
 from .eldf import AssetCurves, integrate_eldf, solve_volume_for_value
 from .errors import (
     CurveUnavailable,
-    ExceedsCapacity,
     InsufficientInventory,
     NoFeasibleSolution,
     NonFiniteAmount,
     StaleQuote,
 )
-from .ledger import BalanceSheet
+from .ledger import LONG, SHORT, BalanceSheet
 from .money import SCALE, from_units, to_units
 
 if TYPE_CHECKING:
@@ -373,11 +372,12 @@ def quote_swap(
     The gross notional marks the in-leg on the bid curve from its slot
     mark; the adjusted notional is converted to asset_out on its ask
     curve. The quote pins the sheet version and fails stale at execution
-    if anything moved. With ``vaults_by_asset`` the quote is gated: the
-    in-asset's post-trade surplus must stay within its ``surplus_cap``
-    and the out-asset's post-trade deficit within its ``deficit_cap``,
-    each given the leg's post-trade flow T, the premium committed there
-    and these params, else ``ExceedsCapacity``. ``None`` quotes ungated.
+    if anything moved. With ``vaults_by_asset`` the quote is gated
+    (``VaultPair.admit``): the in-asset's post-trade surplus must stay
+    within its long cap and the out-asset's post-trade deficit within
+    its short cap, each given the leg's post-trade flow T, the premium
+    committed there and these params, else ``ExceedsCapacity``. ``None``
+    quotes ungated.
     """
     if not v_in > 0:
         raise NoFeasibleSolution(f"v_in must be positive, got {v_in}")
@@ -423,25 +423,12 @@ def quote_swap(
             f"{asset_out} pool holds {pool_out.inventory}, quote needs {v_out}"
         )
     if vaults_by_asset is not None:
-        pool_in = sheet.pools[asset_in]
-        max_surplus = vaults_by_asset[asset_in].surplus_cap(
-            pool_in, t_in0_u - p, r_in_u, params_in
+        vaults_by_asset[asset_in].admit(
+            LONG, sheet.pools[asset_in], v_in, t_in0_u - p, r_in_u, params_in
         )
-        surplus_after = (pool_in.inventory + v_in) - pool_in.lp_inventory
-        if surplus_after > max_surplus + _CAP_TOL * max(1.0, max_surplus):
-            raise ExceedsCapacity(
-                f"{asset_in} surplus {surplus_after:.6g} would exceed "
-                f"long-vault capacity {max_surplus:.6g}"
-            )
-        max_deficit = vaults_by_asset[asset_out].deficit_cap(
-            pool_out, t_out0_u + p, r_out_u, params_out
+        vaults_by_asset[asset_out].admit(
+            SHORT, pool_out, -v_out, t_out0_u + p, r_out_u, params_out
         )
-        deficit_after = pool_out.lp_inventory - (pool_out.inventory - v_out)
-        if deficit_after > max_deficit + _CAP_TOL * max(1.0, max_deficit):
-            raise ExceedsCapacity(
-                f"{asset_out} deficit {deficit_after:.6g} would exceed "
-                f"short-vault capacity {max_deficit:.6g}"
-            )
 
     return SwapQuote(
         asset_in=asset_in,

@@ -1,10 +1,11 @@
 """Scenario configuration: INI parsing and full-range validation.
 
 A scenario file is sectioned key/value text. Global sections hold run,
-fee, premium, auction, vault, trader, and arbitrageur parameters; each
-[asset.<id>] section declares one asset with its external-market process
-and initial deposits; optional [script] entries inject deterministic
-trades at fixed timesteps.
+fee, premium, auction, vault, trader, and arbitrageur parameters, each
+a ``ScenarioConfig`` field that names its "section.key" in its
+metadata; each [asset.<id>] section declares one asset with its
+external-market process and initial deposits; optional [script]
+entries inject deterministic trades at fixed timesteps.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import configparser
 import math
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,51 +50,47 @@ class AssetConfig:
     c_short: float = 50000.0
 
 
+def _ini(key: str, default):
+    """A scenario parameter that the INI ``key`` ("section.name") sets."""
+    return field(default=default, metadata={"ini": key})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    # run
-    horizon: int = 100
-    epoch_len: int = 10
-    slot_len: int = 1
-    seed: int = 1
-    # fees
-    theta: float = 0.003
-    xi: float = 0.001
-    # premium function
-    a_init: float = 5.0
-    a_min: float = 1.0
-    lam: float = 1.0
-    d_min: float = 0.0001
-    d_max: float = 0.001
-    u_max: float = 1.0
-    k: float = 2.0
-    # auction
-    auction_enabled: bool = True
-    theta0: float = 0.25
-    theta_star: float = 0.5
-    theta_dagger: float = 0.75
-    j_star: int = 4
-    j_prime: int = 2
-    j_dagger: int = 5
-    # vaults
-    rho_long: float = 0.5
-    rho_short: float = 0.5
-    margin_floor: float = 1.0
-    # engine behaviour
-    clamp_extrapolation: bool = True
-    u_max_report: float = 10.0
-    # rewards
-    reward_gamma: float = 0.01
-    reward_alpha: float = 1.0
-    # trader flow
-    trader_rate: float = 0.0
-    trader_size_mu: float = 2.0
-    trader_size_sigma: float = 0.5
-    # arbitrageur
-    arb_enabled: bool = False
-    arb_fixed_cost: float = 0.0
-    arb_max_exposure: float = 5000.0
-    # members
+    horizon: int = _ini("run.horizon", 100)
+    epoch_len: int = _ini("run.epoch_len", 10)
+    slot_len: int = _ini("run.slot_len", 1)
+    seed: int = _ini("run.seed", 1)
+    theta: float = _ini("fees.theta", 0.003)
+    xi: float = _ini("fees.xi", 0.001)
+    a_init: float = _ini("premium.a_init", 5.0)
+    a_min: float = _ini("premium.a_min", 1.0)
+    lam: float = _ini("premium.lambda", 1.0)
+    d_min: float = _ini("premium.d_min", 0.0001)
+    d_max: float = _ini("premium.d_max", 0.001)
+    u_max: float = _ini("premium.u_max", 1.0)
+    k: float = _ini("premium.k", 2.0)
+    auction_enabled: bool = _ini("auction.enabled", True)
+    theta0: float = _ini("auction.theta0", 0.25)
+    theta_star: float = _ini("auction.theta_star", 0.5)
+    theta_dagger: float = _ini("auction.theta_dagger", 0.75)
+    j_star: int = _ini("auction.j_star", 4)
+    j_prime: int = _ini("auction.j_prime", 2)
+    j_dagger: int = _ini("auction.j_dagger", 5)
+    rho_long: float = _ini("vaults.rho_long", 0.5)
+    rho_short: float = _ini("vaults.rho_short", 0.5)
+    margin_floor: float = _ini("vaults.margin_floor", 1.0)
+    clamp_extrapolation: bool = _ini("engine.clamp_extrapolation", True)
+    u_max_report: float = _ini("engine.u_max_report", 10.0)
+    reward_gamma: float = _ini("rewards.gamma", 0.01)
+    reward_alpha: float = _ini("rewards.alpha", 1.0)
+    trader_rate: float = _ini("traders.rate", 0.0)
+    trader_size_mu: float = _ini("traders.size_mu", 2.0)
+    trader_size_sigma: float = _ini("traders.size_sigma", 0.5)
+    arb_enabled: bool = _ini("arbitrageur.enabled", False)
+    arb_fixed_cost: float = _ini("arbitrageur.fixed_cost", 0.0)
+    arb_max_exposure: float = _ini("arbitrageur.max_exposure", 5000.0)
+    # the [asset.*] and [script] sections
     assets: tuple = ()
     scripted_trades: tuple = ()
 
@@ -244,56 +241,29 @@ def _non_finite(cfg, names: dict) -> list[str]:
     ]
 
 
-# INI keys per global section; each value's type is its ScenarioConfig
-# field's (after _KEY_RENAMES), as for the [asset.*] keys below
-_SECTION_KEYS = {
-    "run": ("horizon", "epoch_len", "slot_len", "seed"),
-    "fees": ("theta", "xi"),
-    "premium": ("a_init", "a_min", "lambda", "d_min", "d_max", "u_max", "k"),
-    "auction": (
-        "enabled", "theta0", "theta_star", "theta_dagger", "j_star", "j_prime", "j_dagger"
-    ),
-    "vaults": ("rho_long", "rho_short", "margin_floor"),
-    "engine": ("clamp_extrapolation", "u_max_report"),
-    "rewards": ("gamma", "alpha"),
-    "traders": ("rate", "size_mu", "size_sigma"),
-    "arbitrageur": ("enabled", "fixed_cost", "max_exposure"),
-}
-
-_KEY_RENAMES = {
-    ("premium", "lambda"): "lam",
-    ("auction", "enabled"): "auction_enabled",
-    ("rewards", "gamma"): "reward_gamma",
-    ("rewards", "alpha"): "reward_alpha",
-    ("traders", "rate"): "trader_rate",
-    ("traders", "size_mu"): "trader_size_mu",
-    ("traders", "size_sigma"): "trader_size_sigma",
-    ("arbitrageur", "enabled"): "arb_enabled",
-    ("arbitrageur", "fixed_cost"): "arb_fixed_cost",
-    ("arbitrageur", "max_exposure"): "arb_max_exposure",
-}
-
+# each global parameter's INI name and type; load_config reads the
+# sections in the order their fields are declared
+_INI_NAMES = {f.name: f.metadata["ini"] for f in fields(ScenarioConfig) if f.metadata}
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-_INI_NAMES = {
-    _KEY_RENAMES.get((section, key), key): f"{section}.{key}"
-    for section, keys in _SECTION_KEYS.items()
-    for key in keys
-}
+_FIELD_BY_KEY = {tuple(ini.split(".")): name for name, ini in _INI_NAMES.items()}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _FIELD_BY_KEY))
+# what ``dfmm sweep --grid`` may set: each grid point draws its own seed
+SWEEPABLE = set(_INI_NAMES) - {"seed"}
 _ASSET_FIELD_TYPES = {
     f.name: f.type for f in fields(AssetConfig) if f.name != "asset_id"
 }
 
 
-def _convert(raw: str, type_name, where: str):
+def _convert(raw: str, type_name: str, where: str):
     try:
-        if type_name is bool or type_name == "bool":
+        if type_name == "bool":
             lowered = raw.strip().lower()
             if lowered in ("true", "yes", "on", "1"):
                 return True
             if lowered in ("false", "no", "off", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if type_name is int or type_name == "int":
+        if type_name == "int":
             return int(raw)
         return float(raw)
     except ValueError as exc:
@@ -310,17 +280,17 @@ def load_config(path, *, seed_override: int | None = None) -> ScenarioConfig:
         raise ParseError(f"{path}: {exc}") from None
 
     for section in parser.sections():
-        if not (section in _SECTION_KEYS or section == "script" or section.startswith("asset.")):
+        if not (section in _SECTIONS or section == "script" or section.startswith("asset.")):
             raise ParseError(f"{path}: unknown section [{section}]")
 
     kwargs: dict = {}
-    for section, keys in _SECTION_KEYS.items():
+    for section in _SECTIONS:
         if not parser.has_section(section):
             continue
         for key, value in parser.items(section):
-            if key not in keys:
+            name = _FIELD_BY_KEY.get((section, key))
+            if name is None:
                 raise ParseError(f"[{section}] has unknown key {key!r}")
-            name = _KEY_RENAMES.get((section, key), key)
             kwargs[name] = _convert(value, _FIELD_TYPES[name], f"[{section}] {key}")
 
     assets = []
@@ -346,10 +316,10 @@ def load_config(path, *, seed_override: int | None = None) -> ScenarioConfig:
                 )
             script.append(
                 (
-                    _convert(parts[0], int, f"[script] {key}"),
+                    _convert(parts[0], "int", f"[script] {key}"),
                     parts[1],
                     parts[2],
-                    _convert(parts[3], float, f"[script] {key}"),
+                    _convert(parts[3], "float", f"[script] {key}"),
                 )
             )
     kwargs["scripted_trades"] = tuple(script)
@@ -358,18 +328,3 @@ def load_config(path, *, seed_override: int | None = None) -> ScenarioConfig:
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     return cfg
-
-
-SWEEPABLE = {
-    f.name
-    for f in fields(ScenarioConfig)
-    if f.name not in ("assets", "scripted_trades", "seed")
-}
-
-
-def apply_overrides(cfg: ScenarioConfig, overrides: dict) -> ScenarioConfig:
-    """Replace declared scenario parameters; unknown keys are rejected."""
-    bad = sorted(set(overrides) - SWEEPABLE)
-    if bad:
-        raise ParseError(f"unknown sweep parameter(s): {', '.join(bad)}")
-    return replace(cfg, **overrides)

@@ -75,7 +75,7 @@ from ..auction import (
 from ..eldf import AssetCurves, integrate_eldf, solve_volume_for_value
 from ..errors import EngineError, InvariantBreach
 from ..ledger import BalanceSheet, solvency_check
-from ..metrics import impermanent_loss, slippage
+from ..metrics import impermanent_loss
 from ..money import from_units, to_units
 from ..pricing import RebalanceParams, execute_swap, quote_swap
 from ..treasury import RewardLedger, TreasuryReserve, treasury_update
@@ -273,7 +273,8 @@ class Engine:
             (self.t, "xi", asset_in, from_units(xi_units), self.reserve.balance)
         )
 
-        slip = slippage(self.market[asset_in].mid, from_units(quote.v_s_units) / v_in)
+        # expected minus executed price: positive favours the trader
+        slip = self.market[asset_in].mid - from_units(quote.v_s_units) / v_in
         self.logs["metrics"].append((self.t, "slippage", f"{asset_in}->{asset_out}", slip))
 
         self.total_v_s_units += quote.v_s_units
@@ -518,8 +519,7 @@ class Engine:
         """Curve move since epoch open, valued on current open inventory."""
         total = 0
         for aid in self.sheet.asset_ids():
-            pool = self.sheet.pools[aid]
-            notional = abs(pool.inventory - pool.lp_inventory)
+            _, notional = self.sheet.pools[aid].open_inventory()
             if notional == 0.0:
                 continue
             now = integrate_eldf(self.curves[aid].bid, 0.0, notional)

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..eldf import ASK, BID, Eldf, fit_eldf
 from ..errors import NonFiniteAmount
-from ..metrics import market_impact
 from .config import AssetConfig
 
 
@@ -49,15 +48,13 @@ class AssetMarket:
         self._profiles = ((BID, bid), (ASK, ask))
 
     def step(self) -> None:
-        """One lognormal return step, after applying any queued impact.
+        """One lognormal return step, after applying any queued impact,
+        linear in the flow: ``impact_alpha`` times its size.
 
         Raises ``NonFiniteAmount`` naming the asset when the mid overflows.
         """
         if self.pending_flow != 0.0:
-            self.mid = max(
-                self.mid + market_impact(self.cfg.impact_alpha, self.pending_flow),
-                1e-9,
-            )
+            self.mid = max(self.mid + self.cfg.impact_alpha * self.pending_flow, 1e-9)
             self.pending_flow = 0.0
         z = float(self.rng.standard_normal())
         sigma = self.cfg.sigma

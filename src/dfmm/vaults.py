@@ -2,11 +2,11 @@
 
 Vault collateral backs open inventory on one side each: the short vault
 covers deficits (inventory below the LP claim, positive T), the long
-vault covers surpluses. A vault's capacity is collateral divided by its
-collateralisation rate and drops to zero on liquidation. Each epoch
-boundary passes the premium move to the covering vault; the trade gate
-holds that debit back from the vault's capacity at quote time
-(``VaultPair.surplus_cap`` and ``deficit_cap``). A swaption per asset
+vault covers surpluses (``AssetPool.open_inventory``). A vault's capacity
+is collateral divided by its collateralisation rate and drops to zero on
+liquidation. Each epoch boundary passes the premium move to the covering
+vault; the trade gate holds that debit back from the vault's capacity at
+quote time (``VaultPair.cap`` and ``admit``). A swaption per asset
 and epoch settles the change in external-curve valuation of the
 open-inventory notional, from the fixed leg stored at the strike, with
 the vault on the open side.
@@ -32,13 +32,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .eldf import Eldf, integrate_eldf
-from .errors import BadParams, ZeroPrevValue
-from .ledger import AssetPool
+from .errors import BadParams, ExceedsCapacity, ZeroPrevValue
+from .ledger import LONG, SHORT, AssetPool
 from .money import SCALE, from_units, to_units
-from .pricing import RebalanceParams, premium_units
-
-LONG = "long"
-SHORT = "short"
+from .pricing import _CAP_TOL, RebalanceParams, premium_units
 
 
 @dataclass
@@ -54,11 +51,19 @@ class Vault:
     def collateral(self) -> float:
         return from_units(self.collateral_units)
 
-    def capacity(self) -> float:
-        """Maximum open inventory this vault can cover; 0 once liquidated."""
-        if self.liquidated:
+    def capacity(self, reserve_units: int = 0) -> float:
+        """Maximum open inventory this vault can cover, net of a reserve.
+
+        Reserve rule: ``reserve_units``, the premium debit the next epoch
+        boundary will take from this vault, is held back from its
+        collateral, and a vault whose collateral net of the reserve is at
+        or below the margin floor covers nothing, since that boundary's
+        margin check would liquidate it; nor does a liquidated vault.
+        """
+        free_units = self.collateral_units - reserve_units
+        if self.liquidated or free_units <= self.margin_floor_units:
             return 0.0
-        return from_units(self.collateral_units) / self.coll_rate
+        return from_units(free_units) / self.coll_rate
 
     def deposit(self, amount_units: int) -> None:
         if amount_units <= 0:
@@ -84,12 +89,12 @@ class VaultPair:
     bid curve the swaption was struck on, and that swaption (None with no
     open inventory).
 
-    The trade gate reads one cap per leg: the in-leg the long cap, the
-    out-leg the short (deficit) cap. Each holds back the debit the next
-    boundary would take from that vault, valued from the premium the
-    quote committed at the leg's post-trade flow:
-    ``premium_after_units - premium_units(t_open)``, the value
-    ``boundary_premium_flow`` gives while the params stay put.
+    The trade gate admits each leg against one cap: the in-leg's
+    surplus against the long cap, the out-leg's deficit against the short
+    cap. Each holds back the debit the next boundary would take from that
+    vault, valued from the premium the quote committed at the leg's
+    post-trade flow: ``premium_after_units - premium_units(t_open)``, the
+    value ``boundary_premium_flow`` gives while the params stay put.
     """
 
     long: Vault
@@ -101,36 +106,40 @@ class VaultPair:
     def by_side(self, side: str) -> Vault:
         return self.long if side == LONG else self.short
 
-    def surplus_cap(
+    def cap(
         self,
-        pool: AssetPool,
-        t_after_units: int,
-        premium_after_units: int,
-        params: RebalanceParams,
-    ) -> float:
-        return self._cap(pool, LONG, t_after_units, premium_after_units, params)
-
-    def deficit_cap(
-        self,
-        pool: AssetPool,
-        t_after_units: int,
-        premium_after_units: int,
-        params: RebalanceParams,
-    ) -> float:
-        return self._cap(pool, SHORT, t_after_units, premium_after_units, params)
-
-    def _cap(
-        self,
-        pool: AssetPool,
         side: str,
+        pool: AssetPool,
         t_after_units: int,
         premium_after_units: int,
         params: RebalanceParams,
     ) -> float:
+        """``side_cap`` of the vault on ``side``, net of the debit it
+        would owe at the boundary with the leg's flow at ``t_after_units``."""
         reserve = 0
         if covering_side(self.t_open_units, t_after_units) == side:
             reserve = max(premium_after_units - premium_units(self.t_open_units, params), 0)
         return side_cap(pool, self.by_side(side), reserve)
+
+    def admit(
+        self,
+        side: str,
+        pool: AssetPool,
+        inflow: float,
+        t_after_units: int,
+        premium_after_units: int,
+        params: RebalanceParams,
+    ) -> None:
+        """Raise ``ExceedsCapacity`` if ``inflow`` (negative for an
+        outflow) leaves more open inventory on ``side`` than its ``cap``."""
+        cap = self.cap(side, pool, t_after_units, premium_after_units, params)
+        open_side, open_after = pool.open_inventory(inflow)
+        if open_side == side and open_after > cap + _CAP_TOL * max(1.0, cap):
+            kind = "surplus" if side == LONG else "deficit"
+            raise ExceedsCapacity(
+                f"{pool.asset_id} {kind} {open_after:.6g} would exceed "
+                f"{side}-vault capacity {cap:.6g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -154,19 +163,12 @@ def utilisation(
     one at or below its margin floor) reports; zero open inventory
     reports zero whatever the capacity.
     """
-    deficit = pool.lp_inventory - pool.inventory
-    u_rhs = 0.0
-    u_lhs = 0.0
-    if deficit > 0:
-        denom = side_cap(pool, vaults.short)
-        u_rhs = deficit / denom if denom > 0 else u_max_report
-    elif deficit < 0:
-        denom = side_cap(pool, vaults.long)
-        u_lhs = -deficit / denom if denom > 0 else u_max_report
-    return Utilisation(
-        u_rhs=min(max(u_rhs, 0.0), u_max_report),
-        u_lhs=min(max(u_lhs, 0.0), u_max_report),
-    )
+    side, open_inventory = pool.open_inventory()
+    u = 0.0
+    if side is not None:
+        denom = side_cap(pool, vaults.by_side(side))
+        u = min(open_inventory / denom if denom > 0 else u_max_report, u_max_report)
+    return Utilisation(u_rhs=u if side == SHORT else 0.0, u_lhs=u if side == LONG else 0.0)
 
 
 def cover_coefficient(
@@ -198,16 +200,12 @@ class SwaptionPosition:
 def strike_swaption(pool: AssetPool, curve: Eldf) -> Optional[SwaptionPosition]:
     """Open a position on the current open inventory; its value on the
     current curve is the fixed leg that settlement reads."""
-    gap = pool.inventory - pool.lp_inventory
-    if gap == 0.0:
+    side, notional = pool.open_inventory()
+    if side is None:
         return None
-    notional = abs(gap)
     value = integrate_eldf(curve, 0.0, notional)
     return SwaptionPosition(
-        asset_id=pool.asset_id,
-        notional=notional,
-        fixed_leg_value=value,
-        side=LONG if gap > 0 else SHORT,
+        asset_id=pool.asset_id, notional=notional, fixed_leg_value=value, side=side
     )
 
 
@@ -248,20 +246,10 @@ def margin_check(vault: Vault) -> bool:
 
 
 def side_cap(pool: AssetPool, vault: Vault, reserve_units: int = 0) -> float:
-    """Cap on the open inventory one vault covers, net of a reserve.
-
-    The long vault caps the surplus; the short vault and the LP claim
-    together cap the deficit; a liquidated vault covers nothing. Reserve
-    rule: ``reserve_units``, the premium debit the next epoch boundary
-    will take from this vault, is held back from its collateral, and a
-    vault whose collateral net of the reserve is at or below the margin
-    floor caps open inventory at zero, since that boundary's margin
-    check would liquidate it. This is the one place the reserve applies.
-    """
-    free_units = vault.collateral_units - reserve_units
-    if vault.liquidated or free_units <= vault.margin_floor_units:
-        return 0.0
-    cap = from_units(free_units) / vault.coll_rate
+    """Cap on the open inventory one vault covers, net of a reserve: the
+    long vault's capacity caps the surplus; the short vault's capacity
+    and the LP claim together cap the deficit."""
+    cap = vault.capacity(reserve_units)
     return cap if vault.side == LONG else min(pool.lp_inventory, cap)
 
 
@@ -274,9 +262,8 @@ def withdrawable_units(pool: AssetPool, vault: Vault) -> int:
     floor; a liquidated vault then releases nothing. With no open
     inventory on its side all of the collateral may go.
     """
-    gap = pool.inventory - pool.lp_inventory
-    open_inventory = gap if vault.side == LONG else -gap
-    if open_inventory <= 0.0:
+    side, open_inventory = pool.open_inventory()
+    if side != vault.side:
         return vault.collateral_units
     if vault.liquidated:
         return 0
@@ -310,7 +297,7 @@ def boundary_premium_flow(
     premium from the epoch's open to now, a credit when positive and a
     debit when negative; ``covering_side`` names the vault. The boundary
     (``slp_premium_flow``) values the flow here; the trade gate
-    (``VaultPair``'s caps) takes the same difference of ``premium_units``
+    (``VaultPair.cap``) takes the same difference of ``premium_units``
     values, so the reserve held back at quote time is what the boundary
     takes while the params stay put.
     """

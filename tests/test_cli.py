@@ -424,6 +424,12 @@ class TestSweep:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.stdout == "False\n", out.stderr
 
+    # every scenario parameter but the seed, which each grid point draws
+    @pytest.mark.parametrize("key,grid", [("not_a_param", "not_a_param=1"), ("seed", "seed=1,2")])
+    def test_unknown_grid_key_exits_2(self, capsys, key, grid):
+        assert cli.main(["sweep", str(DEMO), "--grid", grid]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"parse error: unknown sweep parameter {key!r}\n"
+
     @pytest.mark.parametrize("grid", ["horizon=abc", "auction_enabled=flase,ture"])
     def test_unparsable_grid_value_exits_2(self, capsys, grid):
         assert cli.main(["sweep", str(DEMO), "--grid", grid]) == cli.EXIT_VALIDATION

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfmm.errors import NonPositivePrice
-from dfmm.metrics import impermanent_loss, market_impact, slippage
+from dfmm.metrics import impermanent_loss
 from oracles import cpmm_impermanent_loss
 
 
@@ -40,15 +40,3 @@ class TestImpermanentLoss:
             impermanent_loss(0.0, 1.0)
         with pytest.raises(NonPositivePrice):
             impermanent_loss(1.0, -1.0)
-
-
-class TestSlippageImpact:
-    def test_slippage(self):
-        assert slippage(100.0, 100.0) == 0.0
-        assert slippage(100.0, 99.0) == 1.0
-        assert slippage(99.0, 100.0) == -1.0
-
-    def test_market_impact(self):
-        assert market_impact(0.01, 0.0) == 0.0
-        assert market_impact(0.01, 500.0) == pytest.approx(5.0)
-        assert market_impact(0.0, 12345.0) == 0.0

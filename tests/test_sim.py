@@ -17,7 +17,7 @@ from dfmm.ledger import BalanceSheet, trade_rows
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, quote_swap
 from dfmm.sim.agents import ArbitrageurAgent, TraderFlow
-from dfmm.sim.config import AssetConfig, ScenarioConfig, apply_overrides, load_config
+from dfmm.sim.config import _INI_NAMES, AssetConfig, ScenarioConfig, load_config
 from dfmm.sim import engine as engine_mod
 from dfmm.sim.engine import PHASES, Engine, RunArtifacts
 from dfmm.sim.market import AssetMarket, ExternalMarket
@@ -27,6 +27,24 @@ from dfmm.vaults import SHORT, boundary_premium_flow, covering_side, side_cap
 import numpy as np
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.ini"
+
+# a scenario file's global keys and the ScenarioConfig field each sets
+INI_FIELDS = {
+    "run.horizon": "horizon", "run.epoch_len": "epoch_len", "run.slot_len": "slot_len",
+    "run.seed": "seed", "fees.theta": "theta", "fees.xi": "xi",
+    "premium.a_init": "a_init", "premium.a_min": "a_min", "premium.lambda": "lam",
+    "premium.d_min": "d_min", "premium.d_max": "d_max", "premium.u_max": "u_max",
+    "premium.k": "k", "auction.enabled": "auction_enabled", "auction.theta0": "theta0",
+    "auction.theta_star": "theta_star", "auction.theta_dagger": "theta_dagger",
+    "auction.j_star": "j_star", "auction.j_prime": "j_prime", "auction.j_dagger": "j_dagger",
+    "vaults.rho_long": "rho_long", "vaults.rho_short": "rho_short",
+    "vaults.margin_floor": "margin_floor", "engine.clamp_extrapolation": "clamp_extrapolation",
+    "engine.u_max_report": "u_max_report", "rewards.gamma": "reward_gamma",
+    "rewards.alpha": "reward_alpha", "traders.rate": "trader_rate",
+    "traders.size_mu": "trader_size_mu", "traders.size_sigma": "trader_size_sigma",
+    "arbitrageur.enabled": "arb_enabled", "arbitrageur.fixed_cost": "arb_fixed_cost",
+    "arbitrageur.max_exposure": "arb_max_exposure",
+}
 
 
 def asset(asset_id, **kw):
@@ -152,11 +170,33 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             Engine(scenario(theta=0.001, xi=0.002)).run()
 
-    def test_apply_overrides_rejects_unknown(self):
-        from dfmm.errors import ParseError
-
-        with pytest.raises(ParseError):
-            apply_overrides(scenario(), {"not_a_param": 1})
+    def test_every_ini_key_sets_its_field(self, tmp_path):
+        # each key gets its own value, none a default: a key read into
+        # another field, or left unread, leaves some field off its value
+        defaults = ScenarioConfig()
+        assert set(INI_FIELDS.values()) == {
+            f.name for f in dataclasses.fields(ScenarioConfig)
+        } - {"assets", "scripted_trades"}
+        expected = {}
+        sections: dict = {}
+        for i, ini in enumerate(_INI_NAMES.values()):
+            name = INI_FIELDS[ini]
+            default = getattr(defaults, name)
+            if isinstance(default, bool):
+                value, text = not default, str(not default).lower()
+            else:
+                value = type(default)(100_000 + i)
+                text = repr(value)
+            expected[name] = value
+            section, key = ini.split(".")
+            sections.setdefault(section, []).append(f"{key} = {text}")
+        assert len(expected) == len(INI_FIELDS)
+        path = tmp_path / "keys.ini"
+        path.write_text(
+            "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+        )
+        cfg = load_config(path)
+        assert {name: getattr(cfg, name) for name in expected} == expected
 
 
 class TestMarket:

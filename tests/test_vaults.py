@@ -364,9 +364,9 @@ class TestPremiumReserve:
         t_after = to_units(-8.0)
         r_after = premium_units(t_after, self.PARAMS)
         flow = boundary_premium_flow(vaults.t_open_units, t_after, self.PARAMS)
-        surplus_cap = vaults.surplus_cap(pool, t_after, r_after, self.PARAMS)
-        assert surplus_cap == pytest.approx((30.0 + from_units(flow)) / 0.5)
-        assert vaults.deficit_cap(pool, t_after, r_after, self.PARAMS) == pytest.approx(40.0)
+        long_cap = vaults.cap(LONG, pool, t_after, r_after, self.PARAMS)
+        assert long_cap == pytest.approx((30.0 + from_units(flow)) / 0.5)
+        assert vaults.cap(SHORT, pool, t_after, r_after, self.PARAMS) == pytest.approx(40.0)
 
     def test_reserve_down_to_the_floor_covers_nothing(self):
         pool = AssetPool("X", 100.0, 80.0)
@@ -382,13 +382,13 @@ class TestPremiumReserve:
         t_after = to_units(8.0)
         r_after = premium_units(t_after, self.PARAMS)
         debit = r_after - premium_units(t_open, self.PARAMS)
-        max_deficit = vaults.deficit_cap(pool, t_after, r_after, self.PARAMS)
+        max_deficit = vaults.cap(SHORT, pool, t_after, r_after, self.PARAMS)
         assert max_deficit == pytest.approx((20.0 - from_units(debit)) / 0.5)
-        assert vaults.surplus_cap(pool, t_after, r_after, self.PARAMS) == pytest.approx(60.0)
+        assert vaults.cap(LONG, pool, t_after, r_after, self.PARAMS) == pytest.approx(60.0)
         # a trade back toward the open flow owes nothing: full capacity
         t_back = to_units(1.0)
         r_back = premium_units(t_back, self.PARAMS)
-        assert vaults.deficit_cap(pool, t_back, r_back, self.PARAMS) == pytest.approx(40.0)
+        assert vaults.cap(SHORT, pool, t_back, r_back, self.PARAMS) == pytest.approx(40.0)
 
 
 # ledger units from 1 to 1e18 (1e-12 $ to 1e6 $), spread evenly in log scale
@@ -435,10 +435,10 @@ class TestGateCaps:
         reserve = max(-flow, 0)
         vaults.t_open_units = t_open
         r_after = premium_units(t_after, params)
-        assert vaults.surplus_cap(pool, t_after, r_after, params) == side_cap(
+        assert vaults.cap(LONG, pool, t_after, r_after, params) == side_cap(
             pool, vaults.long, reserve if side == LONG else 0
         )
-        assert vaults.deficit_cap(pool, t_after, r_after, params) == side_cap(
+        assert vaults.cap(SHORT, pool, t_after, r_after, params) == side_cap(
             pool, vaults.short, reserve if side == SHORT else 0
         )
 
