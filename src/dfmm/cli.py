@@ -85,7 +85,7 @@ def cmd_run(args) -> int:
 
 def _grid_points(spec: str) -> list[dict]:
     """Expand 'a=1,2;b=x,y' into the cross product of overrides."""
-    axes = []
+    axes: dict[str, list] = {}
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -96,10 +96,11 @@ def _grid_points(spec: str) -> list[dict]:
         key = key.strip()
         if key not in SWEEPABLE:
             raise ParseError(f"unknown sweep parameter {key!r}")
-        kind = _FIELD_TYPES[key]
-        axes.append((key, [_convert(raw, kind, f"--grid {key}") for raw in values.split(",")]))
+        if key in axes:
+            raise ParseError(f"sweep parameter {key!r} given twice")
+        axes[key] = [_convert(v, _FIELD_TYPES[key], f"--grid {key}") for v in values.split(",")]
     points: list[dict] = [{}]
-    for key, values in axes:
+    for key, values in axes.items():
         points = [dict(p, **{key: v}) for p in points for v in values]
     return points
 

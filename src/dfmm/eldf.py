@@ -202,13 +202,6 @@ def _domain_check(curve: Eldf, v: float, tol: float = 1e-9):
             )
 
 
-def eval_eldf(curve: Eldf, v: float) -> float:
-    """Density at depth v; clamped at the boundary in clamp mode."""
-    _domain_check(curve, v)
-    v_eff = min(max(v, curve.v_lo), curve.v_hi)
-    return _poly(curve.c2, curve.c1, curve.c0, v_eff)
-
-
 def integrate_eldf(curve: Eldf, v1: float, v2: float) -> float:
     """Value of the volume interval [v1, v2] under the curve.
 
@@ -340,16 +333,15 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
 
 def snapshot_to_curves(
     raw: Sequence[CurvePoint],
-    mode: str = COMBINED,
+    mid_price: float,
     *,
-    mid_price: float | None = None,
     slot_id: int = 0,
     extrapolation: str = "error",
-):
-    """Fit snapshot points into one combined curve or a (bid, ask) pair.
+) -> tuple[Eldf, Eldf]:
+    """Fit snapshot points into a (bid, ask) pair of curves.
 
-    Split mode partitions at mid_price: points priced at or below mid are
-    the bid side, above are the ask side. Each side is re-based so depth
+    The points split at mid_price: points priced at or below mid are the
+    bid side, above are the ask side. Each side is re-based so depth
     starts at zero nearest the mid (bid depth grows as price falls, ask
     depth as price rises), making both sides integrable from zero.
     """
@@ -357,15 +349,6 @@ def snapshot_to_curves(
     def fit(side, pairs):
         vols, prices = zip(*pairs)
         return fit_eldf(vols, prices, side=side, slot_id=slot_id, extrapolation=extrapolation)
-
-    if not raw:
-        raise TooFewPoints("empty snapshot")
-    if mode == COMBINED:
-        return fit(COMBINED, [(p.volume, p.price) for p in raw])
-    if mode != "split":
-        raise ValueError(f"unknown snapshot mode {mode!r}")
-    if mid_price is None:
-        raise ValueError("split mode requires mid_price")
 
     bid_raw = [p for p in raw if p.price <= mid_price]
     ask_raw = [p for p in raw if p.price > mid_price]

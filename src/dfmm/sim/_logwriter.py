@@ -1,15 +1,17 @@
 """The log writer process behind ``sim.output.LogWriter``.
 
-Run as ``python -I -S _logwriter.py``; it imports only the standard
+Run as ``python -I -S -bb _logwriter.py``; it imports only the standard
 library, so it starts in a few tens of milliseconds. Standard input is a
 stream of messages, each a 4-byte little-endian length and that many
 bytes of ``marshal`` data. The first maps each log kind to its file's
 path and row template; every later one maps kinds to lists of rows, and
 each row is appended to its kind's file as ``template % row``, in order.
 
-At the end of input the writer closes the files and exits 0. An
-``OSError`` makes it exit 1 with the error as one line on standard
-error, which ``LogWriter.close`` raises again in the engine's process.
+Rows hold plain values. At the end of input the writer closes the files
+and exits 0. It exits 1 on an ``OSError``, or on a row holding raw bytes
+(what ``marshal`` sends for a numpy scalar, which ``-bb`` refuses to
+format), with one line on standard error, naming the log kind for a row,
+which ``LogWriter.close`` raises again in the engine's process.
 Interrupts are ignored: the engine's process decides when to stop, and
 closing (or losing) its end of the pipe ends the input.
 """
@@ -48,6 +50,9 @@ def main() -> int:
             fh.close()
     except OSError as exc:
         print(exc, file=sys.stderr)
+        return 1
+    except BytesWarning:
+        print(f"refused a {kind} row: it holds raw bytes, not plain values", file=sys.stderr)
         return 1
     return 0
 

@@ -272,7 +272,8 @@ def _convert(raw: str, type_name: str, where: str):
 
 def load_config(path, *, seed_override: int | None = None) -> ScenarioConfig:
     """Parse a scenario INI file into a ScenarioConfig (not yet validated)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header can name a default section "", so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

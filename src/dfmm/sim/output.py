@@ -1,8 +1,8 @@
 """Run output: delimiter-separated log files plus a JSON manifest.
 
 Every log file starts with a schema-version comment line and a header
-row; rows are comma-separated with every value rendered by str(), which
-gives floats their shortest round-trip form (numpy scalars included), so
+row; rows hold plain values (int, float, str, bool or None), each
+rendered by str(), which gives floats their shortest round-trip form, so
 identical runs produce identical bytes. The manifest names the config
 hash, seed, engine version and every file with its row count; its wall
 clock duration and per-phase ``perf`` seconds are not deterministic.
@@ -27,7 +27,6 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
-from itertools import chain
 
 from ..errors import CorruptManifest, UnknownLogKind
 from ..ledger import LEDGER, trade_rows
@@ -60,8 +59,6 @@ LOGGED = tuple(kind for kind in SCHEMAS if kind != "trades")  # the rest render 
 _TEMPLATES = {kind: ",".join(["%s"] * len(header)) + "\n" for kind, header in SCHEMAS.items()}
 
 _WRITER_SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_logwriter.py")
-# the value types marshal keeps as themselves
-_MARSHALLED = frozenset((int, float, str, bool, type(None)))
 
 
 def config_hash(cfg) -> str:
@@ -75,7 +72,9 @@ class LogWriter:
     Creates ``outdir`` and writes each file's schema and header lines in
     this process, so an unusable directory fails before a run starts,
     then starts the writer process (``_logwriter.py``), which appends
-    every row ``write`` sends it. ``rows`` counts the rows sent per kind.
+    every row ``write`` sends it, as it is. Rows must hold plain values:
+    the writer runs under ``-bb`` and refuses a row with raw bytes, which
+    ``marshal`` sends for a numpy scalar. ``rows`` counts rows per kind.
 
     ``close`` waits for the writer to finish; it raises ``OSError`` if
     the writer failed, and closing again does nothing. A writer that
@@ -94,7 +93,7 @@ class LogWriter:
                 fh.write(",".join(header) + "\n")
             files[kind] = (path, _TEMPLATES[kind])
         self._proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", _WRITER_SCRIPT],
+            [sys.executable, "-I", "-S", "-bb", _WRITER_SCRIPT],
             stdin=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -130,13 +129,6 @@ class LogWriter:
         batch = {}
         for kind, rows in logs.items():
             if rows:
-                if not _MARSHALLED.issuperset(map(type, chain.from_iterable(rows))):
-                    # marshal would write a numpy scalar as its raw bytes;
-                    # send what "%s" prints for it
-                    rows = [
-                        tuple(v if type(v) in _MARSHALLED else str(v) for v in row)
-                        for row in rows
-                    ]
                 batch[kind] = rows
                 self.rows[kind] += len(rows)
         if batch:

@@ -20,7 +20,9 @@ that sum to zero never reach,
 trades-log row ``Engine.submit_trade`` built for each fill before that
 log was rendered from the ledger, and ``settle_swaption`` before it read
 the position's stored fixed leg, when it valued the notional on the
-strike curve again.
+strike curve again. Among them, ``density`` evaluates a curve at one
+depth, which the engine never needs: it values volume only through
+``integrate_eldf`` and ``solve_volume_for_value``.
 """
 
 from __future__ import annotations
@@ -368,6 +370,13 @@ def linalg_fit_eldf(volumes, prices) -> Eldf:
         raise SolverDivergence(f"normal equations singular: {exc}") from None
     c0, c1, c2 = coef.tolist()
     return Eldf(c2=c2, c1=c1, c0=c0, v_lo=float(vols[0]), v_hi=float(vols[-1]))
+
+
+def density(curve: Eldf, v: float) -> float:
+    """Density at depth v; clamped at the boundary in clamp mode."""
+    _domain_check(curve, v)
+    v_eff = min(max(v, curve.v_lo), curve.v_hi)
+    return _poly(curve.c2, curve.c1, curve.c0, v_eff)
 
 
 def integrate_eldf(curve: Eldf, v1: float, v2: float) -> float:

@@ -113,6 +113,16 @@ class TestValidate:
         assert err.startswith("parse error: ") and "unknown section [arbitrager]" in err
         assert not out.exists()
 
+    # configparser copies [DEFAULT]'s keys into every section, which would
+    # blame the first section checked for a key it does not name
+    def test_default_section_is_a_parse_error(self, tmp_path, capsys):
+        ini = tmp_path / "scenario.ini"
+        ini.write_text("[DEFAULT]\nhorizon = 5\n\n" + DEMO.read_text(encoding="utf-8"))
+        assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"parse error: {ini}: unknown section [DEFAULT]\n"
+        assert captured.out == ""
+
     # each of these passed validate at one time and then ended the run
     # with a traceback, a silent reject or a halt
     @pytest.mark.parametrize(
@@ -429,6 +439,14 @@ class TestSweep:
     def test_unknown_grid_key_exits_2(self, capsys, key, grid):
         assert cli.main(["sweep", str(DEMO), "--grid", grid]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"parse error: unknown sweep parameter {key!r}\n"
+
+    def test_repeated_grid_key_exits_2(self, capsys):
+        # a later axis with the same key would overwrite the earlier one
+        grid = "theta=0.001,0.002;theta=0.003"
+        assert cli.main(["sweep", str(DEMO), "--grid", grid]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "parse error: sweep parameter 'theta' given twice\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("grid", ["horizon=abc", "auction_enabled=flase,ture"])
     def test_unparsable_grid_value_exits_2(self, capsys, grid):

@@ -10,11 +10,9 @@ from dfmm import eldf
 from dfmm.eldf import (
     ASK,
     BID,
-    COMBINED,
     AssetCurves,
     CurvePoint,
     Eldf,
-    eval_eldf,
     fit_eldf,
     integrate_eldf,
     parse_snapshot_lines,
@@ -32,7 +30,7 @@ from dfmm.errors import (
     TooFewPoints,
 )
 import oracles
-from oracles import grid_solve_volume, newton_quadratic, random_positive_quadratic
+from oracles import density, grid_solve_volume, newton_quadratic, random_positive_quadratic
 
 
 def quad_prices(c2, c1, c0, vols):
@@ -259,26 +257,28 @@ class TestDesignCache:
 
 
 class TestEval:
+    """``oracles.density``, the density every test reads a curve by."""
+
     def test_constant(self):
         curve = Eldf(0.0, 0.0, 1.0, v_lo=0.0, v_hi=10.0)
-        assert eval_eldf(curve, 7.0) == 1.0
+        assert density(curve, 7.0) == 1.0
 
     def test_quadratic(self):
         curve = Eldf(2.0, 3.0, 1.0, v_lo=0.0, v_hi=5.0)
-        assert eval_eldf(curve, 1.0) == pytest.approx(6.0)
+        assert density(curve, 1.0) == pytest.approx(6.0)
 
     def test_pure_square(self):
         curve = Eldf(1.0, 0.0, 0.0, v_lo=1.0, v_hi=5.0)
-        assert eval_eldf(curve, 3.0) == pytest.approx(9.0)
+        assert density(curve, 3.0) == pytest.approx(9.0)
 
     def test_out_of_domain_errors_by_default(self):
         curve = Eldf(0.0, 0.0, 1.0, v_lo=0.0, v_hi=10.0)
         with pytest.raises(OutOfDomain):
-            eval_eldf(curve, 11.0)
+            density(curve, 11.0)
 
     def test_clamped_extrapolation(self):
         curve = Eldf(0.0, 1.0, 1.0, v_lo=0.0, v_hi=10.0, extrapolation="clamp")
-        assert eval_eldf(curve, 15.0) == pytest.approx(11.0)
+        assert density(curve, 15.0) == pytest.approx(11.0)
 
 
 class TestIntegrate:
@@ -378,35 +378,28 @@ class TestSolve:
 
 
 class TestSnapshot:
-    def test_combined_constant(self):
-        pts = [CurvePoint(v, 1.0) for v in (0.0, 1.0, 2.0)]
-        curve = snapshot_to_curves(pts, COMBINED)
-        assert curve.side == COMBINED
-        assert curve.c0 == pytest.approx(1.0, abs=1e-12)
-        assert curve.c2 == pytest.approx(0.0, abs=1e-12)
-
     def test_split_fits_each_side(self):
         mid = 100.0
         # bid side below mid: density falls away from the best bid
         bid_side = [CurvePoint(v, 99.0 - 0.5 * (3.0 - v)) for v in (0.0, 1.5, 3.0)]
         ask_side = [CurvePoint(v, 101.0 + 0.5 * (v - 4.0)) for v in (4.0, 5.5, 7.0)]
-        bid, ask = snapshot_to_curves(bid_side + ask_side, "split", mid_price=mid)
+        bid, ask = snapshot_to_curves(bid_side + ask_side, mid)
         assert bid.side == BID and ask.side == ASK
         # re-based depths start at zero and reproduce the side data
         assert bid.v_lo == 0.0 and ask.v_lo == 0.0
-        assert eval_eldf(bid, 0.0) == pytest.approx(99.0)
-        assert eval_eldf(bid, 3.0) == pytest.approx(97.5)
-        assert eval_eldf(ask, 0.0) == pytest.approx(101.0)
-        assert eval_eldf(ask, 3.0) == pytest.approx(102.5)
+        assert density(bid, 0.0) == pytest.approx(99.0)
+        assert density(bid, 3.0) == pytest.approx(97.5)
+        assert density(ask, 0.0) == pytest.approx(101.0)
+        assert density(ask, 3.0) == pytest.approx(102.5)
 
     def test_split_empty_side(self):
         pts = [CurvePoint(v, 90.0 + v) for v in (0.0, 1.0, 2.0)]
         with pytest.raises(TooFewPoints):
-            snapshot_to_curves(pts, "split", mid_price=200.0)
+            snapshot_to_curves(pts, 200.0)
 
     def test_empty_snapshot(self):
         with pytest.raises(TooFewPoints):
-            snapshot_to_curves([], COMBINED)
+            snapshot_to_curves([], 100.0)
 
     def test_parse_snapshot_lines(self):
         lines = [
@@ -559,16 +552,16 @@ def test_solve_identical_to_reference(case, share):
     target = 0.0 if share == 0.5 else share * full
     new = outcome(solve_volume_for_value, curve, v1, target)
     ref = outcome(oracles.solve_volume_for_value, curve, v1, target)
-    head = (curve.v_lo - v1) * eval_eldf(curve, curve.v_lo) if v1 < curve.v_lo else 0.0
+    head = (curve.v_lo - v1) * density(curve, curve.v_lo) if v1 < curve.v_lo else 0.0
     if 0.0 < target < head and ref != "OutOfDomain":
         # the root lies below v_lo, where the reference searched only the
         # in-domain cubic's slack
-        assert new == repr(v1 + target / eval_eldf(curve, curve.v_lo))
+        assert new == repr(v1 + target / density(curve, curve.v_lo))
     elif ref == "ReversedInterval":
         # a v1 past v_hi: the reference could not value its empty capacity
         assert v1 > curve.v_hi and target > 0.0
         if curve.extrapolation == "clamp":
-            dens = eval_eldf(curve, curve.v_hi)
+            dens = density(curve, curve.v_hi)
             assert new == repr(v1 + target / dens)
         else:
             assert new == "NoFeasibleRoot"

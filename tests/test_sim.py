@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from dfmm.sim.config import _INI_NAMES, AssetConfig, ScenarioConfig, load_config
 from dfmm.sim import engine as engine_mod
 from dfmm.sim.engine import PHASES, Engine, RunArtifacts
 from dfmm.sim.market import AssetMarket, ExternalMarket
-from dfmm.sim.output import write_logs
+from dfmm.sim.output import LogWriter, write_logs
 from dfmm.vaults import SHORT, boundary_premium_flow, covering_side, side_cap
 
 import numpy as np
@@ -214,12 +215,10 @@ class TestMarket:
         bid, ask = market["X"].fit_curves(0, extrapolation="error")
         acfg = cfg.assets[0]  # X
         # density at zero depth matches mid less half the spread
-        from dfmm.eldf import eval_eldf
-
-        assert eval_eldf(bid, 0.0) == pytest.approx(
+        assert oracles.density(bid, 0.0) == pytest.approx(
             acfg.mid_price * (1 - acfg.spread / 2)
         )
-        assert eval_eldf(ask, 0.0) == pytest.approx(
+        assert oracles.density(ask, 0.0) == pytest.approx(
             acfg.mid_price * (1 + acfg.spread / 2)
         )
 
@@ -1015,9 +1014,63 @@ class TestLogWriter:
         lines = self.write(tmp_path, rows)
         assert lines == [self.reference_row(row) for row in rows]
 
-    def test_numpy_scalars_render_as_digits(self, tmp_path):
-        (line,) = self.write(tmp_path, [(np.int64(3), "mid", "X", np.float64(0.1))])
-        assert line == "3,mid,X,0.1\n"
+    def test_numpy_scalars_are_refused(self, tmp_path):
+        # marshal sends a numpy scalar as raw bytes, which the writer
+        # refuses to format rather than writing b'...' into the file
+        writer = LogWriter(tmp_path)
+        writer.write({"metrics": [(np.int64(3), "mid", "X", np.float64(0.1))]})
+        pid = writer._proc.pid
+        with pytest.raises(OSError, match="refused a metrics row"):
+            writer.close()
+        with pytest.raises(ChildProcessError):  # the writer process is reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestPlainRows:
+    """Every value the engine logs is an int, float, str, bool or None,
+    the types marshal sends as themselves; the writer refuses the rest."""
+
+    PLAIN = (int, float, str, bool, type(None))
+
+    @staticmethod
+    def wide(cfg):
+        """The benchmark's ``wide`` shape: three scaled copies of each asset."""
+        assets = tuple(
+            dataclasses.replace(
+                a, asset_id=f"{a.asset_id}{i}", mid_price=a.mid_price * m, sigma=a.sigma * s
+            )
+            for a in cfg.assets
+            for i, (m, s) in enumerate(((1.0, 1.0), (2.0, 0.75), (0.5, 1.5)), start=1)
+        )
+        return dataclasses.replace(cfg, slot_len=5, epoch_len=1, trader_rate=3.0, assets=assets)
+
+    @pytest.mark.parametrize("shape", ["calm", "flow", "wide", "halts"])
+    def test_every_drained_value_is_plain(self, monkeypatch, shape):
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 500)
+        demo = dataclasses.replace(load_config(DEMO), horizon=100)
+        cfg = {
+            "calm": dataclasses.replace(demo, trader_rate=0.8),
+            "flow": dataclasses.replace(demo, trader_rate=8.0),
+            "wide": self.wide(demo),
+            "halts": dataclasses.replace(
+                demo, horizon=400, trader_rate=8.0, clamp_extrapolation=False
+            ),
+        }[shape]
+        types, t_units, batches = {}, {}, []
+
+        def census(logs):  # one batch as LogWriter.write sends it
+            batches.append(sum(map(len, logs.values())))
+            for kind, rows in {**logs, "trades": trade_rows(logs["ledger"], t_units)}.items():
+                for row in rows:
+                    for v in row:
+                        types.setdefault(type(v), (kind, row))
+
+        art = Engine(cfg).run(census)
+        census(art.logs)
+        assert art.summary["halted"] == (shape == "halts")
+        assert len(batches) > 2  # drains during the run, then the last write
+        assert {int, float, str} <= types.keys()
+        assert all(t in self.PLAIN for t in types), types
 
 
 class TestDrain:
