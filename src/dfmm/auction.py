@@ -178,7 +178,10 @@ class AuctionState:
     clocks: dict = field(default_factory=dict)
 
     def clock(self, asset_id: str, side: str) -> SideClock:
-        return self.clocks.setdefault((asset_id, side), SideClock())
+        clock = self.clocks.get((asset_id, side))
+        if clock is None:
+            clock = self.clocks[asset_id, side] = SideClock()
+        return clock
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def cmd_run(args) -> int:
             started = time.monotonic()
             artifacts = Engine(cfg).run(writer.write)
             duration = round(time.monotonic() - started, 6)
-            write_logs(artifacts, outdir, duration_seconds=duration, writer=writer)
+            write_logs(artifacts, outdir, writer, duration_seconds=duration)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO

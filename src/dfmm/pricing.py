@@ -364,7 +364,7 @@ def quote_swap(
     params_by_asset: Mapping[str, RebalanceParams],
     theta: float,
     *,
-    vaults_by_asset: Mapping[str, VaultPair] | None = None,
+    vaults_by_asset: Mapping[str, VaultPair],
 ) -> SwapQuote:
     """Price v_in of asset_in against asset_out at the current state,
     with fee rate ``theta`` on the gross notional.
@@ -372,12 +372,11 @@ def quote_swap(
     The gross notional marks the in-leg on the bid curve from its slot
     mark; the adjusted notional is converted to asset_out on its ask
     curve. The quote pins the sheet version and fails stale at execution
-    if anything moved. With ``vaults_by_asset`` the quote is gated
+    if anything moved. The quote is gated by ``vaults_by_asset``
     (``VaultPair.admit``): the in-asset's post-trade surplus must stay
     within its long cap and the out-asset's post-trade deficit within
     its short cap, each given the leg's post-trade flow T, the premium
-    committed there and these params, else ``ExceedsCapacity``. ``None``
-    quotes ungated.
+    committed there and these params, else ``ExceedsCapacity``.
     """
     if not v_in > 0:
         raise NoFeasibleSolution(f"v_in must be positive, got {v_in}")
@@ -422,13 +421,12 @@ def quote_swap(
         raise InsufficientInventory(
             f"{asset_out} pool holds {pool_out.inventory}, quote needs {v_out}"
         )
-    if vaults_by_asset is not None:
-        vaults_by_asset[asset_in].admit(
-            LONG, sheet.pools[asset_in], v_in, t_in0_u - p, r_in_u, params_in
-        )
-        vaults_by_asset[asset_out].admit(
-            SHORT, pool_out, -v_out, t_out0_u + p, r_out_u, params_out
-        )
+    vaults_by_asset[asset_in].admit(
+        LONG, sheet.pools[asset_in], v_in, t_in0_u - p, r_in_u, params_in
+    )
+    vaults_by_asset[asset_out].admit(
+        SHORT, pool_out, -v_out, t_out0_u + p, r_out_u, params_out
+    )
 
     return SwapQuote(
         asset_in=asset_in,

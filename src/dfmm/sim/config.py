@@ -83,7 +83,6 @@ class ScenarioConfig:
     clamp_extrapolation: bool = _ini("engine.clamp_extrapolation", True)
     u_max_report: float = _ini("engine.u_max_report", 10.0)
     reward_gamma: float = _ini("rewards.gamma", 0.01)
-    reward_alpha: float = _ini("rewards.alpha", 1.0)
     trader_rate: float = _ini("traders.rate", 0.0)
     trader_size_mu: float = _ini("traders.size_mu", 2.0)
     trader_size_sigma: float = _ini("traders.size_sigma", 0.5)

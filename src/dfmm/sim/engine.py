@@ -152,6 +152,10 @@ class Engine:
         self.vaults: dict[str, VaultPair] = {}
         self.params: dict[str, RebalanceParams] = {}
         self.queued_vault_flows: list[tuple[str, str, int]] = []
+        # [script] trades by timestep, each timestep's in file order
+        self.script: dict[int, list[tuple[str, str, float]]] = {}
+        for trade_t, a_in, a_out, size in cfg.scripted_trades:
+            self.script.setdefault(trade_t, []).append((a_in, a_out, size))
 
         floor_units = to_units(cfg.margin_floor)
         for acfg in sorted(cfg.assets, key=lambda a: a.asset_id):
@@ -316,9 +320,8 @@ class Engine:
         self._recompute_cover()
         clock = self._lap("cover", clock)
 
-        for trade_t, a_in, a_out, size in cfg.scripted_trades:
-            if trade_t == self.t:
-                self.submit_trade(a_in, a_out, size, agent="script")
+        for a_in, a_out, size in self.script.get(self.t, ()):
+            self.submit_trade(a_in, a_out, size, agent="script")
         for intent in self.traders.arrivals(self.sheet.asset_ids()):
             self.submit_trade(intent.asset_in, intent.asset_out, intent.v_in, "trader")
         clock = self._lap("traders", clock)
@@ -468,11 +471,7 @@ class Engine:
             pending = self.rewards.pending_units(aid)
             if pending > 0:
                 shares = treasury_mod.reward_distribute(
-                    pool,
-                    vp,
-                    pending,
-                    gamma=cfg.reward_gamma,
-                    alpha=cfg.reward_alpha,
+                    pool, vp, pending, gamma=cfg.reward_gamma
                 )
                 self.rewards.distribute(aid, shares)
                 self.logs["treasury"].append(

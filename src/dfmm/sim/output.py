@@ -151,18 +151,16 @@ class LogWriter:
             raise OSError(lines[-1] if lines else f"log writer exited with status {code}")
 
 
-def write_logs(artifacts, outdir, duration_seconds: float = 0.0, writer=None) -> dict:
+def write_logs(artifacts, outdir, writer: LogWriter, duration_seconds: float = 0.0) -> dict:
     """Write the rows in ``artifacts.logs``, summary.json and the manifest;
     returns the manifest dict.
 
     ``writer`` is the ``LogWriter`` on ``outdir`` that took the rows
     drained during the run; it is closed here, which waits for its
-    process. Without one, a new writer takes every row.
-    ``duration_seconds`` (wall clock) and ``artifacts.perf`` go only into
-    the manifest, so the logs and summary.json stay byte-deterministic.
+    process. ``duration_seconds`` (wall clock) and ``artifacts.perf`` go
+    only into the manifest, so the logs and summary.json stay
+    byte-deterministic.
     """
-    if writer is None:
-        writer = LogWriter(outdir)
     with writer:
         writer.write(artifacts.logs)
     files = [{"name": f"{kind}.csv", "rows": n} for kind, n in writer.rows.items()]

@@ -56,12 +56,7 @@ def treasury_update(
 
 
 def reward_distribute(
-    pool: AssetPool,
-    vaults: VaultPair,
-    accrued_units: int,
-    *,
-    gamma: float = 0.01,
-    alpha: float = 1.0,
+    pool: AssetPool, vaults: VaultPair, accrued_units: int, *, gamma: float
 ) -> dict[str, int]:
     """Split accrued rewards across the pLP and sLP classes: the units of
     each class, keyed ``PLP``, ``SLP_LONG`` and ``SLP_SHORT``.
@@ -69,9 +64,12 @@ def reward_distribute(
     Baseline is a third each. The class whose capacity share of
     B = I + C_short/rho_short + C_long/rho_long sits above the 1/3
     target pays a corrective transfer of gamma (a fraction of the
-    accrued amount) to the underweighted classes; transfers clamp at
-    zero so no share goes negative, and the integer residue lands on
-    the pLP share. ``ScenarioConfig.validate`` keeps gamma in [0, 1).
+    accrued amount) to the underweighted classes. With the pLP share on
+    target, the vault with the larger capacity share, by
+    (C_long/rho_long - C_short/rho_short) / B, pays gamma to the other.
+    Transfers clamp at zero so no share goes negative, and the integer
+    residue lands on the pLP share. ``ScenarioConfig.validate`` keeps
+    gamma in [0, 1).
     """
     if accrued_units < 0:
         raise BadRates(f"accrued rewards cannot be negative, got {accrued_units}")
@@ -81,41 +79,25 @@ def reward_distribute(
     cap_short = vaults.short.capacity()
     cap_long = vaults.long.capacity()
     b = pool.inventory + cap_short + cap_long
-    shares = {PLP: 1.0 / 3.0, SLP_LONG: 1.0 / 3.0, SLP_SHORT: 1.0 / 3.0}
-
+    third = 1.0 / 3.0
+    long = short = third
     if b > 0:
-        third = 1.0 / 3.0
         tol = 1e-12
-        # Deviation from the ask-side equilibrium where short capacity
-        # matches inventory, mirrored out of both vault shares.
-        delta_i = pool.inventory - cap_short
         p_share = pool.inventory / b
-        s_share = (cap_short - alpha * delta_i) / b
-        l_share = (cap_long - alpha * delta_i) / b
         if p_share > third + tol:
-            pay = min(gamma, shares[PLP])
-            shares[PLP] -= pay
-            shares[SLP_LONG] += pay / 2.0
-            shares[SLP_SHORT] += pay / 2.0
+            long = short = third + min(gamma, third) / 2.0
         elif p_share < third - tol:
-            pay_l = min(gamma / 2.0, shares[SLP_LONG])
-            pay_s = min(gamma / 2.0, shares[SLP_SHORT])
-            shares[SLP_LONG] -= pay_l
-            shares[SLP_SHORT] -= pay_s
-            shares[PLP] += pay_l + pay_s
+            long = short = third - min(gamma / 2.0, third)
         else:
-            diff = l_share - s_share
+            diff = (cap_long - cap_short) / b
+            pay = min(gamma, third)
             if diff > tol:
-                pay = min(gamma, shares[SLP_LONG])
-                shares[SLP_LONG] -= pay
-                shares[SLP_SHORT] += pay
+                long, short = third - pay, third + pay
             elif diff < -tol:
-                pay = min(gamma, shares[SLP_SHORT])
-                shares[SLP_SHORT] -= pay
-                shares[SLP_LONG] += pay
+                long, short = third + pay, third - pay
 
-    long_units = round(shares[SLP_LONG] * accrued_units)
-    short_units = round(shares[SLP_SHORT] * accrued_units)
+    long_units = round(long * accrued_units)
+    short_units = round(short * accrued_units)
     plp_units = accrued_units - long_units - short_units
     # Rounding can only push plp negative when both sLP shares round up
     # while plp's true share is ~0; pull the excess back from the larger.

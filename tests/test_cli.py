@@ -21,6 +21,24 @@ from test_sim import DEMO, demo_ini
 SRC = Path(cli.__file__).resolve().parent.parent
 
 
+def child_pids() -> set[int]:
+    """This process's children, exited but unreaped ones included, by the
+    parent pid in each ``/proc/<pid>/stat``. A test compares the set before
+    and after a run, so children left by earlier tests (a ``sweep --jobs``
+    forkserver) do not count."""
+    me, pids = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                stat = fh.read()
+        except OSError:  # not a process, or exited since the listing
+            continue
+        # pid (comm) state ppid ...: comm may hold spaces and parentheses
+        if int(stat.rpartition(b")")[2].split()[1]) == me:
+            pids.add(int(entry))
+    return pids
+
+
 def ledger_rows(outdir) -> list[tuple]:
     """The rows of a run's ledger.csv, typed as the balance sheet logs them."""
 
@@ -101,6 +119,14 @@ class TestValidate:
         ini = demo_ini(tmp_path, {"vaults": {"settlement_enabled": "true"}})
         assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_removed_reward_alpha_key_is_a_parse_error(self, tmp_path, capsys):
+        # the split never read alpha: it cancels from both vault shares
+        ini = demo_ini(tmp_path, {"rewards": {"alpha": "1.0"}})
+        assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "parse error: [rewards] has unknown key 'alpha'\n"
+        assert captured.out == ""
 
     # a misspelt section would otherwise leave the arbitrageur silently off
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -282,13 +308,13 @@ class TestRun:
 
         monkeypatch.setattr(output.LogWriter, "write", killed_on_second_drain)
         out = tmp_path / "out"
+        before = child_pids()
         assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_IO
         captured = capsys.readouterr()
         assert captured.err == "output error: log writer killed by signal 9\n"
         assert captured.out == ""
         assert len(drains) == 2 and not (out / "manifest.json").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert child_pids() <= before  # the killed writer is reaped
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_writer_output_error_exits_4(self, tmp_path, capsys, monkeypatch):
@@ -301,12 +327,12 @@ class TestRun:
 
         monkeypatch.setattr(output.LogWriter, "_send", trades_to_a_full_disk)
         out = tmp_path / "out"
+        before = child_pids()
         assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_IO
         captured = capsys.readouterr()
         assert captured.err == "output error: [Errno 28] No space left on device\n"
         assert captured.out == "" and not (out / "manifest.json").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert child_pids() <= before
 
     # a busy demo that completes, and one that halts on OutOfDomain at
     # t=81; the small budget makes either run drain many times
@@ -328,14 +354,14 @@ class TestRun:
         monkeypatch.setattr(engine_mod, "DRAIN_ROWS", budget)
         ini = demo_ini(tmp_path, overrides)
         streamed, kept = tmp_path / "streamed", tmp_path / "kept"
+        before = child_pids()
         assert cli.main(["run", str(ini), "--out", str(streamed)]) == exit_code
-        with pytest.raises(ChildProcessError):  # the writer process is reaped
-            os.waitpid(-1, os.WNOHANG)
+        assert child_pids() <= before  # the writer process is reaped
         eng = Engine(load_config(ini))
         art = eng.run()
         assert art.summary["halted"] == (exit_code == cli.EXIT_BREACH)
         assert sum(map(len, art.logs.values())) > 2 * engine_mod.DRAIN_ROWS
-        manifest = output.write_logs(art, kept)
+        manifest = output.write_logs(art, kept, output.LogWriter(kept))
         names = sorted(p.name for p in kept.iterdir())
         assert names == sorted(p.name for p in streamed.iterdir())
         for name in names:
@@ -434,8 +460,12 @@ class TestSweep:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.stdout == "False\n", out.stderr
 
-    # every scenario parameter but the seed, which each grid point draws
-    @pytest.mark.parametrize("key,grid", [("not_a_param", "not_a_param=1"), ("seed", "seed=1,2")])
+    # every scenario parameter but the seed, which each grid point draws;
+    # reward_alpha is no parameter any more
+    @pytest.mark.parametrize(
+        "key,grid",
+        [("not_a_param", "not_a_param=1"), ("seed", "seed=1,2"), ("reward_alpha", "reward_alpha=1,2")],
+    )
     def test_unknown_grid_key_exits_2(self, capsys, key, grid):
         assert cli.main(["sweep", str(DEMO), "--grid", grid]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"parse error: unknown sweep parameter {key!r}\n"

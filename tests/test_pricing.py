@@ -58,6 +58,18 @@ def make_env(t_x=0.0, t_y=0.0, params=P_ZERO, theta=0.0, deposit=10_000.0):
     return sheet, curves, params_by_asset, theta
 
 
+def vaults(c_long_x=5e5, c_short_y=5e5):
+    """Vault pairs for X and Y; the defaults cover 1e6 of open inventory
+    on every side, which no quote here comes near."""
+    return {
+        aid: VaultPair(
+            long=Vault(aid, LONG, to_units(c_long), 0.5, 0),
+            short=Vault(aid, SHORT, to_units(c_short), 0.5, 0),
+        )
+        for aid, c_long, c_short in (("X", c_long_x, 5e5), ("Y", 5e5, c_short_y))
+    }
+
+
 class TestPremiumFn:
     def test_zero_flow(self):
         assert premium_fn(0.0, P_STD) == 0.0
@@ -187,7 +199,7 @@ class TestNotionalSolver:
 class TestQuoteExecute:
     def test_identity_swap(self):
         sheet, curves, params, theta = make_env()
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
+        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
         assert from_units(quote.v_s_units) == pytest.approx(10.0)
         assert from_units(quote.v_prime_units) == pytest.approx(10.0)
         assert from_units(quote.fee_units) == 0.0
@@ -200,21 +212,21 @@ class TestQuoteExecute:
 
     def test_fee_only_swap(self):
         sheet, curves, params, theta = make_env(theta=0.1)
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
+        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
         v_out = execute_swap(quote, sheet, curves)
         assert v_out == pytest.approx(9.0)
         assert from_units(quote.fee_units) == pytest.approx(1.0)
 
     def test_hand_case_quote(self):
         sheet, curves, params, theta = make_env(params=P_UNIT_D)
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
+        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
         assert from_units(quote.v_prime_units) == pytest.approx(2.0)
         assert from_units(quote.rp_in_units) == pytest.approx(4.0, abs=1e-9)
         assert from_units(quote.rp_out_units) == pytest.approx(4.0, abs=1e-9)
 
     def test_balance_identity_exact(self):
         sheet, curves, params, theta = make_env(params=P_STD, theta=0.003)
-        quote = quote_swap("X", "Y", 17.3, sheet, curves, params, theta)
+        quote = quote_swap("X", "Y", 17.3, sheet, curves, params, theta, vaults_by_asset=vaults())
         assert (
             quote.v_prime_units
             + quote.rp_in_units
@@ -225,14 +237,14 @@ class TestQuoteExecute:
 
     def test_stale_quote_rejected(self):
         sheet, curves, params, theta = make_env()
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
+        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
         sheet.deposit_plp("X", 1.0)  # any mutation invalidates
         with pytest.raises(StaleQuote):
             execute_swap(quote, sheet, curves)
 
     def test_marks_advance_and_reset_matters(self):
         sheet, curves, params, theta = make_env()
-        q1 = quote_swap("X", "Y", 10.0, sheet, curves, params, theta)
+        q1 = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
         execute_swap(q1, sheet, curves)
         assert curves["X"].bid_mark == pytest.approx(10.0)
         assert curves["Y"].ask_mark == pytest.approx(10.0)
@@ -240,21 +252,11 @@ class TestQuoteExecute:
     def test_insufficient_inventory(self):
         sheet, curves, params, theta = make_env(deposit=5.0)
         with pytest.raises(InsufficientInventory):
-            quote_swap("X", "Y", 50.0, sheet, curves, params, theta)
+            quote_swap("X", "Y", 50.0, sheet, curves, params, theta, vaults_by_asset=vaults())
 
     def test_capacity_limits(self):
-        # small vaults cap X's surplus or Y's deficit at 5; the rest cover 1e6
+        # small vaults cap X's surplus or Y's deficit at 5
         sheet, curves, params, theta = make_env()
-
-        def vaults(c_long_x, c_short_y):
-            return {
-                aid: VaultPair(
-                    long=Vault(aid, LONG, to_units(c_long), 0.5, 0),
-                    short=Vault(aid, SHORT, to_units(c_short), 0.5, 0),
-                )
-                for aid, c_long, c_short in (("X", c_long_x, 5e5), ("Y", 5e5, c_short_y))
-            }
-
         for gated in (vaults(2.5, 5e5), vaults(5e5, 2.5)):
             with pytest.raises(ExceedsCapacity):
                 quote_swap("X", "Y", 50.0, sheet, curves, params, theta, vaults_by_asset=gated)
@@ -266,11 +268,11 @@ class TestQuoteExecute:
     def test_imbalance_monotonicity(self):
         # both legs' |T| strictly grow: total premium positive
         sheet, curves, params, theta = make_env(t_x=-5.0, t_y=5.0, params=P_STD)
-        quote = quote_swap("X", "Y", 3.0, sheet, curves, params, theta)
+        quote = quote_swap("X", "Y", 3.0, sheet, curves, params, theta, vaults_by_asset=vaults())
         assert quote.rp_in_units + quote.rp_out_units > 0
         # both legs' |T| strictly shrink: total premium negative
         sheet, curves, params, theta = make_env(t_x=50.0, t_y=-50.0, params=P_STD)
-        quote = quote_swap("X", "Y", 3.0, sheet, curves, params, theta)
+        quote = quote_swap("X", "Y", 3.0, sheet, curves, params, theta, vaults_by_asset=vaults())
         assert quote.rp_in_units + quote.rp_out_units < 0
 
 
@@ -278,11 +280,14 @@ class TestConservation:
     def test_value_conservation_random_trades(self):
         rng = np.random.default_rng(53)
         sheet, curves, params, theta = make_env(params=P_STD, theta=0.003, deposit=50_000.0)
+        gate = vaults()
         total_vs = total_vp = total_rp = total_fee = 0
         for _ in range(500):
             a_in, a_out = ("X", "Y") if rng.integers(2) else ("Y", "X")
             v_in = float(rng.uniform(0.1, 20.0))
-            quote = quote_swap(a_in, a_out, v_in, sheet, curves, params, theta)
+            quote = quote_swap(
+                a_in, a_out, v_in, sheet, curves, params, theta, vaults_by_asset=gate
+            )
             execute_swap(quote, sheet, curves)
             total_vs += quote.v_s_units
             total_vp += quote.v_prime_units
@@ -303,8 +308,10 @@ class TestConservation:
         reserve returns every unit it collected."""
         params = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=5e-5, d_lhs=5e-5)
         sheet, curves, params_by_asset, theta = make_env(params=params, deposit=100_000.0)
+        env = (sheet, curves, params_by_asset, theta)
+        gate = vaults()
 
-        q1 = quote_swap("X", "Y", 40.0, sheet, curves, params_by_asset, theta)
+        q1 = quote_swap("X", "Y", 40.0, *env, vaults_by_asset=gate)
         execute_swap(q1, sheet, curves)
         assert sheet.t_units["X"] < 0 < sheet.t_units["Y"]
 
@@ -315,9 +322,9 @@ class TestConservation:
                 break
             v_in = from_units(abs(t_y))
             if t_y > 0:
-                quote = quote_swap("Y", "X", v_in, sheet, curves, params_by_asset, theta)
+                quote = quote_swap("Y", "X", v_in, *env, vaults_by_asset=gate)
             else:
-                quote = quote_swap("X", "Y", v_in, sheet, curves, params_by_asset, theta)
+                quote = quote_swap("X", "Y", v_in, *env, vaults_by_asset=gate)
             execute_swap(quote, sheet, curves)
         assert sheet.t_units["X"] == 0
         assert sheet.t_units["Y"] == 0

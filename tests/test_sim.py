@@ -41,7 +41,7 @@ INI_FIELDS = {
     "vaults.rho_long": "rho_long", "vaults.rho_short": "rho_short",
     "vaults.margin_floor": "margin_floor", "engine.clamp_extrapolation": "clamp_extrapolation",
     "engine.u_max_report": "u_max_report", "rewards.gamma": "reward_gamma",
-    "rewards.alpha": "reward_alpha", "traders.rate": "trader_rate",
+    "traders.rate": "trader_rate",
     "traders.size_mu": "trader_size_mu", "traders.size_sigma": "trader_size_sigma",
     "arbitrageur.enabled": "arb_enabled", "arbitrageur.fixed_cost": "arb_fixed_cost",
     "arbitrageur.max_exposure": "arb_max_exposure",
@@ -292,6 +292,12 @@ class TestEngine:
         assert art.summary["fills"] == 1
         (row,) = trade_rows(art.logs["ledger"], {})
         assert row[0] == 3
+
+    def test_scripted_trades_fill_in_file_order(self):
+        script = ((3, "X", "Y", 25.0), (1, "Y", "X", 10.0), (3, "Y", "X", 40.0))
+        art = Engine(scenario(scripted_trades=script, horizon=5)).run()
+        filled = [(row[0], row[1], row[2]) for row in trade_rows(art.logs["ledger"], {})]
+        assert filled == [(1, "Y->X", 10.0), (3, "X->Y", 25.0), (3, "Y->X", 40.0)]
 
     def test_trade_moves_flow_and_inventory(self):
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),))
@@ -620,8 +626,9 @@ class TestPremiumReserve:
     @pytest.mark.parametrize("c_short", [80.0, 60.0])
     def test_debit_leaving_too_little_collateral_rejects(self, c_short):
         eng = Engine(self.cfg(c_short))
-        # ungated, the deficit fits in the capacity c / 0.5
-        quote = self.quote(eng, None)
+        # behind vaults whose collateral never binds, the same quote's
+        # deficit fits in the capacity c / 0.5
+        quote = self.quote(eng, Engine(self.cfg(c_short=1e9)).vaults)
         pool = eng.sheet.pools["Y"]
         deficit_after = pool.lp_inventory - (pool.inventory - quote.v_out)
         assert deficit_after < c_short / 0.5
@@ -892,7 +899,7 @@ class TestDeterministicOutput:
     def test_artifacts_without_perf_write_an_empty_perf(self, tmp_path):
         art = RunArtifacts(logs={}, summary={}, config=scenario())
         assert art.perf == {}
-        assert write_logs(art, tmp_path)["perf"] == {}
+        assert write_logs(art, tmp_path, LogWriter(tmp_path))["perf"] == {}
 
     # SHA-256 over the seven CSVs below and summary.json, in name order,
     # each as name, NUL, bytes, NUL. A refactor that keeps the outputs
@@ -999,7 +1006,7 @@ class TestLogWriter:
     def write(self, tmp_path, rows):
         logs = {"metrics": rows}
         art = RunArtifacts(logs=logs, summary={}, config=scenario())
-        write_logs(art, tmp_path)
+        write_logs(art, tmp_path, LogWriter(tmp_path))
         return (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines(True)[2:]
 
     def test_rows_render_as_before(self, tmp_path):

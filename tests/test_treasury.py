@@ -165,7 +165,7 @@ class TestRewardDistribute:
         pool = AssetPool("X", 100.0, 100.0)
         vaults = pair(50.0, 50.0)  # capacities 100 each: all shares 1/3
         accrued = to_units(9.0)
-        shares = reward_distribute(pool, vaults, accrued)
+        shares = reward_distribute(pool, vaults, accrued, gamma=0.01)
         assert sum(shares.values()) == accrued
         assert shares[PLP] == pytest.approx(accrued / 3, abs=2)
         assert shares[SLP_LONG] == pytest.approx(accrued / 3, abs=2)
@@ -182,8 +182,23 @@ class TestRewardDistribute:
         assert shares[SLP_SHORT] > third
         assert shares[SLP_LONG] == shares[SLP_SHORT]
 
+    # pLP share on target: inventory 100 of B = 100 + 2*(c_long + c_short)
+    # = 300, so the vault with the larger capacity pays gamma to the other
+    @pytest.mark.parametrize(
+        "c_long,c_short,long_units,short_units",
+        [(75.0, 25.0, 91_000, 109_000), (25.0, 75.0, 109_000, 91_000), (50.0, 50.0, 100_000, 100_000)],
+        ids=["long-larger", "short-larger", "equal"],
+    )
+    def test_on_target_plp_share_moves_gamma_between_vaults(
+        self, c_long, c_short, long_units, short_units
+    ):
+        pool = AssetPool("X", 100.0, 100.0)
+        assert pool.inventory / (pool.inventory + 2 * (c_long + c_short)) == 1.0 / 3.0
+        shares = reward_distribute(pool, pair(c_long, c_short), 300_000, gamma=0.03)
+        assert shares == {PLP: 100_000, SLP_LONG: long_units, SLP_SHORT: short_units}
+
     def test_zero_accrued(self):
-        shares = reward_distribute(AssetPool("X", 1.0, 1.0), pair(1.0, 1.0), 0)
+        shares = reward_distribute(AssetPool("X", 1.0, 1.0), pair(1.0, 1.0), 0, gamma=0.01)
         assert shares == {PLP: 0, SLP_LONG: 0, SLP_SHORT: 0}
 
     def test_simplex_over_random_states(self):
@@ -205,7 +220,7 @@ class TestRewardLedger:
         ledger = RewardLedger()
         ledger.accrue("X", to_units(9.0))
         pool = AssetPool("X", 100.0, 100.0)
-        shares = reward_distribute(pool, pair(50.0, 50.0), ledger.pending_units("X"))
+        shares = reward_distribute(pool, pair(50.0, 50.0), ledger.pending_units("X"), gamma=0.01)
         ledger.distribute("X", shares)
         rows = ledger.claims()
         assert {r[2] for r in rows} == {PLP, SLP_LONG, SLP_SHORT}
