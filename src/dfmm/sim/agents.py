@@ -24,7 +24,8 @@ class TraderFlow:
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         self.rate = cfg.trader_rate
         self.size_mu = cfg.trader_size_mu
-        self.size_sigma = cfg.trader_size_sigma
+        # numpy's lognormal checks sigma's sign bit and refuses -0.0
+        self.size_sigma = cfg.trader_size_sigma + 0.0
         self.rng = rng
 
     def arrivals(self, asset_ids) -> list[TradeIntent]:

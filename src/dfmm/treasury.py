@@ -68,8 +68,8 @@ def reward_distribute(
     target, the vault with the larger capacity share, by
     (C_long/rho_long - C_short/rho_short) / B, pays gamma to the other.
     Transfers clamp at zero so no share goes negative, and the integer
-    residue lands on the pLP share. ``ScenarioConfig.validate`` keeps
-    gamma in [0, 1).
+    residue lands on the pLP share. ``ScenarioConfig`` declares gamma's
+    range as [0, 1).
     """
     if accrued_units < 0:
         raise BadRates(f"accrued rewards cannot be negative, got {accrued_units}")

@@ -178,7 +178,7 @@ def cover_coefficient(
 
     Equals d_min at zero utilisation and d_max at u_max, following a
     power-k ramp in between; utilisation beyond u_max is clamped. The
-    parameters' ranges are ``ScenarioConfig.validate``'s to check.
+    parameters' ranges are declared on ``ScenarioConfig``'s fields.
     """
     if u < 0:
         raise BadParams(f"utilisation must be nonnegative, got {u}")

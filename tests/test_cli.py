@@ -149,6 +149,19 @@ class TestValidate:
         assert captured.err == f"parse error: {ini}: unknown section [DEFAULT]\n"
         assert captured.out == ""
 
+    # the read decodes as UTF-8: any other bytes are a parse error
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("DFMM_OUTPUT_ROOT", str(tmp_path / "runs"))
+        ini = tmp_path / "scenario.ini"
+        ini.write_bytes(DEMO.read_bytes() + b"# \xff\n")
+        argv = [command, str(ini)] + (["--grid", "k=1,2"] if command == "sweep" else [])
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parse error: {ini}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "runs").exists()
+
     # each of these passed validate at one time and then ended the run
     # with a traceback, a silent reject or a halt
     @pytest.mark.parametrize(
@@ -239,6 +252,11 @@ class TestRun:
         assert cli.main(["run", str(ini), "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_BREACH)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rejected"] > 0
+
+    # -0.0 meets size_sigma >= 0, and numpy's lognormal refuses it
+    def test_negative_zero_size_sigma_runs(self, tmp_path, capsys):
+        ini = demo_ini(tmp_path, {"run": {"horizon": 30}, "traders": {"size_sigma": "-0.0"}})
+        assert cli.main(["run", str(ini), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
     def test_overflowing_mid_halts_with_exit_3(self, tmp_path, capsys):
         ini = demo_ini(tmp_path, {"run": {"horizon": 30}, "asset.ALPHA": {"drift": 800}})

@@ -127,7 +127,7 @@ class TestConfig:
             ({"rho_short": 1.5}, "vaults.rho_short must be in (0, 1], got 1.5"),
             (
                 {"assets": (asset("X", c_long=-1.0), asset("Y"))},
-                "asset.X.c_long and c_short must be >= 0",
+                "asset.X.c_long must be >= 0, got -1.0",
             ),
             (
                 {"d_min": 0.001, "d_max": 0.0005},
@@ -148,6 +148,35 @@ class TestConfig:
                 {"assets": (asset("X", n_points=10**13), asset("Y"))},
                 "asset.X.n_points must be in [3, 10000], got 10000000000000",
             ),
+            ({"horizon": -1}, "run.horizon must be >= 0, got -1"),
+            ({"epoch_len": 0}, "run.epoch_len must be >= 1, got 0"),
+            ({"slot_len": 0}, "run.slot_len must be >= 1, got 0"),
+            ({"a_min": -1.0}, "premium.a_min must be >= 0, got -1.0"),
+            ({"a_init": 0.5}, "premium.a_init (0.5) must be >= a_min (1.0)"),
+            ({"lam": 0.0}, "premium.lambda must be > 0, got 0.0"),
+            ({"d_min": -1.0}, "premium.d_min must be >= 0, got -1.0"),
+            ({"margin_floor": -1.0}, "vaults.margin_floor must be >= 0, got -1.0"),
+            ({"u_max_report": 0.0}, "engine.u_max_report must be > 0, got 0.0"),
+            ({"trader_rate": -1.0}, "traders.rate must be >= 0, got -1.0"),
+            ({"arb_fixed_cost": -1.0}, "arbitrageur.fixed_cost must be >= 0, got -1.0"),
+            ({"arb_max_exposure": 0.0}, "arbitrageur.max_exposure must be > 0, got 0.0"),
+            *(
+                (
+                    {"assets": (asset("X", **{name: value}), asset("Y"))},
+                    f"asset.X.{name} must be {rule}, got {value}",
+                )
+                for name, value, rule in (
+                    ("mid_price", 0.0, "> 0"), ("sigma", -0.1, ">= 0"), ("depth", 0.0, "> 0"),
+                    ("deposit", 0.0, "> 0"), ("spread", -0.01, ">= 0"),
+                )
+            ),
+            # an interval rejects NaN as well; a lone bound leaves it to the
+            # finiteness rule
+            (
+                {"theta": math.nan},
+                ["fees.theta must be finite, got nan", "fees.theta must be in [0, 1), got nan"],
+            ),
+            ({"lam": math.nan}, "premium.lambda must be finite, got nan"),
         ],
         ids=[
             "theta-range", "xi-range", "xi-above-theta", "threshold-order",
@@ -155,14 +184,51 @@ class TestConfig:
             "rho_short-above-1", "collateral-negative", "d_min-above-d_max",
             "u_max-zero", "k-zero", "gamma-range", "asset-id-comma", "asset-id-arrow",
             "asset-id-star", "asset-id-empty", "n_points-above-max",
+            "horizon-negative", "epoch_len-zero", "slot_len-zero", "a_min-negative",
+            "a_init-below-a_min", "lambda-zero", "d_min-negative", "margin_floor-negative",
+            "u_max_report-zero", "rate-negative", "fixed_cost-negative",
+            "max_exposure-zero", "mid_price-zero", "sigma-negative", "depth-zero",
+            "deposit-zero", "spread-negative", "theta-nan", "lambda-nan",
         ],
     )
     def test_rule_violation_rejected(self, overrides, violation):
         cfg = scenario(**overrides)
-        assert cfg.validate() == [violation]
+        expected = violation if isinstance(violation, list) else [violation]
+        assert cfg.validate() == expected
         with pytest.raises(ConfigInvalid) as exc:
             Engine(cfg)
-        assert exc.value.violations == [violation]
+        assert exc.value.violations == expected
+
+    # each field's own rule in declaration order, globals first, then
+    # the rules that relate fields, then each asset's fields
+    def test_violations_list_field_rules_before_cross_field_rules(self):
+        cfg = scenario(
+            theta=0.001, xi=0.002, lam=0.0, d_min=-1.0, k=math.inf, margin_floor=1e300,
+            assets=(asset("X", mid_price=0.0, c_long=-1.0), asset("Y")),
+        )
+        assert cfg.validate() == [
+            "premium.k must be finite, got inf",
+            "premium.lambda must be > 0, got 0.0",
+            "premium.d_min must be >= 0, got -1.0",
+            "vaults.margin_floor overflows ledger units, got 1e+300",
+            "fees.xi (0.002) must not exceed fees.theta (0.001)",
+            "asset.X.mid_price must be > 0, got 0.0",
+            "asset.X.c_long must be >= 0, got -1.0",
+        ]
+
+    def test_every_numeric_field_declares_a_rule_or_is_listed_unconstrained(self):
+        # none of these has a one-field rule: a_init, the thresholds and
+        # j_star, j_prime are checked against other fields in validate
+        unconstrained = {
+            "drift", "impact_alpha", "bid_slope", "bid_curv", "ask_slope", "ask_curv",
+            "trader_size_mu", "a_init", "theta0", "theta_star", "theta_dagger",
+            "j_star", "j_prime",
+        }
+        numeric = [
+            f for cls in (ScenarioConfig, AssetConfig) for f in dataclasses.fields(cls)
+            if f.type in ("int", "float")
+        ]
+        assert {f.name for f in numeric if not f.metadata.get("rule")} == unconstrained
 
     def test_asset_id_of_letters_digits_underscore_and_dash_is_valid(self):
         assert scenario(assets=(asset("ALPHA_1"), asset("b-2"))).validate() == []
