@@ -12,7 +12,9 @@ streams the log rows into them during the run through a writer process,
 the balance sheet's ``ledger.csv`` included; an output error mid-run,
 or the loss of the writer, also exits 4. ``sweep``
 keeps no log rows, only each run's summary, and starts at most one
-worker process per grid point.
+worker process per grid point. It prints its table in every case and
+exits 2 when no grid point passes validation, 3 when any point halted,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -177,7 +179,9 @@ def cmd_sweep(args) -> int:
                 status,
             ]
         print(",".join(cells))
-    return EXIT_OK
+    if not runnable:
+        return EXIT_VALIDATION
+    return EXIT_BREACH if any(s["halted"] for s in summaries.values()) else EXIT_OK
 
 
 def _row_time(header, row):

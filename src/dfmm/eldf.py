@@ -397,18 +397,11 @@ class AssetCurves:
     """Current-slot bid/ask curves plus the traded-volume marks.
 
     Marks track cumulative volume consumed on each side within the slot
-    so successive trades walk along the curve; they reset when the slot
-    rolls and fresh curves are fitted.
+    so successive trades walk along the curve. Each refit builds a fresh
+    instance, so the marks start at 0 on every slot's curves.
     """
 
-    asset_id: str
     bid: Eldf
     ask: Eldf
     bid_mark: float = 0.0
     ask_mark: float = 0.0
-
-    def reset(self, bid: Eldf, ask: Eldf) -> None:
-        self.bid = bid
-        self.ask = ask
-        self.bid_mark = 0.0
-        self.ask_mark = 0.0

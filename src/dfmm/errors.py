@@ -1,7 +1,12 @@
 """Exception taxonomy for the engine.
 
-Every error raised by engine modules derives from EngineError so callers
-(and the CLI) can distinguish engine failures from programming errors.
+The errors that engine modules raise on bad input or state derive from
+EngineError, so callers (and the CLI) can tell engine failures from
+programming errors. Three checks raise ValueError instead, as they
+catch a caller's mistake that no scenario input can reach:
+``pricing.RebalanceParams`` rejects a negative aggressiveness or cover
+coefficient, ``eldf.Eldf`` an unknown extrapolation mode, and
+``ledger.BalanceSheet._apply`` an unknown row kind.
 InvariantBreach is reserved for fail-stop conditions: the run halts and
 logs are preserved.
 """
@@ -47,10 +52,6 @@ class NonPositiveAmount(EngineError):
     pass
 
 
-class ValuationUnavailable(EngineError):
-    pass
-
-
 class NonFiniteAmount(EngineError):
     """An amount that is infinite, NaN or too large for integer ledger units."""
 
@@ -62,14 +63,6 @@ class NoFeasibleSolution(EngineError):
 
 
 class ExceedsCapacity(EngineError):
-    pass
-
-
-class CurveUnavailable(EngineError):
-    pass
-
-
-class StaleQuote(EngineError):
     pass
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .eldf import Eldf, integrate_eldf
-from .errors import NonPositiveAmount, ValuationUnavailable
+from .errors import NonPositiveAmount
 from .money import from_units, to_units
 
 
@@ -73,7 +73,6 @@ class BalanceSheet:
         self.t_units: dict[str, int] = {}
         self.rr_units: dict[str, int] = {}
         self.log: list[tuple] = []
-        self.version: int = 0
         for asset_id in asset_ids:
             self.add_asset(asset_id)
 
@@ -86,10 +85,6 @@ class BalanceSheet:
 
     def asset_ids(self):
         return sorted(self.pools)
-
-    def bump_version(self) -> None:
-        """Invalidate outstanding quotes (e.g. after a curve refit)."""
-        self.version += 1
 
     # --- primary LP operations ---
 
@@ -119,7 +114,6 @@ class BalanceSheet:
     def _record(self, row: tuple) -> None:
         self._apply(row)
         self.log.append(row)
-        self.version += 1
 
     def _apply(self, row: tuple) -> None:
         _t, kind, a_in, a_out, v_in, v_out, _vs, vp, rp_in, rp_out, _fee, _reason = row
@@ -188,9 +182,7 @@ def solvency_check(sheet: BalanceSheet, bid_curves: Mapping[str, Eldf]) -> int:
         pool = sheet.pools[asset_id]
         if pool.inventory == 0.0 and pool.lp_inventory == 0.0:
             continue
-        bid = bid_curves.get(asset_id)
-        if bid is None:
-            raise ValuationUnavailable(f"no bid curve for {asset_id}")
+        bid = bid_curves[asset_id]
         lhs += to_units(integrate_eldf(bid, 0.0, pool.inventory))
         rhs += to_units(integrate_eldf(bid, 0.0, pool.lp_inventory))
     return lhs - rhs

@@ -16,6 +16,10 @@ returns the first root, so it is continuous across piece boundaries and
 lands exactly on the closed-form boundary solutions when a leg's T is
 driven exactly to zero.
 
+A swap is quoted and committed in one call: ``execute_swap`` prices it
+with ``quote_swap``, which reads the state and changes nothing, and
+commits the result at once, so no quote can outlive the state it priced.
+
 Committed amounts are integer ledger units. The premium deltas are
 functions of the committed integer T states (so premium flows telescope
 exactly to zero over any path that returns T to zero), the trade balance
@@ -42,13 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .eldf import AssetCurves, integrate_eldf, solve_volume_for_value
-from .errors import (
-    CurveUnavailable,
-    InsufficientInventory,
-    NoFeasibleSolution,
-    NonFiniteAmount,
-    StaleQuote,
-)
+from .errors import InsufficientInventory, NoFeasibleSolution, NonFiniteAmount
 from .ledger import LONG, SHORT, BalanceSheet
 from .money import SCALE, from_units, to_units
 
@@ -329,16 +327,12 @@ def _commit_notional(
 
 @dataclass(slots=True)
 class SwapQuote:
-    asset_in: str
-    asset_out: str
-    v_in: float
     v_out: float
     v_s_units: int
     v_prime_units: int
     rp_in_units: int
     rp_out_units: int
     fee_units: int
-    state_version: int
 
     def __post_init__(self):
         if self.v_prime_units < 0:
@@ -371,8 +365,7 @@ def quote_swap(
 
     The gross notional marks the in-leg on the bid curve from its slot
     mark; the adjusted notional is converted to asset_out on its ask
-    curve. The quote pins the sheet version and fails stale at execution
-    if anything moved. The quote is gated by ``vaults_by_asset``
+    curve. The quote is gated by ``vaults_by_asset``
     (``VaultPair.admit``): the in-asset's post-trade surplus must stay
     within its long cap and the out-asset's post-trade deficit within
     its short cap, each given the leg's post-trade flow T, the premium
@@ -382,11 +375,8 @@ def quote_swap(
         raise NoFeasibleSolution(f"v_in must be positive, got {v_in}")
     if asset_in == asset_out:
         raise NoFeasibleSolution("cannot swap an asset for itself")
-    cin = curves.get(asset_in)
-    cout = curves.get(asset_out)
-    if cin is None or cout is None:
-        missing = asset_in if cin is None else asset_out
-        raise CurveUnavailable(f"no curves for {missing}")
+    cin = curves[asset_in]
+    cout = curves[asset_out]
     params_in = params_by_asset[asset_in]
     params_out = params_by_asset[asset_out]
 
@@ -429,51 +419,39 @@ def quote_swap(
     )
 
     return SwapQuote(
-        asset_in=asset_in,
-        asset_out=asset_out,
-        v_in=v_in,
         v_out=v_out,
         v_s_units=v_s_units,
         v_prime_units=p,
         rp_in_units=rp_in_u,
         rp_out_units=rp_out_u,
         fee_units=fee_u,
-        state_version=sheet.version,
     )
 
 
 def execute_swap(
-    quote: SwapQuote,
+    asset_in: str,
+    asset_out: str,
+    v_in: float,
     sheet: BalanceSheet,
     curves: Mapping[str, AssetCurves],
+    params_by_asset: Mapping[str, RebalanceParams],
+    theta: float,
     *,
+    vaults_by_asset: Mapping[str, VaultPair],
     timestep: int = 0,
-) -> float:
-    """Commit a quote: move inventory, T, premium reserves, and marks.
-
-    Returns v_out delivered to the trader. The quote must have been
-    computed against the sheet's current version; any interleaved
-    mutation (trade, refit, LP flow) invalidates it, so the inventory
-    ``quote_swap`` found for v_out is still in the pool.
-    """
-    if quote.state_version != sheet.version:
-        raise StaleQuote(
-            f"quote pinned version {quote.state_version}, sheet at {sheet.version}"
-        )
-    sheet.record_trade(
-        (
-            timestep,
-            quote.asset_in,
-            quote.asset_out,
-            quote.v_in,
-            quote.v_out,
-            quote.v_s_units,
-            quote.v_prime_units,
-            quote.rp_in_units,
-            quote.rp_out_units,
-            quote.fee_units,
-        )
+) -> SwapQuote:
+    """Quote a swap with ``quote_swap`` and commit it at once: the
+    ledger ``trade`` row moves inventory, T and the premium reserves,
+    and both legs' marks advance. Returns the quote; a rejected quote
+    raises and commits nothing."""
+    quote = quote_swap(
+        asset_in, asset_out, v_in, sheet, curves, params_by_asset, theta,
+        vaults_by_asset=vaults_by_asset,
     )
-    curves[quote.asset_in].bid_mark += quote.v_in
-    curves[quote.asset_out].ask_mark += quote.v_out
-    return quote.v_out
+    sheet.record_trade((
+        timestep, asset_in, asset_out, v_in, quote.v_out, quote.v_s_units,
+        quote.v_prime_units, quote.rp_in_units, quote.rp_out_units, quote.fee_units,
+    ))
+    curves[asset_in].bid_mark += v_in
+    curves[asset_out].ask_mark += quote.v_out
+    return quote

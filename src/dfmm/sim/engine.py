@@ -17,8 +17,9 @@ the engine is built. ``liquidations`` adds up the checks that liquidated
 a vault, so each counts once: without queued deposits, which can revive
 a vault, it equals the 0 -> 1 flips of the vaults log's ``liquidated``.
 
-Every quote, whether from a trader, the script or the arbitrageur, is
-gated on vault capacity net of a reserve: the premium debit the next
+Every swap, whether from a trader, the script or the arbitrageur, is
+quoted and committed in one ``pricing.execute_swap`` call, and its quote
+is gated on vault capacity net of a reserve: the premium debit the next
 boundary would take from the covering vault at the post-trade flow T,
 valued with the params in force at the quote by the same
 ``boundary_premium_flow`` the boundary uses. A trade is rejected unless
@@ -77,7 +78,7 @@ from ..errors import EngineError, InvariantBreach
 from ..ledger import BalanceSheet, solvency_check
 from ..metrics import impermanent_loss
 from ..money import from_units, to_units
-from ..pricing import RebalanceParams, execute_swap, quote_swap
+from ..pricing import RebalanceParams, execute_swap
 from ..treasury import RewardLedger, TreasuryReserve, treasury_update
 from ..vaults import (
     LONG,
@@ -213,14 +214,10 @@ class Engine:
         extrapolation = "clamp" if self.cfg.clamp_extrapolation else "error"
         for aid in self.market.asset_ids():
             bid, ask = self.market[aid].fit_curves(slot_id, extrapolation=extrapolation)
-            if aid in self.curves:
-                self.curves[aid].reset(bid, ask)
-            else:
-                self.curves[aid] = AssetCurves(aid, bid, ask)
+            self.curves[aid] = AssetCurves(bid, ask)
             for curve in (bid, ask):
                 rec = curve.to_record()
                 self.logs["curves"].append((rec[0], aid) + rec[1:])
-        self.sheet.bump_version()
 
     def _strike_all(self) -> None:
         """Open each asset's epoch on its vault pair: T, bid and hedge."""
@@ -250,20 +247,14 @@ class Engine:
     # trading
 
     def submit_trade(self, asset_in: str, asset_out: str, v_in: float, agent: str):
-        """Quote and execute one swap; returns the quote it filled, or None
-        if rejected. Each fill is one ``trade`` row of the ledger."""
+        """Quote and commit one swap in one ``execute_swap`` call; returns
+        the quote it filled, or None if rejected. Each fill is one
+        ``trade`` row of the ledger."""
         try:
-            quote = quote_swap(
-                asset_in,
-                asset_out,
-                v_in,
-                self.sheet,
-                self.curves,
-                self.params,
-                self.cfg.theta,
-                vaults_by_asset=self.vaults,
+            quote = execute_swap(
+                asset_in, asset_out, v_in, self.sheet, self.curves, self.params,
+                self.cfg.theta, vaults_by_asset=self.vaults, timestep=self.t,
             )
-            execute_swap(quote, self.sheet, self.curves, timestep=self.t)
         except EngineError:
             self.rejected += 1
             return None
@@ -367,11 +358,11 @@ class Engine:
         quote = self.submit_trade(asset_in, asset_out, v_in, agent="arb")
         if quote is None:
             return
-        self.market[asset_in].record_flow(quote.v_in)
+        self.market[asset_in].record_flow(v_in)
         self.market[asset_out].record_flow(-quote.v_out)
         gain = (
             self.market[asset_out].mid * quote.v_out
-            - self.market[asset_in].mid * quote.v_in
+            - self.market[asset_in].mid * v_in
             - self.arb.fixed_cost
         )
         self.arb_pnl += gain

@@ -668,11 +668,10 @@ class TraderFlow:
         return out
 
 
-def trade_row(t: int, quote, v_in: float, t_after_units: tuple[int, int]) -> tuple:
-    """The trades-log row of a fill at timestep ``t``; ``t_after_units``
-    holds the in- and out-asset flows T after it, which the quote itself
-    carried when this row was built."""
-    pair = f"{quote.asset_in}->{quote.asset_out}"
+def trade_row(t: int, pair: str, quote, v_in: float, t_after_units: tuple[int, int]) -> tuple:
+    """The trades-log row of a fill of ``pair`` at timestep ``t``;
+    ``t_after_units`` holds the in- and out-asset flows T after it, which
+    the quote itself carried when this row was built."""
     t_in_after_units, t_out_after_units = t_after_units
     return (
         t,

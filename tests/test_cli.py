@@ -465,6 +465,20 @@ class TestSweep:
         assert capsys.readouterr().out == serial
         assert pools == [2]
 
+    def test_no_valid_point_exits_2_after_its_table(self, tmp_path, capsys):
+        ini = demo_ini(tmp_path, {"run": {"horizon": 12}})
+        assert cli.main(["sweep", str(ini), "--grid", "trader_rate=nan"]) == cli.EXIT_VALIDATION
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows == ["0,nan,,,,,,error: traders.rate must be finite, got nan"]
+
+    def test_halted_point_exits_3_after_its_table(self, tmp_path, capsys):
+        # unclamped curves at rate 8 run a mark out of the fit domain
+        ini = demo_ini(tmp_path, {"run": {"horizon": 200}, "traders": {"rate": 8}})
+        grid = "clamp_extrapolation=false,true"
+        assert cli.main(["sweep", str(ini), "--grid", grid]) == cli.EXIT_BREACH
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows] == ["breach", "ok"]
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_parse_error(self, capsys, jobs):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ from dfmm import eldf
 from dfmm.eldf import (
     ASK,
     BID,
-    AssetCurves,
     CurvePoint,
     Eldf,
     fit_eldf,
@@ -430,15 +429,6 @@ class TestCurvePoint:
     def test_negative_volume(self):
         with pytest.raises(NonMonotoneVolumes):
             CurvePoint(-1.0, 1.0)
-
-
-class TestAssetCurves:
-    def test_reset_clears_marks(self, unit_curve):
-        ac = AssetCurves("X", unit_curve("bid"), unit_curve("ask"))
-        ac.bid_mark = 5.0
-        ac.ask_mark = 3.0
-        ac.reset(unit_curve("bid"), unit_curve("ask"))
-        assert ac.bid_mark == 0.0 and ac.ask_mark == 0.0
 
 
 @given(

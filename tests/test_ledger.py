@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfmm.errors import EngineError, NonFiniteAmount, NonPositiveAmount, ValuationUnavailable
+from dfmm.errors import EngineError, NonFiniteAmount, NonPositiveAmount
 from dfmm.ledger import BalanceSheet, solvency_check
 from dfmm.money import to_units
 
@@ -80,11 +80,6 @@ class TestSolvency:
         sheet = make_sheet(X=(80.0, 100.0), Y=(100.0, 100.0))
         surplus = solvency_check(sheet, {"X": unit_curve(), "Y": unit_curve()})
         assert surplus == -to_units(20.0)
-
-    def test_missing_curve(self):
-        sheet = make_sheet(X=(80.0, 100.0))
-        with pytest.raises(ValuationUnavailable):
-            solvency_check(sheet, {})
 
 
 class TestReplay:

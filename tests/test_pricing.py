@@ -11,7 +11,6 @@ from dfmm.errors import (
     InsufficientInventory,
     NoFeasibleSolution,
     NonFiniteAmount,
-    StaleQuote,
 )
 from dfmm.ledger import BalanceSheet
 from dfmm.money import from_units, to_units
@@ -51,8 +50,8 @@ def make_env(t_x=0.0, t_y=0.0, params=P_ZERO, theta=0.0, deposit=10_000.0):
     sheet.t_units["X"] = to_units(t_x)
     sheet.t_units["Y"] = to_units(t_y)
     curves = {
-        "X": AssetCurves("X", unit("bid"), unit("ask")),
-        "Y": AssetCurves("Y", unit("bid"), unit("ask")),
+        "X": AssetCurves(unit("bid"), unit("ask")),
+        "Y": AssetCurves(unit("bid"), unit("ask")),
     }
     params_by_asset = {"X": params, "Y": params}
     return sheet, curves, params_by_asset, theta
@@ -199,12 +198,14 @@ class TestNotionalSolver:
 class TestQuoteExecute:
     def test_identity_swap(self):
         sheet, curves, params, theta = make_env()
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
+        quote = execute_swap(
+            "X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults(), timestep=1
+        )
         assert from_units(quote.v_s_units) == pytest.approx(10.0)
         assert from_units(quote.v_prime_units) == pytest.approx(10.0)
         assert from_units(quote.fee_units) == 0.0
-        v_out = execute_swap(quote, sheet, curves, timestep=1)
-        assert v_out == pytest.approx(10.0)
+        assert quote.v_out == pytest.approx(10.0)
+        assert sheet.log[-1][:3] == (1, "trade", "X")
         assert from_units(sheet.t_units["X"]) == pytest.approx(-10.0)
         assert from_units(sheet.t_units["Y"]) == pytest.approx(10.0)
         assert sheet.pools["X"].inventory == pytest.approx(10_010.0)
@@ -212,9 +213,8 @@ class TestQuoteExecute:
 
     def test_fee_only_swap(self):
         sheet, curves, params, theta = make_env(theta=0.1)
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
-        v_out = execute_swap(quote, sheet, curves)
-        assert v_out == pytest.approx(9.0)
+        quote = execute_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
+        assert quote.v_out == pytest.approx(9.0)
         assert from_units(quote.fee_units) == pytest.approx(1.0)
 
     def test_hand_case_quote(self):
@@ -235,24 +235,19 @@ class TestQuoteExecute:
             == quote.v_s_units
         )
 
-    def test_stale_quote_rejected(self):
-        sheet, curves, params, theta = make_env()
-        quote = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
-        sheet.deposit_plp("X", 1.0)  # any mutation invalidates
-        with pytest.raises(StaleQuote):
-            execute_swap(quote, sheet, curves)
-
     def test_marks_advance_and_reset_matters(self):
         sheet, curves, params, theta = make_env()
-        q1 = quote_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
-        execute_swap(q1, sheet, curves)
+        execute_swap("X", "Y", 10.0, sheet, curves, params, theta, vaults_by_asset=vaults())
         assert curves["X"].bid_mark == pytest.approx(10.0)
         assert curves["Y"].ask_mark == pytest.approx(10.0)
 
     def test_insufficient_inventory(self):
         sheet, curves, params, theta = make_env(deposit=5.0)
-        with pytest.raises(InsufficientInventory):
-            quote_swap("X", "Y", 50.0, sheet, curves, params, theta, vaults_by_asset=vaults())
+        for swap in (quote_swap, execute_swap):
+            with pytest.raises(InsufficientInventory):
+                swap("X", "Y", 50.0, sheet, curves, params, theta, vaults_by_asset=vaults())
+        # the rejected swap committed nothing
+        assert len(sheet.log) == 2 and curves["X"].bid_mark == curves["Y"].ask_mark == 0.0
 
     def test_capacity_limits(self):
         # small vaults cap X's surplus or Y's deficit at 5
@@ -285,10 +280,9 @@ class TestConservation:
         for _ in range(500):
             a_in, a_out = ("X", "Y") if rng.integers(2) else ("Y", "X")
             v_in = float(rng.uniform(0.1, 20.0))
-            quote = quote_swap(
+            quote = execute_swap(
                 a_in, a_out, v_in, sheet, curves, params, theta, vaults_by_asset=gate
             )
-            execute_swap(quote, sheet, curves)
             total_vs += quote.v_s_units
             total_vp += quote.v_prime_units
             total_rp += quote.rp_in_units + quote.rp_out_units
@@ -311,8 +305,7 @@ class TestConservation:
         env = (sheet, curves, params_by_asset, theta)
         gate = vaults()
 
-        q1 = quote_swap("X", "Y", 40.0, *env, vaults_by_asset=gate)
-        execute_swap(q1, sheet, curves)
+        execute_swap("X", "Y", 40.0, *env, vaults_by_asset=gate)
         assert sheet.t_units["X"] < 0 < sheet.t_units["Y"]
 
         # unwind toward zero, then land the residual exactly
@@ -322,10 +315,9 @@ class TestConservation:
                 break
             v_in = from_units(abs(t_y))
             if t_y > 0:
-                quote = quote_swap("Y", "X", v_in, *env, vaults_by_asset=gate)
+                execute_swap("Y", "X", v_in, *env, vaults_by_asset=gate)
             else:
-                quote = quote_swap("X", "Y", v_in, *env, vaults_by_asset=gate)
-            execute_swap(quote, sheet, curves)
+                execute_swap("X", "Y", v_in, *env, vaults_by_asset=gate)
         assert sheet.t_units["X"] == 0
         assert sheet.t_units["Y"] == 0
         assert sheet.rr_units["X"] == 0

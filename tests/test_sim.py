@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dfmm import cli, eldf
+from dfmm import cli, eldf, pricing
 from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach, SolverDivergence
 from dfmm.ledger import BalanceSheet, trade_rows
 from dfmm.money import from_units, to_units
@@ -365,6 +365,35 @@ class TestEngine:
         filled = [(row[0], row[1], row[2]) for row in trade_rows(art.logs["ledger"], {})]
         assert filled == [(1, "Y->X", 10.0), (3, "X->Y", 25.0), (3, "Y->X", 40.0)]
 
+    def test_one_quote_per_attempted_trade(self, monkeypatch):
+        # small pools under busy flow reject some trades for inventory;
+        # every fill and every reject is one quote, and a fill one row
+        calls = []
+        quote = pricing.quote_swap
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return quote(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "quote_swap", counting)
+        small = (asset("X", deposit=50.0), asset("Y", mid_price=50.0, deposit=50.0))
+        art = Engine(scenario(trader_rate=4, horizon=30, assets=small)).run()
+        fills, rejected = art.summary["fills"], art.summary["rejected"]
+        assert fills > 0 and rejected > 0
+        assert len(calls) == fills + rejected
+        assert sum(row[1] == "trade" for row in art.logs["ledger"]) == fills
+
+    def test_refit_starts_every_asset_at_zero_marks(self):
+        # trades at t=1 and t=2 move all four marks; the refit that opens
+        # the second 2-step slot, at t=3, starts them again from zero
+        script = ((1, "X", "Y", 25.0), (2, "Y", "X", 10.0))
+        eng = Engine(scenario(scripted_trades=script, slot_len=2, horizon=3))
+        eng.step_timestep()
+        eng.step_timestep()
+        assert all(c.bid_mark > 0.0 and c.ask_mark > 0.0 for c in eng.curves.values())
+        eng.step_timestep()
+        assert all(c.bid_mark == c.ask_mark == 0.0 for c in eng.curves.values())
+
     def test_trade_moves_flow_and_inventory(self):
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),))
         eng = Engine(cfg)
@@ -459,7 +488,7 @@ class TestEngine:
         # mark runs past v_hi, and the clamp mode sources the rest at the
         # boundary density instead of rejecting with ReversedInterval
         errors = []
-        quote = engine_mod.quote_swap
+        quote = pricing.quote_swap
 
         def recording(*args, **kwargs):
             try:
@@ -468,7 +497,7 @@ class TestEngine:
                 errors.append(type(exc).__name__)
                 raise
 
-        monkeypatch.setattr(engine_mod, "quote_swap", recording)
+        monkeypatch.setattr(pricing, "quote_swap", recording)
         cfg = scenario(
             trader_rate=4,
             horizon=40,
@@ -1209,7 +1238,8 @@ class TestTradesView:
             if quote is not None:
                 t_units = eng.sheet.t_units
                 t_after = (t_units[asset_in], t_units[asset_out])
-                rows.append(oracles.trade_row(eng.t, quote, v_in, t_after))
+                pair = f"{asset_in}->{asset_out}"
+                rows.append(oracles.trade_row(eng.t, pair, quote, v_in, t_after))
                 agents.append(agent)
             return quote
 
