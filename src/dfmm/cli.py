@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .errors import CorruptManifest, ParseError, UnknownLogKind
+from .errors import BadRunDir, ParseError
 from .sim.config import SWEEPABLE, _FIELD_TYPES, _convert, load_config
 from .sim.engine import Engine
 from .sim.output import LogWriter, read_log, read_manifest, write_logs
@@ -207,7 +207,7 @@ def cmd_inspect(args) -> int:
     try:
         read_manifest(args.outdir)
         header, rows = read_log(args.outdir, args.log)
-    except (CorruptManifest, UnknownLogKind) as exc:
+    except BadRunDir as exc:
         print(f"inspect error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(",".join(header))

@@ -22,16 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import (
-    NoFeasibleRoot,
-    NonMonotoneVolumes,
-    NonPositiveDensity,
-    OutOfDomain,
-    ParseError,
-    ReversedInterval,
-    SolverDivergence,
-    TooFewPoints,
-)
+from .errors import BadCurve, BadParams, NoFeasibleSolution, OutOfDomain, ParseError
 
 BID = "bid"
 ASK = "ask"
@@ -49,9 +40,9 @@ class CurvePoint:
 
     def __post_init__(self):
         if not self.price > 0:
-            raise NonPositiveDensity(f"price must be positive, got {self.price}")
+            raise BadCurve(f"price must be positive, got {self.price}")
         if self.volume < 0:
-            raise NonMonotoneVolumes(f"volume must be nonnegative, got {self.volume}")
+            raise BadCurve(f"volume must be nonnegative, got {self.volume}")
 
 
 @dataclass(frozen=True)
@@ -69,11 +60,11 @@ class Eldf:
 
     def __post_init__(self):
         if not self.v_lo < self.v_hi:
-            raise NonPositiveDensity(
+            raise BadCurve(
                 f"empty fit domain [{self.v_lo}, {self.v_hi}]"
             )
         if self.extrapolation not in _EXTRAPOLATION_MODES:
-            raise ValueError(f"unknown extrapolation mode {self.extrapolation!r}")
+            raise BadParams(f"unknown extrapolation mode {self.extrapolation!r}")
         _check_positive_density(self.c2, self.c1, self.c0, self.v_lo, self.v_hi)
 
     def to_record(self) -> tuple:
@@ -94,19 +85,19 @@ def _check_positive_density(c2, c1, c0, v_lo, v_hi):
     q_lo = _poly(c2, c1, c0, v_lo)
     q_hi = _poly(c2, c1, c0, v_hi)
     if not all(map(math.isfinite, (c2, c1, c0, q_lo, q_hi))):
-        raise NonPositiveDensity(
+        raise BadCurve(
             f"density {c2:.6g}*v^2 + {c1:.6g}*v + {c0:.6g} is not finite "
             f"on [{v_lo:.6g}, {v_hi:.6g}]"
         )
     if q_lo < 0.0 or q_hi < 0.0 or (q_lo == 0.0 and q_hi == 0.0):
         bad = v_lo if q_lo <= q_hi else v_hi
-        raise NonPositiveDensity(
+        raise BadCurve(
             f"density {_poly(c2, c1, c0, bad):.6g} at v={bad:.6g} is not positive"
         )
     if c2 != 0.0:
         vertex = -c1 / (2.0 * c2)
         if v_lo < vertex < v_hi and _poly(c2, c1, c0, vertex) <= 0.0:
-            raise NonPositiveDensity(
+            raise BadCurve(
                 f"density dips to {_poly(c2, c1, c0, vertex):.6g} at v={vertex:.6g}"
             )
 
@@ -127,14 +118,14 @@ def _design(vol_bytes: bytes) -> tuple:
     columns rescaled to unit max-norm (so the 3x3 system stays well
     conditioned even for large volume ranges), its Gram matrix and the
     column scales. Keyed on the exact float64 bytes of the volumes, so a
-    cache hit hands back the arrays a fresh build would compute. Raises,
-    caching nothing, NonMonotoneVolumes unless volumes strictly increase
-    and SolverDivergence for a singular Gram matrix: LAPACK's ``gesv``
-    finds that from the matrix alone, so one solve refuses the grid once.
+    cache hit hands back the arrays a fresh build would compute. Raises
+    BadCurve, caching nothing, unless volumes strictly increase and the
+    Gram matrix is not singular: LAPACK's ``gesv`` finds that from the
+    matrix alone, so one solve refuses the grid once.
     """
     vols = np.frombuffer(vol_bytes, dtype=float)
     if not np.all(np.diff(vols) > 0):
-        raise NonMonotoneVolumes("snapshot volumes must be strictly increasing")
+        raise BadCurve("snapshot volumes must be strictly increasing")
     # volumes whose squares overflow give NaN coefficients, which Eldf
     # rejects, so numpy need not warn about them as well
     with np.errstate(over="ignore", invalid="ignore"):
@@ -145,7 +136,7 @@ def _design(vol_bytes: bytes) -> tuple:
     try:
         np.linalg.solve(ata, scale)  # any right-hand side gives the same verdict
     except np.linalg.LinAlgError as exc:
-        raise SolverDivergence(f"normal equations singular: {exc}") from None
+        raise BadCurve(f"normal equations singular: {exc}") from None
     for arr in (a_s, ata, scale):
         arr.flags.writeable = False
     return a_s, ata, scale
@@ -161,11 +152,11 @@ def fit_eldf(
 ) -> Eldf:
     """Least-squares degree-2 fit of density (``prices``) over ``volumes``.
 
-    Fewer than 3 points raise TooFewPoints, a price that is not > 0 (NaN
-    included) NonPositiveDensity, and volumes that do not start at or
-    above zero and strictly increase NonMonotoneVolumes. Exact degree-<=2
-    data is reproduced to fitting tolerance. Raises NonPositiveDensity
-    when the fitted curve dips to zero or below inside the domain.
+    Raises BadCurve for fewer than 3 points, a price that is not > 0
+    (NaN included), volumes that do not start at or above zero and
+    strictly increase, and a fitted curve that dips to zero or below
+    inside the domain. Exact degree-<=2 data is reproduced to fitting
+    tolerance.
 
     The design matrix, its Gram matrix and the column scales depend only
     on the volumes, so they come from a small cache (``_design``) keyed on
@@ -180,11 +171,11 @@ def fit_eldf(
     vols = np.asarray(volumes, dtype=float)
     prices = np.asarray(prices, dtype=float)
     if len(vols) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(vols)}")
+        raise BadCurve(f"need at least 3 points, got {len(vols)}")
     if not prices.min() > 0:  # NaN propagates through min
-        raise NonPositiveDensity(f"price must be positive, got {prices[~(prices > 0)][0]}")
+        raise BadCurve(f"price must be positive, got {prices[~(prices > 0)][0]}")
     if vols[0] < 0:
-        raise NonMonotoneVolumes(f"volume must be nonnegative, got {vols[0]}")
+        raise BadCurve(f"volume must be nonnegative, got {vols[0]}")
     a_s, ata, scale = _design(vols.tobytes())
     atb = a_s.T @ prices
     coef = _umath_linalg.solve1(ata, atb, signature="dd->d") / scale
@@ -215,7 +206,7 @@ def integrate_eldf(curve: Eldf, v1: float, v2: float) -> float:
     if lo <= v1 <= v2 <= hi:
         return _antideriv(c2, c1, c0, v2) - _antideriv(c2, c1, c0, v1)
     if v2 < v1:
-        raise ReversedInterval(f"v2={v2} < v1={v1}")
+        raise BadParams(f"v2={v2} < v1={v1}")
     _domain_check(curve, v1)
     _domain_check(curve, v2)
     a1, a2 = min(max(v1, lo), hi), min(max(v2, lo), hi)
@@ -276,7 +267,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     final check take ``integrate_eldf``'s float operations in its order.
     """
     if target_value < 0:
-        raise NoFeasibleRoot(f"target value must be nonnegative, got {target_value}")
+        raise BadParams(f"target value must be nonnegative, got {target_value}")
     c2, c1, c0 = curve.c2, curve.c1, curve.c0
     lo, hi = curve.v_lo, curve.v_hi
     if not lo <= v1 <= hi:  # inside the domain the check cannot fail
@@ -297,7 +288,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
         if curve.extrapolation == "clamp":
             tail_density = _poly(c2, c1, c0, hi)
             return max(hi, v1) + (target_value - capacity) / tail_density
-        raise NoFeasibleRoot(
+        raise OutOfDomain(
             f"book can source only {capacity:.6g} from v1={v1:.6g}, "
             f"requested {target_value:.6g}"
         )
@@ -308,7 +299,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     slack = 1e-9 * max(1.0, hi - lo)
     feasible = [r for r in roots if v1_eff - slack <= r <= hi + slack]
     if not feasible:
-        raise NoFeasibleRoot(
+        raise NoFeasibleSolution(
             f"no real root in [{v1_eff:.6g}, {hi:.6g}] for value {target_value:.6g}"
         )
     v2 = min(max(min(feasible), v1_eff), hi)
@@ -325,7 +316,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
             break
     final = (((a3 * v2 + a2) * v2 + c0) * v2 - f1) + head
     if abs(final - target_value) > 1e-6 * max(1.0, target_value):
-        raise SolverDivergence(
+        raise NoFeasibleSolution(
             f"cubic solve residual {final - target_value:.3g} for M={target_value:.6g}"
         )
     return v2
@@ -353,9 +344,9 @@ def snapshot_to_curves(
     bid_raw = [p for p in raw if p.price <= mid_price]
     ask_raw = [p for p in raw if p.price > mid_price]
     if len(bid_raw) < 3:
-        raise TooFewPoints(f"bid side has {len(bid_raw)} points, need 3")
+        raise BadCurve(f"bid side has {len(bid_raw)} points, need 3")
     if len(ask_raw) < 3:
-        raise TooFewPoints(f"ask side has {len(ask_raw)} points, need 3")
+        raise BadCurve(f"ask side has {len(ask_raw)} points, need 3")
 
     # Bid points sit below the mid on the shared volume axis; the point
     # nearest the mid is the best bid, so depth counts downward from it.

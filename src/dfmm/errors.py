@@ -1,14 +1,43 @@
-"""Exception taxonomy for the engine.
+"""Exception taxonomy: one class per reason a run rejects a trade, halts
+or refuses its input.
 
-The errors that engine modules raise on bad input or state derive from
-EngineError, so callers (and the CLI) can tell engine failures from
-programming errors. Three checks raise ValueError instead, as they
-catch a caller's mistake that no scenario input can reach:
-``pricing.RebalanceParams`` rejects a negative aggressiveness or cover
-coefficient, ``eldf.Eldf`` an unknown extrapolation mode, and
-``ledger.BalanceSheet._apply`` an unknown row kind.
-InvariantBreach is reserved for fail-stop conditions: the run halts and
-logs are preserved.
+Every ``raise`` in the package raises an EngineError subclass, except
+the OSError of a lost log writer and argparse's type error, so callers
+(and the CLI) can tell engine failures from programming errors. In a run,
+where an error is raised decides what it does: a quote that raises
+rejects its trade, the arbitrageur skips a move it cannot size, and any
+other engine error halts the run fail-stop with a diagnostic naming the
+class and the timestep, the logs kept.
+
+=====================  ===================================================
+class                  reason
+=====================  ===================================================
+BadCurve               the points or fit give no usable density curve:
+                       fewer than 3 points, volumes that are negative or
+                       not increasing, a price or density that is not
+                       positive and finite, an empty domain, a singular fit
+OutOfDomain            a volume past a curve's fit domain with
+                       extrapolation off, including a value the book
+                       cannot source
+NoFeasibleSolution     a solver finds no root that meets its residual
+                       test, or a quote does not balance
+BadParams              a caller passes an argument outside its range
+NonFiniteAmount        an amount that is infinite, NaN or too large for
+                       ledger units, or an external mid that overflows or
+                       underflows to 0
+InsufficientInventory  the out-pool holds less than a quote delivers
+ExceedsCapacity        a trade would take open inventory past its vault's
+                       capacity
+ZeroPrevValue          a swaption whose notional was struck at a value
+                       of zero or less
+InvariantBreach        a fail-stop invariant broke: the conservation
+                       audit, or a negative treasury balance
+ConfigInvalid          a scenario breaks its validation rules
+ParseError             a scenario file, sweep grid or snapshot record
+                       does not parse
+BadRunDir              a run directory's manifest or log files cannot be
+                       read, or an unknown log kind is asked for
+=====================  ===================================================
 """
 
 
@@ -16,17 +45,7 @@ class EngineError(Exception):
     pass
 
 
-# --- curve construction / evaluation ---
-
-class TooFewPoints(EngineError):
-    pass
-
-
-class NonMonotoneVolumes(EngineError):
-    pass
-
-
-class NonPositiveDensity(EngineError):
+class BadCurve(EngineError):
     pass
 
 
@@ -34,35 +53,15 @@ class OutOfDomain(EngineError):
     pass
 
 
-class ReversedInterval(EngineError):
-    pass
-
-
-class NoFeasibleRoot(EngineError):
-    pass
-
-
-class SolverDivergence(EngineError):
-    pass
-
-
-# --- ledger ---
-
-class NonPositiveAmount(EngineError):
-    pass
-
-
-class NonFiniteAmount(EngineError):
-    """An amount that is infinite, NaN or too large for integer ledger units."""
-
-
-# --- pricing ---
-
 class NoFeasibleSolution(EngineError):
     pass
 
 
-class ExceedsCapacity(EngineError):
+class BadParams(EngineError):
+    pass
+
+
+class NonFiniteAmount(EngineError):
     pass
 
 
@@ -70,9 +69,7 @@ class InsufficientInventory(EngineError):
     pass
 
 
-# --- vaults ---
-
-class BadParams(EngineError):
+class ExceedsCapacity(EngineError):
     pass
 
 
@@ -80,23 +77,9 @@ class ZeroPrevValue(EngineError):
     pass
 
 
-# --- treasury ---
-
-class BadRates(EngineError):
+class InvariantBreach(EngineError):
     pass
 
-
-class NegativeReserveInvariantBreach(EngineError):
-    """Treasury balance went negative: the auction cap logic is broken."""
-
-
-# --- metrics ---
-
-class NonPositivePrice(EngineError):
-    pass
-
-
-# --- simulation / cli ---
 
 class ConfigInvalid(EngineError):
     def __init__(self, violations):
@@ -108,13 +91,5 @@ class ParseError(EngineError):
     pass
 
 
-class UnknownLogKind(EngineError):
+class BadRunDir(EngineError):
     pass
-
-
-class CorruptManifest(EngineError):
-    pass
-
-
-class InvariantBreach(EngineError):
-    """Fatal fail-stop: engine state violated a hard invariant."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .eldf import Eldf, integrate_eldf
-from .errors import NonPositiveAmount
+from .errors import BadParams
 from .money import from_units, to_units
 
 
@@ -91,7 +91,7 @@ class BalanceSheet:
     def deposit_plp(self, asset_id: str, amount: float) -> AssetPool:
         """Deposit before the first timestep: the row's timestep is 0."""
         if not amount > 0:
-            raise NonPositiveAmount(f"deposit must be positive, got {amount}")
+            raise BadParams(f"deposit must be positive, got {amount}")
         self._record((0, "deposit_plp", asset_id, "", float(amount), "", "", "", "", "", "", ""))
         return self.pools[asset_id]
 
@@ -133,7 +133,7 @@ class BalanceSheet:
         elif kind == "rr_adjust":
             self.rr_units[a_in] += rp_in
         else:
-            raise ValueError(f"unknown ledger row kind {kind!r}")
+            raise BadParams(f"unknown ledger row kind {kind!r}")
 
     @classmethod
     def replay(cls, rows) -> "BalanceSheet":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonPositivePrice
+from .errors import BadParams
 
 
 def impermanent_loss(p0: float, p1: float) -> float:
@@ -14,6 +14,6 @@ def impermanent_loss(p0: float, p1: float) -> float:
     positive prices (AM-GM), zero only when the price is unchanged.
     """
     if p0 <= 0 or p1 <= 0:
-        raise NonPositivePrice(f"prices must be positive, got p0={p0}, p1={p1}")
+        raise BadParams(f"prices must be positive, got p0={p0}, p1={p1}")
     r = p1 / p0
     return math.sqrt(r) - (r + 1.0) / 2.0

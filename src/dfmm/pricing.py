@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .eldf import AssetCurves, integrate_eldf, solve_volume_for_value
-from .errors import InsufficientInventory, NoFeasibleSolution, NonFiniteAmount
+from .errors import BadParams, InsufficientInventory, NoFeasibleSolution, NonFiniteAmount
 from .ledger import LONG, SHORT, BalanceSheet
 from .money import SCALE, from_units, to_units
 
@@ -67,9 +67,9 @@ class RebalanceParams:
 
     def __post_init__(self):
         if self.a_rhs < 0 or self.a_lhs < 0:
-            raise ValueError("aggressiveness must be nonnegative")
+            raise BadParams("aggressiveness must be nonnegative")
         if self.d_rhs < 0 or self.d_lhs < 0:
-            raise ValueError("cover coefficients must be nonnegative")
+            raise BadParams("cover coefficients must be nonnegative")
 
 
 def premium_fn(t: float, params: RebalanceParams) -> float:
@@ -155,7 +155,7 @@ def solve_adjusted_notional(
     either flow crosses zero; within a piece the balance is a quadratic.
     """
     if v_s < 0:
-        raise NoFeasibleSolution(f"gross notional must be nonnegative, got {v_s}")
+        raise BadParams(f"gross notional must be nonnegative, got {v_s}")
     if v_s == 0.0:
         return 0.0
     rhs = (1.0 - theta) * v_s
@@ -372,9 +372,9 @@ def quote_swap(
     committed there and these params, else ``ExceedsCapacity``.
     """
     if not v_in > 0:
-        raise NoFeasibleSolution(f"v_in must be positive, got {v_in}")
+        raise BadParams(f"v_in must be positive, got {v_in}")
     if asset_in == asset_out:
-        raise NoFeasibleSolution("cannot swap an asset for itself")
+        raise BadParams("cannot swap an asset for itself")
     cin = curves[asset_in]
     cout = curves[asset_out]
     params_in = params_by_asset[asset_in]

@@ -86,7 +86,6 @@ class ScenarioConfig:
     rho_short: float = _ini("vaults.rho_short", 0.5, "(0, 1]")
     margin_floor: float = _ini("vaults.margin_floor", 1.0, ">= 0", amount=True)
     clamp_extrapolation: bool = _ini("engine.clamp_extrapolation", True)
-    u_max_report: float = _ini("engine.u_max_report", 10.0, "> 0")
     reward_gamma: float = _ini("rewards.gamma", 0.01, "[0, 1)")
     trader_rate: float = _ini("traders.rate", 0.0, ">= 0")
     trader_size_mu: float = _ini("traders.size_mu", 2.0)
@@ -220,14 +219,14 @@ _ASSET_FIELD_TYPES = {
 
 
 def _convert(raw: str, type_name: str, where: str):
+    if type_name == "bool":
+        lowered = raw.strip().lower()
+        if lowered in ("true", "yes", "on", "1"):
+            return True
+        if lowered in ("false", "no", "off", "0"):
+            return False
+        raise ParseError(f"{where}: not a boolean: {raw!r}")
     try:
-        if type_name == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if type_name == "int":
             return int(raw)
         return float(raw)

@@ -230,9 +230,7 @@ class Engine:
     def _recompute_cover(self) -> None:
         cfg = self.cfg
         for aid in self.sheet.asset_ids():
-            util = utilisation(
-                self.sheet.pools[aid], self.vaults[aid], u_max_report=cfg.u_max_report
-            )
+            util = utilisation(self.sheet.pools[aid], self.vaults[aid])
             d_rhs, d_lhs = (
                 cover_coefficient(u, cfg.d_min, cfg.d_max, cfg.u_max, cfg.k)
                 for u in (util.u_rhs, util.u_lhs)
@@ -324,9 +322,7 @@ class Engine:
         # the auction moves only params, the premium reserve and the
         # treasury, so one reading serves it and the metrics
         utils = {
-            aid: utilisation(
-                self.sheet.pools[aid], self.vaults[aid], u_max_report=cfg.u_max_report
-            )
+            aid: utilisation(self.sheet.pools[aid], self.vaults[aid])
             for aid in self.sheet.asset_ids()
         }
         at_epoch_boundary = self.t % cfg.epoch_len == 0

@@ -51,7 +51,8 @@ class AssetMarket:
         """One lognormal return step, after applying any queued impact,
         linear in the flow: ``impact_alpha`` times its size.
 
-        Raises ``NonFiniteAmount`` naming the asset when the mid overflows.
+        Raises ``NonFiniteAmount`` naming the asset when the mid overflows
+        or underflows to 0.
         """
         if self.pending_flow != 0.0:
             self.mid = max(self.mid + self.cfg.impact_alpha * self.pending_flow, 1e-9)
@@ -62,8 +63,9 @@ class AssetMarket:
             self.mid *= math.exp(self.cfg.drift - 0.5 * sigma * sigma + sigma * z)
         except OverflowError:
             self.mid = math.inf
-        if not math.isfinite(self.mid):
-            raise NonFiniteAmount(f"asset {self.cfg.asset_id}: external mid overflows")
+        if not 0.0 < self.mid < math.inf:
+            how = "overflows" if self.mid else "underflows to 0"
+            raise NonFiniteAmount(f"asset {self.cfg.asset_id}: external mid {how}")
 
     def record_flow(self, signed_volume: float) -> None:
         """Net external hedging flow; positive = external buying pressure."""

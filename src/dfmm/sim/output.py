@@ -28,10 +28,10 @@ import subprocess
 import sys
 from dataclasses import asdict
 
-from ..errors import CorruptManifest, UnknownLogKind
+from .. import __version__
+from ..errors import BadRunDir
 from ..ledger import LEDGER, trade_rows
 
-ENGINE_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
 
 SCHEMAS = {
@@ -171,7 +171,7 @@ def write_logs(artifacts, outdir, writer: LogWriter, duration_seconds: float = 0
     files.append({"name": "summary.json", "rows": 1})
     manifest = {
         "schema": "dfmm.manifest.v1",
-        "engine_version": ENGINE_VERSION,
+        "engine_version": __version__,
         "config_hash": config_hash(artifacts.config),
         "seed": artifacts.config.seed,
         "files": files,
@@ -190,35 +190,35 @@ def read_manifest(outdir) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors too
-        raise CorruptManifest(f"{path}: {exc}") from None
+        raise BadRunDir(f"{path}: {exc}") from None
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
     if schema != "dfmm.manifest.v1":
-        raise CorruptManifest(f"{path}: unexpected schema {schema!r}")
+        raise BadRunDir(f"{path}: unexpected schema {schema!r}")
     try:
         names = [entry["name"] for entry in manifest.get("files", [])]
     except (TypeError, KeyError) as exc:
-        raise CorruptManifest(f"{path}: bad files list: {exc!r}") from None
+        raise BadRunDir(f"{path}: bad files list: {exc!r}") from None
     for name in names:
         if not os.path.exists(os.path.join(outdir, name)):
-            raise CorruptManifest(f"missing file listed in manifest: {name}")
+            raise BadRunDir(f"missing file listed in manifest: {name}")
     return manifest
 
 
 def read_log(outdir, kind) -> tuple[tuple, list]:
     """Header and raw string rows of one log kind."""
     if kind not in SCHEMAS:
-        raise UnknownLogKind(f"unknown log kind {kind!r}; know {sorted(SCHEMAS)}")
+        raise BadRunDir(f"unknown log kind {kind!r}; know {sorted(SCHEMAS)}")
     path = os.path.join(outdir, f"{kind}.csv")
     if not os.path.exists(path):
-        raise CorruptManifest(f"log file missing: {path}")
+        raise BadRunDir(f"log file missing: {path}")
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except (OSError, UnicodeDecodeError) as exc:
-        raise CorruptManifest(f"{path}: {exc}") from None
+        raise BadRunDir(f"{path}: {exc}") from None
     if len(lines) < 2:
-        raise CorruptManifest(f"{path}: no header row")
+        raise BadRunDir(f"{path}: no header row")
     header = tuple(lines[1].split(","))
     for line in lines[2:]:
         if line:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadRates, NegativeReserveInvariantBreach
+from .errors import BadParams, InvariantBreach
 from .ledger import AssetPool
 from .money import from_units
 from .vaults import VaultPair
@@ -48,7 +48,7 @@ def treasury_update(
     reserve.cum_upsilon_units += upsilon_delta_units
     reserve.balance_units = reserve.cum_xi_units - reserve.cum_upsilon_units
     if reserve.balance_units < 0:
-        raise NegativeReserveInvariantBreach(
+        raise InvariantBreach(
             f"treasury balance {reserve.balance_units} units after "
             f"xi={xi_delta_units}, upsilon={upsilon_delta_units}"
         )
@@ -72,7 +72,7 @@ def reward_distribute(
     range as [0, 1).
     """
     if accrued_units < 0:
-        raise BadRates(f"accrued rewards cannot be negative, got {accrued_units}")
+        raise BadParams(f"accrued rewards cannot be negative, got {accrued_units}")
     if accrued_units == 0:
         return {PLP: 0, SLP_LONG: 0, SLP_SHORT: 0}
 
@@ -121,7 +121,7 @@ class RewardLedger:
 
     def accrue(self, asset_id: str, units: int) -> None:
         if units < 0:
-            raise BadRates("cannot accrue a negative reward")
+            raise BadParams("cannot accrue a negative reward")
         self.accrued_units[asset_id] = self.accrued_units.get(asset_id, 0) + units
 
     def pending_units(self, asset_id: str) -> int:
@@ -136,7 +136,7 @@ class RewardLedger:
         pending = self.accrued_units.get(asset_id, 0)
         total = sum(shares.values())
         if total != pending:
-            raise BadRates(f"shares {total} do not match pending {pending}")
+            raise BadParams(f"shares {total} do not match pending {pending}")
         for cls, units in shares.items():
             key = (asset_id, cls)
             self.claimable_units[key] = self.claimable_units.get(key, 0) + units

@@ -148,9 +148,10 @@ class Utilisation:
     u_lhs: float
 
 
-def utilisation(
-    pool: AssetPool, vaults: VaultPair, *, u_max_report: float = math.inf
-) -> Utilisation:
+U_MAX_REPORT = 10.0
+
+
+def utilisation(pool: AssetPool, vaults: VaultPair) -> Utilisation:
     """Open inventory relative to what the vaults can support, per side.
 
     Each side's open inventory is divided by the bound the trade gate
@@ -158,7 +159,7 @@ def utilisation(
     min(LP claim, short capacity), so more short collateral lowers
     u_rhs, and with it the cover coefficient, only while the vault and
     not the LP claim is the binding term; the surplus by long capacity.
-    Each side is reported capped at ``u_max_report``, which is also what
+    Each side is reported capped at ``U_MAX_REPORT``, which is also what
     a side with open inventory and no capacity (a liquidated vault, or
     one at or below its margin floor) reports; zero open inventory
     reports zero whatever the capacity.
@@ -167,7 +168,7 @@ def utilisation(
     u = 0.0
     if side is not None:
         denom = side_cap(pool, vaults.by_side(side))
-        u = min(open_inventory / denom if denom > 0 else u_max_report, u_max_report)
+        u = min(open_inventory / denom if denom > 0 else U_MAX_REPORT, U_MAX_REPORT)
     return Utilisation(u_rhs=u if side == SHORT else 0.0, u_lhs=u if side == LONG else 0.0)
 
 

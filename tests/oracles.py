@@ -48,13 +48,10 @@ from dfmm.eldf import (
     _poly,
 )
 from dfmm.errors import (
-    NoFeasibleRoot,
+    BadCurve,
+    BadParams,
     NoFeasibleSolution,
-    NonMonotoneVolumes,
-    NonPositiveDensity,
-    ReversedInterval,
-    SolverDivergence,
-    TooFewPoints,
+    OutOfDomain,
     ZeroPrevValue,
 )
 from dfmm.money import from_units, to_units
@@ -312,7 +309,7 @@ def point_fit_eldf(
     """Least-squares degree-2 fit of density over volume.
 
     Volumes must be strictly increasing. Exact degree-<=2 data is
-    reproduced to fitting tolerance. Raises NonPositiveDensity when the
+    reproduced to fitting tolerance. Raises BadCurve when the
     fitted curve dips to zero or below anywhere inside the domain.
 
     The design matrix, its Gram matrix and the column scales depend only
@@ -323,7 +320,7 @@ def point_fit_eldf(
     the coefficients are bit-identical either way.
     """
     if len(points) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(points)}")
+        raise BadCurve(f"need at least 3 points, got {len(points)}")
     vols = np.array([p.volume for p in points], dtype=float)
     prices = np.array([p.price for p in points], dtype=float)
     a_s, ata, scale = _design(vols.tobytes())
@@ -331,7 +328,7 @@ def point_fit_eldf(
     try:
         coef = np.linalg.solve(ata, atb) / scale
     except np.linalg.LinAlgError as exc:
-        raise SolverDivergence(f"normal equations singular: {exc}") from None
+        raise BadCurve(f"normal equations singular: {exc}") from None
     c0, c1, c2 = coef.tolist()
     return Eldf(
         c2=c2,
@@ -351,13 +348,13 @@ def linalg_fit_eldf(volumes, prices) -> Eldf:
     vols = np.asarray(volumes, dtype=float)
     prices = np.asarray(prices, dtype=float)
     if len(vols) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(vols)}")
+        raise BadCurve(f"need at least 3 points, got {len(vols)}")
     if not prices.min() > 0:  # NaN propagates through min
-        raise NonPositiveDensity(f"price must be positive, got {prices[~(prices > 0)][0]}")
+        raise BadCurve(f"price must be positive, got {prices[~(prices > 0)][0]}")
     if vols[0] < 0:
-        raise NonMonotoneVolumes(f"volume must be nonnegative, got {vols[0]}")
+        raise BadCurve(f"volume must be nonnegative, got {vols[0]}")
     if not np.all(np.diff(vols) > 0):
-        raise NonMonotoneVolumes("snapshot volumes must be strictly increasing")
+        raise BadCurve("snapshot volumes must be strictly increasing")
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.column_stack([np.ones_like(vols), vols, vols * vols])
         scale = np.maximum(np.abs(a).max(axis=0), 1e-300)
@@ -367,7 +364,7 @@ def linalg_fit_eldf(volumes, prices) -> Eldf:
     try:
         coef = np.linalg.solve(ata, atb) / scale
     except np.linalg.LinAlgError as exc:
-        raise SolverDivergence(f"normal equations singular: {exc}") from None
+        raise BadCurve(f"normal equations singular: {exc}") from None
     c0, c1, c2 = coef.tolist()
     return Eldf(c2=c2, c1=c1, c0=c0, v_lo=float(vols[0]), v_hi=float(vols[-1]))
 
@@ -387,7 +384,7 @@ def integrate_eldf(curve: Eldf, v1: float, v2: float) -> float:
     length.
     """
     if v2 < v1:
-        raise ReversedInterval(f"v2={v2} < v1={v1}")
+        raise BadParams(f"v2={v2} < v1={v1}")
     _domain_check(curve, v1)
     _domain_check(curve, v2)
     lo, hi = curve.v_lo, curve.v_hi
@@ -412,7 +409,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     boundary density.
     """
     if target_value < 0:
-        raise NoFeasibleRoot(f"target value must be nonnegative, got {target_value}")
+        raise BadParams(f"target value must be nonnegative, got {target_value}")
     _domain_check(curve, v1)
     if target_value == 0.0:
         return v1
@@ -424,7 +421,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
         if curve.extrapolation == "clamp":
             tail_density = _poly(c2, c1, c0, hi)
             return hi + (target_value - capacity) / tail_density
-        raise NoFeasibleRoot(
+        raise OutOfDomain(
             f"book can source only {capacity:.6g} from v1={v1:.6g}, "
             f"requested {target_value:.6g}"
         )
@@ -439,7 +436,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     slack = 1e-9 * max(1.0, span)
     feasible = sorted(r for r in roots if v1_eff - slack <= r <= hi + slack)
     if not feasible:
-        raise NoFeasibleRoot(
+        raise NoFeasibleSolution(
             f"no real root in [{v1_eff:.6g}, {hi:.6g}] for value {target_value:.6g}"
         )
     v2 = min(max(feasible[0], v1_eff), hi)
@@ -458,7 +455,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
             break
     final = integrate_eldf(curve, v1, v2)
     if abs(final - target_value) > 1e-6 * max(1.0, target_value):
-        raise SolverDivergence(
+        raise NoFeasibleSolution(
             f"cubic solve residual {final - target_value:.3g} for M={target_value:.6g}"
         )
     return v2
@@ -572,7 +569,7 @@ def solve_adjusted_notional(
     either flow crosses zero; within a piece the balance is a quadratic.
     """
     if v_s < 0:
-        raise NoFeasibleSolution(f"gross notional must be nonnegative, got {v_s}")
+        raise BadParams(f"gross notional must be nonnegative, got {v_s}")
     if v_s == 0.0:
         return 0.0
     rhs = (1.0 - theta) * v_s

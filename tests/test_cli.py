@@ -64,7 +64,7 @@ class TestValidate:
 
     # Both profiles stay positive at x = 0 and x = 1 and dip below zero
     # only at their interior vertex x = 3/4.02; the engine's first refit
-    # would raise NonPositiveDensity there.
+    # would raise BadCurve there.
     @pytest.mark.parametrize("side,slope,curv", [("bid", 3.0, -2.01), ("ask", -3.0, 2.01)])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_profile_dipping_to_zero_exits_2(
@@ -120,12 +120,20 @@ class TestValidate:
         assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("parse error: ")
 
-    def test_removed_reward_alpha_key_is_a_parse_error(self, tmp_path, capsys):
-        # the split never read alpha: it cancels from both vault shares
-        ini = demo_ini(tmp_path, {"rewards": {"alpha": "1.0"}})
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            # the split never read alpha: it cancels from both vault shares
+            ("rewards", "alpha"),
+            # utilisation's report cap is the constant vaults.U_MAX_REPORT
+            ("engine", "u_max_report"),
+        ],
+    )
+    def test_removed_key_is_a_parse_error(self, tmp_path, capsys, section, key):
+        ini = demo_ini(tmp_path, {section: {key: "1.0"}})
         assert cli.main(["validate", str(ini)]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert captured.err == "parse error: [rewards] has unknown key 'alpha'\n"
+        assert captured.err == f"parse error: [{section}] has unknown key {key!r}\n"
         assert captured.out == ""
 
     # a misspelt section would otherwise leave the arbitrageur silently off
@@ -267,6 +275,18 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diagnostic"] == diagnostic
         assert (out / "manifest.json").exists()
+
+    def test_underflowing_mid_halts_with_exit_3(self, tmp_path, capsys):
+        # exp(-400) twice underflows the mid to 0 at t=2, between refits
+        ini = demo_ini(
+            tmp_path, {"run": {"horizon": 30, "slot_len": 3}, "asset.ALPHA": {"drift": -400}}
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ini), "--out", str(out)]) == cli.EXIT_BREACH
+        diagnostic = "NonFiniteAmount at t=2: asset ALPHA: external mid underflows to 0"
+        assert capsys.readouterr().err == f"run halted: {diagnostic}\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diagnostic"] == diagnostic
 
     def test_premium_overflowing_ledger_units_halts_with_exit_3(self, tmp_path, capsys):
         ini = demo_ini(tmp_path, {"premium": {"d_max": "1e300"}})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfmm.errors import EngineError, NonFiniteAmount, NonPositiveAmount
+from dfmm.errors import BadParams, EngineError, NonFiniteAmount
 from dfmm.ledger import BalanceSheet, solvency_check
 from dfmm.money import to_units
 
@@ -38,7 +38,7 @@ class TestDepositWithdraw:
         assert pool.inventory - pool.lp_inventory == pytest.approx(20.0)
 
     def test_zero_deposit_rejected(self):
-        with pytest.raises(NonPositiveAmount):
+        with pytest.raises(BadParams):
             BalanceSheet().deposit_plp("X", 0.0)
 
 def trade(sheet, asset_in, asset_out, v_prime_units):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfmm.errors import NonPositivePrice
+from dfmm.errors import BadParams
 from dfmm.metrics import impermanent_loss
 from oracles import cpmm_impermanent_loss
 
@@ -36,7 +36,7 @@ class TestImpermanentLoss:
         assert impermanent_loss(10.0, 20.0) == pytest.approx(impermanent_loss(1.0, 2.0))
 
     def test_invalid_prices(self):
-        with pytest.raises(NonPositivePrice):
+        with pytest.raises(BadParams):
             impermanent_loss(0.0, 1.0)
-        with pytest.raises(NonPositivePrice):
+        with pytest.raises(BadParams):
             impermanent_loss(1.0, -1.0)

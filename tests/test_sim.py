@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dfmm import cli, eldf, pricing
-from dfmm.errors import ConfigInvalid, ExceedsCapacity, InvariantBreach, SolverDivergence
+from dfmm.errors import BadCurve, ConfigInvalid, ExceedsCapacity, InvariantBreach
 from dfmm.ledger import BalanceSheet, trade_rows
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, quote_swap
@@ -40,8 +40,7 @@ INI_FIELDS = {
     "auction.j_star": "j_star", "auction.j_prime": "j_prime", "auction.j_dagger": "j_dagger",
     "vaults.rho_long": "rho_long", "vaults.rho_short": "rho_short",
     "vaults.margin_floor": "margin_floor", "engine.clamp_extrapolation": "clamp_extrapolation",
-    "engine.u_max_report": "u_max_report", "rewards.gamma": "reward_gamma",
-    "traders.rate": "trader_rate",
+    "rewards.gamma": "reward_gamma", "traders.rate": "trader_rate",
     "traders.size_mu": "trader_size_mu", "traders.size_sigma": "trader_size_sigma",
     "arbitrageur.enabled": "arb_enabled", "arbitrageur.fixed_cost": "arb_fixed_cost",
     "arbitrageur.max_exposure": "arb_max_exposure",
@@ -156,7 +155,6 @@ class TestConfig:
             ({"lam": 0.0}, "premium.lambda must be > 0, got 0.0"),
             ({"d_min": -1.0}, "premium.d_min must be >= 0, got -1.0"),
             ({"margin_floor": -1.0}, "vaults.margin_floor must be >= 0, got -1.0"),
-            ({"u_max_report": 0.0}, "engine.u_max_report must be > 0, got 0.0"),
             ({"trader_rate": -1.0}, "traders.rate must be >= 0, got -1.0"),
             ({"arb_fixed_cost": -1.0}, "arbitrageur.fixed_cost must be >= 0, got -1.0"),
             ({"arb_max_exposure": 0.0}, "arbitrageur.max_exposure must be > 0, got 0.0"),
@@ -186,7 +184,7 @@ class TestConfig:
             "asset-id-star", "asset-id-empty", "n_points-above-max",
             "horizon-negative", "epoch_len-zero", "slot_len-zero", "a_min-negative",
             "a_init-below-a_min", "lambda-zero", "d_min-negative", "margin_floor-negative",
-            "u_max_report-zero", "rate-negative", "fixed_cost-negative",
+            "rate-negative", "fixed_cost-negative",
             "max_exposure-zero", "mid_price-zero", "sigma-negative", "depth-zero",
             "deposit-zero", "spread-negative", "theta-nan", "lambda-nan",
         ],
@@ -916,12 +914,12 @@ class TestFailStop:
     def test_first_refit_error_halts_with_exit_3(self, tmp_path, capsys, monkeypatch):
         # an engine error in the first refit, in Engine.__init__
         def failing_fit(*args, **kwargs):
-            raise SolverDivergence("normal equations singular")
+            raise BadCurve("normal equations singular")
 
         monkeypatch.setattr("dfmm.sim.market.fit_eldf", failing_fit)
         out = tmp_path / "out"
         assert cli.main(["run", str(DEMO), "--out", str(out)]) == cli.EXIT_BREACH
-        diagnostic = "SolverDivergence at t=0: normal equations singular"
+        diagnostic = "BadCurve at t=0: normal equations singular"
         err = capsys.readouterr().err
         assert err == f"run halted: {diagnostic}\n"  # no traceback
         summary = json.loads((out / "summary.json").read_text())

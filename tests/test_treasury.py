@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfmm.auction import LHS, RHS, TOO_FAST, TOO_SLOW, update_aggressiveness
-from dfmm.errors import BadRates, ConfigInvalid, NegativeReserveInvariantBreach
+from dfmm.errors import BadParams, ConfigInvalid, InvariantBreach
 from dfmm.ledger import AssetPool
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams
@@ -144,7 +144,7 @@ class TestTreasuryUpdate:
     def test_uncapped_overdraw_is_fatal(self):
         res = TreasuryReserve()
         treasury_update(res, xi_delta_units=to_units(3.0))
-        with pytest.raises(NegativeReserveInvariantBreach):
+        with pytest.raises(InvariantBreach):
             treasury_update(res, upsilon_delta_units=to_units(4.0))
 
     def test_identity_over_random_flows(self):
@@ -229,5 +229,5 @@ class TestRewardLedger:
     def test_mismatched_distribution_rejected(self):
         ledger = RewardLedger()
         ledger.accrue("X", 100)
-        with pytest.raises(BadRates):
+        with pytest.raises(BadParams):
             ledger.distribute("X", {PLP: 10, SLP_LONG: 10, SLP_SHORT: 10})

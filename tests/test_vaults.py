@@ -11,6 +11,7 @@ from dfmm.pricing import RebalanceParams, premium_units
 from dfmm.vaults import (
     LONG,
     SHORT,
+    U_MAX_REPORT,
     SwaptionPosition,
     Vault,
     VaultPair,
@@ -80,11 +81,11 @@ class TestUtilisation:
     def test_zero_capacity_with_deficit(self):
         # open inventory with no capacity reports the cap
         pool = AssetPool("X", 80.0, 100.0)
-        u = utilisation(pool, pair(c_short=0.0), u_max_report=10.0)
+        u = utilisation(pool, pair(c_short=0.0))
         assert (u.u_rhs, u.u_lhs) == (10.0, 0.0)
         vaults = pair(c_long=0.0)
         vaults.long.liquidated = True
-        u = utilisation(AssetPool("X", 130.0, 100.0), vaults, u_max_report=10.0)
+        u = utilisation(AssetPool("X", 130.0, 100.0), vaults)
         assert (u.u_rhs, u.u_lhs) == (0.0, 10.0)
 
     def test_zero_capacity_without_deficit_is_fine(self):
@@ -92,15 +93,15 @@ class TestUtilisation:
         assert (u.u_rhs, u.u_lhs) == (0.0, 0.0)
 
     def test_report_cap(self):
-        u = utilisation(
-            AssetPool("X", 0.0, 100.0), pair(c_short=1.0), u_max_report=3.0
-        )
-        assert u.u_rhs == 3.0
+        # open inventory 100 against a short capacity of 6 is 16.7, reported
+        # as the cap
+        u = utilisation(AssetPool("X", 0.0, 100.0), pair(c_short=3.0))
+        assert u.u_rhs == U_MAX_REPORT == 10.0
 
     def test_vault_at_or_below_floor_has_no_capacity(self):
         # 0.5 of collateral under a floor of 1.0, not yet liquidated: the
         # trade gate's side_cap is 0, so utilisation reports the cap
-        u = utilisation(AssetPool("X", 99.9, 100.0), pair(c_short=0.5), u_max_report=10.0)
+        u = utilisation(AssetPool("X", 99.9, 100.0), pair(c_short=0.5))
         assert u.u_rhs == 10.0
 
 
