@@ -184,14 +184,8 @@ def cmd_sweep(args) -> int:
     return EXIT_BREACH if any(s["halted"] for s in summaries.values()) else EXIT_OK
 
 
-def _row_time(header, row):
-    for i, name in enumerate(header):
-        if name in ("timestep", "time", "epoch", "slot_id"):
-            try:
-                return float(row[i])
-            except ValueError:
-                return None
-    return None
+# the column each log's --from/--to filters on, the first of these it has
+TIME_COLUMNS = ("timestep", "time", "epoch", "slot_id")
 
 
 def _row_asset_match(header, row, asset: str) -> bool:
@@ -210,13 +204,19 @@ def cmd_inspect(args) -> int:
     except BadRunDir as exc:
         print(f"inspect error: {exc}", file=sys.stderr)
         return EXIT_IO
+    by_time = args.time_from is not None or args.time_to is not None
+    col = next((i for i, name in enumerate(header) if name in TIME_COLUMNS), None)
+    if by_time and col is None:
+        print(f"inspect error: {args.log} log has no time column to filter", file=sys.stderr)
+        return EXIT_IO
     print(",".join(header))
     for row in rows:
         if args.asset and not _row_asset_match(header, row, args.asset):
             continue
-        if args.time_from is not None or args.time_to is not None:
-            t = _row_time(header, row)
-            if t is None:
+        if by_time:
+            try:
+                t = float(row[col])
+            except ValueError:
                 continue
             if args.time_from is not None and t < args.time_from:
                 continue

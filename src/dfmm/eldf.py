@@ -8,8 +8,8 @@ venue snapshot's volume and price arrays and are immutable once built.
 
 Extrapolation beyond the fitted domain is an error by default because a
 quadratic tail can go negative; curves built with clamped extrapolation
-freeze the density at the boundary value instead, which scenario configs
-may opt into.
+(``clamp``) freeze the density at the boundary value instead, which
+scenario configs may opt into.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import BadCurve, BadParams, NoFeasibleSolution, OutOfDomain, ParseError
-
-BID = "bid"
-ASK = "ask"
-COMBINED = "combined"
-
-_EXTRAPOLATION_MODES = ("error", "clamp")
 
 
 @dataclass(frozen=True)
@@ -52,24 +46,14 @@ class Eldf:
     c2: float
     c1: float
     c0: float
-    side: str = COMBINED
-    slot_id: int = 0
-    v_lo: float = 0.0
-    v_hi: float = 1.0
-    extrapolation: str = "error"
+    v_lo: float
+    v_hi: float
+    clamp: bool = False
 
     def __post_init__(self):
         if not self.v_lo < self.v_hi:
-            raise BadCurve(
-                f"empty fit domain [{self.v_lo}, {self.v_hi}]"
-            )
-        if self.extrapolation not in _EXTRAPOLATION_MODES:
-            raise BadParams(f"unknown extrapolation mode {self.extrapolation!r}")
+            raise BadCurve(f"empty fit domain [{self.v_lo}, {self.v_hi}]")
         _check_positive_density(self.c2, self.c1, self.c0, self.v_lo, self.v_hi)
-
-    def to_record(self) -> tuple:
-        """(slot_id, side, c2, c1, c0, v_lo, v_hi) export row."""
-        return (self.slot_id, self.side, self.c2, self.c1, self.c0, self.v_lo, self.v_hi)
 
 
 def _check_positive_density(c2, c1, c0, v_lo, v_hi):
@@ -142,14 +126,7 @@ def _design(vol_bytes: bytes) -> tuple:
     return a_s, ata, scale
 
 
-def fit_eldf(
-    volumes,
-    prices,
-    *,
-    side: str = COMBINED,
-    slot_id: int = 0,
-    extrapolation: str = "error",
-) -> Eldf:
+def fit_eldf(volumes, prices, *, clamp: bool = False) -> Eldf:
     """Least-squares degree-2 fit of density (``prices``) over ``volumes``.
 
     Raises BadCurve for fewer than 3 points, a price that is not > 0
@@ -180,14 +157,14 @@ def fit_eldf(
     atb = a_s.T @ prices
     coef = _umath_linalg.solve1(ata, atb, signature="dd->d") / scale
     c0, c1, c2 = coef.tolist()
-    return Eldf(c2, c1, c0, side, slot_id, float(vols[0]), float(vols[-1]), extrapolation)
+    return Eldf(c2, c1, c0, float(vols[0]), float(vols[-1]), clamp)
 
 
 def _domain_check(curve: Eldf, v: float, tol: float = 1e-9):
     span = curve.v_hi - curve.v_lo
     slack = tol * max(1.0, span)
     if v < curve.v_lo - slack or v > curve.v_hi + slack:
-        if curve.extrapolation == "error":
+        if not curve.clamp:
             raise OutOfDomain(
                 f"v={v:.6g} outside fit domain [{curve.v_lo:.6g}, {curve.v_hi:.6g}]"
             )
@@ -285,7 +262,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
         return v1 + target_value / _poly(c2, c1, c0, lo)
     capacity = (((a3 * hi + a2) * hi + c0) * hi - f1) + head
     if target_value > capacity:
-        if curve.extrapolation == "clamp":
+        if curve.clamp:
             tail_density = _poly(c2, c1, c0, hi)
             return max(hi, v1) + (target_value - capacity) / tail_density
         raise OutOfDomain(
@@ -323,11 +300,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
 
 
 def snapshot_to_curves(
-    raw: Sequence[CurvePoint],
-    mid_price: float,
-    *,
-    slot_id: int = 0,
-    extrapolation: str = "error",
+    raw: Sequence[CurvePoint], mid_price: float, *, clamp: bool = False
 ) -> tuple[Eldf, Eldf]:
     """Fit snapshot points into a (bid, ask) pair of curves.
 
@@ -337,9 +310,9 @@ def snapshot_to_curves(
     depth as price rises), making both sides integrable from zero.
     """
 
-    def fit(side, pairs):
+    def fit(pairs):
         vols, prices = zip(*pairs)
-        return fit_eldf(vols, prices, side=side, slot_id=slot_id, extrapolation=extrapolation)
+        return fit_eldf(vols, prices, clamp=clamp)
 
     bid_raw = [p for p in raw if p.price <= mid_price]
     ask_raw = [p for p in raw if p.price > mid_price]
@@ -353,8 +326,8 @@ def snapshot_to_curves(
     v_best_bid = max(p.volume for p in bid_raw)
     v_best_ask = min(p.volume for p in ask_raw)
     return (
-        fit(BID, sorted((v_best_bid - p.volume, p.price) for p in bid_raw)),
-        fit(ASK, sorted((p.volume - v_best_ask, p.price) for p in ask_raw)),
+        fit(sorted((v_best_bid - p.volume, p.price) for p in bid_raw)),
+        fit(sorted((p.volume - v_best_ask, p.price) for p in ask_raw)),
     )
 
 

@@ -96,7 +96,7 @@ from ..vaults import (
 )
 from .agents import ArbitrageurAgent, TraderFlow
 from .config import ScenarioConfig
-from .market import ExternalMarket
+from .market import build_markets, step_all
 from .output import LOGGED
 
 
@@ -131,7 +131,7 @@ class Engine:
 
         root = np.random.SeedSequence(cfg.seed)
         market_seq, trader_seq, arb_seq = root.spawn(3)
-        self.market = ExternalMarket(cfg.assets, market_seq)
+        self.markets = build_markets(cfg.assets, market_seq)
         self.traders = TraderFlow(cfg, np.random.default_rng(trader_seq))
         self.arb = (
             ArbitrageurAgent(
@@ -211,13 +211,12 @@ class Engine:
         )
 
     def _refit_curves(self, slot_id: int) -> None:
-        extrapolation = "clamp" if self.cfg.clamp_extrapolation else "error"
-        for aid in self.market.asset_ids():
-            bid, ask = self.market[aid].fit_curves(slot_id, extrapolation=extrapolation)
+        rows = self.logs["curves"]
+        for aid, market in self.markets.items():
+            bid, ask = market.fit_curves(clamp=self.cfg.clamp_extrapolation)
             self.curves[aid] = AssetCurves(bid, ask)
-            for curve in (bid, ask):
-                rec = curve.to_record()
-                self.logs["curves"].append((rec[0], aid) + rec[1:])
+            for side, c in (("bid", bid), ("ask", ask)):
+                rows.append((slot_id, aid, side, c.c2, c.c1, c.c0, c.v_lo, c.v_hi))
 
     def _strike_all(self) -> None:
         """Open each asset's epoch on its vault pair: T, bid and hedge."""
@@ -267,7 +266,7 @@ class Engine:
         )
 
         # expected minus executed price: positive favours the trader
-        slip = self.market[asset_in].mid - from_units(quote.v_s_units) / v_in
+        slip = self.markets[asset_in].mid - from_units(quote.v_s_units) / v_in
         self.logs["metrics"].append((self.t, "slippage", f"{asset_in}->{asset_out}", slip))
 
         self.total_v_s_units += quote.v_s_units
@@ -286,8 +285,11 @@ class Engine:
 
         A boundary applies only the part of a withdrawal that leaves the
         vault covering its side's open inventory (``withdrawable_units``);
-        the rest stays queued for the next boundary."""
-        self.queued_vault_flows.append((asset_id, side, to_units(amount)))
+        the rest stays queued for the next boundary. A flow that rounds
+        to 0 ledger units moves nothing and is dropped here."""
+        units = to_units(amount)
+        if units:
+            self.queued_vault_flows.append((asset_id, side, units))
 
     # ------------------------------------------------------------------
     # timestep and epoch
@@ -301,7 +303,7 @@ class Engine:
         clock = perf_counter_ns()
         self.t += 1
         cfg = self.cfg
-        self.market.step_all()
+        step_all(self.markets)
         clock = self._lap("market", clock)
         if (self.t - 1) % cfg.slot_len == 0:
             self._refit_curves(slot_id=(self.t - 1) // cfg.slot_len)
@@ -354,11 +356,11 @@ class Engine:
         quote = self.submit_trade(asset_in, asset_out, v_in, agent="arb")
         if quote is None:
             return
-        self.market[asset_in].record_flow(v_in)
-        self.market[asset_out].record_flow(-quote.v_out)
+        self.markets[asset_in].record_flow(v_in)
+        self.markets[asset_out].record_flow(-quote.v_out)
         gain = (
-            self.market[asset_out].mid * quote.v_out
-            - self.market[asset_in].mid * v_in
+            self.markets[asset_out].mid * quote.v_out
+            - self.markets[asset_in].mid * v_in
             - self.arb.fixed_cost
         )
         self.arb_pnl += gain
@@ -520,7 +522,7 @@ class Engine:
             self.min_margin_units = margin_units
         rows = self.logs["metrics"]
         for aid in self.sheet.asset_ids():
-            market = self.market[aid]
+            market = self.markets[aid]
             util = utils[aid]
             self.max_utilisation = max(self.max_utilisation, util.u_rhs, util.u_lhs)
             rows.append((self.t, "mid", aid, market.mid))
@@ -566,12 +568,13 @@ class Engine:
     def run(self, drain=None) -> RunArtifacts:
         """Step to the horizon and value the final margin; any engine
         error, including one in the first refit at construction or in
-        that final valuation, halts the run fail-stop.
+        that final valuation, halts the run fail-stop, and the summary's
+        ``solvency_margin`` of a halted run is None.
 
         ``drain(logs)`` takes the buffered rows between timesteps (see
         the module docstring); an error it raises ends the run.
         """
-        margin_units = 0
+        margin_units = None
         logs = self.logs
         try:
             while self.t < self.cfg.horizon and not self.halted:
@@ -589,7 +592,7 @@ class Engine:
         perf = {phase: ns / 1e9 for phase, ns in self.perf.items()}
         return RunArtifacts(self.logs, self._summary(margin_units), self.cfg, perf)
 
-    def _summary(self, margin_units: int) -> dict:
+    def _summary(self, margin_units: int | None) -> dict:
         vault_gain_units = self._vault_units() - self.initial_vault_units
         slp_pnl_units = vault_gain_units - self.vault_external_units
         return {
@@ -610,8 +613,11 @@ class Engine:
                     if cls == treasury_mod.PLP
                 )
             ),
-            "solvency_margin": from_units(margin_units),
-            "min_solvency_margin": from_units(self.min_margin_units or 0),
+            # None: a halted run's final margin, and the minimum of no timestep
+            "solvency_margin": None if margin_units is None else from_units(margin_units),
+            "min_solvency_margin": (
+                None if self.min_margin_units is None else from_units(self.min_margin_units)
+            ),
             "max_utilisation": self.max_utilisation,
             "liquidations": self.liquidations,
         }

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ..eldf import ASK, BID, Eldf, fit_eldf
+from ..eldf import Eldf, fit_eldf
 from ..errors import NonFiniteAmount
 from .config import AssetConfig
 
@@ -35,7 +35,7 @@ class AssetMarket:
     rng: np.random.Generator
     pending_flow: float = 0.0
     _vols: np.ndarray = field(init=False, repr=False, compare=False)
-    _profiles: tuple = field(init=False, repr=False, compare=False)  # (side, unit-mid prices)
+    _profiles: tuple = field(init=False, repr=False, compare=False)  # bid, ask at unit mid
 
     def __post_init__(self):
         cfg = self.cfg
@@ -45,7 +45,7 @@ class AssetMarket:
         ask = 1.0 + cfg.spread / 2.0 + cfg.ask_slope * x + cfg.ask_curv * x * x
         for arr in (self._vols, bid, ask):
             arr.flags.writeable = False
-        self._profiles = ((BID, bid), (ASK, ask))
+        self._profiles = (bid, ask)
 
     def step(self) -> None:
         """One lognormal return step, after applying any queued impact,
@@ -71,35 +71,22 @@ class AssetMarket:
         """Net external hedging flow; positive = external buying pressure."""
         self.pending_flow += signed_volume
 
-    def fit_curves(self, slot_id: int, *, extrapolation: str) -> tuple[Eldf, Eldf]:
+    def fit_curves(self, *, clamp: bool) -> tuple[Eldf, Eldf]:
         """This slot's (bid, ask) curves, fitted to the profiles at the mid."""
-        bid, ask = (
-            fit_eldf(
-                self._vols, self.mid * unit,
-                side=side, slot_id=slot_id, extrapolation=extrapolation,
-            )
-            for side, unit in self._profiles
-        )
-        return bid, ask
+        return tuple(fit_eldf(self._vols, self.mid * unit, clamp=clamp) for unit in self._profiles)
 
 
-class ExternalMarket:
-    """All asset markets, each on its own deterministic RNG stream."""
+def build_markets(assets, seed_seq: np.random.SeedSequence) -> dict[str, AssetMarket]:
+    """Each asset's market by asset id, in asset-id order, each on its own
+    deterministic RNG stream spawned from ``seed_seq``."""
+    assets = sorted(assets, key=lambda a: a.asset_id)
+    return {
+        cfg.asset_id: AssetMarket(cfg=cfg, mid=cfg.mid_price, rng=np.random.default_rng(child))
+        for cfg, child in zip(assets, seed_seq.spawn(len(assets)))
+    }
 
-    def __init__(self, assets, seed_seq: np.random.SeedSequence):
-        children = seed_seq.spawn(len(assets))
-        self.markets: dict[str, AssetMarket] = {}
-        for cfg, child in zip(sorted(assets, key=lambda a: a.asset_id), children):
-            self.markets[cfg.asset_id] = AssetMarket(
-                cfg=cfg, mid=cfg.mid_price, rng=np.random.default_rng(child)
-            )
 
-    def __getitem__(self, asset_id: str) -> AssetMarket:
-        return self.markets[asset_id]
-
-    def asset_ids(self):
-        return sorted(self.markets)
-
-    def step_all(self) -> None:
-        for asset_id in self.asset_ids():
-            self.markets[asset_id].step()
+def step_all(markets: dict[str, AssetMarket]) -> None:
+    """Step every market, in the dict's (asset-id) order."""
+    for market in markets.values():
+        market.step()

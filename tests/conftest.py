@@ -17,6 +17,6 @@ settings.load_profile("dfmm")
 @pytest.fixture
 def unit_curve():
     """Constant density 1 over a wide domain: value == volume."""
-    def make(side="bid", v_hi=10_000.0):
-        return Eldf(c2=0.0, c1=0.0, c0=1.0, side=side, v_lo=0.0, v_hi=v_hi)
+    def make(v_hi=10_000.0):
+        return Eldf(c2=0.0, c1=0.0, c0=1.0, v_lo=0.0, v_hi=v_hi)
     return make

@@ -36,9 +36,6 @@ import numpy as np
 
 from dfmm import eldf
 from dfmm.eldf import (
-    ASK,
-    BID,
-    COMBINED,
     CurvePoint,
     Eldf,
     _antideriv,
@@ -275,7 +272,7 @@ def exact_adjusted_notional(
 # verbatim references
 
 
-def snapshot_fit_curves(market, slot_id: int, *, extrapolation: str) -> tuple[Eldf, Eldf]:
+def snapshot_fit_curves(market, *, clamp: bool) -> tuple[Eldf, Eldf]:
     """``AssetMarket.fit_curves`` through per-side snapshot points: the
     grid and normalised depths of ``__post_init__``, then ``snapshot``
     and the point fit, as the market did before it fitted from arrays."""
@@ -294,18 +291,12 @@ def snapshot_fit_curves(market, slot_id: int, *, extrapolation: str) -> tuple[El
     bid_pts = [CurvePoint(v, p) for v, p in zip(_vols, bid_prices.tolist())]
     ask_pts = [CurvePoint(v, p) for v, p in zip(_vols, ask_prices.tolist())]
 
-    bid = point_fit_eldf(bid_pts, side=BID, slot_id=slot_id, extrapolation=extrapolation)
-    ask = point_fit_eldf(ask_pts, side=ASK, slot_id=slot_id, extrapolation=extrapolation)
+    bid = point_fit_eldf(bid_pts, clamp=clamp)
+    ask = point_fit_eldf(ask_pts, clamp=clamp)
     return bid, ask
 
 
-def point_fit_eldf(
-    points: Sequence[CurvePoint],
-    *,
-    side: str = COMBINED,
-    slot_id: int = 0,
-    extrapolation: str = "error",
-) -> Eldf:
+def point_fit_eldf(points: Sequence[CurvePoint], *, clamp: bool = False) -> Eldf:
     """Least-squares degree-2 fit of density over volume.
 
     Volumes must be strictly increasing. Exact degree-<=2 data is
@@ -330,16 +321,7 @@ def point_fit_eldf(
     except np.linalg.LinAlgError as exc:
         raise BadCurve(f"normal equations singular: {exc}") from None
     c0, c1, c2 = coef.tolist()
-    return Eldf(
-        c2=c2,
-        c1=c1,
-        c0=c0,
-        side=side,
-        slot_id=slot_id,
-        v_lo=float(vols[0]),
-        v_hi=float(vols[-1]),
-        extrapolation=extrapolation,
-    )
+    return Eldf(c2=c2, c1=c1, c0=c0, v_lo=float(vols[0]), v_hi=float(vols[-1]), clamp=clamp)
 
 
 def linalg_fit_eldf(volumes, prices) -> Eldf:
@@ -418,7 +400,7 @@ def solve_volume_for_value(curve: Eldf, v1: float, target_value: float) -> float
     v1_eff = min(max(v1, lo), hi)
     capacity = integrate_eldf(curve, v1, hi)
     if target_value > capacity:
-        if curve.extrapolation == "clamp":
+        if curve.clamp:
             tail_density = _poly(c2, c1, c0, hi)
             return hi + (target_value - capacity) / tail_density
         raise OutOfDomain(

@@ -578,6 +578,21 @@ class TestInspect:
         assert cli.main(["inspect", str(outdir), "--log", "nope"]) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("inspect error:")
 
+    @pytest.mark.parametrize("span", [["--from", "1"], ["--to", "3"], ["--from", "1", "--to", "3"]])
+    def test_time_filter_on_a_log_without_a_time_column_exits_4(self, outdir, capsys, span):
+        assert self.rows(capsys, outdir, log="rewards")
+        assert cli.main(["inspect", str(outdir), "--log", "rewards", *span]) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "inspect error: rewards log has no time column to filter\n"
+
+    def test_readme_tables_exactly_the_files_a_run_writes(self, outdir):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## A run directory", 1)[1].split("\n## ", 1)[0]
+        tabled = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+        written = {f"{kind}.csv" for kind in output.SCHEMAS} | {"summary.json", "manifest.json"}
+        assert sorted(tabled) == sorted(written) == sorted(os.listdir(outdir))
+
     def corrupt(self, outdir, tmp_path, name, data: bytes):
         """A copy of the run directory with file ``name`` replaced by ``data``."""
         copy = tmp_path / "run"

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from dfmm import eldf
 from dfmm.eldf import (
-    ASK,
-    BID,
     CurvePoint,
     Eldf,
     fit_eldf,
@@ -267,7 +265,7 @@ class TestEval:
             density(curve, 11.0)
 
     def test_clamped_extrapolation(self):
-        curve = Eldf(0.0, 1.0, 1.0, v_lo=0.0, v_hi=10.0, extrapolation="clamp")
+        curve = Eldf(0.0, 1.0, 1.0, v_lo=0.0, v_hi=10.0, clamp=True)
         assert density(curve, 15.0) == pytest.approx(11.0)
 
 
@@ -300,7 +298,7 @@ class TestIntegrate:
             assert abs(whole - split) <= 1e-9 * max(1.0, abs(whole))
 
     def test_clamp_adds_boundary_tail(self):
-        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, extrapolation="clamp")
+        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, clamp=True)
         assert integrate_eldf(curve, 0.0, 12.0) == pytest.approx(24.0)
 
 
@@ -328,7 +326,7 @@ class TestSolve:
             solve_volume_for_value(curve, 0.0, -1.0)
 
     def test_clamp_sources_beyond_domain(self):
-        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, extrapolation="clamp")
+        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, clamp=True)
         assert solve_volume_for_value(curve, 0.0, 24.0) == pytest.approx(12.0)
 
     def test_round_trip_random(self):
@@ -374,7 +372,6 @@ class TestSnapshot:
         bid_side = [CurvePoint(v, 99.0 - 0.5 * (3.0 - v)) for v in (0.0, 1.5, 3.0)]
         ask_side = [CurvePoint(v, 101.0 + 0.5 * (v - 4.0)) for v in (4.0, 5.5, 7.0)]
         bid, ask = snapshot_to_curves(bid_side + ask_side, mid)
-        assert bid.side == BID and ask.side == ASK
         # re-based depths start at zero and reproduce the side data
         assert bid.v_lo == 0.0 and ask.v_lo == 0.0
         assert density(bid, 0.0) == pytest.approx(99.0)
@@ -407,10 +404,6 @@ class TestSnapshot:
         with pytest.raises(ParseError):
             parse_snapshot_lines(["0, nyse, 1.0"])
 
-    def test_curve_record(self):
-        curve = Eldf(0.5, 0.1, 2.0, side=BID, slot_id=3, v_lo=0.0, v_hi=4.0)
-        assert curve.to_record() == (3, BID, 0.5, 0.1, 2.0, 0.0, 4.0)
-
 
 class TestCurvePoint:
     def test_invalid_price(self):
@@ -440,12 +433,12 @@ class TestSolvePastDomain:
     """A solve from a v1 past v_hi, where the capacity interval is empty."""
 
     def test_clamp_sources_from_v1_at_boundary_density(self):
-        curve = Eldf(0.0, 0.0, 1.0, v_lo=0.0, v_hi=10.0, extrapolation="clamp")
+        curve = Eldf(0.0, 0.0, 1.0, v_lo=0.0, v_hi=10.0, clamp=True)
         assert solve_volume_for_value(curve, 12.0, 3.0) == 15.0
         assert integrate_eldf(curve, 12.0, 15.0) == 3.0
 
     def test_clamp_uses_density_at_v_hi(self):
-        curve = Eldf(0.0, 1.0, 1.0, v_lo=0.0, v_hi=10.0, extrapolation="clamp")
+        curve = Eldf(0.0, 1.0, 1.0, v_lo=0.0, v_hi=10.0, clamp=True)
         assert solve_volume_for_value(curve, 20.0, 22.0) == 22.0
         assert integrate_eldf(curve, 20.0, 22.0) == 22.0
 
@@ -463,23 +456,23 @@ class TestSolveBelowDomain:
     """A solve from a v1 in the slack below v_lo for less than the value
     of [v1, v_lo]: the root lies in that slack, at the density of v_lo."""
 
-    @pytest.mark.parametrize("mode", ["clamp", "error"])
+    @pytest.mark.parametrize("clamp", [True, False], ids=["clamp", "error"])
     @pytest.mark.parametrize("target", [1e-9, 9e-9])  # a tenth and nine tenths of the head
-    def test_root_in_the_slack(self, mode, target):
-        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, extrapolation=mode)
+    def test_root_in_the_slack(self, clamp, target):
+        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, clamp=clamp)
         v2 = solve_volume_for_value(curve, -5e-9, target)
         assert v2 == -5e-9 + target / 2.0 < 0.0
         assert integrate_eldf(curve, -5e-9, v2) == pytest.approx(target, rel=1e-9)
 
-    @pytest.mark.parametrize("mode", ["clamp", "error"])
-    def test_target_below_one_ulp_of_v1_returns_v1(self, mode):
+    @pytest.mark.parametrize("clamp", [True, False], ids=["clamp", "error"])
+    def test_target_below_one_ulp_of_v1_returns_v1(self, clamp):
         # the solver's residual check used to fail on the whole head
-        curve = Eldf(1e-09, 1.4946, 22.47, v_lo=0.0, v_hi=1e4, extrapolation=mode)
+        curve = Eldf(1e-09, 1.4946, 22.47, v_lo=0.0, v_hi=1e4, clamp=clamp)
         assert solve_volume_for_value(curve, -5e-06, 8.9e-286) == -5e-06
 
-    @pytest.mark.parametrize("mode", ["clamp", "error"])
-    def test_target_at_or_above_the_head_reaches_the_domain(self, mode):
-        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, extrapolation=mode)
+    @pytest.mark.parametrize("clamp", [True, False], ids=["clamp", "error"])
+    def test_target_at_or_above_the_head_reaches_the_domain(self, clamp):
+        curve = Eldf(0.0, 0.0, 2.0, v_lo=0.0, v_hi=10.0, clamp=clamp)
         assert solve_volume_for_value(curve, -5e-9, 1e-8) == 0.0
         assert solve_volume_for_value(curve, -5e-9, 1e-8 + 4.0) == pytest.approx(2.0)
 
@@ -500,11 +493,11 @@ def curve_and_points(draw):
     c0 = draw(st.floats(1e-3, 50.0))
     lo = draw(st.sampled_from([0.0, 0.0, 1.0, 37.5]))
     hi = lo + draw(st.floats(1e-3, 1e4))
-    mode = draw(st.sampled_from(["error", "clamp"]))
+    clamp = draw(st.booleans())
     try:
-        curve = Eldf(c2, c1, c0, v_lo=lo, v_hi=hi, extrapolation=mode)
+        curve = Eldf(c2, c1, c0, v_lo=lo, v_hi=hi, clamp=clamp)
     except BadCurve:
-        curve = Eldf(0.0, 0.0, c0, v_lo=lo, v_hi=hi, extrapolation=mode)
+        curve = Eldf(0.0, 0.0, c0, v_lo=lo, v_hi=hi, clamp=clamp)
     slack = 1e-9 * max(1.0, hi - lo)
     volume = st.one_of(
         st.sampled_from([lo, hi, lo - slack / 2, hi + slack / 2, lo - 2 * slack, hi + 2 * slack]),
@@ -541,7 +534,7 @@ def test_solve_identical_to_reference(case, share):
     elif ref == "BadParams" and target >= 0.0:
         # a v1 past v_hi: the reference could not value its empty capacity
         assert v1 > curve.v_hi and target > 0.0
-        if curve.extrapolation == "clamp":
+        if curve.clamp:
             dens = density(curve, curve.v_hi)
             assert new == repr(v1 + target / dens)
         else:

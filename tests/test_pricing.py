@@ -39,8 +39,7 @@ P_ZERO = RebalanceParams(a_rhs=0.0, a_lhs=0.0, d_rhs=0.0, d_lhs=0.0)
 P_UNIT_D = RebalanceParams(a_rhs=0.0, a_lhs=0.0, d_rhs=1.0, d_lhs=1.0)
 
 
-def unit(side):
-    return Eldf(0.0, 0.0, 1.0, side=side, v_lo=0.0, v_hi=100_000.0)
+UNIT = Eldf(0.0, 0.0, 1.0, v_lo=0.0, v_hi=100_000.0)
 
 
 def make_env(t_x=0.0, t_y=0.0, params=P_ZERO, theta=0.0, deposit=10_000.0):
@@ -50,8 +49,8 @@ def make_env(t_x=0.0, t_y=0.0, params=P_ZERO, theta=0.0, deposit=10_000.0):
     sheet.t_units["X"] = to_units(t_x)
     sheet.t_units["Y"] = to_units(t_y)
     curves = {
-        "X": AssetCurves(unit("bid"), unit("ask")),
-        "Y": AssetCurves(unit("bid"), unit("ask")),
+        "X": AssetCurves(UNIT, UNIT),
+        "Y": AssetCurves(UNIT, UNIT),
     }
     params_by_asset = {"X": params, "Y": params}
     return sheet, curves, params_by_asset, theta

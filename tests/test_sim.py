@@ -21,7 +21,7 @@ from dfmm.sim.agents import ArbitrageurAgent, TraderFlow
 from dfmm.sim.config import _INI_NAMES, AssetConfig, ScenarioConfig, load_config
 from dfmm.sim import engine as engine_mod
 from dfmm.sim.engine import PHASES, Engine, RunArtifacts
-from dfmm.sim.market import AssetMarket, ExternalMarket
+from dfmm.sim.market import AssetMarket, build_markets, step_all
 from dfmm.sim.output import LogWriter, write_logs
 from dfmm.vaults import SHORT, boundary_premium_flow, covering_side, side_cap
 
@@ -267,16 +267,16 @@ class TestConfig:
 class TestMarket:
     def test_zero_sigma_mid_constant(self):
         cfg = scenario()
-        market = ExternalMarket(cfg.assets, np.random.SeedSequence(1))
-        before = market["X"].mid
+        markets = build_markets(cfg.assets, np.random.SeedSequence(1))
+        before = markets["X"].mid
         for _ in range(100):
-            market.step_all()
-        assert market["X"].mid == before
+            step_all(markets)
+        assert markets["X"].mid == before
 
     def test_snapshot_reproduces_profile_exactly(self):
         cfg = scenario()
-        market = ExternalMarket(cfg.assets, np.random.SeedSequence(1))
-        bid, ask = market["X"].fit_curves(0, extrapolation="error")
+        markets = build_markets(cfg.assets, np.random.SeedSequence(1))
+        bid, ask = markets["X"].fit_curves(clamp=False)
         acfg = cfg.assets[0]  # X
         # density at zero depth matches mid less half the spread
         assert oracles.density(bid, 0.0) == pytest.approx(
@@ -294,12 +294,11 @@ class TestMarket:
         spread=st.floats(0.0, 1.0),
         profile=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
         mid=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
-        extrapolation=st.sampled_from(["error", "clamp"]),
-        slot_id=st.integers(0, 10**6),
+        clamp=st.booleans(),
     )
     @settings(max_examples=150)
     def test_fit_curves_identical_to_snapshot_point_fit(
-        self, depth, n_points, spread, profile, mid, extrapolation, slot_id
+        self, depth, n_points, spread, profile, mid, clamp
     ):
         bid_slope, bid_curv, ask_slope, ask_curv = profile
         acfg = AssetConfig(
@@ -311,23 +310,23 @@ class TestMarket:
 
         def fit(fn):
             try:
-                return repr(fn(market, slot_id, extrapolation=extrapolation))
+                return repr(fn(market, clamp=clamp))
             except Exception as exc:  # the class is compared, not swallowed
                 return type(exc).__name__
 
         assert fit(AssetMarket.fit_curves) == fit(oracles.snapshot_fit_curves)
 
     def test_profiles_are_read_only(self):
-        market = ExternalMarket(scenario().assets, np.random.SeedSequence(1))["X"]
-        for arr in (market._vols, *(unit for _, unit in market._profiles)):
+        market = build_markets(scenario().assets, np.random.SeedSequence(1))["X"]
+        for arr in (market._vols, *market._profiles):
             assert not arr.flags.writeable
 
     def test_impact_shifts_mid(self):
         cfg = scenario(assets=(asset("X", impact_alpha=0.001), asset("Y")))
-        market = ExternalMarket(cfg.assets, np.random.SeedSequence(1))
-        market["X"].record_flow(500.0)
-        market.step_all()
-        assert market["X"].mid == pytest.approx(100.0 + 0.5)
+        markets = build_markets(cfg.assets, np.random.SeedSequence(1))
+        markets["X"].record_flow(500.0)
+        step_all(markets)
+        assert markets["X"].mid == pytest.approx(100.0 + 0.5)
 
 
 class TestEngine:
@@ -391,6 +390,27 @@ class TestEngine:
         assert all(c.bid_mark > 0.0 and c.ask_mark > 0.0 for c in eng.curves.values())
         eng.step_timestep()
         assert all(c.bid_mark == c.ask_mark == 0.0 for c in eng.curves.values())
+
+    def test_curves_rows_are_the_fitted_curves(self):
+        # slot s is fitted at timestep s * slot_len + 1, after the market
+        # step; slot 0 also at construction, at the initial mid
+        moving = (asset("X", sigma=0.02), asset("Y", mid_price=50.0, sigma=0.02))
+        eng = Engine(scenario(trader_rate=1.5, slot_len=3, horizon=8, assets=moving))
+
+        def fitted(slot_id):
+            return [
+                (slot_id, aid, side, c.c2, c.c1, c.c0, c.v_lo, c.v_hi)
+                for aid, curves in sorted(eng.curves.items())
+                for side, c in (("bid", curves.bid), ("ask", curves.ask))
+            ]
+
+        expected = fitted(0)
+        while eng.t < 8:
+            eng.step_timestep()
+            if eng.t % 3 == 1:
+                expected += fitted(eng.t // 3)
+        assert len(set(expected)) == len(expected) == 4 * 4
+        assert eng.logs["curves"] == expected
 
     def test_trade_moves_flow_and_inventory(self):
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),))
@@ -544,6 +564,16 @@ class TestEngine:
         assert eng.params["Y"].d_rhs < d_before
         # the rise comes from the deposit, not from reviving a liquidated vault
         assert eng.liquidations == 0
+
+    @pytest.mark.parametrize("amount", [0.0, -1e-13, 1e-13])
+    def test_queued_flow_of_no_ledger_units_is_dropped(self, amount):
+        cfg = dataclasses.replace(load_config(DEMO), horizon=20)
+        eng = Engine(cfg)
+        eng.queue_vault_flow("ALPHA", "long", amount)
+        assert eng.queued_vault_flows == []
+        art = eng.run()
+        assert not art.summary["halted"], art.summary["diagnostic"]
+        assert art.logs["vaults"] == Engine(cfg).run().logs["vaults"]
 
     def test_queued_withdrawal_keeps_open_deficit_covered(self):
         # the deposit scenario above with a withdrawal instead: taking all
@@ -906,6 +936,9 @@ class TestFailStop:
         assert 0 < t < 400
         assert summary["diagnostic"].startswith(f"OutOfDomain at t={t}: v=")
         assert "OutOfDomain" in capsys.readouterr().err.strip().splitlines()[-1]
+        # no final margin is valued after a halt; the timesteps' minimum is
+        assert summary["solvency_margin"] is None
+        assert isinstance(summary["min_solvency_margin"], float)
         manifest = json.loads((out / "manifest.json").read_text())
         rows = {f["name"]: f["rows"] for f in manifest["files"]}
         assert rows["trades.csv"] == summary["fills"] > 0
@@ -945,7 +978,9 @@ class TestFailStop:
         assert err.count("\n") == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["halted"] and summary["timesteps"] == 0
-        assert summary["solvency_margin"] == 0.0
+        # neither a final margin nor a timestep's margin was computed
+        assert summary["solvency_margin"] is None
+        assert summary["min_solvency_margin"] is None
 
     def test_oversized_queued_withdrawal_halts(self):
         cfg = scenario(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfmm.eldf import BID, Eldf, fit_eldf, integrate_eldf
+from dfmm.eldf import Eldf, fit_eldf, integrate_eldf
 from dfmm.errors import BadParams, ZeroPrevValue
 from dfmm.ledger import AssetPool
 from dfmm.money import from_units, to_units
@@ -55,7 +55,7 @@ def bid_curve(mid, depth=1000.0, slope=0.05, curv=0.02):
     """A bid curve fitted to a falling profile at ``mid``, as the market's."""
     x = np.linspace(0.0, 1.0, 7)
     prices = mid * (1.0 - 0.001 - slope * x - curv * x * x)
-    return fit_eldf(depth * x, prices, side=BID)
+    return fit_eldf(depth * x, prices)
 
 
 class TestUtilisation:
