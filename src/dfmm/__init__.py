@@ -1,7 +1,7 @@
 """Dynamic-function market maker engine.
 
 External-curve aggregation, accounting-asset ledger, rebalancing-premium
-pricing, collateral vaults with digital swaptions, premium auctions,
+pricing, collateral vaults with swaptions, premium auctions,
 treasury and reward accounting, and a deterministic agent-based
 simulation harness.
 """

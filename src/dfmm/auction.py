@@ -9,16 +9,19 @@ faster than its deadline the aggressiveness steps back down; one that
 resolves at or after its deadline leaves it unchanged, since every
 expiry on the way was already penalised.
 Band-regime deadlines are denominated in epochs and evaluated at epoch
-boundaries; the critical regime counts raw timesteps. Aggressiveness
-changes with open flow create a discrepancy between premia already
-charged and premia now promised; that discrepancy is the treasury's to
-fund, so increases are capped at the treasury balance.
+boundaries, and a resolved band breach of n timesteps took
+ceil(n / epoch_len) epochs; the critical regime counts raw timesteps.
+The deadline windows run on across regime changes until an expiry or a
+resolution restarts them. Aggressiveness changes with open flow create a
+discrepancy between premia already charged and premia now promised;
+that discrepancy is the treasury's to fund, so increases are capped at
+the treasury balance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import BadParams
 from .money import from_units
@@ -32,45 +35,19 @@ CRITICAL = "critical"
 RHS = "rhs"
 LHS = "lhs"
 
-TOO_SLOW = "too_slow"
-TOO_FAST = "too_fast"
 
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    theta0: float
-    theta_star: float
-    theta_dagger: float
-
-
-@dataclass(frozen=True)
-class RebalanceTargets:
-    j_star: int
-    j_prime: int
-    j_dagger: int
-
-
-def classify_regime(u: float, thresholds: RegimeThresholds) -> str:
-    """Left-closed interval lookup; total for all u >= 0."""
+def classify_regime(u: float, cfg) -> str:
+    """Left-closed interval lookup on the scenario's ``theta0``,
+    ``theta_star`` and ``theta_dagger``; total for all u >= 0."""
     if u < 0:
         raise BadParams(f"utilisation must be nonnegative, got {u}")
-    if u < thresholds.theta0:
+    if u < cfg.theta0:
         return OPTIMAL
-    if u < thresholds.theta_star:
+    if u < cfg.theta_star:
         return BAND1
-    if u < thresholds.theta_dagger:
+    if u < cfg.theta_dagger:
         return BAND2
     return CRITICAL
-
-
-def target_for(regime: str, targets: RebalanceTargets) -> tuple[int, str]:
-    """Deadline of a breach regime: (count, unit) with unit 'epochs' or
-    'timesteps'. The optimal band has none."""
-    return {
-        BAND1: (targets.j_star, "epochs"),
-        BAND2: (targets.j_prime, "epochs"),
-        CRITICAL: (targets.j_dagger, "timesteps"),
-    }[regime]
 
 
 @dataclass
@@ -83,45 +60,22 @@ class SideClock:
     last_regime: str = OPTIMAL
 
 
-def record_rebalance_progress(clock: SideClock, u_now: float, thresholds: RegimeThresholds):
-    """Advance the breach clock by one timestep.
-
-    Returns the measured rebalancing time (in timesteps) when the side
-    just re-entered the optimal band, else None. Each re-entry resets
-    the clock, so oscillating breaches are measured separately.
-    """
-    regime = classify_regime(u_now, thresholds)
-    if regime == OPTIMAL:
-        if clock.breach_timesteps > 0:
-            measured = clock.breach_timesteps
-            clock.breach_timesteps = 0
-            clock.window_timesteps = 0
-            clock.window_epochs = 0
-            clock.last_regime = OPTIMAL
-            return measured
-        return None
-    clock.breach_timesteps += 1
-    clock.window_timesteps += 1
-    clock.last_regime = regime
-    return None
-
-
 def update_aggressiveness(
     side: str,
     t_open_units: int,
-    comparison: str,
+    too_slow: bool,
     params: RebalanceParams,
     lam: float,
     a_min: float,
     tr_units: int,
 ) -> tuple[float, bool, int, RebalanceParams]:
-    """Apply one auction comparison to ``side``'s aggressiveness in ``params``.
+    """Move ``side``'s aggressiveness in ``params`` by one auction step.
 
-    Returns ``(a_after, capped, upsilon_units, params_after)``. too_fast
-    steps down by the increment (floored at the minimum); too_slow steps
-    up, but when the implied premium increase at the open flow would
-    exceed the treasury reserve, the step is capped so the increase about
-    exhausts it. ``upsilon_units`` is the exact ledger-unit premium change
+    Returns ``(a_after, capped, upsilon_units, params_after)``. A fast
+    resolution steps down by the increment (floored at the minimum); a
+    ``too_slow`` one steps up, but when the implied premium increase at
+    the open flow would exceed the treasury reserve, the step is capped
+    so the increase about exhausts it. ``upsilon_units`` is the exact ledger-unit premium change
     at the open flow, and a too_slow step never prices above ``tr_units``:
     when rounding would take it over, the step is bisected back toward
     the previous aggressiveness (``premium_units`` is nondecreasing in a)
@@ -135,7 +89,7 @@ def update_aggressiveness(
     abs_t = abs(from_units(t_open_units))
 
     capped = False
-    if comparison == TOO_FAST:
+    if not too_slow:
         a_new = max(a_prev - lam, a_min)
     else:
         tr = from_units(tr_units)
@@ -152,7 +106,7 @@ def update_aggressiveness(
         return after, premium_units(t_open_units, after) - r_before
 
     params_after, upsilon = priced(a_new)
-    if comparison == TOO_SLOW and upsilon > tr_units:
+    if too_slow and upsilon > tr_units:
         # keep the largest a in [a_prev, a_new) whose increase fits
         lo, hi = a_prev, a_new
         params_after, upsilon = priced(lo)
@@ -169,116 +123,84 @@ def update_aggressiveness(
     return a_new, capped, upsilon, params_after
 
 
-@dataclass
-class AuctionState:
-    """Per-asset auction clocks plus the shared increment parameters."""
-
-    lam: float
-    a_min: float
-    clocks: dict = field(default_factory=dict)
-
-    def clock(self, asset_id: str, side: str) -> SideClock:
-        clock = self.clocks.get((asset_id, side))
-        if clock is None:
-            clock = self.clocks[asset_id, side] = SideClock()
-        return clock
-
-
-@dataclass(frozen=True)
-class AuctionEvent:
-    asset_id: str
-    side: str
-    regime: str
-    breach_clock: int
-    target: int
-    comparison: str
-    a_before: float
-    a_after: float
-    capped: bool
-    upsilon_units: int
-
-
 def auction_step(
-    state: AuctionState,
+    cfg,
+    clocks: dict,
+    timestep: int,
     utilisation_by_asset,
     t_units_by_asset,
     params_by_asset,
-    targets: RebalanceTargets,
-    thresholds: RegimeThresholds,
     tr_units: int,
     *,
     at_epoch_boundary: bool,
-    epoch_len: int,
 ):
     """One scheduler tick of the auction across all assets.
 
+    ``cfg`` is the scenario config: its regime thresholds, deadlines,
+    ``epoch_len``, ``lam`` and ``a_min``. ``clocks`` maps (asset, side) to
+    its SideClock and gains one for a side it lacks.
     utilisation_by_asset maps asset -> Utilisation; t_units_by_asset maps
     asset -> synthetic flow in ledger units and is only read. Assets are
     processed in ascending id order, draining the shared treasury reserve
-    sequentially. Returns the updated params mapping and the list of
-    AuctionEvents; the caller books each event's discrepancy against the
+    sequentially. Returns the updated params mapping and one
+    ``(upsilon_units, row)`` per aggressiveness move, ``row`` being its
+    ``auction`` log row; the caller books each upsilon against the
     treasury and the premium reserve.
     """
+    deadline = {BAND1: cfg.j_star, BAND2: cfg.j_prime, CRITICAL: cfg.j_dagger}
     params_out = dict(params_by_asset)
-    events: list[AuctionEvent] = []
+    events = []
     for asset_id in sorted(utilisation_by_asset):
         util = utilisation_by_asset[asset_id]
         t_units = t_units_by_asset[asset_id]
         for side, u_now in ((RHS, util.u_rhs), (LHS, util.u_lhs)):
-            clock = state.clock(asset_id, side)
-            regime_before = clock.last_regime
-            measured = record_rebalance_progress(clock, u_now, thresholds)
-            comparison = None
-            regime = clock.last_regime
-            target = 0
-            breach_shown = clock.breach_timesteps
-
-            if measured is not None:
-                # Breach resolved: compare measured time against the
-                # deadline of the regime active when it resolved. Slower
-                # than target was already penalised at each expiry, so
-                # only a fast resolution acts here.
-                regime = regime_before
-                target, unit = target_for(regime_before, targets)
-                measured_units = (
-                    measured if unit == "timesteps" else math.ceil(measured / epoch_len)
-                )
-                breach_shown = measured
-                if measured_units < target:
-                    comparison = TOO_FAST
-            elif clock.last_regime != OPTIMAL:
-                target, unit = target_for(regime, targets)
-                expired = False
-                if unit == "timesteps":
+            clock = clocks.get((asset_id, side))
+            if clock is None:
+                clock = clocks[asset_id, side] = SideClock()
+            regime = classify_regime(u_now, cfg)
+            breach = clock.breach_timesteps
+            if regime == OPTIMAL:
+                if breach == 0:
+                    continue
+                # Breach resolved: each re-entry restarts the clocks, and
+                # the time taken is compared against the deadline of the
+                # regime active when it resolved. Slower than target was
+                # already penalised at each expiry, so only a fast
+                # resolution acts here.
+                clocks[asset_id, side] = SideClock()
+                regime = clock.last_regime
+                target = deadline[regime]
+                taken = breach if regime == CRITICAL else math.ceil(breach / cfg.epoch_len)
+                if taken >= target:
+                    continue
+                too_slow = False
+            else:
+                breach = clock.breach_timesteps = breach + 1
+                clock.window_timesteps += 1
+                clock.last_regime = regime
+                target = deadline[regime]
+                if regime == CRITICAL:
                     expired = clock.window_timesteps >= target
                 elif at_epoch_boundary:
                     clock.window_epochs += 1
                     expired = clock.window_epochs >= target
-                if expired:
-                    comparison = TOO_SLOW
-                    clock.window_timesteps = 0
-                    clock.window_epochs = 0
+                else:
+                    expired = False
+                if not expired:
+                    continue
+                clock.window_timesteps = clock.window_epochs = 0
+                too_slow = True
 
-            if comparison is None or t_units == 0:
-                continue  # no comparison, or no open flow: the auction passes
+            if t_units == 0:
+                continue  # no open flow: the auction passes
             params = params_out[asset_id]
             a_before = params.a_rhs if side == RHS else params.a_lhs
             a_after, capped, upsilon, params_out[asset_id] = update_aggressiveness(
-                side, t_units, comparison, params, state.lam, state.a_min, tr_units
+                side, t_units, too_slow, params, cfg.lam, cfg.a_min, tr_units
             )
             tr_units -= upsilon
-            events.append(
-                AuctionEvent(
-                    asset_id=asset_id,
-                    side=side,
-                    regime=regime,
-                    breach_clock=breach_shown,
-                    target=target,
-                    comparison=comparison,
-                    a_before=a_before,
-                    a_after=a_after,
-                    capped=capped,
-                    upsilon_units=upsilon,
-                )
+            row = (
+                timestep, asset_id, side, regime, breach, target, a_before, a_after, int(capped)
             )
+            events.append((upsilon, row))
     return params_out, events

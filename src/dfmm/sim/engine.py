@@ -67,14 +67,9 @@ from time import perf_counter_ns
 import numpy as np
 
 from .. import treasury as treasury_mod
-from ..auction import (
-    AuctionState,
-    RebalanceTargets,
-    RegimeThresholds,
-    auction_step,
-)
+from ..auction import auction_step
 from ..eldf import AssetCurves, integrate_eldf, solve_volume_for_value
-from ..errors import EngineError, InvariantBreach
+from ..errors import BadParams, EngineError, InvariantBreach
 from ..ledger import BalanceSheet, solvency_check
 from ..metrics import impermanent_loss
 from ..money import from_units, to_units
@@ -142,9 +137,7 @@ class Engine:
             else None
         )
 
-        self.thresholds = RegimeThresholds(cfg.theta0, cfg.theta_star, cfg.theta_dagger)
-        self.targets = RebalanceTargets(cfg.j_star, cfg.j_prime, cfg.j_dagger)
-        self.auction_state = AuctionState(lam=cfg.lam, a_min=cfg.a_min)
+        self.auction_clocks: dict = {}  # (asset, side) -> auction.SideClock
         self.reserve = TreasuryReserve()
         self.rewards = RewardLedger()
 
@@ -286,7 +279,10 @@ class Engine:
         A boundary applies only the part of a withdrawal that leaves the
         vault covering its side's open inventory (``withdrawable_units``);
         the rest stays queued for the next boundary. A flow that rounds
-        to 0 ledger units moves nothing and is dropped here."""
+        to 0 ledger units moves nothing and is dropped here. A flow to an
+        asset or side with no vault raises ``BadParams``."""
+        if asset_id not in self.vaults or side not in (LONG, SHORT):
+            raise BadParams(f"no {side!r} vault for asset {asset_id!r}")
         units = to_units(amount)
         if units:
             self.queued_vault_flows.append((asset_id, side, units))
@@ -368,42 +364,17 @@ class Engine:
     def _run_auction(self, utils: dict, at_epoch_boundary: bool) -> None:
         if not self.cfg.auction_enabled:
             return
-        new_params, events = auction_step(
-            self.auction_state,
-            utils,
-            self.sheet.t_units,
-            self.params,
-            self.targets,
-            self.thresholds,
-            self.reserve.balance_units,
-            at_epoch_boundary=at_epoch_boundary,
-            epoch_len=self.cfg.epoch_len,
+        self.params, events = auction_step(
+            self.cfg, self.auction_clocks, self.t, utils, self.sheet.t_units, self.params,
+            self.reserve.balance_units, at_epoch_boundary=at_epoch_boundary,
         )
-        self.params.update(new_params)
-        for ev in events:
-            treasury_update(self.reserve, upsilon_delta_units=ev.upsilon_units)
-            self.sheet.adjust_rr(ev.asset_id, ev.upsilon_units, "auction", timestep=self.t)
-            self.logs["auction"].append(
-                (
-                    self.t,
-                    ev.asset_id,
-                    ev.side,
-                    ev.regime,
-                    ev.breach_clock,
-                    ev.target,
-                    ev.a_before,
-                    ev.a_after,
-                    int(ev.capped),
-                )
-            )
+        for upsilon_units, row in events:
+            aid = row[1]  # the auction row's asset column
+            treasury_update(self.reserve, upsilon_delta_units=upsilon_units)
+            self.sheet.adjust_rr(aid, upsilon_units, "auction", timestep=self.t)
+            self.logs["auction"].append(row)
             self.logs["treasury"].append(
-                (
-                    self.t,
-                    "upsilon",
-                    ev.asset_id,
-                    from_units(ev.upsilon_units),
-                    self.reserve.balance,
-                )
+                (self.t, "upsilon", aid, from_units(upsilon_units), self.reserve.balance)
             )
 
     def step_epoch(self) -> None:

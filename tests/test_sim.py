@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dfmm import cli, eldf, pricing
-from dfmm.errors import BadCurve, ConfigInvalid, ExceedsCapacity, InvariantBreach
+from dfmm.errors import BadCurve, BadParams, ConfigInvalid, ExceedsCapacity, InvariantBreach
 from dfmm.ledger import BalanceSheet, trade_rows
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, quote_swap
@@ -22,7 +22,7 @@ from dfmm.sim.config import _INI_NAMES, AssetConfig, ScenarioConfig, load_config
 from dfmm.sim import engine as engine_mod
 from dfmm.sim.engine import PHASES, Engine, RunArtifacts
 from dfmm.sim.market import AssetMarket, build_markets, step_all
-from dfmm.sim.output import LogWriter, write_logs
+from dfmm.sim.output import SCHEMAS, LogWriter, write_logs
 from dfmm.vaults import SHORT, boundary_premium_flow, covering_side, side_cap
 
 import numpy as np
@@ -575,6 +575,15 @@ class TestEngine:
         assert not art.summary["halted"], art.summary["diagnostic"]
         assert art.logs["vaults"] == Engine(cfg).run().logs["vaults"]
 
+    @pytest.mark.parametrize("asset_id, side", [("NOPE", "long"), ("ALPHA", "sideways")])
+    def test_queued_flow_to_no_vault_is_refused(self, asset_id, side):
+        # unchecked, the first would stay queued for good and the second
+        # would reach ALPHA's short vault
+        eng = Engine(dataclasses.replace(load_config(DEMO), horizon=20))
+        with pytest.raises(BadParams, match="vault"):
+            eng.queue_vault_flow(asset_id, side, 100.0)
+        assert eng.queued_vault_flows == []
+
     def test_queued_withdrawal_keeps_open_deficit_covered(self):
         # the deposit scenario above with a withdrawal instead: taking all
         # 450 would leave short capacity 65.15 under a 191.28 deficit
@@ -781,6 +790,30 @@ class TestPremiumReserve:
         assert not vault.liquidated and eng.liquidations == 0
         pool = eng.sheet.pools["Y"]
         assert pool.lp_inventory - pool.inventory <= vault.capacity()
+
+
+class TestAuctionRecords:
+    def test_each_move_books_one_upsilon_and_one_rr_adjust(self):
+        # a flow-shaped run with low thresholds, so breaches resolve fast
+        # as well as expire
+        cfg = dataclasses.replace(
+            load_config(DEMO), horizon=300, trader_rate=8.0,
+            theta0=0.05, theta_star=0.1, theta_dagger=0.2,
+        )
+        logs = Engine(cfg).run().logs
+        moves = logs["auction"]
+        upsilons = [r for r in logs["treasury"] if r[1] == "upsilon"]
+        adjusts = [r for r in logs["ledger"] if r[1] == "rr_adjust" and r[11] == "auction"]
+        assert len(moves) == len(upsilons) == len(adjusts)
+        assert any(m[7] > m[6] for m in moves) and any(m[7] < m[6] for m in moves)
+        for move, ups, adj in zip(moves, upsilons, adjusts):
+            assert move[0] == ups[0] == adj[0] and move[1] == ups[2] == adj[2]
+            units = adj[8]
+            assert ups[3] == from_units(units)
+            if move[7] > move[6]:
+                assert units >= 0
+            elif move[7] < move[6]:
+                assert units <= 0
 
 
 class TestArbitrageLoop:
@@ -1197,6 +1230,7 @@ class TestPlainRows:
             batches.append(sum(map(len, logs.values())))
             for kind, rows in {**logs, "trades": trade_rows(logs["ledger"], t_units)}.items():
                 for row in rows:
+                    assert len(row) == len(SCHEMAS[kind]), (kind, row)
                     for v in row:
                         types.setdefault(type(v), (kind, row))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfmm.auction import LHS, RHS, TOO_FAST, TOO_SLOW, update_aggressiveness
+from dfmm.auction import LHS, RHS, update_aggressiveness
 from dfmm.errors import BadParams, ConfigInvalid, InvariantBreach
 from dfmm.ledger import AssetPool
 from dfmm.money import from_units, to_units
@@ -28,13 +28,14 @@ def pair(c_long, c_short, rate=0.5):
     )
 
 
-def discrepancy(t_open, a_prev, comparison, lam, d, a_min=0.0, tr=1e9):
-    """The auction's discrepancy, in ledger units, when one comparison
-    moves the aggressiveness at open flow ``t_open`` (treasury ``tr``)."""
+def discrepancy(t_open, a_prev, too_slow, lam, d, a_min=0.0, tr=1e9):
+    """The auction's discrepancy, in ledger units, when one step, up if
+    ``too_slow``, moves the aggressiveness at open flow ``t_open``
+    (treasury ``tr``)."""
     params = RebalanceParams(a_rhs=a_prev, a_lhs=a_prev, d_rhs=d, d_lhs=d)
     side = RHS if t_open > 0 else LHS
     a_after, _, upsilon, _ = update_aggressiveness(
-        side, to_units(t_open), comparison, params, lam=lam, a_min=a_min,
+        side, to_units(t_open), too_slow, params, lam=lam, a_min=a_min,
         tr_units=to_units(tr),
     )
     return a_after, upsilon
@@ -54,22 +55,21 @@ class TestDiscrepancy:
     def test_frozen_params_zero(self):
         # a step down from the floor, or up with an empty treasury, leaves
         # the params where they were and costs nothing
-        assert discrepancy(10.0, 5.0, TOO_FAST, 2.0, 0.1, a_min=5.0) == (5.0, 0)
-        assert discrepancy(-10.0, 5.0, TOO_SLOW, 2.0, 0.1, tr=0.0) == (5.0, 0)
+        assert discrepancy(10.0, 5.0, False, 2.0, 0.1, a_min=5.0) == (5.0, 0)
+        assert discrepancy(-10.0, 5.0, True, 2.0, 0.1, tr=0.0) == (5.0, 0)
 
     def test_reverse_dutch_costs(self):
-        a_after, ups = discrepancy(10.0, 5.0, TOO_SLOW, 2.0, 0.1)
+        a_after, ups = discrepancy(10.0, 5.0, True, 2.0, 0.1)
         assert a_after == 7.0
         assert from_units(ups) == pytest.approx(2.0)
 
     def test_dutch_earns(self):
-        a_after, ups = discrepancy(10.0, 7.0, TOO_FAST, 2.0, 0.1)
+        a_after, ups = discrepancy(10.0, 7.0, False, 2.0, 0.1)
         assert a_after == 5.0
         assert from_units(ups) == pytest.approx(-2.0)
 
     def test_sign_law(self):
         rng = np.random.default_rng(43)
-        comparisons = (TOO_SLOW, TOO_FAST)
         for _ in range(300):
             t = float(rng.uniform(-50, 50))
             if abs(t) < 1e-3:
@@ -77,12 +77,12 @@ class TestDiscrepancy:
             a_prev = float(rng.uniform(0, 20))
             lam = float(rng.uniform(0.01, 5.0))
             d = float(rng.uniform(1e-6, 1.0))
-            comparison = comparisons[int(rng.integers(2))]
+            too_slow = not rng.integers(2)
             # a floor at a_prev or an empty treasury half the time makes
             # frozen moves as well as full ones
             a_min = a_prev if rng.integers(2) else 0.0
             tr = 1e9 if rng.integers(2) else 0.0
-            a_after, ups = discrepancy(t, a_prev, comparison, lam, d, a_min, tr)
+            a_after, ups = discrepancy(t, a_prev, too_slow, lam, d, a_min, tr)
             if a_after > a_prev:
                 assert ups > 0
             elif a_after < a_prev:
