@@ -26,17 +26,14 @@ exactly to zero over any path that returns T to zero), the trade balance
 v_s = V' + rp_in + rp_out + fee holds exactly in integer units, and the
 sub-unit rounding residue is absorbed into the fee.
 
-Commit rule: with p0 the real solution rounded to units and
-target = round(theta * v_s), the committed notional is the first
-minimiser of |fee(p) - target| + 10**9 * [fee(p) < 0] over
-p0-6 .. p0+6 (clamped at 0), stepped down while its fee is negative.
-The rounding of each premium makes fee(p) non-monotone in p, but R is
-convex, so over the window fee(q) - fee(p) <= -m*(q - p) + 2*(n_in + n_out)
-for q > p, where m = 1 - R_in'(x_in_max) + R_out'(x_out_min) and
-n = 1/2 + 2**-49 * max S*R is each leg's rounding noise. The search
-starts at p0 and stops on each side once this bound proves that no
-unpriced candidate can win, so it commits what a scan of all 13 would
-(``_commit_notional``).
+Commit rule (``_commit_notional``): the committed notional is p0, the
+real solution rounded to units, when the fee it leaves is nonnegative.
+Otherwise it steps down: it gallops p0-1, p0-2, p0-4, ... (clamped at 0)
+to a notional whose fee is nonnegative and bisects the fee's sign change
+behind it, so it commits a p < p0 with fee(p) >= 0 > fee(p + 1). Where
+the fee is monotone over that span, this is the p that a unit-by-unit
+walk down from p0 reaches, in logarithmically many pricings. The fee at
+p = 0 is v_s, so the step-down always ends.
 """
 
 from __future__ import annotations
@@ -94,8 +91,8 @@ def premium_units(t_units: int, params: RebalanceParams) -> int:
     Deterministic function of the committed state so premium deltas
     telescope exactly over any trade path. Equal to
     ``to_units(premium_fn(from_units(t_units), params))``, written out
-    because the commit search calls it on every candidate; a premium
-    with no ledger units raises ``NonFiniteAmount`` as there.
+    because every quote calls it at least four times; a premium with no
+    ledger units raises ``NonFiniteAmount`` as there.
     """
     premium = premium_fn(t_units / SCALE, params) * SCALE
     try:
@@ -236,10 +233,6 @@ def solve_adjusted_notional(
     )
 
 
-_WINDOW = 6
-_NEGATIVE_FEE_PENALTY = 10**9
-
-
 def _commit_notional(
     p0: int,
     v_s_units: int,
@@ -247,81 +240,36 @@ def _commit_notional(
     t_out0_u: int,
     params_in: RebalanceParams,
     params_out: RebalanceParams,
-    theta: float,
 ) -> tuple[int, int, int, int, int, int]:
-    """Integer adjusted notional committed near ``p0`` and its premia.
+    """Integer adjusted notional committed at or below ``p0`` and its premia.
 
     Returns ``(p, rp_in, rp_out, fee, r_in, r_out)``: the notional, the
     two legs' premium deltas, the fee ``v_s - p - rp_in - rp_out`` and
     the legs' premia ``premium_units`` at the committed flows, by the
     commit rule in the module docstring.
-
-    The search widens the priced span [l, r] around ``p0`` one candidate
-    at a time and stops on a side once the bound proves that no candidate
-    beyond it can win (strictly to the right, ties going left). The
-    slopes in m are taken at the window end p = lo, where R_in' is
-    largest and R_out' smallest. Each ``premium_units`` value carries at
-    most 7 float64 roundings, none cancelling, plus the rounding to
-    units, which ``n`` covers. When ``m <= 0`` the bound says nothing and
-    the loop walks the window.
     """
     r_in0 = premium_units(t_in0_u, params_in)
     r_out0 = premium_units(t_out0_u, params_out)
-    target = round(theta * v_s_units)
-    lo, hi = max(0, p0 - _WINDOW), p0 + _WINDOW
-
-    x_in_max, x_in_min = (t_in0_u - lo) / SCALE, (t_in0_u - hi) / SCALE
-    x_out_min, x_out_max = (t_out0_u + lo) / SCALE, (t_out0_u + hi) / SCALE
-    # dR/dt = d*(2x + s*a), the right derivative at the kink x = 0
-    d, sa = _branches(params_in)[x_in_max >= 0]
-    g_in = d * (2.0 * x_in_max + sa)
-    d, sa = _branches(params_out)[x_out_min >= 0]
-    g_out = d * (2.0 * x_out_min + sa)
-    m = 1.0 - g_in + g_out
-    # A convex R is largest at a window end.
-    r_max = max(premium_fn(x_in_max, params_in), premium_fn(x_in_min, params_in))
-    r_max += max(premium_fn(x_out_min, params_out), premium_fn(x_out_max, params_out))
-    noise = 2.0 + 2.0**-48 * SCALE * r_max
-    # pad covers the float rounding of m and noise themselves
-    pad = 2.0**-40 * (1.0 + abs(g_in) + abs(g_out) + noise)
-    # A candidate beyond the evaluated span [l, r] can still win only if
-    # (target - fee(r)) - best < slack on the right or
-    # (fee(l) - target) - best <= slack on the left.
-    slack = noise - m + pad if m > pad else math.inf
 
     def implied(p: int) -> tuple[int, int, int]:
         r_in = premium_units(t_in0_u - p, params_in)
         r_out = premium_units(t_out0_u + p, params_out)
         return v_s_units - p - (r_in - r_in0) - (r_out - r_out0), r_in, r_out
 
-    best = implied(p0)
-    fee_l = fee_r = best[0]
-    best_err = abs(fee_r - target) + (_NEGATIVE_FEE_PENALTY if fee_r < 0 else 0)
-    p = l = r = p0
-    while True:
-        right = r < hi and (target - fee_r) - best_err < slack
-        left = l > lo and (fee_l - target) - best_err <= slack
-        if right and (not left or best[0] > target):
-            r += 1
-            cand = implied(r)
-            fee_r = cand[0]
-            err = abs(fee_r - target) + (_NEGATIVE_FEE_PENALTY if fee_r < 0 else 0)
-            if err < best_err:
-                p, best, best_err = r, cand, err
-        elif left:
-            l -= 1
-            cand = implied(l)
-            fee_l = cand[0]
-            err = abs(fee_l - target) + (_NEGATIVE_FEE_PENALTY if fee_l < 0 else 0)
-            if err <= best_err:
-                p, best, best_err = l, cand, err
+    p = neg = p0
+    best, step = implied(p0), 1
+    while best[0] < 0 and p > 0:
+        neg, p = p, max(0, p0 - step)
+        best, step = implied(p), 2 * step
+    # fee(p) >= 0 > fee(neg) brackets the step-down
+    while neg - p > 1:
+        mid = (p + neg) // 2
+        cand = implied(mid)
+        if cand[0] >= 0:
+            p, best = mid, cand
         else:
-            break
-
+            neg = mid
     fee, r_in, r_out = best
-    while fee < 0 and p > 0:
-        p -= 1
-        fee, r_in, r_out = implied(p)
     return p, r_in - r_in0, r_out - r_out0, fee, r_in, r_out
 
 
@@ -395,13 +343,7 @@ def quote_swap(
     )
 
     p, rp_in_u, rp_out_u, fee_u, r_in_u, r_out_u = _commit_notional(
-        max(0, to_units(v_prime)),
-        v_s_units,
-        t_in0_u,
-        t_out0_u,
-        params_in,
-        params_out,
-        theta,
+        to_units(v_prime), v_s_units, t_in0_u, t_out0_u, params_in, params_out
     )
 
     v_out = solve_volume_for_value(cout.ask, cout.ask_mark, from_units(p)) - cout.ask_mark

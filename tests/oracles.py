@@ -56,7 +56,6 @@ from dfmm.pricing import (
     RebalanceParams,
     _quad_roots,
     premium_fn,
-    premium_units,
     rp_delta,
 )
 from dfmm.sim.agents import TradeIntent
@@ -192,43 +191,6 @@ def random_positive_quadratic(rng: np.random.Generator):
     margin = float(rng.uniform(0.5, 3.0))
     c0 = margin - float(base.min())
     return c2, c1, c0, v_hi
-
-
-def scan_commit(
-    p0: int,
-    v_s_units: int,
-    t_in0_u: int,
-    t_out0_u: int,
-    params_in: RebalanceParams,
-    params_out: RebalanceParams,
-    theta: float,
-) -> tuple[int, int, int, int]:
-    """The integer commit by pricing all 13 candidates p0-6 .. p0+6.
-
-    Returns (p, rp_in, rp_out, fee). This is the scan the pricing module
-    replaced with a bounded outward search, kept as its reference.
-    """
-    r_in0_u = premium_units(t_in0_u, params_in)
-    r_out0_u = premium_units(t_out0_u, params_out)
-    target_fee = round(theta * v_s_units)
-
-    def implied(p: int) -> tuple[int, int, int]:
-        rp_in = premium_units(t_in0_u - p, params_in) - r_in0_u
-        rp_out = premium_units(t_out0_u + p, params_out) - r_out0_u
-        return rp_in, rp_out, v_s_units - p - rp_in - rp_out
-
-    best_p, best_err = None, None
-    for p in range(max(0, p0 - 6), p0 + 7):
-        _, _, fee = implied(p)
-        err = abs(fee - target_fee) + (10**9 if fee < 0 else 0)
-        if best_err is None or err < best_err:
-            best_p, best_err = p, err
-    p = best_p
-    rp_in_u, rp_out_u, fee_u = implied(p)
-    while fee_u < 0 and p > 0:
-        p -= 1
-        rp_in_u, rp_out_u, fee_u = implied(p)
-    return p, rp_in_u, rp_out_u, fee_u
 
 
 def exact_adjusted_notional(

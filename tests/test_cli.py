@@ -439,10 +439,10 @@ class TestSweep:
         assert capsys.readouterr().out.splitlines() == [
             "point,auction_enabled,k,fills,final_treasury,max_utilisation,liquidations,"
             "min_solvency_margin,status",
-            "0,False,1.0,536,393.628060907355,0.20684475967762578,0,34.456426848161,ok",
-            "1,False,3.0,510,361.039870110919,0.17089804880402076,0,51.360772248684,ok",
-            "2,True,1.0,524,398.172310172754,0.20990760645020357,0,75.246544724846,ok",
-            "3,True,3.0,529,351.170539353022,0.09711672809651418,0,46.020942787782,ok",
+            "0,False,1.0,536,393.628060907355,0.20684475967762636,0,34.456426848161,ok",
+            "1,False,3.0,510,361.03987011092,0.17089804880402124,0,51.360772248652,ok",
+            "2,True,1.0,524,398.172310172754,0.20990760645020387,0,75.246544724846,ok",
+            "3,True,3.0,529,351.170539353022,0.09711672809651388,0,46.020942787782,ok",
         ]
 
     def test_parallel_grid_matches_serial(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dfmm import pricing
 from dfmm.eldf import AssetCurves, Eldf
 from dfmm.errors import (
     ExceedsCapacity,
@@ -26,12 +27,7 @@ from dfmm.pricing import (
 )
 from dfmm.vaults import LONG, SHORT, Vault, VaultPair
 import oracles
-from oracles import (
-    balance_residual,
-    bisect_adjusted_notional,
-    exact_adjusted_notional,
-    scan_commit,
-)
+from oracles import balance_residual, bisect_adjusted_notional, exact_adjusted_notional
 from test_eldf import outcome
 
 P_STD = RebalanceParams(a_rhs=5.0, a_lhs=5.0, d_rhs=0.1, d_lhs=0.1)
@@ -351,8 +347,8 @@ def commit_states(draw):
 
     The notional p is drawn first and v_s is the gross notional that p
     balances; a leg's flow may sit within 8 units of p so that its T
-    crosses zero inside the commit window. p0 is within 8 units of the
-    solver's root, as quote_swap passes it.
+    crosses zero near the committed notional. p0 is within 8 units of the
+    solver's rounded root, which quote_swap passes.
     """
     p = abs(draw(_FLOW_UNITS))
     t_in0 = draw(_FLOW_UNITS) if draw(st.booleans()) else p + draw(_OFFSET)
@@ -384,10 +380,41 @@ def commit_states(draw):
     return p0, v_s_units, t_in0, t_out0, params_in, params_out, theta
 
 
+# The in-leg's premium is 4.6e23 units, where float64 spacing is 2**26
+# units, and both legs' premia after the trade are 0, so the fee falls one
+# unit per unit of notional and the rounded root sits 10,231,808 units
+# above the last notional with a nonnegative fee.
+FAR_STEP_DOWN = (
+    464160025436423976910848,
+    999999999999991808,
+    999999999999991815,
+    -999999999999991800,
+    RebalanceParams(0.3060916393901321, 45.48507912012991, 0.4641588833612779, 0.0),
+    RebalanceParams(0.0, 46.125083091703104, 0.0, 0.0),
+    0.0,
+)
+
+
+def counted_commit(state):
+    """``_commit_notional`` at a ``commit_states`` state, and the number
+    of ``premium_units`` calls it made."""
+    calls = 0
+
+    def counting(t_units, params):
+        nonlocal calls
+        calls += 1
+        return premium_units(t_units, params)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pricing, "premium_units", counting)
+        committed = _commit_notional(*state[:6])
+    return committed, calls
+
+
 class TestCommit:
-    # Two states where a bound with too little noise stops the search
-    # early: one leg-rounding unit short (n = 1/4 per value), and no
-    # relative term (premium near 4e19 units, float spacing 4096 units).
+    # Two states at the edge of float64 precision: one where each leg's
+    # rounding to units moves the fee, and one with a premium near 4e19
+    # units, where float spacing is 4096 units.
     @example(
         (
             6312165065410,
@@ -412,15 +439,41 @@ class TestCommit:
             0.003,
         )
     )
+    @example(FAR_STEP_DOWN)
     @given(commit_states())
     @settings(max_examples=600)
-    def test_search_commits_what_the_full_scan_commits(self, state):
-        p0, v_s, t_in0, t_out0, params_in, params_out, theta = state
-        p, rp_in, rp_out, fee, r_in, r_out = _commit_notional(*state)
-        assert (p, rp_in, rp_out, fee) == scan_commit(*state)
+    def test_commits_the_rounded_root_or_steps_down_to_a_nonnegative_fee(self, state):
+        p0, v_s, t_in0, t_out0, params_in, params_out, _ = state
+        r_in0 = premium_units(t_in0, params_in)
+        r_out0 = premium_units(t_out0, params_out)
+
+        def fee_at(p):
+            return (
+                v_s
+                - p
+                - (premium_units(t_in0 - p, params_in) - r_in0)
+                - (premium_units(t_out0 + p, params_out) - r_out0)
+            )
+
+        (p, rp_in, rp_out, fee, r_in, r_out), calls = counted_commit(state)
         assert r_in == premium_units(t_in0 - p, params_in)
         assert r_out == premium_units(t_out0 + p, params_out)
+        assert (rp_in, rp_out) == (r_in - r_in0, r_out - r_out0)
         assert p + rp_in + rp_out + fee == v_s
+        assert fee >= 0 or p == 0
+        if fee_at(p0) >= 0:
+            assert p == p0
+            assert calls == 4
+        else:
+            assert 0 <= p < p0
+            assert fee_at(p + 1) < 0
+            # gallop and bisection price O(log(p0 - p)) notionals
+            assert calls <= 6 + 4 * (p0 - p - 1).bit_length()
+
+    def test_far_step_down_commits_what_a_unit_walk_does_in_100_pricings(self):
+        (p, _, _, fee, _, _), calls = counted_commit(FAR_STEP_DOWN)
+        assert (p, fee) == (FAR_STEP_DOWN[0] - 10_231_808, 0)
+        assert calls <= 100
 
     def test_premium_units_is_the_unit_rounding_of_premium_fn(self):
         rng = np.random.default_rng(71)

@@ -1070,14 +1070,14 @@ class TestDeterministicOutput:
         "trades.csv", "treasury.csv", "vaults.csv",
     )
     GOLDEN = {
-        "demo": "9a2c01bb64a958c714b786bf89611558681363eddb7393f5989c6b5d594ff511",
-        "busy": "027d908bf0ec0adcc285d06bf94bb619520577dd61c379281a30edf8cedf20ec",
-        "three": "6c94eba2ab740f885c7a6afa4fc42843b1a799c1456b969d1f2aa83ecf7c5495",
+        "demo": "a0d29c6856a2af6a96cef9911a61d6059bfd32f6958784efb957155e18457c12",
+        "busy": "e6b14d74e280715cff17a5646fc3a12bf9eeb225d6784ed92871e213787c3ead",
+        "three": "4ab63e388248395dc7edd43fd984355f11c72df7bcdb522f66b1553de7c3279c",
     }
     GOLDEN_LEDGER = {
-        "demo": "4ca6f23f911b5b9f4a7cc48f1e83b893c922ec86182250b55be51c81cc162c48",
-        "busy": "5ad552d5eadfef46eaa2738534450aabbf8a95ee766359436ced50892e84b21c",
-        "three": "aa7d167729df15d37f7c657e6f9064199b3d170743d984e22d99c013cb448d83",
+        "demo": "16f87e0c96557cd925b47f8423a661308fea820d693631290d3608a12b72e047",
+        "busy": "a0e81a982223d02b107f2c0056236f33b95a0f3b3658bcb0e991bec146102f8b",
+        "three": "d1ddb4ecc7fa0f130cee8c034c7d44fefa08d7b3419a988a7f52a064f4a764c1",
     }
     GAMMA = {
         "mid_price": 20.0,
