@@ -31,7 +31,7 @@ ExceedsCapacity        a trade would take open inventory past its vault's
 ZeroPrevValue          a swaption whose notional was struck at a value
                        of zero or less
 InvariantBreach        a fail-stop invariant broke: the conservation
-                       audit, or a negative treasury balance
+                       audit, or an ``rr_adjust`` that overdraws the treasury
 ConfigInvalid          a scenario breaks its validation rules
 ParseError             a scenario file, sweep grid or snapshot record
                        does not parse

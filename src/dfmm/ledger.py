@@ -4,17 +4,24 @@ The balance sheet is event-sourced: every mutation appends a row with
 fully resolved amounts, and replaying the rows from genesis reproduces
 all balances bit-exactly. Accounting-asset amounts are integer ledger
 units (see money.SCALE); physical inventory is carried in asset units as
-floats, with float operations applied in the same order on replay.
+floats, with float operations applied in the same order on replay. A
+row the sheet refuses raises before it moves anything.
 
 Each row is one row of a run's ``ledger.csv`` (columns ``LEDGER``),
 stamped with the engine's timestep, 0 for the deposits made before the
-first one. A deposit fills ``asset_in`` and ``v_in``, an ``rr_adjust``
-fills ``asset_in``, ``rp_in_units`` and ``reason``, and the cells a kind
-does not use hold ``""``. The engine streams ``BalanceSheet.log`` to that
-file with its other log rows and empties it as it goes, so a replay of a
-run starts from ``ledger.csv``: floats are written by str(), which
-round-trips them, and ledger units as ints. A fill's one record is its
-``trade`` row; ``trade_rows`` renders it as a row of ``trades.csv``.
+first one. A deposit fills ``asset_in`` and ``v_in``; a ``trade`` the
+fill, the fee's treasury slice ``xi_units`` (the rest accrues to
+``asset_out``'s pending reward) and the ``agent`` that sent it; an
+``rr_adjust``, which moves RR and debits the treasury by the same units,
+``asset_in``, ``rp_in_units`` and ``reason``; and a ``reward``, which
+moves an asset's pending reward to the classes' claimable balances,
+``asset_in`` and the units per class. The cells a kind does not use
+hold ``""``. The engine streams ``BalanceSheet.log`` to that file with
+its other log rows and empties it as it goes, so a replay of a run
+starts from ``ledger.csv``: floats are written by str(), which
+round-trips them, and ledger units as ints. ``trade_rows`` renders the
+``trade`` rows as ``trades.csv`` and ``treasury_rows`` renders the rows
+that move the treasury as ``treasury.csv``.
 
 Sign convention for the synthetic flow T: T > 0 means accounting value
 was net received against an asset deficit (inventory below the LP claim),
@@ -28,13 +35,19 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .eldf import Eldf, integrate_eldf
-from .errors import BadParams
+from .errors import BadParams, InvariantBreach
 from .money import from_units, to_units
 
 
 # the sLP vault sides (see vaults)
 LONG = "long"
 SHORT = "short"
+
+# the reward classes (see treasury.reward_distribute)
+PLP = "plp"
+SLP_LONG = "slp_long"
+SLP_SHORT = "slp_short"
+REWARD_CLASSES = (PLP, SLP_LONG, SLP_SHORT)
 
 
 @dataclass
@@ -58,20 +71,28 @@ class AssetPool:
 
 LEDGER = (
     "timestep", "kind", "asset_in", "asset_out", "v_in", "v_out", "v_s_units",
-    "v_prime_units", "rp_in_units", "rp_out_units", "fee_units", "reason",
+    "v_prime_units", "rp_in_units", "rp_out_units", "fee_units", "xi_units", "agent",
+    "plp_units", "slp_long_units", "slp_short_units", "reason",
 )
 
 
 class BalanceSheet:
     """Single-writer aggregate of all pools plus the append-only log of
-    ``LEDGER`` rows. Each asset's accounting-asset balances, the flow T
-    and the premium reserve RR, are ledger units in ``t_units`` and
-    ``rr_units``."""
+    ``LEDGER`` rows. Its accounting-asset balances are ledger units: per
+    asset the flow T, the premium reserve RR and the pending reward
+    (``t_units``, ``rr_units``, ``pending_units``), the treasury, and
+    the rewards each (asset, class) can claim. ``totals`` sums the rows'
+    ``v_s``, ``v_prime``, premia ``rp``, ``fee``, ``xi`` and ``upsilon``
+    (an ``rr_adjust``'s units) for the engine's audit."""
 
     def __init__(self, asset_ids=()):
         self.pools: dict[str, AssetPool] = {}
         self.t_units: dict[str, int] = {}
         self.rr_units: dict[str, int] = {}
+        self.pending_units: dict[str, int] = {}
+        self.claimable_units: dict[tuple[str, str], int] = {}
+        self.treasury_units = 0
+        self.totals = dict.fromkeys(("v_s", "v_prime", "rp", "fee", "xi", "upsilon"), 0)
         self.log: list[tuple] = []
         for asset_id in asset_ids:
             self.add_asset(asset_id)
@@ -82,6 +103,7 @@ class BalanceSheet:
         self.pools[asset_id] = AssetPool(asset_id)
         self.t_units[asset_id] = 0
         self.rr_units[asset_id] = 0
+        self.pending_units[asset_id] = 0
 
     def asset_ids(self):
         return sorted(self.pools)
@@ -92,21 +114,32 @@ class BalanceSheet:
         """Deposit before the first timestep: the row's timestep is 0."""
         if not amount > 0:
             raise BadParams(f"deposit must be positive, got {amount}")
-        self._record((0, "deposit_plp", asset_id, "", float(amount), "", "", "", "", "", "", ""))
+        self._record((0, "deposit_plp", asset_id, "", float(amount), *[""] * 12))
         return self.pools[asset_id]
 
-    # --- trade and reserve entries (appended by the pricing commit path) ---
+    # --- trade, reserve and reward entries ---
 
     def record_trade(self, data: tuple) -> None:
         """data: (timestep, asset_in, asset_out, v_in, v_out, v_s_units,
-        v_prime_units, rp_in_units, rp_out_units, fee_units)."""
-        self._record((data[0], "trade", *data[1:], ""))
+        v_prime_units, rp_in_units, rp_out_units, fee_units, xi_units,
+        agent)."""
+        self._record((data[0], "trade", *data[1:], "", "", "", ""))
 
     def adjust_rr(
         self, asset_id: str, delta_units: int, reason: str, *, timestep: int = 0
     ) -> None:
+        """Move ``asset_id``'s RR by ``delta_units`` against the treasury;
+        a debit above the treasury balance raises ``InvariantBreach``."""
         self._record(
-            (timestep, "rr_adjust", asset_id, "", "", "", "", "", int(delta_units), "", "", reason)
+            (timestep, "rr_adjust", asset_id, *[""] * 5, int(delta_units), *[""] * 7, reason)
+        )
+
+    def record_reward(self, timestep: int, asset_id: str, shares: dict[str, int]) -> None:
+        """Move ``asset_id``'s pending reward to the classes' claimable
+        balances; ``shares`` (class -> units) must sum to it, or the row
+        raises ``BadParams``."""
+        self._record(
+            (timestep, "reward", asset_id, *[""] * 10, *(shares[c] for c in REWARD_CLASSES), "")
         )
 
     # --- application / replay ---
@@ -116,9 +149,13 @@ class BalanceSheet:
         self.log.append(row)
 
     def _apply(self, row: tuple) -> None:
-        _t, kind, a_in, a_out, v_in, v_out, _vs, vp, rp_in, rp_out, _fee, _reason = row
-        self.add_asset(a_in)
+        (
+            _t, kind, a_in, a_out, v_in, v_out, v_s, vp, rp_in, rp_out, fee, xi, _agent,
+            *shares, _reason,
+        ) = row
+        totals = self.totals
         if kind == "trade":
+            self.add_asset(a_in)
             self.add_asset(a_out)
             self.pools[a_in].inventory += v_in
             self.pools[a_out].inventory -= v_out
@@ -126,12 +163,37 @@ class BalanceSheet:
             self.t_units[a_out] += vp
             self.rr_units[a_in] += rp_in
             self.rr_units[a_out] += rp_out
+            self.treasury_units += xi
+            self.pending_units[a_out] += fee - xi
+            totals["v_s"] += v_s
+            totals["v_prime"] += vp
+            totals["rp"] += rp_in + rp_out
+            totals["fee"] += fee
+            totals["xi"] += xi
         elif kind == "deposit_plp":
+            self.add_asset(a_in)
             pool = self.pools[a_in]
             pool.inventory += v_in
             pool.lp_inventory += v_in
         elif kind == "rr_adjust":
+            if rp_in > self.treasury_units:
+                raise InvariantBreach(
+                    f"{a_in} rr_adjust of {rp_in} units overdraws the treasury's "
+                    f"{self.treasury_units}"
+                )
+            self.add_asset(a_in)
             self.rr_units[a_in] += rp_in
+            self.treasury_units -= rp_in
+            totals["upsilon"] += rp_in
+        elif kind == "reward":
+            pending = self.pending_units.get(a_in, 0)
+            if sum(shares) != pending:
+                raise BadParams(f"{a_in} reward shares sum to {sum(shares)}, not {pending}")
+            self.add_asset(a_in)
+            for cls, units in zip(REWARD_CLASSES, shares):
+                key = (a_in, cls)
+                self.claimable_units[key] = self.claimable_units.get(key, 0) + units
+            self.pending_units[a_in] = 0
         else:
             raise BadParams(f"unknown ledger row kind {kind!r}")
 
@@ -150,6 +212,10 @@ class BalanceSheet:
             "pools": {a: (p.inventory, p.lp_inventory) for a, p in self.pools.items()},
             "t": dict(self.t_units),
             "rr": dict(self.rr_units),
+            "pending": dict(self.pending_units),
+            "claimable": dict(self.claimable_units),
+            "treasury": self.treasury_units,
+            "totals": dict(self.totals),
         }
 
 
@@ -159,7 +225,7 @@ def trade_rows(rows, t_units: dict) -> list[tuple]:
     absent) as ``_apply`` advances the sheet's, so one dict passed to each
     batch of a log in turn renders the whole log."""
     out = []
-    for t, kind, a_in, a_out, v_in, v_out, v_s, vp, rp_in, rp_out, fee, _ in rows:
+    for t, kind, a_in, a_out, v_in, v_out, v_s, vp, rp_in, rp_out, fee, *_ in rows:
         if kind == "trade":
             t_in = t_units[a_in] = t_units.get(a_in, 0) - vp
             t_out = t_units[a_out] = t_units.get(a_out, 0) + vp
@@ -167,6 +233,28 @@ def trade_rows(rows, t_units: dict) -> list[tuple]:
                 t, f"{a_in}->{a_out}", v_in, from_units(v_s), from_units(vp), from_units(rp_in),
                 from_units(rp_out), from_units(fee), v_out, from_units(t_in), from_units(t_out),
             ))
+    return out
+
+
+def treasury_rows(rows, state: dict) -> list[tuple]:
+    """The ``treasury.csv`` rows of ``rows``: an ``xi`` row per ``trade``
+    row, an ``upsilon`` row per ``rr_adjust`` row and a ``reward`` row,
+    the units distributed, per ``reward`` row, each with the treasury
+    balance after it. The balance advances in ``state["treasury_units"]``
+    (0 when absent), so one dict passed to each batch of a log in turn
+    renders the whole log."""
+    out = []
+    balance = state.get("treasury_units", 0)
+    for t, kind, asset, _, _, _, _, _, rp_in, _, _, xi, _, *shares, _ in rows:
+        if kind == "trade":
+            balance += xi
+            out.append((t, "xi", asset, from_units(xi), from_units(balance)))
+        elif kind == "rr_adjust":
+            balance -= rp_in
+            out.append((t, "upsilon", asset, from_units(rp_in), from_units(balance)))
+        elif kind == "reward":
+            out.append((t, "reward", asset, from_units(sum(shares)), from_units(balance)))
+    state["treasury_units"] = balance
     return out
 
 

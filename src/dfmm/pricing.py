@@ -378,21 +378,26 @@ def execute_swap(
     curves: Mapping[str, AssetCurves],
     params_by_asset: Mapping[str, RebalanceParams],
     theta: float,
+    xi: float = 0.0,
     *,
     vaults_by_asset: Mapping[str, VaultPair],
     timestep: int = 0,
+    agent: str = "",
 ) -> SwapQuote:
     """Quote a swap with ``quote_swap`` and commit it at once: the
     ledger ``trade`` row moves inventory, T and the premium reserves,
-    and both legs' marks advance. Returns the quote; a rejected quote
-    raises and commits nothing."""
+    books the fee's treasury slice, round(xi * v_s) capped at the fee,
+    and accrues the rest as reward, and both legs' marks advance.
+    Returns the quote; a rejected quote raises and commits nothing."""
     quote = quote_swap(
         asset_in, asset_out, v_in, sheet, curves, params_by_asset, theta,
         vaults_by_asset=vaults_by_asset,
     )
+    xi_units = min(round(xi * quote.v_s_units), max(quote.fee_units, 0))
     sheet.record_trade((
         timestep, asset_in, asset_out, v_in, quote.v_out, quote.v_s_units,
         quote.v_prime_units, quote.rp_in_units, quote.rp_out_units, quote.fee_units,
+        xi_units, agent,
     ))
     curves[asset_in].bid_mark += v_in
     curves[asset_out].ask_mark += quote.v_out

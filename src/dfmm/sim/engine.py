@@ -27,13 +27,14 @@ the vault still covers its side's open inventory after that debit and
 stays above its margin floor.
 
 The audit runs at the end of every timestep, in exact ledger units. Each
-identity sets a total the engine keeps against a record kept by other
-code: trade balance (fills' V_S = V' + premia + fees), fee split (fees =
-the treasury's cumulative xi + the reward ledger's units), premium
-reserve (the sheet's RR balances = premia + the treasury's cumulative
-upsilon), treasury identity (balance = cum xi - cum upsilon), synthetic
-flows net (the flows T sum to zero) and hedge book (vault collateral
-moved since construction = queued flows applied - hedge P&L).
+identity but the last sets the balance sheet's live balances, the
+treasury and the rewards among them, against its sums of rows by kind:
+trade balance (fills' V_S = V' + premia + fees), fee split (fees = cum
+xi + pending and claimable rewards), premium reserve (RR = premia + cum
+upsilon), treasury identity (balance = cum xi - cum upsilon) and
+synthetic flows net (the flows T sum to zero). Hedge book sets the
+vaults against the engine's totals: collateral moved since construction
+= queued flows applied - hedge P&L.
 A failed identity raises ``InvariantBreach`` naming it. That, like any
 other engine error raised mid-run or by the first refit at construction,
 is fail-stop: the run halts with a diagnostic naming the error class and
@@ -42,9 +43,9 @@ timestep, and the logs collected so far are preserved.
 Log rows are appended to the lists in ``Engine.logs``, one per kind in
 ``sim.output.LOGGED``. Its ``ledger`` list is the balance sheet's own
 event log, ``BalanceSheet.log``, so the drain covers the ledger rows too;
-a fill's one record is its ``trade`` row there, and ``trades.csv`` is
-rendered from it when it is written. ``run(drain)`` hands that buffer to
-``drain`` and empties it whenever, between two timesteps, it holds at
+``trades.csv`` and ``treasury.csv`` are rendered from its rows when
+they are written. ``run(drain)`` hands that buffer to ``drain`` and
+empties it whenever, between two timesteps, it holds at
 least ``DRAIN_ROWS`` rows, so a run's memory does not grow with its
 horizon; no drain runs inside a timestep. The rows not yet drained, with
 the reward claims added at the end, are returned in
@@ -66,15 +67,14 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from .. import treasury as treasury_mod
 from ..auction import auction_step
 from ..eldf import AssetCurves, integrate_eldf, solve_volume_for_value
 from ..errors import BadParams, EngineError, InvariantBreach
-from ..ledger import BalanceSheet, solvency_check
+from ..ledger import PLP, BalanceSheet, solvency_check
 from ..metrics import impermanent_loss
 from ..money import from_units, to_units
 from ..pricing import RebalanceParams, execute_swap
-from ..treasury import RewardLedger, TreasuryReserve, treasury_update
+from ..treasury import reward_distribute
 from ..vaults import (
     LONG,
     SHORT,
@@ -104,7 +104,7 @@ class RunArtifacts:
 
 
 # rows the log buffer may hold before run() drains it: about one drain
-# per 6 timesteps on a busy two-asset run. A drain evicts some of the
+# per 8 timesteps on a busy two-asset run. A drain evicts some of the
 # engine's working set from the caches, so the timestep after it runs
 # slower: by about 25-50 us on average with 256-row drains handed to the
 # writer process (35-80 us when this process formatted them). Small
@@ -138,8 +138,6 @@ class Engine:
         )
 
         self.auction_clocks: dict = {}  # (asset, side) -> auction.SideClock
-        self.reserve = TreasuryReserve()
-        self.rewards = RewardLedger()
 
         self.sheet = BalanceSheet()
         self.curves: dict[str, AssetCurves] = {}
@@ -167,11 +165,7 @@ class Engine:
         self.logs: dict[str, list] = {kind: [] for kind in LOGGED}
         self.logs["ledger"] = self.sheet.log
 
-        # exact-unit totals the audit sets against records kept elsewhere
-        self.total_v_s_units = 0
-        self.total_v_prime_units = 0
-        self.total_rp_units = 0
-        self.total_fee_units = 0
+        # exact-unit totals the audit sets against the vaults
         self.hedge_pnl_units = 0
         self.vault_external_units = 0
 
@@ -243,29 +237,17 @@ class Engine:
         try:
             quote = execute_swap(
                 asset_in, asset_out, v_in, self.sheet, self.curves, self.params,
-                self.cfg.theta, vaults_by_asset=self.vaults, timestep=self.t,
+                self.cfg.theta, self.cfg.xi, vaults_by_asset=self.vaults, timestep=self.t,
+                agent=agent,
             )
         except EngineError:
             self.rejected += 1
             return None
         self.fills += 1
 
-        xi_units = min(round(self.cfg.xi * quote.v_s_units), max(quote.fee_units, 0))
-        reward_units = quote.fee_units - xi_units
-        treasury_update(self.reserve, xi_delta_units=xi_units)
-        self.rewards.accrue(asset_out, reward_units)
-        self.logs["treasury"].append(
-            (self.t, "xi", asset_in, from_units(xi_units), self.reserve.balance)
-        )
-
         # expected minus executed price: positive favours the trader
         slip = self.markets[asset_in].mid - from_units(quote.v_s_units) / v_in
         self.logs["metrics"].append((self.t, "slippage", f"{asset_in}->{asset_out}", slip))
-
-        self.total_v_s_units += quote.v_s_units
-        self.total_v_prime_units += quote.v_prime_units
-        self.total_rp_units += quote.rp_in_units + quote.rp_out_units
-        self.total_fee_units += quote.fee_units
         if agent == "trader":
             self.trader_cost_units += (
                 quote.rp_in_units + quote.rp_out_units + quote.fee_units
@@ -366,16 +348,12 @@ class Engine:
             return
         self.params, events = auction_step(
             self.cfg, self.auction_clocks, self.t, utils, self.sheet.t_units, self.params,
-            self.reserve.balance_units, at_epoch_boundary=at_epoch_boundary,
+            self.sheet.treasury_units, at_epoch_boundary=at_epoch_boundary,
         )
         for upsilon_units, row in events:
-            aid = row[1]  # the auction row's asset column
-            treasury_update(self.reserve, upsilon_delta_units=upsilon_units)
-            self.sheet.adjust_rr(aid, upsilon_units, "auction", timestep=self.t)
+            # row[1] is the auction row's asset column
+            self.sheet.adjust_rr(row[1], upsilon_units, "auction", timestep=self.t)
             self.logs["auction"].append(row)
-            self.logs["treasury"].append(
-                (self.t, "upsilon", aid, from_units(upsilon_units), self.reserve.balance)
-            )
 
     def step_epoch(self) -> None:
         cfg = self.cfg
@@ -428,15 +406,10 @@ class Engine:
                 self.liquidations += margin_check(vault)
             self.queued_vault_flows = still_queued
 
-            pending = self.rewards.pending_units(aid)
+            pending = self.sheet.pending_units[aid]
             if pending > 0:
-                shares = treasury_mod.reward_distribute(
-                    pool, vp, pending, gamma=cfg.reward_gamma
-                )
-                self.rewards.distribute(aid, shares)
-                self.logs["treasury"].append(
-                    (self.t, "reward", aid, from_units(pending), self.reserve.balance)
-                )
+                shares = reward_distribute(pool, vp, pending, gamma=cfg.reward_gamma)
+                self.sheet.record_reward(self.t, aid, shares)
 
             for side, vault in ((LONG, vp.long), (SHORT, vp.short)):
                 self.logs["vaults"].append(
@@ -469,7 +442,7 @@ class Engine:
         cash = (
             sum(self.sheet.t_units.values())
             + sum(self.sheet.rr_units.values())
-            + self.reserve.balance_units
+            + self.sheet.treasury_units
             + self.hedge_pnl_units
         )
         return surplus_units + cash
@@ -508,21 +481,18 @@ class Engine:
         rows.append(
             (self.t, "unsettled_reval", "*", from_units(self.unsettled_revaluation_units()))
         )
-        rows.append((self.t, "treasury", "*", self.reserve.balance))
+        rows.append((self.t, "treasury", "*", from_units(self.sheet.treasury_units)))
 
     def _audit(self) -> None:
+        sheet = self.sheet
+        total = sheet.totals
+        rewards = sum(sheet.pending_units.values()) + sum(sheet.claimable_units.values())
         checks = {
-            "trade balance": self.total_v_s_units
-            == self.total_v_prime_units
-            + self.total_rp_units
-            + self.total_fee_units,
-            "fee split": self.total_fee_units
-            == self.reserve.cum_xi_units + self.rewards.total_units(),
-            "premium reserve": sum(self.sheet.rr_units.values())
-            == self.total_rp_units + self.reserve.cum_upsilon_units,
-            "treasury identity": self.reserve.balance_units
-            == self.reserve.cum_xi_units - self.reserve.cum_upsilon_units,
-            "synthetic flows net": sum(self.sheet.t_units.values()) == 0,
+            "trade balance": total["v_s"] == total["v_prime"] + total["rp"] + total["fee"],
+            "fee split": total["fee"] == total["xi"] + rewards,
+            "premium reserve": sum(sheet.rr_units.values()) == total["rp"] + total["upsilon"],
+            "treasury identity": sheet.treasury_units == total["xi"] - total["upsilon"],
+            "synthetic flows net": sum(sheet.t_units.values()) == 0,
             "hedge book": self._vault_units() - self.initial_vault_units
             == self.vault_external_units - self.hedge_pnl_units,
         }
@@ -558,8 +528,8 @@ class Engine:
                 margin_units = self.solvency_margin_units()
         except EngineError as exc:
             self._halt(exc)
-        for row in self.rewards.claims():
-            self.logs["rewards"].append(row)
+        for (aid, cls), units in sorted(self.sheet.claimable_units.items()):
+            self.logs["rewards"].append((cls, aid, cls, from_units(units)))
         perf = {phase: ns / 1e9 for phase, ns in self.perf.items()}
         return RunArtifacts(self.logs, self._summary(margin_units), self.cfg, perf)
 
@@ -573,16 +543,12 @@ class Engine:
             "epochs": self.epoch,
             "fills": self.fills,
             "rejected": self.rejected,
-            "final_treasury": self.reserve.balance,
+            "final_treasury": from_units(self.sheet.treasury_units),
             "trader_cost": from_units(self.trader_cost_units),
             "arb_pnl": self.arb_pnl,
             "slp_pnl": from_units(slp_pnl_units),
             "plp_rewards": from_units(
-                sum(
-                    units
-                    for (aid, cls), units in self.rewards.claimable_units.items()
-                    if cls == treasury_mod.PLP
-                )
+                sum(units for (_, cls), units in self.sheet.claimable_units.items() if cls == PLP)
             ),
             # None: a halted run's final margin, and the minimum of no timestep
             "solvency_margin": None if margin_units is None else from_units(margin_units),

@@ -1,58 +1,18 @@
-"""Treasury reserve and reward distribution.
+"""Reward distribution across the pLP and sLP classes.
 
-The reserve accumulates the rebalancing fee slice of every trade and
-funds the discrepancies created when the auction moves aggressiveness
-with flow open (``auction.update_aggressiveness`` prices each one in
-ledger units; the engine splits each fill's fee). Its balance always
-equals cumulative fees minus cumulative discrepancies, exactly, and the
-auction cap keeps it nonnegative; a negative balance is a fatal engine bug, not a market
-condition. Trade rewards (fee minus the treasury slice) are split
-between the pLP class and the two sLP vault classes, starting from equal
-thirds and corrected toward balanced capacity shares.
+The treasury and the reward balances live on the balance sheet
+(``ledger.BalanceSheet``): each fill's fee splits into the treasury
+slice xi and a reward that accrues to the out-asset, and at each epoch
+boundary the engine books a ``reward`` row that moves an asset's pending
+reward to the classes' claimable balances, split by ``reward_distribute``
+from equal thirds corrected toward balanced capacity shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import BadParams, InvariantBreach
-from .ledger import AssetPool
-from .money import from_units
+from .errors import BadParams
+from .ledger import PLP, SLP_LONG, SLP_SHORT, AssetPool
 from .vaults import VaultPair
-
-PLP = "plp"
-SLP_LONG = "slp_long"
-SLP_SHORT = "slp_short"
-
-
-@dataclass
-class TreasuryReserve:
-    balance_units: int = 0
-    cum_xi_units: int = 0
-    cum_upsilon_units: int = 0
-
-    @property
-    def balance(self) -> float:
-        return from_units(self.balance_units)
-
-
-def treasury_update(
-    reserve: TreasuryReserve, xi_delta_units: int = 0, upsilon_delta_units: int = 0
-) -> TreasuryReserve:
-    """Book a fee inflow and/or a discrepancy against the reserve.
-
-    Keeps balance == cum_xi - cum_upsilon exactly. A negative resulting
-    balance means the auction cap failed and is raised as fatal.
-    """
-    reserve.cum_xi_units += xi_delta_units
-    reserve.cum_upsilon_units += upsilon_delta_units
-    reserve.balance_units = reserve.cum_xi_units - reserve.cum_upsilon_units
-    if reserve.balance_units < 0:
-        raise InvariantBreach(
-            f"treasury balance {reserve.balance_units} units after "
-            f"xi={xi_delta_units}, upsilon={upsilon_delta_units}"
-        )
-    return reserve
 
 
 def reward_distribute(
@@ -110,41 +70,3 @@ def reward_distribute(
             break
         plp_units = accrued_units - long_units - short_units
     return {PLP: plp_units, SLP_LONG: long_units, SLP_SHORT: short_units}
-
-
-@dataclass
-class RewardLedger:
-    """Accrued and claimable reward balances per asset and class."""
-
-    accrued_units: dict = field(default_factory=dict)
-    claimable_units: dict = field(default_factory=dict)
-
-    def accrue(self, asset_id: str, units: int) -> None:
-        if units < 0:
-            raise BadParams("cannot accrue a negative reward")
-        self.accrued_units[asset_id] = self.accrued_units.get(asset_id, 0) + units
-
-    def pending_units(self, asset_id: str) -> int:
-        return self.accrued_units.get(asset_id, 0)
-
-    def total_units(self) -> int:
-        return sum(self.accrued_units.values()) + sum(self.claimable_units.values())
-
-    def distribute(self, asset_id: str, shares: dict[str, int]) -> None:
-        """Move ``asset_id``'s pending units to the classes' claimable
-        balances; ``shares`` (class -> units) must sum to them."""
-        pending = self.accrued_units.get(asset_id, 0)
-        total = sum(shares.values())
-        if total != pending:
-            raise BadParams(f"shares {total} do not match pending {pending}")
-        for cls, units in shares.items():
-            key = (asset_id, cls)
-            self.claimable_units[key] = self.claimable_units.get(key, 0) + units
-        self.accrued_units[asset_id] = 0
-
-    def claims(self):
-        """(agent, asset, class, claimable $S) rows, class-level agents."""
-        rows = []
-        for (asset_id, cls), units in sorted(self.claimable_units.items()):
-            rows.append((cls, asset_id, cls, from_units(units)))
-        return rows

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from dfmm import cli
-from dfmm.ledger import BalanceSheet
+from dfmm.ledger import BalanceSheet, treasury_rows
+from dfmm.money import from_units
 from dfmm.sim import engine as engine_mod
 from dfmm.sim import output
 from dfmm.sim.config import load_config
@@ -46,9 +47,13 @@ def ledger_rows(outdir) -> list[tuple]:
         return convert(text) if text else ""
 
     rows = []
-    for t, kind, a_in, a_out, v_in, v_out, *units, reason in output.read_log(outdir, "ledger")[1]:
+    for t, kind, a_in, a_out, v_in, v_out, *cells, reason in output.read_log(outdir, "ledger")[1]:
         floats = (cell(float, v_in), cell(float, v_out))
-        rows.append((int(t), kind, a_in, a_out, *floats, *(cell(int, u) for u in units), reason))
+        units, agent, shares = cells[:6], cells[6], cells[7:]
+        rows.append((
+            int(t), kind, a_in, a_out, *floats, *(cell(int, u) for u in units), agent,
+            *(cell(int, u) for u in shares), reason,
+        ))
     return rows
 
 
@@ -416,6 +421,24 @@ class TestRun:
         assert ledger == eng.sheet.log
         assert BalanceSheet.replay(ledger).balances() == eng.sheet.balances()
 
+    def test_ledger_replay_reproduces_the_treasury_and_the_rewards(self, tmp_path, monkeypatch):
+        # many drains, so the treasury balance is carried across batches
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 97)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(demo_ini(tmp_path, self.BUSY)), "--out", str(out)]) == 0
+        ledger = ledger_rows(out)
+        assert {row[1] for row in ledger} == {"deposit_plp", "trade", "rr_adjust", "reward"}
+        sheet = BalanceSheet.replay(ledger)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_treasury"] == from_units(sheet.treasury_units) > 0
+        claims = [
+            (cls, aid, cls, str(from_units(units)))
+            for (aid, cls), units in sorted(sheet.claimable_units.items())
+        ]
+        assert output.read_log(out, "rewards")[1] == claims and len(claims) == 6
+        rendered = [tuple(map(str, row)) for row in treasury_rows(ledger, {})]
+        assert output.read_log(out, "treasury")[1] == rendered
+
 
 class TestSweep:
     def test_two_point_grid(self, tmp_path, capsys):
@@ -569,7 +592,7 @@ class TestInspect:
         deposits = [["0", "deposit_plp", "ALPHA"], ["0", "deposit_plp", "BETA"]]
         assert [r[:3] for r in every[:2]] == deposits
         assert kept[0][:3] == deposits[1]
-        assert {r[1] for r in kept[1:]} == {"trade"} and kept[-1][0] == "20"
+        assert {r[1] for r in kept[1:]} == {"trade", "reward"} and kept[-1][0] == "20"
         kept = self.rows(capsys, outdir, "--asset", "ALPHA", "--from", "1", "--to", "1",
                          log="ledger")
         assert kept == [r for r in every if r[0] == "1"] and len(kept) > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfmm.errors import BadParams, EngineError, NonFiniteAmount
-from dfmm.ledger import BalanceSheet, solvency_check
+from dfmm.ledger import PLP, SLP_LONG, SLP_SHORT, BalanceSheet, solvency_check
 from dfmm.money import to_units
 
 
@@ -44,7 +44,7 @@ class TestDepositWithdraw:
 def trade(sheet, asset_in, asset_out, v_prime_units):
     """Record a fill that moves only the synthetic flows T."""
     sheet.record_trade(
-        (0, asset_in, asset_out, 0.0, 0.0, v_prime_units, v_prime_units, 0, 0, 0)
+        (0, asset_in, asset_out, 0.0, 0.0, v_prime_units, v_prime_units, 0, 0, 0, 0, "script")
     )
 
 
@@ -84,28 +84,33 @@ class TestSolvency:
 
 class TestReplay:
     def test_replay_reproduces_balances_bit_exactly(self):
-        """Every entry kind: deposit, trade and rr_adjust."""
+        """Every entry kind: deposit, trade, rr_adjust and reward."""
         rng = np.random.default_rng(17)
         sheet = BalanceSheet(["X", "Y", "Z"])
         for _ in range(10_000):
-            op = rng.integers(3)
+            op = rng.integers(4)
             asset = ("X", "Y", "Z")[int(rng.integers(3))]
             if op == 0:
                 sheet.deposit_plp(asset, float(rng.uniform(0.1, 50.0)))
             elif op == 1:
                 other = ("X", "Y", "Z")[int(rng.integers(3))]
                 if other != asset:
-                    v_s, v_prime = (int(u) for u in rng.integers(1, 10**12, size=2))
+                    v_prime, fee = (int(u) for u in rng.integers(1, 10**12, size=2))
                     rp_in, rp_out = (int(u) for u in rng.integers(-10**9, 10**9, size=2))
                     sheet.record_trade(
                         (
                             0, asset, other, float(rng.uniform(0.0, 5.0)),
-                            float(rng.uniform(0.0, 5.0)), v_s, v_prime, rp_in, rp_out,
-                            v_s - v_prime - rp_in - rp_out,
+                            float(rng.uniform(0.0, 5.0)), v_prime + rp_in + rp_out + fee,
+                            v_prime, rp_in, rp_out, fee, int(rng.integers(0, fee + 1)), "trader",
                         )
                     )
-            else:
-                delta = int(rng.integers(-10**9, 10**9))
+            elif op == 2:
+                delta = int(rng.integers(-10**9, sheet.treasury_units + 1))
                 sheet.adjust_rr(asset, delta, "auction")
+            else:
+                pending = sheet.pending_units[asset]
+                plp = int(rng.integers(0, pending + 1))
+                sheet.record_reward(0, asset, {PLP: plp, SLP_LONG: pending - plp, SLP_SHORT: 0})
+        assert {row[1] for row in sheet.log} == {"deposit_plp", "trade", "rr_adjust", "reward"}
         replayed = BalanceSheet.replay(sheet.log)
         assert replayed.balances() == sheet.balances()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from dfmm import cli, eldf, pricing
 from dfmm.errors import BadCurve, BadParams, ConfigInvalid, ExceedsCapacity, InvariantBreach
-from dfmm.ledger import BalanceSheet, trade_rows
+from dfmm.ledger import PLP, BalanceSheet, trade_rows, treasury_rows
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, quote_swap
 from dfmm.sim.agents import ArbitrageurAgent, TraderFlow
@@ -81,8 +81,11 @@ def scenario(**kw):
 
 
 def bump(obj, attr):
-    """Add one ledger unit to an integer field."""
-    setattr(obj, attr, getattr(obj, attr) + 1)
+    """Add one ledger unit to an integer field, or to a dict's entry."""
+    if isinstance(obj, dict):
+        obj[attr] += 1
+    else:
+        setattr(obj, attr, getattr(obj, attr) + 1)
 
 
 class TestConfig:
@@ -620,7 +623,7 @@ class TestEngine:
         eng = Engine(cfg)
         for _ in range(3):
             eng.step_timestep()
-        eng.total_fee_units += 1  # corrupt an accumulator
+        eng.sheet.totals["fee"] += 1  # corrupt a total
         with pytest.raises(InvariantBreach):
             eng.step_timestep()
         art = eng.run()
@@ -629,50 +632,54 @@ class TestEngine:
         assert trade_rows(art.logs["ledger"], {})  # evidence preserved
 
     @pytest.mark.parametrize(
-        "corrupt,identity",
+        "corrupt,identities",
         [
             (lambda eng: bump(eng.vaults["X"].long, "collateral_units"), "hedge book"),
-            (lambda eng: eng.rewards.accrue("X", 1), "fee split"),
-            (lambda eng: bump(eng.reserve, "cum_upsilon_units"), "premium reserve"),
-            (lambda eng: eng.sheet.adjust_rr("X", 1, "corrupt"), "premium reserve"),
-            (lambda eng: bump(eng, "total_fee_units"), "fee split"),
+            (lambda eng: bump(eng.sheet.pending_units, "X"), "fee split"),
+            (lambda eng: bump(eng.sheet.claimable_units, ("X", PLP)), "fee split"),
+            (
+                lambda eng: bump(eng.sheet.totals, "upsilon"),
+                "premium reserve, treasury identity",
+            ),
+            (lambda eng: bump(eng.sheet.rr_units, "X"), "premium reserve"),
+            (lambda eng: bump(eng.sheet.totals, "fee"), "trade balance, fee split"),
+            (lambda eng: bump(eng.sheet.totals, "v_s"), "trade balance"),
+            (lambda eng: bump(eng.sheet, "treasury_units"), "treasury identity"),
+            (lambda eng: bump(eng.sheet.t_units, "X"), "synthetic flows net"),
         ],
-        ids=["vault_collateral", "reward_accrual", "cum_upsilon", "rr_adjust", "fee_total"],
+        ids=[
+            "vault_collateral", "reward_accrual", "reward_claimable", "cum_upsilon",
+            "rr_balance", "fee_total", "v_s_total", "treasury_balance", "t_balance",
+        ],
     )
-    def test_one_unit_corruption_halts_naming_its_identity(self, corrupt, identity):
-        # one ledger unit, mid-run, in a record the audit compares
+    def test_one_unit_corruption_halts_naming_its_identity(self, corrupt, identities):
+        # one ledger unit, mid-run, in a balance or total the audit compares
         cfg = scenario(trader_rate=2.0, arb_enabled=True, horizon=30)
         eng = Engine(cfg)
         for _ in range(7):
             eng.step_timestep()
         corrupt(eng)
-        with pytest.raises(InvariantBreach, match=identity):
+        with pytest.raises(InvariantBreach, match=identities):
             eng.step_timestep()
-        assert identity in eng.diagnostic
+        assert eng.diagnostic == f"conservation audit failed: {identities}"
 
     def test_conservation_accumulators_over_random_run(self):
         cfg = scenario(trader_rate=3.0, arb_enabled=True, horizon=60, epoch_len=6)
         eng = Engine(cfg)
         art = eng.run()
         assert not art.summary["halted"]
-        assert eng.total_v_s_units == (
-            eng.total_v_prime_units + eng.total_rp_units + eng.total_fee_units
-        )
-        assert eng.total_fee_units == (
-            eng.reserve.cum_xi_units + eng.rewards.total_units()
-        )
-        assert sum(eng.sheet.rr_units.values()) == (
-            eng.total_rp_units + eng.reserve.cum_upsilon_units
-        )
-        assert eng.reserve.balance_units == (
-            eng.reserve.cum_xi_units - eng.reserve.cum_upsilon_units
-        )
-        assert sum(eng.sheet.t_units.values()) == 0
+        sheet, total = eng.sheet, eng.sheet.totals
+        rewards = sum(sheet.pending_units.values()) + sum(sheet.claimable_units.values())
+        assert total["v_s"] == total["v_prime"] + total["rp"] + total["fee"]
+        assert total["fee"] == total["xi"] + rewards
+        assert sum(sheet.rr_units.values()) == total["rp"] + total["upsilon"]
+        assert sheet.treasury_units == total["xi"] - total["upsilon"]
+        assert sum(sheet.t_units.values()) == 0
         assert eng._vault_units() - eng.initial_vault_units == (
             eng.vault_external_units - eng.hedge_pnl_units
         )
         # every record the identities compare moved during the run
-        assert eng.reserve.cum_xi_units > 0 and eng.rewards.total_units() > 0
+        assert total["xi"] > 0 and rewards > 0
         assert eng.hedge_pnl_units != 0
 
     def test_ledger_replay_matches_engine_sheet(self):
@@ -802,8 +809,8 @@ class TestAuctionRecords:
         )
         logs = Engine(cfg).run().logs
         moves = logs["auction"]
-        upsilons = [r for r in logs["treasury"] if r[1] == "upsilon"]
-        adjusts = [r for r in logs["ledger"] if r[1] == "rr_adjust" and r[11] == "auction"]
+        upsilons = [r for r in treasury_rows(logs["ledger"], {}) if r[1] == "upsilon"]
+        adjusts = [r for r in logs["ledger"] if r[1] == "rr_adjust" and r[16] == "auction"]
         assert len(moves) == len(upsilons) == len(adjusts)
         assert any(m[7] > m[6] for m in moves) and any(m[7] < m[6] for m in moves)
         for move, ups, adj in zip(moves, upsilons, adjusts):
@@ -1075,9 +1082,9 @@ class TestDeterministicOutput:
         "three": "4ab63e388248395dc7edd43fd984355f11c72df7bcdb522f66b1553de7c3279c",
     }
     GOLDEN_LEDGER = {
-        "demo": "16f87e0c96557cd925b47f8423a661308fea820d693631290d3608a12b72e047",
-        "busy": "a0e81a982223d02b107f2c0056236f33b95a0f3b3658bcb0e991bec146102f8b",
-        "three": "d1ddb4ecc7fa0f130cee8c034c7d44fefa08d7b3419a988a7f52a064f4a764c1",
+        "demo": "9372de5e402facda2aa94fe729076ea6ee7186f71e700cc7a900792181465f7e",
+        "busy": "0ced7175e7cac44d9af27d0703f30376dd3449d44a9205bab1a066500962b641",
+        "three": "9877263c2b67bb5f7ff72a6de33697c65c54260cdc7aeaa3f3010d3fe23b8ac1",
     }
     GAMMA = {
         "mid_price": 20.0,
@@ -1224,11 +1231,15 @@ class TestPlainRows:
                 demo, horizon=400, trader_rate=8.0, clamp_extrapolation=False
             ),
         }[shape]
-        types, t_units, batches = {}, {}, []
+        types, t_units, tr_units, batches = {}, {}, {}, []
 
         def census(logs):  # one batch as LogWriter.write sends it
             batches.append(sum(map(len, logs.values())))
-            for kind, rows in {**logs, "trades": trade_rows(logs["ledger"], t_units)}.items():
+            views = {
+                "trades": trade_rows(logs["ledger"], t_units),
+                "treasury": treasury_rows(logs["ledger"], tr_units),
+            }
+            for kind, rows in {**logs, **views}.items():
                 for row in rows:
                     assert len(row) == len(SCHEMAS[kind]), (kind, row)
                     for v in row:
@@ -1327,6 +1338,7 @@ class TestTradesView:
         assert {"trader", "script", "arb"} <= set(agents)
         assert len(rows) == art.summary["fills"]
         assert repr(trade_rows(art.logs["ledger"], {})) == repr(rows)
+        assert [r[12] for r in art.logs["ledger"] if r[1] == "trade"] == agents
 
     def test_view_equals_the_rows_of_a_halted_run(self):
         # the withdrawal halts the run at the first boundary, after that

@@ -3,20 +3,12 @@ import pytest
 
 from dfmm.auction import LHS, RHS, update_aggressiveness
 from dfmm.errors import BadParams, ConfigInvalid, InvariantBreach
-from dfmm.ledger import AssetPool
+from dfmm.ledger import AssetPool, BalanceSheet
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams
 from dfmm.sim.config import AssetConfig, ScenarioConfig
 from dfmm.sim.engine import Engine
-from dfmm.treasury import (
-    PLP,
-    SLP_LONG,
-    SLP_SHORT,
-    RewardLedger,
-    TreasuryReserve,
-    reward_distribute,
-    treasury_update,
-)
+from dfmm.treasury import PLP, SLP_LONG, SLP_SHORT, reward_distribute
 from dfmm.vaults import LONG, SHORT, Vault, VaultPair
 
 
@@ -48,7 +40,23 @@ def fee_split(theta, xi):
     )
     eng = Engine(ScenarioConfig(horizon=1, theta=theta, xi=xi, assets=assets))
     quote = eng.submit_trade("X", "Y", 25.0, agent="script")
-    return quote, eng.reserve.balance_units, eng.rewards.pending_units("Y")
+    return quote, eng.sheet.treasury_units, eng.sheet.pending_units["Y"]
+
+
+def book_fee(sheet, xi_units, reward_units=0, asset_out="Y"):
+    """Record a fill whose whole value is a fee: ``xi_units`` of it to
+    the treasury and ``reward_units`` pending on ``asset_out``."""
+    fee = xi_units + reward_units
+    sheet.record_trade((0, "Z", asset_out, 0.0, 0.0, fee, 0, 0, 0, fee, xi_units, "script"))
+
+
+def refused(sheet, record, error):
+    """``record(sheet)`` raises ``error`` and leaves every balance and the
+    log as they were."""
+    before, rows = sheet.balances(), len(sheet.log)
+    with pytest.raises(error):
+        record(sheet)
+    assert sheet.balances() == before and len(sheet.log) == rows
 
 
 class TestDiscrepancy:
@@ -129,35 +137,38 @@ class TestFeesAndRewards:
 
 
 class TestTreasuryUpdate:
+    """The sheet's treasury: a fill's xi slice adds to it, and an
+    ``rr_adjust`` row moves RR and debits it by the same units."""
+
     def test_fee_then_cost(self):
-        res = TreasuryReserve()
-        treasury_update(res, xi_delta_units=to_units(5.0))
-        treasury_update(res, upsilon_delta_units=to_units(2.0))
-        assert res.balance == pytest.approx(3.0)
-        assert res.balance_units == res.cum_xi_units - res.cum_upsilon_units
+        sheet = BalanceSheet(["X"])
+        book_fee(sheet, to_units(5.0))
+        sheet.adjust_rr("X", to_units(2.0), "auction")
+        assert from_units(sheet.treasury_units) == pytest.approx(3.0)
+        assert sheet.treasury_units == sheet.totals["xi"] - sheet.totals["upsilon"]
+        assert sheet.rr_units["X"] == to_units(2.0)
 
     def test_negative_upsilon_adds(self):
-        res = TreasuryReserve()
-        treasury_update(res, upsilon_delta_units=-to_units(2.0))
-        assert res.balance == pytest.approx(2.0)
+        sheet = BalanceSheet(["X"])
+        sheet.adjust_rr("X", -to_units(2.0), "auction")
+        assert from_units(sheet.treasury_units) == pytest.approx(2.0)
 
     def test_uncapped_overdraw_is_fatal(self):
-        res = TreasuryReserve()
-        treasury_update(res, xi_delta_units=to_units(3.0))
-        with pytest.raises(InvariantBreach):
-            treasury_update(res, upsilon_delta_units=to_units(4.0))
+        sheet = BalanceSheet(["X"])
+        book_fee(sheet, to_units(3.0))
+        refused(sheet, lambda s: s.adjust_rr("X", to_units(4.0), "auction"), InvariantBreach)
+        # an overdraft on an asset the sheet has not seen adds nothing either
+        refused(sheet, lambda s: s.adjust_rr("W", to_units(4.0), "auction"), InvariantBreach)
 
     def test_identity_over_random_flows(self):
         rng = np.random.default_rng(47)
-        res = TreasuryReserve()
+        sheet = BalanceSheet(["X"])
         for _ in range(1000):
-            treasury_update(res, xi_delta_units=int(rng.integers(0, 10**12)))
-            affordable = res.balance_units
-            treasury_update(
-                res, upsilon_delta_units=int(rng.integers(-(10**12), affordable + 1))
-            )
-            assert res.balance_units == res.cum_xi_units - res.cum_upsilon_units
-            assert res.balance_units >= 0
+            book_fee(sheet, int(rng.integers(0, 10**12)))
+            affordable = sheet.treasury_units
+            sheet.adjust_rr("X", int(rng.integers(-(10**12), affordable + 1)), "auction")
+            assert sheet.treasury_units == sheet.totals["xi"] - sheet.totals["upsilon"]
+            assert sheet.treasury_units >= 0
 
 
 class TestRewardDistribute:
@@ -216,18 +227,22 @@ class TestRewardDistribute:
 
 
 class TestRewardLedger:
+    """The sheet's rewards: a fill accrues fee - xi to its out-asset, and
+    a ``reward`` row moves that to the classes' claimable balances."""
+
     def test_accrue_distribute_claims(self):
-        ledger = RewardLedger()
-        ledger.accrue("X", to_units(9.0))
+        sheet = BalanceSheet(["X"])
+        book_fee(sheet, 0, to_units(9.0), asset_out="X")
         pool = AssetPool("X", 100.0, 100.0)
-        shares = reward_distribute(pool, pair(50.0, 50.0), ledger.pending_units("X"), gamma=0.01)
-        ledger.distribute("X", shares)
-        rows = ledger.claims()
-        assert {r[2] for r in rows} == {PLP, SLP_LONG, SLP_SHORT}
-        assert sum(r[3] for r in rows) == pytest.approx(9.0)
+        shares = reward_distribute(pool, pair(50.0, 50.0), sheet.pending_units["X"], gamma=0.01)
+        sheet.record_reward(1, "X", shares)
+        assert sheet.pending_units["X"] == 0
+        claims = sheet.claimable_units
+        assert set(claims) == {("X", PLP), ("X", SLP_LONG), ("X", SLP_SHORT)}
+        assert from_units(sum(claims.values())) == pytest.approx(9.0)
 
     def test_mismatched_distribution_rejected(self):
-        ledger = RewardLedger()
-        ledger.accrue("X", 100)
-        with pytest.raises(BadParams):
-            ledger.distribute("X", {PLP: 10, SLP_LONG: 10, SLP_SHORT: 10})
+        sheet = BalanceSheet(["X"])
+        book_fee(sheet, 0, 100, asset_out="X")
+        shares = {PLP: 10, SLP_LONG: 10, SLP_SHORT: 10}
+        refused(sheet, lambda s: s.record_reward(1, "X", shares), BadParams)
