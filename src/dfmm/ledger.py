@@ -8,20 +8,26 @@ floats, with float operations applied in the same order on replay. A
 row the sheet refuses raises before it moves anything.
 
 Each row is one row of a run's ``ledger.csv`` (columns ``LEDGER``),
-stamped with the engine's timestep, 0 for the deposits made before the
+stamped with the engine's timestep, 0 for the rows booked before the
 first one. A deposit fills ``asset_in`` and ``v_in``; a ``trade`` the
 fill, the fee's treasury slice ``xi_units`` (the rest accrues to
 ``asset_out``'s pending reward) and the ``agent`` that sent it; an
 ``rr_adjust``, which moves RR and debits the treasury by the same units,
 ``asset_in``, ``rp_in_units`` and ``reason``; and a ``reward``, which
 moves an asset's pending reward to the classes' claimable balances,
-``asset_in`` and the units per class. The cells a kind does not use
-hold ``""``. The engine streams ``BalanceSheet.log`` to that file with
-its other log rows and empties it as it goes, so a replay of a run
-starts from ``ledger.csv``: floats are written by str(), which
-round-trips them, and ledger units as ints. ``trade_rows`` renders the
-``trade`` rows as ``trades.csv`` and ``treasury_rows`` renders the rows
-that move the treasury as ``treasury.csv``.
+``asset_in`` and the units per class. The four vault kinds fill
+``asset_in`` and put their units in the vault's class column,
+``slp_long_units`` or ``slp_short_units``: a ``vault_flow`` (a vault's
+opening collateral at timestep 0, or a queued deposit or withdrawal
+applied), a ``settle`` (the swaption's settlement, the first row of
+each asset's epoch boundary, both cells empty with no position), a
+``premium_flow`` and a ``liquidate``, whose 1 liquidates the vault and
+0 revives it. The cells a kind does not use hold ``""``. The engine
+streams ``BalanceSheet.log`` to that file with its other log rows and
+empties it as it goes, so a replay of a run starts from ``ledger.csv``:
+floats are written by str(), which round-trips them, and ledger units as
+ints. ``views`` renders ``trades.csv``, ``treasury.csv`` and
+``vaults.csv`` from the rows.
 
 Sign convention for the synthetic flow T: T > 0 means accounting value
 was net received against an asset deficit (inventory below the LP claim),
@@ -69,11 +75,38 @@ class AssetPool:
         return None, 0.0
 
 
+@dataclass
+class Vault:
+    """An sLP vault; its collateral and flag move only by sheet rows."""
+
+    asset_id: str
+    side: str
+    collateral_units: int
+    coll_rate: float
+    margin_floor_units: int
+    liquidated: bool = False
+
+    def capacity(self, reserve_units: int = 0) -> float:
+        """Maximum open inventory this vault can cover, net of a reserve.
+
+        Reserve rule: ``reserve_units``, the premium debit the next epoch
+        boundary will take from this vault, is held back from its
+        collateral, and a vault whose collateral net of the reserve is at
+        or below the margin floor covers nothing, since that boundary's
+        margin check would liquidate it; nor does a liquidated vault.
+        """
+        free_units = self.collateral_units - reserve_units
+        if self.liquidated or free_units <= self.margin_floor_units:
+            return 0.0
+        return from_units(free_units) / self.coll_rate
+
+
 LEDGER = (
     "timestep", "kind", "asset_in", "asset_out", "v_in", "v_out", "v_s_units",
     "v_prime_units", "rp_in_units", "rp_out_units", "fee_units", "xi_units", "agent",
     "plp_units", "slp_long_units", "slp_short_units", "reason",
 )
+VAULT_KINDS = ("vault_flow", "settle", "premium_flow", "liquidate")
 
 
 class BalanceSheet:
@@ -81,9 +114,10 @@ class BalanceSheet:
     ``LEDGER`` rows. Its accounting-asset balances are ledger units: per
     asset the flow T, the premium reserve RR and the pending reward
     (``t_units``, ``rr_units``, ``pending_units``), the treasury, and
-    the rewards each (asset, class) can claim. ``totals`` sums the rows'
-    ``v_s``, ``v_prime``, premia ``rp``, ``fee``, ``xi`` and ``upsilon``
-    (an ``rr_adjust``'s units) for the engine's audit."""
+    the rewards each (asset, class) can claim, and the ``vaults`` by
+    (asset, side). ``totals`` sums the rows' ``v_s``, ``v_prime``, premia
+    ``rp``, ``fee``, ``xi``, ``upsilon`` (an ``rr_adjust``'s units) and
+    the units of each of ``VAULT_KINDS`` for the engine's audit."""
 
     def __init__(self, asset_ids=()):
         self.pools: dict[str, AssetPool] = {}
@@ -91,8 +125,10 @@ class BalanceSheet:
         self.rr_units: dict[str, int] = {}
         self.pending_units: dict[str, int] = {}
         self.claimable_units: dict[tuple[str, str], int] = {}
+        self.vaults: dict[tuple[str, str], Vault] = {}
         self.treasury_units = 0
         self.totals = dict.fromkeys(("v_s", "v_prime", "rp", "fee", "xi", "upsilon"), 0)
+        self.totals.update(dict.fromkeys(VAULT_KINDS, 0))
         self.log: list[tuple] = []
         for asset_id in asset_ids:
             self.add_asset(asset_id)
@@ -141,6 +177,20 @@ class BalanceSheet:
         self._record(
             (timestep, "reward", asset_id, *[""] * 10, *(shares[c] for c in REWARD_CLASSES), "")
         )
+
+    def open_vault(self, asset_id: str, side: str, coll_rate: float, floor_units: int) -> Vault:
+        """An empty vault on ``side`` of ``asset_id``; rows fill it."""
+        vault = self.vaults[(asset_id, side)] = Vault(asset_id, side, 0, coll_rate, floor_units)
+        return vault
+
+    def book_vault(
+        self, timestep: int, kind: str, asset_id: str, side: str | None, units: int
+    ) -> None:
+        """A row of one of ``VAULT_KINDS`` on the vault on ``side`` (None
+        for a ``settle`` with no position); a move that would take its
+        collateral below 0 raises ``BadParams``."""
+        cells = (units, "") if side == LONG else ("", units) if side == SHORT else ("", "")
+        self._record((timestep, kind, asset_id, *[""] * 11, *cells, ""))
 
     # --- application / replay ---
 
@@ -194,6 +244,23 @@ class BalanceSheet:
                 key = (a_in, cls)
                 self.claimable_units[key] = self.claimable_units.get(key, 0) + units
             self.pending_units[a_in] = 0
+        elif kind in VAULT_KINDS:
+            side, units = (LONG, shares[1]) if shares[1] != "" else (SHORT, shares[2])
+            if units == "":
+                return
+            vault = self.vaults.get((a_in, side))
+            if vault is None:  # replayed: the rate and floor are not ledger facts
+                vault = self.vaults[(a_in, side)] = Vault(a_in, side, 0, 1.0, 0)
+            if kind == "liquidate":
+                vault.liquidated = bool(units)
+            elif vault.collateral_units + units < 0:
+                raise BadParams(
+                    f"vault withdrawal of {-units} units ({kind}) overdraws {a_in} {side}'s "
+                    f"{vault.collateral_units}"
+                )
+            else:
+                vault.collateral_units += units
+            totals[kind] += units
         else:
             raise BadParams(f"unknown ledger row kind {kind!r}")
 
@@ -215,47 +282,65 @@ class BalanceSheet:
             "pending": dict(self.pending_units),
             "claimable": dict(self.claimable_units),
             "treasury": self.treasury_units,
+            "vaults": {k: (v.collateral_units, v.liquidated) for k, v in self.vaults.items()},
             "totals": dict(self.totals),
         }
 
 
-def trade_rows(rows, t_units: dict) -> list[tuple]:
-    """The ``trades.csv`` rows of the ``trade`` rows among ``rows``. The
-    flows T after each fill advance in ``t_units`` (asset -> units, 0 when
-    absent) as ``_apply`` advances the sheet's, so one dict passed to each
-    batch of a log in turn renders the whole log."""
-    out = []
-    for t, kind, a_in, a_out, v_in, v_out, v_s, vp, rp_in, rp_out, fee, *_ in rows:
+def views(rows, state: dict) -> dict[str, list[tuple]]:
+    """The ``trades``, ``treasury`` and ``vaults`` rows of ``rows``: a
+    trade row per ``trade`` row, with the flows T after it; an ``xi``,
+    ``upsilon`` or ``reward`` row per ``trade``, ``rr_adjust`` or
+    ``reward`` row, with the treasury balance after it; and a long and a
+    short vault row per ``settle`` row, for the asset's epoch boundary,
+    which runs to its next ``settle`` row or the end of ``rows``.
+
+    ``state`` carries T, the treasury balance and each vault's last row
+    (epoch, collateral and flag), so one dict passed to each batch of a
+    log in turn renders the whole log; ``Engine.run`` drains batches
+    between timesteps, so none splits a boundary."""
+    trades, treasury, vault_rows = [], [], []
+    t_units = state.setdefault("t", {})
+    vaults = state.setdefault("vaults", {})  # (asset, side) -> its last vaults row
+    balance = state.get("treasury", 0)
+    for t, kind, a_in, a_out, v_in, v_out, v_s, vp, rp_in, rp_out, fee, xi, _, *shares, _ in rows:
         if kind == "trade":
             t_in = t_units[a_in] = t_units.get(a_in, 0) - vp
             t_out = t_units[a_out] = t_units.get(a_out, 0) + vp
-            out.append((
+            trades.append((
                 t, f"{a_in}->{a_out}", v_in, from_units(v_s), from_units(vp), from_units(rp_in),
                 from_units(rp_out), from_units(fee), v_out, from_units(t_in), from_units(t_out),
             ))
-    return out
-
-
-def treasury_rows(rows, state: dict) -> list[tuple]:
-    """The ``treasury.csv`` rows of ``rows``: an ``xi`` row per ``trade``
-    row, an ``upsilon`` row per ``rr_adjust`` row and a ``reward`` row,
-    the units distributed, per ``reward`` row, each with the treasury
-    balance after it. The balance advances in ``state["treasury_units"]``
-    (0 when absent), so one dict passed to each batch of a log in turn
-    renders the whole log."""
-    out = []
-    balance = state.get("treasury_units", 0)
-    for t, kind, asset, _, _, _, _, _, rp_in, _, _, xi, _, *shares, _ in rows:
-        if kind == "trade":
             balance += xi
-            out.append((t, "xi", asset, from_units(xi), from_units(balance)))
+            treasury.append((t, "xi", a_in, from_units(xi), from_units(balance)))
         elif kind == "rr_adjust":
             balance -= rp_in
-            out.append((t, "upsilon", asset, from_units(rp_in), from_units(balance)))
+            treasury.append((t, "upsilon", a_in, from_units(rp_in), from_units(balance)))
         elif kind == "reward":
-            out.append((t, "reward", asset, from_units(sum(shares)), from_units(balance)))
-    state["treasury_units"] = balance
-    return out
+            treasury.append((t, "reward", a_in, from_units(sum(shares)), from_units(balance)))
+        elif kind in VAULT_KINDS:
+            if kind == "settle":  # opens the boundary's rows from the last ones
+                for side in (LONG, SHORT):
+                    epoch, *_, units, flag = vaults.get((a_in, side), (0, 0, 0))
+                    vaults[(a_in, side)] = row = [epoch + 1, a_in, side, units, 0, 0, units, flag]
+                    vault_rows.append(row)
+            side, units = (LONG, shares[1]) if shares[1] != "" else (SHORT, shares[2])
+            if units != "":
+                row = vaults.setdefault((a_in, side), [0, a_in, side, 0, 0, 0, 0, 0])
+                if kind == "liquidate":
+                    row[7] = units
+                else:
+                    row[6] += units  # collateral after
+                    if kind == "premium_flow":
+                        row[4] += units
+                    elif kind == "settle":
+                        row[5] += units
+    state["treasury"] = balance
+    vault_rows = [
+        (e, a, s, from_units(c0), from_units(flow), from_units(settled), from_units(c1), flag)
+        for e, a, s, c0, flow, settled, c1, flag in vault_rows
+    ]
+    return {"trades": trades, "treasury": treasury, "vaults": vault_rows}
 
 
 def solvency_check(sheet: BalanceSheet, bid_curves: Mapping[str, Eldf]) -> int:

@@ -12,10 +12,11 @@ identical outputs byte for byte.
 
 Settlement, premium flow and each queued flow move a vault's collateral
 by integer ledger units (positive into the vault, the sign convention of
-``vaults``), each followed by a margin check, as is every vault when
-the engine is built. ``liquidations`` adds up the checks that liquidated
-a vault, so each counts once: without queued deposits, which can revive
-a vault, it equals the 0 -> 1 flips of the vaults log's ``liquidated``.
+``vaults``), each booked on the balance sheet and followed by a margin
+check, as is every vault when the engine is built. The check books a
+``liquidate`` row of 1 for a vault at or below its floor and of 0 for a
+liquidated vault a deposit lifted above it, so ``liquidations``, the
+sheet's ``liquidate`` total, counts the vaults log's 0 -> 1 flips.
 
 Every swap, whether from a trader, the script or the arbitrageur, is
 quoted and committed in one ``pricing.execute_swap`` call, and its quote
@@ -32,9 +33,9 @@ treasury and the rewards among them, against its sums of rows by kind:
 trade balance (fills' V_S = V' + premia + fees), fee split (fees = cum
 xi + pending and claimable rewards), premium reserve (RR = premia + cum
 upsilon), treasury identity (balance = cum xi - cum upsilon) and
-synthetic flows net (the flows T sum to zero). Hedge book sets the
-vaults against the engine's totals: collateral moved since construction
-= queued flows applied - hedge P&L.
+synthetic flows net (the flows T sum to zero) and hedge book (the
+vaults' collateral = vault flows, the opening collateral among them, +
+settlements + premium flows).
 A failed identity raises ``InvariantBreach`` naming it. That, like any
 other engine error raised mid-run or by the first refit at construction,
 is fail-stop: the run halts with a diagnostic naming the error class and
@@ -43,12 +44,12 @@ timestep, and the logs collected so far are preserved.
 Log rows are appended to the lists in ``Engine.logs``, one per kind in
 ``sim.output.LOGGED``. Its ``ledger`` list is the balance sheet's own
 event log, ``BalanceSheet.log``, so the drain covers the ledger rows too;
-``trades.csv`` and ``treasury.csv`` are rendered from its rows when
-they are written. ``run(drain)`` hands that buffer to ``drain`` and
-empties it whenever, between two timesteps, it holds at
-least ``DRAIN_ROWS`` rows, so a run's memory does not grow with its
-horizon; no drain runs inside a timestep. The rows not yet drained, with
-the reward claims added at the end, are returned in
+``trades.csv``, ``treasury.csv`` and ``vaults.csv`` are rendered from
+its rows when they are written (``ledger.views``). ``run(drain)`` hands
+that buffer to ``drain`` and empties it whenever, between two timesteps,
+it holds at least ``DRAIN_ROWS`` rows, so a run's memory does not grow
+with its horizon; no drain runs inside a timestep. The rows not yet
+drained, with the reward claims added at the end, are returned in
 ``RunArtifacts.logs`` for the caller's last write. A halt therefore
 leaves on disk every row drained before it; the caller's last write adds
 the rest, including those the halting timestep logged before its error,
@@ -82,7 +83,6 @@ from ..vaults import (
     VaultPair,
     cover_coefficient,
     covering_side,
-    margin_check,
     settle_swaption,
     slp_premium_flow,
     strike_swaption,
@@ -153,10 +153,14 @@ class Engine:
         for acfg in sorted(cfg.assets, key=lambda a: a.asset_id):
             aid = acfg.asset_id
             self.sheet.deposit_plp(aid, acfg.deposit)
-            self.vaults[aid] = VaultPair(
-                long=Vault(aid, LONG, to_units(acfg.c_long), cfg.rho_long, floor_units),
-                short=Vault(aid, SHORT, to_units(acfg.c_short), cfg.rho_short, floor_units),
+            vp = self.vaults[aid] = VaultPair(
+                long=self.sheet.open_vault(aid, LONG, cfg.rho_long, floor_units),
+                short=self.sheet.open_vault(aid, SHORT, cfg.rho_short, floor_units),
             )
+            # the opening collateral is each vault's first flow, so a vault
+            # that opens at or below its floor is liquidated up front
+            self._move_vault("vault_flow", vp.long, to_units(acfg.c_long))
+            self._move_vault("vault_flow", vp.short, to_units(acfg.c_short))
             d0 = cfg.d_min
             self.params[aid] = RebalanceParams(
                 a_rhs=cfg.a_init, a_lhs=cfg.a_init, d_rhs=d0, d_lhs=d0
@@ -165,23 +169,14 @@ class Engine:
         self.logs: dict[str, list] = {kind: [] for kind in LOGGED}
         self.logs["ledger"] = self.sheet.log
 
-        # exact-unit totals the audit sets against the vaults
-        self.hedge_pnl_units = 0
-        self.vault_external_units = 0
-
         # summary trackers
         self.fills = 0
         self.rejected = 0
         self.trader_cost_units = 0
         self.arb_pnl = 0.0
-        # a vault that starts at or below its floor is liquidated up front
-        self.liquidations = sum(
-            margin_check(v) for vp in self.vaults.values() for v in (vp.long, vp.short)
-        )
         self.max_utilisation = 0.0
         self.min_margin_units: int | None = None
         self.perf = dict.fromkeys(PHASES, 0)
-        self.initial_vault_units = self._vault_units()
 
         try:
             self._refit_curves(slot_id=0)
@@ -191,11 +186,6 @@ class Engine:
 
     # ------------------------------------------------------------------
     # curve and vault plumbing
-
-    def _vault_units(self) -> int:
-        return sum(
-            vp.long.collateral_units + vp.short.collateral_units for vp in self.vaults.values()
-        )
 
     def _refit_curves(self, slot_id: int) -> None:
         rows = self.logs["curves"]
@@ -355,33 +345,38 @@ class Engine:
             self.sheet.adjust_rr(row[1], upsilon_units, "auction", timestep=self.t)
             self.logs["auction"].append(row)
 
+    def _move_vault(self, kind: str, vault: Vault, units: int) -> None:
+        """Book ``units`` into ``vault`` as a ``kind`` row, then its margin
+        check: a ``liquidate`` row of 1 for a vault at or below its floor,
+        and of 0 for a liquidated one that a deposit lifted above it."""
+        self.sheet.book_vault(self.t, kind, vault.asset_id, vault.side, units)
+        above = vault.collateral_units > vault.margin_floor_units
+        revive = vault.liquidated and above and kind == "vault_flow" and units > 0
+        if revive or not (vault.liquidated or above):
+            self.sheet.book_vault(self.t, "liquidate", vault.asset_id, vault.side, int(not revive))
+
     def step_epoch(self) -> None:
         cfg = self.cfg
         self.epoch += 1
         for aid in self.sheet.asset_ids():
             vp = self.vaults[aid]
             pool = self.sheet.pools[aid]
-            before = {LONG: vp.long.collateral_units, SHORT: vp.short.collateral_units}
-            settlement_units = {LONG: 0, SHORT: 0}
-            flow_units = {LONG: 0, SHORT: 0}
 
             pos = vp.position
-            if pos is not None:
+            if pos is None:
+                self.sheet.book_vault(self.t, "settle", aid, None, 0)
+            else:
                 vault = vp.by_side(pos.side)
                 moved = settle_swaption(pos, self.curves[aid].bid, vault)
-                self.hedge_pnl_units -= moved
-                settlement_units[pos.side] = moved
-                self.liquidations += margin_check(vault)
+                self._move_vault("settle", vault, moved)
 
             t_now = self.sheet.t_units[aid]
-            t_prev = vp.t_open_units
-            side = covering_side(t_prev, t_now)
+            side = covering_side(vp.t_open_units, t_now)
             if side is not None:
                 vault = vp.by_side(side)
-                applied = slp_premium_flow(t_prev, t_now, self.params[aid], vault)
-                self.hedge_pnl_units -= applied
-                flow_units[side] += applied
-                self.liquidations += margin_check(vault)
+                applied = slp_premium_flow(vp.t_open_units, t_now, self.params[aid], vault)
+                if applied:
+                    self._move_vault("premium_flow", vault, applied)
 
             still_queued = []
             for asset_q, side_q, amount_q in self.queued_vault_flows:
@@ -389,41 +384,21 @@ class Engine:
                     still_queued.append((asset_q, side_q, amount_q))
                     continue
                 vault = vp.by_side(side_q)
-                if amount_q >= 0:
-                    vault.deposit(amount_q)
-                else:
-                    # a withdrawal above the collateral is a BadParams halt
-                    take = -amount_q
-                    if take <= vault.collateral_units:
-                        take = min(take, withdrawable_units(pool, vault))
+                # a withdrawal above the collateral is the sheet's BadParams halt
+                if 0 < -amount_q <= vault.collateral_units:
+                    take = min(-amount_q, withdrawable_units(pool, vault))
                     if take < -amount_q:
                         still_queued.append((asset_q, side_q, amount_q + take))
                     if take == 0:
                         continue
-                    vault.withdraw(take)
                     amount_q = -take
-                self.vault_external_units += amount_q
-                self.liquidations += margin_check(vault)
+                self._move_vault("vault_flow", vault, amount_q)
             self.queued_vault_flows = still_queued
 
             pending = self.sheet.pending_units[aid]
             if pending > 0:
                 shares = reward_distribute(pool, vp, pending, gamma=cfg.reward_gamma)
                 self.sheet.record_reward(self.t, aid, shares)
-
-            for side, vault in ((LONG, vp.long), (SHORT, vp.short)):
-                self.logs["vaults"].append(
-                    (
-                        self.epoch,
-                        aid,
-                        side,
-                        from_units(before[side]),
-                        from_units(flow_units[side]),
-                        from_units(settlement_units[side]),
-                        vault.collateral,
-                        int(vault.liquidated),
-                    )
-                )
         self._strike_all()
 
     # ------------------------------------------------------------------
@@ -443,7 +418,7 @@ class Engine:
             sum(self.sheet.t_units.values())
             + sum(self.sheet.rr_units.values())
             + self.sheet.treasury_units
-            + self.hedge_pnl_units
+            - (self.sheet.totals["settle"] + self.sheet.totals["premium_flow"])
         )
         return surplus_units + cash
 
@@ -493,8 +468,8 @@ class Engine:
             "premium reserve": sum(sheet.rr_units.values()) == total["rp"] + total["upsilon"],
             "treasury identity": sheet.treasury_units == total["xi"] - total["upsilon"],
             "synthetic flows net": sum(sheet.t_units.values()) == 0,
-            "hedge book": self._vault_units() - self.initial_vault_units
-            == self.vault_external_units - self.hedge_pnl_units,
+            "hedge book": sum(v.collateral_units for v in sheet.vaults.values())
+            == total["vault_flow"] + total["settle"] + total["premium_flow"],
         }
         failed = [name for name, ok in checks.items() if not ok]
         if failed:
@@ -534,8 +509,7 @@ class Engine:
         return RunArtifacts(self.logs, self._summary(margin_units), self.cfg, perf)
 
     def _summary(self, margin_units: int | None) -> dict:
-        vault_gain_units = self._vault_units() - self.initial_vault_units
-        slp_pnl_units = vault_gain_units - self.vault_external_units
+        totals = self.sheet.totals
         return {
             "halted": self.halted,
             "diagnostic": self.diagnostic,
@@ -546,7 +520,7 @@ class Engine:
             "final_treasury": from_units(self.sheet.treasury_units),
             "trader_cost": from_units(self.trader_cost_units),
             "arb_pnl": self.arb_pnl,
-            "slp_pnl": from_units(slp_pnl_units),
+            "slp_pnl": from_units(totals["settle"] + totals["premium_flow"]),
             "plp_rewards": from_units(
                 sum(units for (_, cls), units in self.sheet.claimable_units.items() if cls == PLP)
             ),
@@ -556,5 +530,5 @@ class Engine:
                 None if self.min_margin_units is None else from_units(self.min_margin_units)
             ),
             "max_utilisation": self.max_utilisation,
-            "liquidations": self.liquidations,
+            "liquidations": totals["liquidate"],
         }

@@ -12,8 +12,8 @@ and then hands rows to a writer process, which formats them and appends
 them to the files while the engine runs on; the engine's process only
 sends them. ``dfmm run`` streams the engine's rows that way during the
 run, the balance sheet's ledger rows (``ledger.csv``) included; the
-rows of ``trades.csv`` and ``treasury.csv`` are rendered from the
-ledger's rows as they go.
+rows of ``trades.csv``, ``treasury.csv`` and ``vaults.csv`` are
+rendered from the ledger's rows as they go (``ledger.views``).
 ``write_logs`` is the last write: the rows still held, then, once the
 writer has finished, ``summary.json`` and the manifest, which is
 written last.
@@ -31,7 +31,7 @@ from dataclasses import asdict
 
 from .. import __version__
 from ..errors import BadRunDir
-from ..ledger import LEDGER, trade_rows, treasury_rows
+from ..ledger import LEDGER, views
 
 MANIFEST_NAME = "manifest.json"
 
@@ -55,7 +55,7 @@ SCHEMAS = {
     "ledger": LEDGER,
 }
 # the kinds the engine logs; the rest render from its ledger rows
-LOGGED = tuple(kind for kind in SCHEMAS if kind not in ("trades", "treasury"))
+LOGGED = tuple(kind for kind in SCHEMAS if kind not in ("trades", "treasury", "vaults"))
 
 # one "%s" per column: str() of a float is its shortest round-trip repr
 _TEMPLATES = {kind: ",".join(["%s"] * len(header)) + "\n" for kind, header in SCHEMAS.items()}
@@ -86,8 +86,7 @@ class LogWriter:
     def __init__(self, outdir):
         os.makedirs(outdir, exist_ok=True)
         self.rows = dict.fromkeys(SCHEMAS, 0)
-        self._t_units: dict[str, int] = {}
-        self._treasury: dict[str, int] = {}
+        self._views: dict = {}  # the state ledger.views carries between writes
         files = {}
         for kind, header in SCHEMAS.items():
             path = os.path.join(outdir, f"{kind}.csv")
@@ -125,13 +124,11 @@ class LogWriter:
 
     def write(self, logs) -> None:
         """Send the rows of ``logs`` (kind -> rows, any subset of ``LOGGED``)
-        and the ``trades`` and ``treasury`` rows of its ledger rows, with T
-        and the treasury balance carried over from the last write, to the
-        writer, which appends them in order."""
+        and the views of its ledger rows, rendered from the state the last
+        write left, to the writer, which appends them in order."""
         ledger = logs.get("ledger")
         if ledger:
-            trades = trade_rows(ledger, self._t_units)
-            logs = {**logs, "trades": trades, "treasury": treasury_rows(ledger, self._treasury)}
+            logs = {**logs, **views(ledger, self._views)}
         batch = {}
         for kind, rows in logs.items():
             if rows:

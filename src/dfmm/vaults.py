@@ -12,17 +12,18 @@ open-inventory notional, from the fixed leg stored at the strike, with
 the vault on the open side.
 
 Sign convention: every boundary function returns the integer ledger
-units it moved into the vault, negative when the vault paid. The short
+units to move into the vault (``ledger.Vault``), negative when the vault
+pays, and leaves the vault alone: the caller books the move as a row on
+the balance sheet, the vault's one writer. The short
 vault pays a rise in the notional's valuation and the long vault pays a
 fall; a payment is non-recourse, capped at the collateral of a vault
-that is not liquidated. ``margin_check`` returns True only on the call
-that liquidates a vault, so a caller that adds up its results counts
-each liquidation once.
+that is not liquidated.
 
-Liquidation policy: a liquidated vault stays liquidated, covering
-nothing, however much a settlement or a premium flow credits it
-afterwards; only a deposit that lifts its collateral above the margin
-floor revives it (``Vault.deposit``).
+Liquidation policy: the engine's margin check after each move
+liquidates a vault at or below its margin floor. A liquidated vault
+stays liquidated, covering nothing, however much a settlement or a
+premium flow credits it afterwards; only a deposit that lifts its
+collateral above the floor revives it.
 """
 
 from __future__ import annotations
@@ -33,51 +34,9 @@ from typing import Optional
 
 from .eldf import Eldf, integrate_eldf
 from .errors import BadParams, ExceedsCapacity, ZeroPrevValue
-from .ledger import LONG, SHORT, AssetPool
-from .money import SCALE, from_units, to_units
+from .ledger import LONG, SHORT, AssetPool, Vault
+from .money import SCALE, to_units
 from .pricing import _CAP_TOL, RebalanceParams, premium_units
-
-
-@dataclass
-class Vault:
-    asset_id: str
-    side: str
-    collateral_units: int
-    coll_rate: float
-    margin_floor_units: int
-    liquidated: bool = False
-
-    @property
-    def collateral(self) -> float:
-        return from_units(self.collateral_units)
-
-    def capacity(self, reserve_units: int = 0) -> float:
-        """Maximum open inventory this vault can cover, net of a reserve.
-
-        Reserve rule: ``reserve_units``, the premium debit the next epoch
-        boundary will take from this vault, is held back from its
-        collateral, and a vault whose collateral net of the reserve is at
-        or below the margin floor covers nothing, since that boundary's
-        margin check would liquidate it; nor does a liquidated vault.
-        """
-        free_units = self.collateral_units - reserve_units
-        if self.liquidated or free_units <= self.margin_floor_units:
-            return 0.0
-        return from_units(free_units) / self.coll_rate
-
-    def deposit(self, amount_units: int) -> None:
-        if amount_units <= 0:
-            raise BadParams("vault deposit must be positive")
-        self.collateral_units += amount_units
-        if self.liquidated and self.collateral_units > self.margin_floor_units:
-            self.liquidated = False
-
-    def withdraw(self, amount_units: int) -> None:
-        if amount_units <= 0 or amount_units > self.collateral_units:
-            raise BadParams(
-                f"vault withdrawal {amount_units} outside (0, {self.collateral_units}]"
-            )
-        self.collateral_units -= amount_units
 
 
 @dataclass
@@ -212,13 +171,13 @@ def strike_swaption(pool: AssetPool, curve: Eldf) -> Optional[SwaptionPosition]:
 
 def settle_swaption(pos: SwaptionPosition, curve_now: Eldf, vault: Vault) -> int:
     """Settle the epoch move of the notional's curve valuation with the
-    vault on the position's side; returns the units moved into it.
+    vault on the position's side; returns the units to move into it.
 
     The move is notional * (value_now / fixed_leg_value - 1), the fixed
     leg being the notional's value on the curve it was struck on. The
     short vault pays a rise and the long vault pays a fall, capped at its
     collateral (nothing once liquidated); the vault is credited the other
-    way. The protocol side of the cash movement is the caller's to book.
+    way. The caller books the move as a ``settle`` row.
     """
     value_prev = pos.fixed_leg_value
     if value_prev <= 0:
@@ -229,21 +188,7 @@ def settle_swaption(pos: SwaptionPosition, curve_now: Eldf, vault: Vault) -> int
     rise = to_units(pos.notional * (value_now / value_prev - 1.0))
     owed = rise if pos.side == SHORT else -rise
     available = 0 if vault.liquidated else vault.collateral_units
-    moved = -min(owed, available) if owed > 0 else -owed
-    vault.collateral_units += moved
-    return moved
-
-
-def margin_check(vault: Vault) -> bool:
-    """Liquidate a vault whose collateral is at or below its floor.
-
-    Liquidation zeroes the vault's capacity. Returns True only when this
-    call liquidated the vault, False for one already liquidated.
-    """
-    if vault.liquidated or vault.collateral_units > vault.margin_floor_units:
-        return False
-    vault.liquidated = True
-    return True
+    return -min(owed, available) if owed > 0 else -owed
 
 
 def side_cap(pool: AssetPool, vault: Vault, reserve_units: int = 0) -> float:
@@ -311,8 +256,8 @@ def slp_premium_flow(
     params: RebalanceParams,
     vault: Vault,
 ) -> int:
-    """Pass the premium move through to the covering vault's collateral;
-    returns the units applied.
+    """The premium move the boundary passes to the covering vault's
+    collateral, in units.
 
     The vault is credited when the outstanding premium fell (the system
     rebalanced) and debited when it rose; the amount is
@@ -324,6 +269,4 @@ def slp_premium_flow(
     rose after the quote or a settlement took collateral first.
     """
     flow = boundary_premium_flow(t_prev_units, t_next_units, params)
-    applied = max(flow, -vault.collateral_units)
-    vault.collateral_units += applied
-    return applied
+    return max(flow, -vault.collateral_units)

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 from dfmm import cli
-from dfmm.ledger import BalanceSheet, treasury_rows
-from dfmm.money import from_units
+from dfmm.ledger import BalanceSheet, views
+from dfmm.money import from_units, to_units
 from dfmm.sim import engine as engine_mod
 from dfmm.sim import output
 from dfmm.sim.config import load_config
 from dfmm.sim.engine import Engine
-from test_sim import DEMO, demo_ini
+from dfmm.vaults import LONG
+from test_sim import DEMO, asset, demo_ini, scenario
 
 SRC = Path(cli.__file__).resolve().parent.parent
 
@@ -427,7 +428,9 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.main(["run", str(demo_ini(tmp_path, self.BUSY)), "--out", str(out)]) == 0
         ledger = ledger_rows(out)
-        assert {row[1] for row in ledger} == {"deposit_plp", "trade", "rr_adjust", "reward"}
+        assert {row[1] for row in ledger} == {
+            "deposit_plp", "trade", "rr_adjust", "reward", "vault_flow", "settle", "premium_flow",
+        }
         sheet = BalanceSheet.replay(ledger)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_treasury"] == from_units(sheet.treasury_units) > 0
@@ -436,8 +439,43 @@ class TestRun:
             for (aid, cls), units in sorted(sheet.claimable_units.items())
         ]
         assert output.read_log(out, "rewards")[1] == claims and len(claims) == 6
-        rendered = [tuple(map(str, row)) for row in treasury_rows(ledger, {})]
+        rendered = [tuple(map(str, row)) for row in views(ledger, {})["treasury"]]
         assert output.read_log(out, "treasury")[1] == rendered
+
+    def test_ledger_replay_reproduces_the_vaults(self, tmp_path, monkeypatch):
+        # test_sim's tiny vaults under busy flow, streamed in many drains:
+        # X's long vault takes a deposit, Y's long vault lets a withdrawal
+        # go over two boundaries, then is liquidated and revived
+        monkeypatch.setattr(engine_mod, "DRAIN_ROWS", 97)
+        small = dict(c_long=10.0, c_short=10.0, sigma=0.1)
+        cfg = scenario(
+            trader_rate=4, horizon=80, epoch_len=2, seed=1,
+            assets=(asset("X", **small), asset("Y", mid_price=50.0, **small)),
+        )
+        eng = Engine(cfg)
+        eng.queue_vault_flow("X", LONG, 5.0)
+        eng.queue_vault_flow("Y", LONG, -5.0)
+        while not eng.vaults["Y"].long.liquidated:
+            eng.step_timestep()
+        eng.queue_vault_flow("Y", LONG, 5.0)
+        out = tmp_path / "out"
+        with output.LogWriter(out) as writer:
+            output.write_logs(eng.run(writer.write), out, writer)
+        ledger = ledger_rows(out)
+        y_long = [
+            (row[1], row[14]) for row in ledger
+            if row[0] > 0 and row[2] == "Y" and row[1] in ("vault_flow", "liquidate")
+            and row[14] != ""
+        ]
+        (_, first), (_, rest), *flags = y_long
+        assert -to_units(5.0) < first < 0 and first + rest == -to_units(5.0)
+        assert flags == [("liquidate", 1), ("vault_flow", to_units(5.0)), ("liquidate", 0)]
+        # balances() holds each vault's collateral and flag
+        vaults = BalanceSheet.replay(ledger).balances()["vaults"]
+        assert vaults == eng.sheet.balances()["vaults"]
+        assert any(liquidated for _, liquidated in vaults.values())
+        rendered = "".join(",".join(map(str, row)) + "\n" for row in views(ledger, {})["vaults"])
+        assert (out / "vaults.csv").read_text().split("\n", 2)[2] == rendered
 
 
 class TestSweep:
@@ -585,14 +623,20 @@ class TestInspect:
         slippage = [r for r in self.rows(capsys, outdir, "--asset", "ALPHA") if r[1] == "slippage"]
         assert slippage == [r for r in every if r[1] == "slippage"] and len(slippage) == 160
 
-        # the ledger matches on either leg; its deposits are at timestep 0
+        # the ledger matches on either leg; each asset's deposit and its
+        # vaults' opening collateral are at timestep 0
         every = self.rows(capsys, outdir, log="ledger")
         kept = self.rows(capsys, outdir, "--asset", "BETA", "--to", "20", log="ledger")
         assert kept == [r for r in every if "BETA" in r[2:4] and int(r[0]) <= 20]
-        deposits = [["0", "deposit_plp", "ALPHA"], ["0", "deposit_plp", "BETA"]]
-        assert [r[:3] for r in every[:2]] == deposits
-        assert kept[0][:3] == deposits[1]
-        assert {r[1] for r in kept[1:]} == {"trade", "reward"} and kept[-1][0] == "20"
+        opening = [
+            ["0", kind, aid]
+            for aid in ("ALPHA", "BETA")
+            for kind in ("deposit_plp", "vault_flow", "vault_flow")
+        ]
+        assert [r[:3] for r in every[:6]] == opening
+        assert [r[:3] for r in kept[:3]] == opening[3:]
+        assert {r[1] for r in kept[3:]} == {"trade", "settle", "premium_flow", "reward"}
+        assert kept[-1][0] == "20"
         kept = self.rows(capsys, outdir, "--asset", "ALPHA", "--from", "1", "--to", "1",
                          log="ledger")
         assert kept == [r for r in every if r[0] == "1"] and len(kept) > 0

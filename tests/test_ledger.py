@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dfmm.errors import BadParams, EngineError, NonFiniteAmount
-from dfmm.ledger import PLP, SLP_LONG, SLP_SHORT, BalanceSheet, solvency_check
+from dfmm.ledger import (
+    LONG, PLP, SHORT, SLP_LONG, SLP_SHORT, VAULT_KINDS, BalanceSheet, solvency_check,
+)
 from dfmm.money import to_units
 
 
@@ -84,11 +86,17 @@ class TestSolvency:
 
 class TestReplay:
     def test_replay_reproduces_balances_bit_exactly(self):
-        """Every entry kind: deposit, trade, rr_adjust and reward."""
+        """Every entry kind: deposit, trade, rr_adjust, reward and the four
+        vault kinds; an overdrawing vault row is refused and moves nothing."""
         rng = np.random.default_rng(17)
         sheet = BalanceSheet(["X", "Y", "Z"])
+        for asset in ("X", "Y", "Z"):
+            for side in (LONG, SHORT):
+                sheet.open_vault(asset, side, 0.5, 0)
+                sheet.book_vault(0, "vault_flow", asset, side, int(rng.integers(0, 10**12)))
+        overdraws = 0
         for _ in range(10_000):
-            op = rng.integers(4)
+            op = rng.integers(8)
             asset = ("X", "Y", "Z")[int(rng.integers(3))]
             if op == 0:
                 sheet.deposit_plp(asset, float(rng.uniform(0.1, 50.0)))
@@ -107,10 +115,29 @@ class TestReplay:
             elif op == 2:
                 delta = int(rng.integers(-10**9, sheet.treasury_units + 1))
                 sheet.adjust_rr(asset, delta, "auction")
-            else:
+            elif op == 3:
                 pending = sheet.pending_units[asset]
                 plp = int(rng.integers(0, pending + 1))
                 sheet.record_reward(0, asset, {PLP: plp, SLP_LONG: pending - plp, SLP_SHORT: 0})
-        assert {row[1] for row in sheet.log} == {"deposit_plp", "trade", "rr_adjust", "reward"}
+            else:
+                kind, side = VAULT_KINDS[op - 4], (LONG, SHORT)[int(rng.integers(2))]
+                held = sheet.vaults[(asset, side)].collateral_units
+                units = int(rng.integers(-held - 10**9, 10**12))
+                if kind == "liquidate":
+                    units = int(rng.integers(2))
+                elif kind == "settle" and not rng.integers(4):
+                    side = None  # no position: the row moves nothing
+                if side is not None and held + units < 0:
+                    overdraws += 1
+                    before, rows = sheet.balances(), len(sheet.log)
+                    with pytest.raises(BadParams, match="overdraws"):
+                        sheet.book_vault(0, kind, asset, side, units)
+                    assert sheet.balances() == before and len(sheet.log) == rows
+                else:
+                    sheet.book_vault(0, kind, asset, side, units)
+        assert {row[1] for row in sheet.log} == {
+            "deposit_plp", "trade", "rr_adjust", "reward", *VAULT_KINDS
+        }
+        assert overdraws > 0
         replayed = BalanceSheet.replay(sheet.log)
         assert replayed.balances() == sheet.balances()

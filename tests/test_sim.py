@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from dfmm import cli, eldf, pricing
 from dfmm.errors import BadCurve, BadParams, ConfigInvalid, ExceedsCapacity, InvariantBreach
-from dfmm.ledger import PLP, BalanceSheet, trade_rows, treasury_rows
+from dfmm.ledger import PLP, BalanceSheet, views
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, quote_swap
 from dfmm.sim.agents import ArbitrageurAgent, TraderFlow
@@ -22,7 +22,7 @@ from dfmm.sim.config import _INI_NAMES, AssetConfig, ScenarioConfig, load_config
 from dfmm.sim import engine as engine_mod
 from dfmm.sim.engine import PHASES, Engine, RunArtifacts
 from dfmm.sim.market import AssetMarket, build_markets, step_all
-from dfmm.sim.output import SCHEMAS, LogWriter, write_logs
+from dfmm.sim.output import LOGGED, SCHEMAS, LogWriter, write_logs
 from dfmm.vaults import SHORT, boundary_premium_flow, covering_side, side_cap
 
 import numpy as np
@@ -78,6 +78,11 @@ def scenario(**kw):
     )
     defaults.update(kw)
     return ScenarioConfig(**defaults)
+
+
+def vault_rows(logs):
+    """The ``vaults.csv`` rows of a run's logs kept in memory."""
+    return views(logs["ledger"], {})["vaults"]
 
 
 def bump(obj, attr):
@@ -337,7 +342,7 @@ class TestEngine:
         art = Engine(scenario(horizon=0)).run()
         assert art.summary["timesteps"] == 0
         assert art.summary["fills"] == 0
-        assert trade_rows(art.logs["ledger"], {}) == []
+        assert views(art.logs["ledger"], {})["trades"] == []
 
     def test_determinism_same_seed(self):
         cfg = scenario(trader_rate=1.5, arb_enabled=True, horizon=40)
@@ -350,19 +355,19 @@ class TestEngine:
         cfg = scenario(trader_rate=1.5, horizon=40)
         a1 = Engine(cfg).run()
         a2 = Engine(dataclasses.replace(cfg, seed=8)).run()
-        assert trade_rows(a1.logs["ledger"], {}) != trade_rows(a2.logs["ledger"], {})
+        assert views(a1.logs["ledger"], {})["trades"] != views(a2.logs["ledger"], {})["trades"]
 
     def test_scripted_trade_fills_once(self):
         cfg = scenario(scripted_trades=((3, "X", "Y", 25.0),))
         art = Engine(cfg).run()
         assert art.summary["fills"] == 1
-        (row,) = trade_rows(art.logs["ledger"], {})
+        (row,) = views(art.logs["ledger"], {})["trades"]
         assert row[0] == 3
 
     def test_scripted_trades_fill_in_file_order(self):
         script = ((3, "X", "Y", 25.0), (1, "Y", "X", 10.0), (3, "Y", "X", 40.0))
         art = Engine(scenario(scripted_trades=script, horizon=5)).run()
-        filled = [(row[0], row[1], row[2]) for row in trade_rows(art.logs["ledger"], {})]
+        filled = [(row[0], row[1], row[2]) for row in views(art.logs["ledger"], {})["trades"]]
         assert filled == [(1, "Y->X", 10.0), (3, "X->Y", 25.0), (3, "Y->X", 40.0)]
 
     def test_one_quote_per_attempted_trade(self, monkeypatch):
@@ -431,7 +436,7 @@ class TestEngine:
             epoch_len=5,
         )
         art = Engine(cfg).run()
-        settlements = [row for row in art.logs["vaults"] if float(row[5]) != 0.0]
+        settlements = [row for row in vault_rows(art.logs) if float(row[5]) != 0.0]
         assert settlements, "open inventory plus curve moves must settle"
 
     def test_liquidations_count_each_vault_flip_once(self):
@@ -447,7 +452,7 @@ class TestEngine:
         )
         art = Engine(cfg).run()
         liquidated, flips = {}, 0
-        for row in art.logs["vaults"]:
+        for row in vault_rows(art.logs):
             vault, now = (row[1], row[2]), int(row[7])
             flips += now and not liquidated.get(vault, 0)
             liquidated[vault] = now
@@ -471,9 +476,9 @@ class TestEngine:
         liquidated, credits = {}, {}
         while len(credits.get(("Y", SHORT), ())) < 2:
             assert eng.t < cfg.horizon, "no credit to a liquidated vault"
-            n = len(eng.logs["vaults"])
+            n = len(vault_rows(eng.logs))
             eng.step_timestep()
-            for row in eng.logs["vaults"][n:]:
+            for row in vault_rows(eng.logs)[n:]:
                 key, flow, settlement = (row[1], row[2]), row[4], row[5]
                 if liquidated.get(key) and (flow > 0 or settlement > 0):
                     vault = eng.vaults[row[1]].by_side(row[2])
@@ -489,20 +494,20 @@ class TestEngine:
         epoch = eng.epoch
         while eng.epoch == epoch:
             eng.step_timestep()
-        row = eng.logs["vaults"][-1]
+        row = vault_rows(eng.logs)[-1]
         assert (row[0], row[1], row[2], row[7]) == (epoch + 1, "Y", SHORT, 0)
         assert not vault.liquidated and side_cap(eng.sheet.pools["Y"], vault) > 0.0
 
     def test_vault_starting_at_floor_is_liquidated_at_construction(self):
         cfg = scenario(horizon=20, epoch_len=5, assets=(asset("X", c_long=0.0), asset("Y")))
         eng = Engine(cfg)
-        assert eng.vaults["X"].long.liquidated and eng.liquidations == 1
+        assert eng.vaults["X"].long.liquidated and eng.sheet.totals["liquidate"] == 1
         art = eng.run()
-        rows = [r for r in art.logs["vaults"] if (r[1], r[2]) == ("X", "long")]
+        rows = [r for r in vault_rows(art.logs) if (r[1], r[2]) == ("X", "long")]
         assert len(rows) == 4 and all(r[7] == 1 for r in rows)
         assert art.summary["liquidations"] == 1
         # the other vaults start well above the floor
-        assert sum(r[7] for r in art.logs["vaults"]) == 4
+        assert sum(r[7] for r in vault_rows(art.logs)) == 4
 
     def test_clamped_marks_past_the_domain_keep_quoting(self, monkeypatch):
         # 20-unit books under 4 trades a step for 5-step slots: the ask
@@ -536,7 +541,7 @@ class TestEngine:
     def test_no_settlement_when_curves_static(self):
         cfg = scenario(scripted_trades=((1, "X", "Y", 25.0),), horizon=10)
         art = Engine(cfg).run()
-        for row in art.logs["vaults"]:
+        for row in vault_rows(art.logs):
             assert float(row[5]) == pytest.approx(0.0)
 
     def test_queued_vault_deposit_applies_at_boundary_and_lowers_cover(self):
@@ -555,7 +560,7 @@ class TestEngine:
         for _ in range(4):
             eng.step_timestep()
             assert not eng.vaults["Y"].short.liquidated
-        assert len(trade_rows(eng.logs["ledger"], {})) == 1
+        assert len(views(eng.logs["ledger"], {})["trades"]) == 1
         d_before = eng.params["Y"].d_rhs
         cap_before = eng.vaults["Y"].short.capacity()
         eng.queue_vault_flow("Y", "short", 5000.0)
@@ -566,7 +571,7 @@ class TestEngine:
         assert eng.vaults["Y"].short.capacity() > cap_before
         assert eng.params["Y"].d_rhs < d_before
         # the rise comes from the deposit, not from reviving a liquidated vault
-        assert eng.liquidations == 0
+        assert eng.sheet.totals["liquidate"] == 0
 
     @pytest.mark.parametrize("amount", [0.0, -1e-13, 1e-13])
     def test_queued_flow_of_no_ledger_units_is_dropped(self, amount):
@@ -576,7 +581,7 @@ class TestEngine:
         assert eng.queued_vault_flows == []
         art = eng.run()
         assert not art.summary["halted"], art.summary["diagnostic"]
-        assert art.logs["vaults"] == Engine(cfg).run().logs["vaults"]
+        assert vault_rows(art.logs) == vault_rows(Engine(cfg).run().logs)
 
     @pytest.mark.parametrize("asset_id, side", [("NOPE", "long"), ("ALPHA", "sideways")])
     def test_queued_flow_to_no_vault_is_refused(self, asset_id, side):
@@ -599,6 +604,7 @@ class TestEngine:
             d_max=0.01,
         )
         eng = Engine(cfg)
+        opening = eng.sheet.totals["vault_flow"]
         eng.queue_vault_flow("Y", "short", -450.0)
         eng.queue_vault_flow("Y", "long", -100.0)  # Y has no surplus: all of it goes
         vault = eng.vaults["Y"].short
@@ -610,12 +616,12 @@ class TestEngine:
             assert vault.capacity() >= deficit
             assert vault.collateral_units > vault.margin_floor_units
             if t < 5:
-                assert eng.vault_external_units == 0
-        assert not vault.liquidated and eng.liquidations == 0
+                assert eng.sheet.totals["vault_flow"] == opening
+        assert not vault.liquidated and eng.sheet.totals["liquidate"] == 0
         ((aid, side, rest),) = eng.queued_vault_flows
         assert (aid, side) == ("Y", SHORT) and -to_units(450.0) < rest < 0
         taken = -to_units(450.0) - rest
-        assert eng.vault_external_units == taken - to_units(100.0)
+        assert eng.sheet.totals["vault_flow"] - opening == taken - to_units(100.0)
         assert vault.capacity() == pytest.approx(deficit, rel=1e-9)
 
     def test_audit_failure_halts_and_preserves_logs(self):
@@ -629,12 +635,13 @@ class TestEngine:
         art = eng.run()
         assert art.summary["halted"]
         assert "audit failed" in art.summary["diagnostic"]
-        assert trade_rows(art.logs["ledger"], {})  # evidence preserved
+        assert views(art.logs["ledger"], {})["trades"]  # evidence preserved
 
     @pytest.mark.parametrize(
         "corrupt,identities",
         [
             (lambda eng: bump(eng.vaults["X"].long, "collateral_units"), "hedge book"),
+            (lambda eng: bump(eng.sheet.totals, "settle"), "hedge book"),
             (lambda eng: bump(eng.sheet.pending_units, "X"), "fee split"),
             (lambda eng: bump(eng.sheet.claimable_units, ("X", PLP)), "fee split"),
             (
@@ -648,7 +655,7 @@ class TestEngine:
             (lambda eng: bump(eng.sheet.t_units, "X"), "synthetic flows net"),
         ],
         ids=[
-            "vault_collateral", "reward_accrual", "reward_claimable", "cum_upsilon",
+            "vault_collateral", "settle_total", "reward_accrual", "reward_claimable", "cum_upsilon",
             "rr_balance", "fee_total", "v_s_total", "treasury_balance", "t_balance",
         ],
     )
@@ -675,12 +682,12 @@ class TestEngine:
         assert sum(sheet.rr_units.values()) == total["rp"] + total["upsilon"]
         assert sheet.treasury_units == total["xi"] - total["upsilon"]
         assert sum(sheet.t_units.values()) == 0
-        assert eng._vault_units() - eng.initial_vault_units == (
-            eng.vault_external_units - eng.hedge_pnl_units
+        assert sum(v.collateral_units for v in sheet.vaults.values()) == (
+            total["vault_flow"] + total["settle"] + total["premium_flow"]
         )
         # every record the identities compare moved during the run
         assert total["xi"] > 0 and rewards > 0
-        assert eng.hedge_pnl_units != 0
+        assert total["settle"] + total["premium_flow"] != 0
 
     def test_ledger_replay_matches_engine_sheet(self):
         cfg = scenario(trader_rate=2.0, horizon=40)
@@ -778,23 +785,23 @@ class TestPremiumReserve:
         with pytest.raises(ExceedsCapacity):
             self.quote(eng, eng.vaults)
         eng.step_timestep()
-        assert trade_rows(eng.logs["ledger"], {}) == [] and eng.rejected == 1
+        assert views(eng.logs["ledger"], {})["trades"] == [] and eng.rejected == 1
 
     def test_debit_within_reserve_fills_and_keeps_vault(self):
         eng = Engine(self.cfg(c_short=200.0))
         eng.step_timestep()
-        assert len(trade_rows(eng.logs["ledger"], {})) == 1
+        assert len(views(eng.logs["ledger"], {})["trades"]) == 1
         t_open, t_now = eng.vaults["Y"].t_open_units, eng.sheet.t_units["Y"]
         flow = boundary_premium_flow(t_open, t_now, eng.params["Y"])
         assert covering_side(t_open, t_now) == SHORT and flow < 0
         reserve_units = -flow
         for _ in range(4):
             eng.step_timestep()  # t=5 is the epoch boundary
-        (row,) = [r for r in eng.logs["vaults"] if r[1] == "Y" and r[2] == SHORT]
+        (row,) = [r for r in vault_rows(eng.logs) if r[1] == "Y" and r[2] == SHORT]
         debit_units = -to_units(row[4])
         assert 0 < debit_units <= reserve_units
         vault = eng.vaults["Y"].short
-        assert not vault.liquidated and eng.liquidations == 0
+        assert not vault.liquidated and eng.sheet.totals["liquidate"] == 0
         pool = eng.sheet.pools["Y"]
         assert pool.lp_inventory - pool.inventory <= vault.capacity()
 
@@ -809,7 +816,7 @@ class TestAuctionRecords:
         )
         logs = Engine(cfg).run().logs
         moves = logs["auction"]
-        upsilons = [r for r in treasury_rows(logs["ledger"], {}) if r[1] == "upsilon"]
+        upsilons = [r for r in views(logs["ledger"], {})["treasury"] if r[1] == "upsilon"]
         adjusts = [r for r in logs["ledger"] if r[1] == "rr_adjust" and r[16] == "auction"]
         assert len(moves) == len(upsilons) == len(adjusts)
         assert any(m[7] > m[6] for m in moves) and any(m[7] < m[6] for m in moves)
@@ -852,7 +859,7 @@ class TestArbitrageLoop:
         assert abs(from_units(eng.sheet.t_units["Y"])) < 1.0
         # the script fills once, at t=2, and no trader flows, so every
         # later fill is the arbitrageur's
-        fills = trade_rows(eng.logs["ledger"], {})
+        fills = views(eng.logs["ledger"], {})["trades"]
         assert [row[0] for row in fills][:1] == [2]
         assert len(fills) > 1
 
@@ -1035,8 +1042,13 @@ class TestFailStop:
         assert art.summary["diagnostic"].startswith(
             f"BadParams at t={cfg.epoch_len}: vault withdrawal"
         )
-        assert len(trade_rows(art.logs["ledger"], {})) == 1
+        assert len(views(art.logs["ledger"], {})["trades"]) == 1
         assert art.logs["metrics"]
+        # the boundary halted inside Y: the premium flow Y's short vault
+        # paid before the refused withdrawal is in the vaults view
+        (row,) = [r for r in vault_rows(art.logs) if r[1:3] == ("Y", SHORT)]
+        assert row[:4] == (1, "Y", SHORT, 1500.0) and (row[5], row[7]) == (0.0, 0)
+        assert (row[4], row[6]) == pytest.approx((-213.53, 1286.47), abs=0.005)
 
 
 class TestDeterministicOutput:
@@ -1082,9 +1094,9 @@ class TestDeterministicOutput:
         "three": "4ab63e388248395dc7edd43fd984355f11c72df7bcdb522f66b1553de7c3279c",
     }
     GOLDEN_LEDGER = {
-        "demo": "9372de5e402facda2aa94fe729076ea6ee7186f71e700cc7a900792181465f7e",
-        "busy": "0ced7175e7cac44d9af27d0703f30376dd3449d44a9205bab1a066500962b641",
-        "three": "9877263c2b67bb5f7ff72a6de33697c65c54260cdc7aeaa3f3010d3fe23b8ac1",
+        "demo": "43bf19c51328607867d462c78288fc8ec09aaeabea15ee6cf1b05c8d3579ba11",
+        "busy": "fc0f0784259113f743a265c001ffc005c408262dce52b2da025ab0663917b0ad",
+        "three": "78def9b254b5bc67226fd3af20505b4fba3c164cc35f0a3c6c3c42ab9356197b",
     }
     GAMMA = {
         "mid_price": 20.0,
@@ -1189,6 +1201,13 @@ class TestLogWriter:
         lines = self.write(tmp_path, rows)
         assert lines == [self.reference_row(row) for row in rows]
 
+    def test_every_log_has_one_source(self):
+        # the engine logs the LOGGED kinds and ledger.views renders the
+        # rest, so no file is written twice and none is left unfilled
+        rendered = views([], {}).keys()
+        assert not rendered & set(LOGGED)
+        assert sorted([*LOGGED, *rendered]) == sorted(SCHEMAS)
+
     def test_numpy_scalars_are_refused(self, tmp_path):
         # marshal sends a numpy scalar as raw bytes, which the writer
         # refuses to format rather than writing b'...' into the file
@@ -1231,15 +1250,11 @@ class TestPlainRows:
                 demo, horizon=400, trader_rate=8.0, clamp_extrapolation=False
             ),
         }[shape]
-        types, t_units, tr_units, batches = {}, {}, {}, []
+        types, state, batches = {}, {}, []
 
         def census(logs):  # one batch as LogWriter.write sends it
             batches.append(sum(map(len, logs.values())))
-            views = {
-                "trades": trade_rows(logs["ledger"], t_units),
-                "treasury": treasury_rows(logs["ledger"], tr_units),
-            }
-            for kind, rows in {**logs, **views}.items():
+            for kind, rows in {**logs, **views(logs["ledger"], state)}.items():
                 for row in rows:
                     assert len(row) == len(SCHEMAS[kind]), (kind, row)
                     for v in row:
@@ -1337,7 +1352,7 @@ class TestTradesView:
         assert not art.summary["halted"]
         assert {"trader", "script", "arb"} <= set(agents)
         assert len(rows) == art.summary["fills"]
-        assert repr(trade_rows(art.logs["ledger"], {})) == repr(rows)
+        assert repr(views(art.logs["ledger"], {})["trades"]) == repr(rows)
         assert [r[12] for r in art.logs["ledger"] if r[1] == "trade"] == agents
 
     def test_view_equals_the_rows_of_a_halted_run(self):
@@ -1350,7 +1365,7 @@ class TestTradesView:
         art = eng.run()
         assert art.summary["halted"] and art.summary["timesteps"] == cfg.epoch_len
         assert rows and rows[-1][0] == cfg.epoch_len
-        assert repr(trade_rows(art.logs["ledger"], {})) == repr(rows)
+        assert repr(views(art.logs["ledger"], {})["trades"]) == repr(rows)
 
     def test_drained_batches_render_as_one(self, monkeypatch):
         # one dict carries the flows T from each drain to the next
@@ -1360,9 +1375,9 @@ class TestTradesView:
         art = eng.run(lambda logs: batches.append(list(logs["ledger"])))
         batches.append(art.logs["ledger"])
         assert len(batches) > 5
-        t_units = {}
-        rendered = [row for batch in batches for row in trade_rows(batch, t_units)]
-        whole = trade_rows([row for batch in batches for row in batch], {})
+        state = {}
+        rendered = [row for batch in batches for row in views(batch, state)["trades"]]
+        whole = views([row for batch in batches for row in batch], {})["trades"]
         assert len(whole) == art.summary["fills"]
         assert rendered == whole
-        assert t_units == eng.sheet.t_units
+        assert state["t"] == eng.sheet.t_units

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from dfmm.eldf import Eldf, fit_eldf, integrate_eldf
 from dfmm.errors import BadParams, ZeroPrevValue
-from dfmm.ledger import AssetPool
+from dfmm.ledger import AssetPool, BalanceSheet
+from dfmm.sim.engine import Engine
 from dfmm.money import from_units, to_units
 from dfmm.pricing import RebalanceParams, premium_units
 from dfmm.vaults import (
@@ -18,7 +19,6 @@ from dfmm.vaults import (
     boundary_premium_flow,
     cover_coefficient,
     covering_side,
-    margin_check,
     settle_swaption,
     side_cap,
     slp_premium_flow,
@@ -27,6 +27,7 @@ from dfmm.vaults import (
     withdrawable_units,
 )
 import oracles
+from test_sim import asset, scenario
 
 
 def vault(side, collateral, rate=0.5, floor=1.0, asset="X"):
@@ -37,6 +38,18 @@ def pair(c_long=50.0, c_short=50.0, rate_long=0.5, rate_short=0.5):
     return VaultPair(
         long=vault(LONG, c_long, rate_long), short=vault(SHORT, c_short, rate_short)
     )
+
+
+def margin_engine(collateral, floor=1.0):
+    """An engine whose X short vault opens with ``collateral`` over a
+    margin ``floor``, and that vault."""
+    eng = Engine(scenario(margin_floor=floor, assets=(asset("X", c_short=collateral), asset("Y"))))
+    return eng, eng.vaults["X"].short
+
+
+def flags(eng):
+    """The flags of the ``liquidate`` rows the engine booked, in order."""
+    return [row[15] for row in eng.sheet.log if row[1] == "liquidate"]
 
 
 def flat_curve(level, v_hi=1000.0):
@@ -158,7 +171,7 @@ class TestSwaption:
         counter = vault(SHORT, 100.0)
         moved = settle_swaption(pos, flat_curve(1.1), counter)
         assert moved == -to_units(1.0)
-        assert counter.collateral_units == to_units(99.0)
+        assert counter.collateral_units == to_units(100.0)  # the caller books it
 
     def test_non_recourse_cap(self):
         # value falls 10%: the long vault owes 1.0 but holds only 0.5
@@ -166,14 +179,14 @@ class TestSwaption:
         counter = vault(LONG, 0.5)
         moved = settle_swaption(pos, flat_curve(0.9), counter)
         assert moved == -to_units(0.5)
-        assert counter.collateral_units == 0
+        assert counter.collateral_units == to_units(0.5)
 
     def test_protocol_pays_credits_vault(self):
         pos = struck(10.0, LONG)
         counter = vault(LONG, 5.0)
         moved = settle_swaption(pos, flat_curve(1.2), counter)
         assert moved == to_units(2.0)
-        assert counter.collateral_units == to_units(7.0)
+        assert counter.collateral_units == to_units(5.0)
 
     # (side, collateral, liquidated, value now, units moved into the vault)
     @pytest.mark.parametrize(
@@ -196,7 +209,7 @@ class TestSwaption:
         counter.liquidated = liquidated
         got = settle_swaption(pos, flat_curve(level), counter)
         assert got == to_units(moved)
-        assert counter.collateral_units == to_units(collateral) + got
+        assert counter.collateral_units == to_units(collateral)
 
     def test_zero_prev_value(self):
         pos = struck(0.0, SHORT)
@@ -239,7 +252,7 @@ class TestSwaption:
             new.liquidated = old.liquidated = liquidated
             moved = settle_swaption(pos, curve_now, new)
             assert moved == oracles.settle_swaption(pos, curve_then, curve_now, old)
-            assert new.collateral_units == old.collateral_units
+            assert new.collateral_units == to_units(collateral)
             paid += moved < 0
             capped += moved == -to_units(collateral)
         assert (paid > 0) == (not liquidated)
@@ -247,38 +260,40 @@ class TestSwaption:
 
 
 class TestMargin:
+    """The engine's margin check after each vault move, booked as
+    ``liquidate`` rows; a 0-unit settlement is a move that changes nothing."""
+
     def test_above_floor(self):
-        v = vault(SHORT, 10.0, floor=1.0)
-        assert not margin_check(v)
-        assert not v.liquidated
+        eng, v = margin_engine(10.0, floor=1.0)
+        eng._move_vault("settle", v, 0)
+        assert not v.liquidated and flags(eng) == []
 
     def test_at_floor_liquidates(self):
-        v = vault(SHORT, 1.0, floor=1.0)
-        assert margin_check(v)
-        assert v.liquidated
+        eng, v = margin_engine(1.0, floor=1.0)
+        assert v.liquidated and flags(eng) == [1]
         assert v.capacity() == 0.0
 
     def test_zero_collateral_liquidates(self):
-        v = vault(SHORT, 0.0, floor=1.0)
-        assert margin_check(v)
+        eng, v = margin_engine(0.0, floor=1.0)
+        assert v.liquidated and flags(eng) == [1]
 
     def test_liquidates_once(self):
-        # True only on the call that liquidates: summing the results
-        # counts each liquidation once
-        v = vault(SHORT, 0.5, floor=1.0)
-        assert [margin_check(v) for _ in range(3)] == [True, False, False]
-        assert v.liquidated
-
+        # one row on the check that liquidates: the sheet's liquidate
+        # total counts each liquidation once
+        eng, v = margin_engine(0.5, floor=1.0)
+        for _ in range(3):
+            eng._move_vault("settle", v, 0)
+        assert v.liquidated and flags(eng) == [1] and eng.sheet.totals["liquidate"] == 1
 
     def test_only_a_deposit_above_the_floor_revives(self):
         # credits do not revive a vault (test_sim's liquidation-policy
         # test); a deposit that leaves it above its floor does
-        v = vault(SHORT, 0.5, floor=1.0)
-        assert margin_check(v)
-        v.deposit(to_units(0.5))  # at the floor
+        eng, v = margin_engine(0.5, floor=1.0)
+        eng._move_vault("vault_flow", v, to_units(0.5))  # at the floor
         assert v.liquidated and v.capacity() == 0.0
-        v.deposit(1)
+        eng._move_vault("vault_flow", v, 1)
         assert not v.liquidated and v.capacity() > 0.0
+        assert flags(eng) == [1, 0] and eng.sheet.totals["liquidate"] == 1
 
 
 class TestCapacity:
@@ -455,7 +470,7 @@ class TestGateCaps:
                 assert take == vault.collateral_units
                 continue
             if take > 0:
-                vault.withdraw(take)
+                vault.collateral_units -= take
                 assert vault.capacity() >= open_inventory
                 assert vault.collateral_units > vault.margin_floor_units
 
@@ -467,7 +482,7 @@ class TestGateCaps:
             "X", inventory=from_units(50594774317388), lp_inventory=from_units(75356383085125)
         )
         v = Vault("X", SHORT, to_units(100.0), 0.861786, to_units(1.0))
-        v.withdraw(withdrawable_units(pool, v))
+        v.collateral_units -= withdrawable_units(pool, v)
         assert v.capacity() >= pool.lp_inventory - pool.inventory
 
 
@@ -482,26 +497,32 @@ class TestPremiumFlow:
         v = vault(SHORT, 100.0)
         applied = slp_premium_flow(to_units(10.0), to_units(5.0), self.PARAMS, v)
         assert applied == to_units(10.0)
-        assert v.collateral_units == to_units(110.0)
+        assert v.collateral_units == to_units(100.0)  # the caller books it
 
     def test_debit_clamps_at_zero_then_liquidates(self):
-        v = vault(SHORT, 3.0, floor=1.0)
+        eng, v = margin_engine(3.0, floor=1.0)
         t_prev, t_next = to_units(5.0), to_units(20.0)
         flow = boundary_premium_flow(t_prev, t_next, self.PARAMS)
         assert flow == to_units(5.0 * 10.0 * 0.1 - 20.0 * 25.0 * 0.1)
-        assert slp_premium_flow(t_prev, t_next, self.PARAMS, v) == -to_units(3.0)
+        applied = slp_premium_flow(t_prev, t_next, self.PARAMS, v)
+        assert applied == -to_units(3.0)
+        eng._move_vault("premium_flow", v, applied)
         assert v.collateral_units == 0
-        assert margin_check(v)
+        assert v.liquidated and flags(eng) == [1]
 
     def test_non_recourse_over_path(self):
         rng = np.random.default_rng(37)
-        v = vault(SHORT, 25.0, floor=0.0)
+        sheet = BalanceSheet()
+        v = sheet.open_vault("X", SHORT, 0.5, 0)
+        sheet.book_vault(0, "vault_flow", "X", SHORT, to_units(25.0))
         deposited = v.collateral_units
         credited = 0
         t_prev = 0
         for _ in range(300):
             t_next = to_units(float(rng.uniform(-40.0, 40.0)))
-            credited += max(slp_premium_flow(t_prev, t_next, self.PARAMS, v), 0)
+            applied = slp_premium_flow(t_prev, t_next, self.PARAMS, v)
+            sheet.book_vault(0, "premium_flow", "X", SHORT, applied)
+            credited += max(applied, 0)
             t_prev = t_next
             assert v.collateral_units >= 0
         # losses never exceed deposits plus what the vault earned
